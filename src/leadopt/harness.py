@@ -21,6 +21,7 @@ from .exembank import ExemplarBank
 from .lineproto import ProtocolError, open_transport
 from .molgraph import (
     EDIT_OPERATORS,
+    CanonicalizationBudgetError,
     Molecule,
     NoApplicableSiteError,
     SmilesError,
@@ -115,7 +116,7 @@ def _random_edits(molecule: Molecule, count: int, rng: random.Random) -> Molecul
             try:
                 out = mutate(out, op, seed)
                 break
-            except (NoApplicableSiteError, ValenceError):
+            except (NoApplicableSiteError, ValenceError, CanonicalizationBudgetError):
                 continue
     return out
 
@@ -146,7 +147,7 @@ def policy_retrieval_greedy(
         seed = rng.randrange(1 << 30)
         try:
             cand = mutate(base, op, seed)
-        except (NoApplicableSiteError, ValenceError):
+        except (NoApplicableSiteError, ValenceError, CanonicalizationBudgetError):
             continue
         if cand.canonical != base.canonical:
             candidates.append(cand)

@@ -2,11 +2,21 @@
 
 Molecules are immutable once constructed; every construction path
 (:func:`parse`, :meth:`Molecule.from_graph`, :func:`mutate`) validates the
-graph and computes the canonical string eagerly.
+graph and computes the canonical string eagerly. :func:`parse` interns its
+last 64 results for the shipped valence table, so re-parsing a recent text
+returns the same object.
+
+The canonical search prunes automorphic branches, so highly symmetric
+graphs (tetra-tert-butylmethane, C60) canonicalize in milliseconds; a graph
+that still exhausts the leaf budget raises
+:class:`CanonicalizationBudgetError`, a :class:`SmilesError`. Parsing
+accepts ASCII digits only, so every bad text raises a :class:`SmilesError`.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -24,6 +34,7 @@ __all__ = [
     "MultiFragmentError",
     "UnsupportedAtomError",
     "NoApplicableSiteError",
+    "CanonicalizationBudgetError",
     "parse",
     "canonicalize",
     "scaffold_of",
@@ -59,6 +70,10 @@ class UnsupportedAtomError(SmilesError):
 
 class NoApplicableSiteError(SmilesError):
     """An edit operator has no valid site on the molecule."""
+
+
+class CanonicalizationBudgetError(SmilesError):
+    """The canonical search ran out of leaves (graph too symmetric)."""
 
 
 SUPPORTED_ELEMENTS = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
@@ -98,6 +113,9 @@ EDIT_OPERATORS = (
 
 # Guard against combinatorial blow-up on pathologically symmetric graphs.
 _MAX_CANON_LEAVES = 20_000
+
+# parse() keeps this many recent results for the shipped valence table.
+_PARSE_CACHE_SIZE = 64
 
 
 def load_valence_table(path: Optional[str] = None) -> dict[str, int]:
@@ -370,6 +388,17 @@ def _implicit_hydrogens(element: str, aromatic: bool, bond_orders: list[str]) ->
 # ---------------------------------------------------------------------------
 
 
+# ASCII only: str.isdigit() also accepts digits int() rejects, such as '²'
+_DIGITS = "0123456789"
+
+
+def _digit_run(text: str, i: int) -> int:
+    """Index just past the digits that start at text[i]."""
+    while i < len(text) and text[i] in _DIGITS:
+        i += 1
+    return i
+
+
 def _tokenize(smiles: str) -> Iterator[tuple[str, object]]:
     i = 0
     n = len(smiles)
@@ -396,11 +425,11 @@ def _tokenize(smiles: str) -> Iterator[tuple[str, object]]:
         elif ch == ".":
             raise MultiFragmentError("multi-fragment SMILES is not supported")
         elif ch == "%":
-            if i + 2 >= n or not smiles[i + 1 : i + 3].isdigit():
+            if i + 2 >= n or _digit_run(smiles, i + 1) < i + 3:
                 raise SmilesSyntaxError("'%' must be followed by two digits")
             yield ("ring", int(smiles[i + 1 : i + 3]))
             i += 3
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             yield ("ring", int(ch))
             i += 1
         elif ch == "*":
@@ -424,17 +453,21 @@ def _tokenize(smiles: str) -> Iterator[tuple[str, object]]:
             raise SmilesSyntaxError(f"unexpected character {ch!r} at {i}")
 
 
+def _bracket_number(token: str, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise SmilesSyntaxError(f"number too long in bracket atom {token!r}") from None
+
+
 def _parse_bracket(token: str) -> Atom:
     body = token[1:-1]
     if not body:
         raise SmilesSyntaxError("empty bracket atom")
-    i = 0
     isotope = None
-    start = i
-    while i < len(body) and body[i].isdigit():
-        i += 1
-    if i > start:
-        isotope = int(body[start:i])
+    i = _digit_run(body, 0)
+    if i > 0:
+        isotope = _bracket_number(token, body[:i])
     if i >= len(body):
         raise SmilesSyntaxError(f"bracket atom {token!r} has no element")
     aromatic = False
@@ -463,31 +496,26 @@ def _parse_bracket(token: str) -> Atom:
         i += 1
     hcount = 0
     if i < len(body) and body[i] == "H":
-        i += 1
-        start = i
-        while i < len(body) and body[i].isdigit():
-            i += 1
-        hcount = int(body[start:i]) if i > start else 1
+        start = i + 1
+        i = _digit_run(body, start)
+        hcount = _bracket_number(token, body[start:i]) if i > start else 1
     charge = 0
     if i < len(body) and body[i] in "+-":
         sign = 1 if body[i] == "+" else -1
         ch = body[i]
         i += 1
-        if i < len(body) and body[i].isdigit():
+        if i < len(body) and body[i] in _DIGITS:
             start = i
-            while i < len(body) and body[i].isdigit():
-                i += 1
-            charge = sign * int(body[start:i])
+            i = _digit_run(body, start)
+            charge = sign * _bracket_number(token, body[start:i])
         else:
             charge = sign
             while i < len(body) and body[i] == ch:
                 charge += sign
                 i += 1
     if i < len(body) and body[i] == ":":
-        i += 1
-        start = i
-        while i < len(body) and body[i].isdigit():
-            i += 1
+        start = i + 1
+        i = _digit_run(body, start)
         if i == start:
             raise SmilesSyntaxError(f"bad atom class in {token!r}")
     if i != len(body):
@@ -510,18 +538,31 @@ def _parse_organic(token: str) -> tuple[Atom, bool]:
 def parse(smiles: str, *, valence_table: Optional[dict[str, int]] = None) -> Molecule:
     """Parse a SMILES string into a validated :class:`Molecule`.
 
+    Under the shipped valence table, the last few texts parsed map to the
+    same (immutable) Molecule object; a text that fails is parsed again.
+
     Raises :class:`SmilesSyntaxError`, :class:`UnmatchedRingError`,
-    :class:`ValenceError`, :class:`MultiFragmentError`, or
-    :class:`UnsupportedAtomError`.
+    :class:`ValenceError`, :class:`MultiFragmentError`,
+    :class:`UnsupportedAtomError`, or :class:`CanonicalizationBudgetError`.
     """
     if not isinstance(smiles, str) or not smiles.strip():
         raise SmilesSyntaxError("empty SMILES string")
-    smiles = smiles.strip()
+    if valence_table is None:
+        return _parse_interned(smiles.strip())
+    return _parse_text(smiles.strip(), valence_table)
 
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_interned(smiles: str) -> Molecule:
+    return _parse_text(smiles, None)
+
+
+def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecule:
     atoms: list[Atom] = []
     needs_h: list[bool] = []
     bond_orders: list[Optional[str]] = []  # None = unspecified, resolved later
     bonds: list[Bond] = []
+    bond_keys: set[tuple[int, int]] = set()
     anchor: Optional[int] = None
     pending: Optional[str] = None
     branch_stack: list[int] = []
@@ -531,9 +572,9 @@ def parse(smiles: str, *, valence_table: Optional[dict[str, int]] = None) -> Mol
         key = (min(a, b), max(a, b))
         if a == b:
             raise SmilesSyntaxError(f"ring bond from atom {a} to itself")
-        for bond in bonds:
-            if bond.key() == key:
-                raise SmilesSyntaxError(f"duplicate bond between atoms {key}")
+        if key in bond_keys:
+            raise SmilesSyntaxError(f"duplicate bond between atoms {key}")
+        bond_keys.add(key)
         bonds.append(Bond(a, b, SINGLE))
         bond_orders.append(order)
 
@@ -662,53 +703,250 @@ def _dense_ranks(keys: list) -> list[int]:
     return [order[key] for key in keys]
 
 
-def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
+def _refine(nbrs: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+    """Split cells by their atoms' sorted (bond order, neighbour rank) lists
+    until no cell splits; `nbrs[i]` holds atom i's (order sort key, neighbour).
+
+    A pass equals dense-ranking every atom's key (rank, neighbour list): the
+    rank part keeps cells in place, so only cells of two or more atoms are
+    keyed, and the atoms of a cell that does not split keep one rank.
+    """
     n = len(ranks)
     while True:
-        keys = []
-        for i in range(n):
-            nbrs = sorted(
-                (_ORDER_SORT[order], ranks[j]) for j, order in mol.neighbors(i)
-            )
-            keys.append((ranks[i], tuple(nbrs)))
-        new_ranks = _dense_ranks(keys)
-        if new_ranks == ranks:
+        cells: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+        for idx, rank in enumerate(ranks):
+            cells[rank].append(idx)
+        if len(cells) == n:
+            return ranks
+        new_ranks = [0] * n
+        offset = 0
+        split = False
+        for cell in cells:
+            if len(cell) > 1:
+                # (order, rank) pairs packed into one int keep their order
+                keys = [
+                    tuple(sorted([order * n + ranks[j] for order, j in nbrs[i]]))
+                    for i in cell
+                ]
+                distinct = sorted(set(keys))
+                if len(distinct) > 1:
+                    split = True
+                    position = {key: offset + k for k, key in enumerate(distinct)}
+                    for idx, key in zip(cell, keys):
+                        new_ranks[idx] = position[key]
+                    offset += len(distinct)
+                    continue
+            for idx in cell:
+                new_ranks[idx] = offset
+            offset += 1
+        if not split:
             return ranks
         ranks = new_ranks
 
 
+def _individualize(ranks: list[int], atom: int) -> list[int]:
+    """Move `atom` into a cell of its own, just before the rest of its cell."""
+    own = ranks[atom]
+    return [
+        rank + (rank > own or (rank == own and idx != atom))
+        for idx, rank in enumerate(ranks)
+    ]
+
+
 def _canonical_string(mol: Molecule) -> str:
-    n = len(mol.atoms)
-    if n == 0:
-        return ""
-    ranks = _refine(mol, _dense_ranks(_initial_invariants(mol)))
-    budget = [_MAX_CANON_LEAVES]
-    return _canon_search(mol, ranks, budget)
+    return _Canonicalizer(mol).run() if mol.atoms else ""
 
 
-def _canon_search(mol: Molecule, ranks: list[int], budget: list[int]) -> str:
-    cells: dict[int, list[int]] = {}
-    for idx, rank in enumerate(ranks):
-        cells.setdefault(rank, []).append(idx)
-    tied = None
-    for rank in sorted(cells):
-        if len(cells[rank]) > 1:
-            tied = cells[rank]
-            break
-    if tied is None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RuntimeError("canonicalization budget exceeded (graph too symmetric)")
-        return _write_smiles(mol, ranks)
-    best: Optional[str] = None
-    for atom in tied:
-        keys = [(ranks[i], int(i != atom)) for i in range(len(ranks))]
-        refined = _refine(mol, _dense_ranks(keys))
-        candidate = _canon_search(mol, refined, budget)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+class _Canonicalizer:
+    """Canonical SMILES: the smallest leaf string of the individualize-and-
+    refine search tree, with per-molecule data computed once.
+
+    A node individualizes each atom of its first tied cell in turn; a leaf
+    (every atom ranked apart) writes SMILES in rank order. A molecule whose
+    refined ranks have no tie is its own single leaf. Two leaves with equal
+    certificates (atom tokens in rank order plus the sorted rank-labelled
+    edges) differ by an automorphism and write equal strings, so each
+    certificate is written once. That automorphism maps the later leaf's
+    path onto the earlier one's, and the later leaf's subtree below the
+    deepest node both paths share onto a subtree already searched, so the
+    search resumes at that node. A node also skips atoms in the orbit of an
+    atom it has explored, under the automorphisms found so far that fix its
+    path (McKay & Piperno, J. Symb. Comput. 60, 2014). Pruned leaves write
+    the strings of leaves kept, so the smallest string is unchanged.
+    """
+
+    def __init__(self, mol: Molecule):
+        n = len(mol.atoms)
+        self.mol = mol
+        # per atom: (order sort key, neighbour) pairs
+        self.nbrs = [
+            [(_ORDER_SORT[order], j) for j, order in mol.neighbors(i)]
+            for i in range(n)
+        ]
+        self.tokens = [_atom_token(mol, i) for i in range(n)]
+        self.bond_chars = {b.key(): _bond_char(mol, i) for i, b in enumerate(mol.bonds)}
+        self.edges = [(b.a, b.b, _ORDER_SORT[b.order]) for b in mol.bonds]
+        # certificate -> (atom at each rank, path) of its first leaf
+        self.leaves: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
+        self.automorphisms: list[list[int]] = []
+        self.budget = _MAX_CANON_LEAVES
+        self.best = ""
+
+    def run(self) -> str:
+        ranks = _refine(self.nbrs, _dense_ranks(_initial_invariants(self.mol)))
+        if max(ranks) == len(ranks) - 1:
+            return self._write(ranks)
+        self._visit(ranks, ())
+        return self.best
+
+    def _visit(self, ranks: list[int], path: tuple[int, ...]) -> int:
+        """Search below the node `path` individualizes; returns the depth of
+        the node where the search goes on."""
+        cells: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+        for idx, rank in enumerate(ranks):
+            cells[rank].append(idx)
+        tied = next((cell for cell in cells if len(cell) > 1), None)
+        if tied is None:
+            return self._leaf(ranks, path)
+        depth = len(path)
+        explored: list[int] = []
+        for atom in tied:
+            if explored and self._in_explored_orbit(atom, explored, path):
+                continue
+            explored.append(atom)
+            resume = self._visit(
+                _refine(self.nbrs, _individualize(ranks, atom)), path + (atom,)
+            )
+            if resume < depth:
+                return resume
+        return depth - 1
+
+    def _leaf(self, ranks: list[int], path: tuple[int, ...]) -> int:
+        self.budget -= 1
+        if self.budget < 0:
+            raise CanonicalizationBudgetError(
+                "canonicalization budget exceeded (graph too symmetric)"
+            )
+        order = [0] * len(ranks)
+        for idx, rank in enumerate(ranks):
+            order[rank] = idx
+        edges = []
+        for a, b, o in self.edges:
+            ra, rb = ranks[a], ranks[b]
+            edges.append((ra, rb, o) if ra < rb else (rb, ra, o))
+        edges.sort()
+        certificate = (tuple([self.tokens[idx] for idx in order]), tuple(edges))
+        first = self.leaves.get(certificate)
+        if first is None:
+            self.leaves[certificate] = (order, path)
+            smiles = self._write(ranks)
+            if not self.best or smiles < self.best:
+                self.best = smiles
+            return len(path) - 1
+        first_order, first_path = first
+        # maps each atom to the atom holding its rank in the first leaf
+        self.automorphisms.append([first_order[rank] for rank in ranks])
+        depth = 0
+        while path[depth] == first_path[depth]:
+            depth += 1
+        return depth
+
+    def _in_explored_orbit(
+        self, atom: int, explored: list[int], path: tuple[int, ...]
+    ) -> bool:
+        """Whether automorphisms fixing every atom of `path` map `atom` onto
+        an explored atom."""
+        generators = [g for g in self.automorphisms if all(g[v] == v for v in path)]
+        orbit = {atom}
+        stack = [atom]
+        while stack:
+            idx = stack.pop()
+            for g in generators:
+                if g[idx] not in orbit:
+                    orbit.add(g[idx])
+                    stack.append(g[idx])
+        return not orbit.isdisjoint(explored)
+
+    def _write(self, ranks: list[int]) -> str:
+        """SMILES with atoms taken in `ranks` order."""
+        nbrs, bond_chars = self.nbrs, self.bond_chars
+        n = len(ranks)
+        # terminal atoms give chain-first strings; both keys are isomorphism
+        # invariants, so the choice is still canonical
+        root = min(range(n), key=lambda i: (len(nbrs[i]) != 1, ranks[i]))
+
+        # depth-first spanning tree, neighbors taken in canonical-rank order
+        children: list[list[int]] = [[] for _ in range(n)]
+        closure_set: set[tuple[int, int]] = set()
+        visited = [False] * n
+        parent = [-1] * n
+        visited[root] = True
+
+        def _ordered(idx: int) -> list[int]:
+            return sorted([nbr for _, nbr in nbrs[idx]], key=ranks.__getitem__)
+
+        dfs: list[tuple[int, Iterator[int]]] = [(root, iter(_ordered(root)))]
+        while dfs:
+            node, it = dfs[-1]
+            advanced = False
+            for nbr in it:
+                if not visited[nbr]:
+                    visited[nbr] = True
+                    parent[nbr] = node
+                    children[node].append(nbr)
+                    dfs.append((nbr, iter(_ordered(nbr))))
+                    advanced = True
+                    break
+                if nbr != parent[node]:
+                    closure_set.add((min(node, nbr), max(node, nbr)))
+            if not advanced:
+                dfs.pop()
+
+        closure_atoms: dict[int, list[tuple[int, int]]] = {}
+        for pair in closure_set:
+            closure_atoms.setdefault(pair[0], []).append(pair)
+            closure_atoms.setdefault(pair[1], []).append(pair)
+        free_digits = list(range(1, 100))  # a heap: sorted, so already one
+        open_digits: dict[tuple[int, int], int] = {}
+
+        # atoms in preorder: each atom's token and ring digits, then its
+        # children, every child but the last as a branch; the stack holds
+        # atoms to write and text to copy, the next item last
+        out: list[str] = []
+        stack: list = [root]
+        while stack:
+            idx = stack.pop()
+            if isinstance(idx, str):
+                out.append(idx)
+                continue
+            out.append(self.tokens[idx])
+            pairs = closure_atoms.get(idx)
+            if pairs:
+                # a pair is open exactly when its other atom came first
+                closing = sorted((open_digits[p], p) for p in pairs if p in open_digits)
+                # deterministic: open closures toward lower-ranked partners first
+                opening = sorted(
+                    (ranks[p[0] if p[1] == idx else p[1]], p)
+                    for p in pairs
+                    if p not in open_digits
+                )
+                for digit, pair in closing:
+                    del open_digits[pair]
+                    heapq.heappush(free_digits, digit)
+                    out.append(_digit_token(digit))
+                for _, pair in opening:
+                    digit = heapq.heappop(free_digits)
+                    open_digits[pair] = digit
+                    out.append(bond_chars[pair] + _digit_token(digit))
+            kids = children[idx]
+            for pos in range(len(kids) - 1, -1, -1):
+                kid = kids[pos]
+                bond = bond_chars[(idx, kid) if idx < kid else (kid, idx)]
+                if pos == len(kids) - 1:
+                    stack += (kid, bond)
+                else:
+                    stack += (")", kid, bond, "(")
+        return "".join(out)
 
 
 def _bond_char(mol: Molecule, bond_idx: int) -> str:
@@ -760,89 +998,6 @@ def _atom_token(mol: Molecule, idx: int) -> str:
         parts.append(str(atom.formal_charge))
     parts.append("]")
     return "".join(parts)
-
-
-def _write_smiles(mol: Molecule, ranks: list[int]) -> str:
-    n = len(mol.atoms)
-    if n == 0:
-        return ""
-    bond_index = {bond.key(): i for i, bond in enumerate(mol.bonds)}
-    # terminal atoms give chain-first strings; both keys are isomorphism
-    # invariants, so the choice is still canonical
-    root = min(range(n), key=lambda i: (mol.degree(i) != 1, ranks[i]))
-
-    # depth-first spanning tree, neighbors taken in canonical-rank order
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
-    closure_set: set[tuple[int, int]] = set()
-    visited = [False] * n
-    parent = [-1] * n
-    visited[root] = True
-
-    def _ordered(idx: int) -> list[int]:
-        return sorted((nbr for nbr, _ in mol.neighbors(idx)), key=lambda j: ranks[j])
-
-    dfs: list[tuple[int, Iterator[int]]] = [(root, iter(_ordered(root)))]
-    while dfs:
-        node, it = dfs[-1]
-        advanced = False
-        for nbr in it:
-            if not visited[nbr]:
-                visited[nbr] = True
-                parent[nbr] = node
-                children[node].append(nbr)
-                dfs.append((nbr, iter(_ordered(nbr))))
-                advanced = True
-                break
-            if nbr != parent[node]:
-                closure_set.add((min(node, nbr), max(node, nbr)))
-        if not advanced:
-            dfs.pop()
-
-    closure_atoms: dict[int, list[tuple[int, int]]] = {}
-    for pair in closure_set:
-        closure_atoms.setdefault(pair[0], []).append(pair)
-        closure_atoms.setdefault(pair[1], []).append(pair)
-    ring_digit: dict[tuple[int, int], int] = {}
-
-    free_digits = list(range(1, 100))
-    open_digits: dict[tuple[int, int], int] = {}
-    written: set[int] = set()
-
-    def closure_tokens(idx: int) -> str:
-        out = []
-        pairs = closure_atoms.get(idx, [])
-        closing = [p for p in pairs if p in open_digits]
-        opening = [p for p in pairs if p not in open_digits and p not in ring_digit]
-        closing.sort(key=lambda p: open_digits[p])
-        # deterministic: open closures toward lower-ranked partners first
-        opening.sort(key=lambda p: ranks[p[0] if p[1] == idx else p[1]])
-        for pair in closing:
-            digit = open_digits.pop(pair)
-            free_digits.insert(0, digit)
-            free_digits.sort()
-            out.append(_digit_token(digit))
-        for pair in opening:
-            digit = free_digits.pop(0)
-            open_digits[pair] = digit
-            ring_digit[pair] = digit
-            out.append(_bond_char(mol, bond_index[pair]) + _digit_token(digit))
-        return "".join(out)
-
-    def write(idx: int) -> str:
-        written.add(idx)
-        token = _atom_token(mol, idx) + closure_tokens(idx)
-        kids = children[idx]
-        parts = [token]
-        for pos, kid in enumerate(kids):
-            bond = _bond_char(mol, bond_index[(min(idx, kid), max(idx, kid))])
-            sub = bond + write(kid)
-            if pos < len(kids) - 1:
-                parts.append(f"({sub})")
-            else:
-                parts.append(sub)
-        return "".join(parts)
-
-    return write(root)
 
 
 def _digit_token(digit: int) -> str:

@@ -140,6 +140,23 @@ class TestRewardBranches:
         compute_reward(lead, "CCCCCCN", lead, obj, 0.4, frozenset(), ledger)
         assert ledger.consumed == base + 1
 
+    def test_canonicalization_budget_trip_is_invalid(self, no_canon_leaves):
+        consumed = self.ledger.consumed
+        outcome = reward_outcome(
+            self.lead, "CC(C)CCCO", self.lead, self.obj, 0.4,  # methyls tie
+            frozenset(), self.ledger,
+        )
+        assert outcome.branch == "invalid"
+        assert self.ledger.consumed == consumed
+
+    def test_non_ascii_digit_is_invalid(self):
+        for proposal in ("CCCCCCO²", "C١CCCCC١O"):
+            outcome = reward_outcome(
+                self.lead, proposal, self.lead, self.obj, 0.4,
+                frozenset(), self.ledger,
+            )
+            assert outcome.branch == "invalid"
+
     def test_exactly_one_branch_fires(self):
         cases = ["C1CC", LEAD, "CCCC", "CCCCCCN", "c1ccccc1", "CCCCCC"]
         for proposal in cases:

@@ -69,6 +69,13 @@ class TestBuildBank:
         bank = build_bank(rows)
         assert len(bank) == 1
 
+    def test_canonicalization_budget_trip_skipped_and_logged(
+        self, no_canon_leaves, caplog
+    ):
+        bank = build_bank(["CCO\tact=0.5", "CC(C)C\tact=0.1"])
+        assert [r.canonical for r in bank.records] == ["CCO"]
+        assert "skipping corpus row 2" in caplog.text
+
     def test_props_filled_by_oracles(self):
         bank = build_bank(["CCO", "CCN"], oracles=[builtin_oracle("qed_lite")])
         assert all("qed_lite" in r.props for r in bank.records)

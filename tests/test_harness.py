@@ -22,7 +22,14 @@ from leadopt.harness import (
     temperature,
 )
 from leadopt.harness import _random_edits
-from leadopt.molgraph import parse
+from leadopt.molgraph import (
+    EDIT_OPERATORS,
+    CanonicalizationBudgetError,
+    NoApplicableSiteError,
+    ValenceError,
+    mutate,
+    parse,
+)
 from leadopt.oracles import Objective, ObjectiveTerm, Oracle, SuccessCriterion
 
 LEAD = "CCCCCCO"
@@ -175,6 +182,27 @@ class TestPolicies:
                 "", self.view([exemplar]), 0.9, random.Random(seed)
             )
             assert out != exemplar
+
+    def test_canonicalization_budget_trips_are_failed_edits(self, no_canon_leaves):
+        lead = parse(LEAD)
+        tripped = 0
+        for seed in range(20):
+            for op in EDIT_OPERATORS:
+                try:
+                    mutate(lead, op, seed)
+                except CanonicalizationBudgetError:
+                    tripped += 1
+                except (NoApplicableSiteError, ValenceError):
+                    pass
+        assert tripped > 0
+        exemplar = parse("CCCCCCN").canonical
+        for seed in range(20):
+            out = policy_random_edit("", self.view(), 2.0, random.Random(seed))
+            assert parse(out)
+            out = policy_retrieval_greedy(
+                "", self.view([exemplar]), 0.9, random.Random(seed)
+            )
+            assert parse(out)
 
     def test_greedy_tracks_lead(self):
         exemplar = parse("CCCCCCN").canonical

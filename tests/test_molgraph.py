@@ -1,24 +1,34 @@
 import random
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leadopt import molgraph
+from leadopt.chemfeat import morgan_fp
 from leadopt.molgraph import (
     EDIT_OPERATORS,
     Atom,
     Bond,
+    CanonicalizationBudgetError,
     Molecule,
     MultiFragmentError,
     NoApplicableSiteError,
+    SmilesError,
     SmilesSyntaxError,
     UnmatchedRingError,
     UnsupportedAtomError,
     ValenceError,
     canonicalize,
+    load_valence_table,
     mutate,
     parse,
     scaffold_of,
 )
+
+GOLDEN = Path(__file__).parent / "golden" / "canonical_strings.tsv"
 
 
 def relabel(mol: Molecule, perm: list[int]) -> Molecule:
@@ -304,3 +314,175 @@ class TestCanonicalHardGraphs:
             degree[b.b] += 1
         atoms = [Atom("C", hcount=4 - degree[i]) for i in range(16)]
         self._assert_invariant(Molecule.from_graph(atoms, bonds), perms=25)
+
+
+class TestCanonicalGolden:
+    def test_strings_match_golden_and_survive_relabeling(self):
+        # every corpus row plus four seeded edits of it, each with the
+        # canonical string (or the error) the exhaustive, unpruned search
+        # gave; checked again under one random atom order per molecule
+        rng = random.Random(2)
+        mismatches = []
+        rows = [
+            line.split("\t")
+            for line in GOLDEN.read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert len(rows) == 2500
+        for source, op, seed, want in rows:
+            try:
+                mol = parse(source)
+                if op != "parse":
+                    mol = mutate(mol, op, int(seed))
+            except SmilesError as exc:
+                got = "!" + type(exc).__name__
+                if got != want:
+                    mismatches.append((source, op, seed, got, want))
+                continue
+            perm = list(range(len(mol.atoms)))
+            rng.shuffle(perm)
+            for got in (mol.canonical, relabel(mol, perm).canonical):
+                if got != want:
+                    mismatches.append((source, op, seed, got, want))
+        assert mismatches == []
+
+
+SYMMETRIC = [
+    # (name, SMILES, heavy atoms, bonds, canonical string or None)
+    ("tetra-tert-butylmethane", "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C", 17, 16,
+     "CC(C(C(C)(C)C)(C(C)(C)C)C(C)(C)C)(C)C"),
+    ("perfluoro-tetra-tert-butylmethane",
+     "C(C(C(F)(F)F)(C(F)(F)F)C(F)(F)F)(C(C(F)(F)F)(C(F)(F)F)C(F)(F)F)"
+     "(C(C(F)(F)F)(C(F)(F)F)C(F)(F)F)C(C(F)(F)F)(C(F)(F)F)C(F)(F)F", 53, 52, None),
+    ("cubane", "C12C3C4C1C5C2C3C45", 8, 12, "C12C3C4C1C1C2C3C14"),
+    ("dodecahedrane", "C12C3C4C5C1C6C7C2C8C3C9C4C%10C5C6C%11C7C8C9C%10%11", 20, 30,
+     "C12C3C4C5C1C1C6C2C2C3C3C4C4C5C1C1C6C2C3C14"),
+    ("C60",
+     "c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3c8c9c4"
+     "c4c9c%10c5c5c1c1c6c6c%11c2c2c7c3c3c8c4c4c9c5c1c1c6c2c3c41", 60, 90,
+     "c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3c8c9c4"
+     "c4c9c%10c5c5c1c1c6c6c%11c2c2c7c3c3c8c4c4c9c5c1c1c6c2c3c14"),
+]
+
+
+class TestSymmetricGraphs:
+    @pytest.mark.parametrize("name,smiles,n_atoms,n_bonds,canonical", SYMMETRIC,
+                             ids=[row[0] for row in SYMMETRIC])
+    def test_one_string_in_under_a_second(self, name, smiles, n_atoms, n_bonds,
+                                          canonical):
+        # the unpruned search ran out of its leaf budget on the two
+        # tert-butyl graphs; the pinned strings are its results on the others
+        # (tetra-tert-butylmethane's with the budget lifted)
+        rng = random.Random(len(smiles))
+        began = time.perf_counter()
+        mol = parse(smiles, valence_table=load_valence_table())
+        strings = {mol.canonical}
+        for _ in range(3):
+            perm = list(range(len(mol.atoms)))
+            rng.shuffle(perm)
+            strings.add(relabel(mol, perm).canonical)
+        elapsed = time.perf_counter() - began
+        assert (len(mol.atoms), len(mol.bonds)) == (n_atoms, n_bonds)
+        assert len(strings) == 1
+        assert elapsed < 1.0
+        if canonical is not None:
+            assert mol.canonical == canonical
+        assert parse(mol.canonical).canonical == mol.canonical
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # the writer walks the spanning tree with its own stack
+        chain = "C" * (sys.getrecursionlimit() + 100)
+        assert parse(chain).canonical == chain
+
+
+class TestCanonicalizationBudget:
+    def test_trip_is_a_smiles_error(self, no_canon_leaves):
+        with pytest.raises(CanonicalizationBudgetError) as info:
+            parse("CC(C)C")
+        assert isinstance(info.value, SmilesError)
+        # no tie, no search: a single leaf written directly
+        assert parse("CCO").canonical == "CCO"
+
+    def test_trip_is_not_cached(self, no_canon_leaves, monkeypatch):
+        with pytest.raises(CanonicalizationBudgetError):
+            parse("CC(C)C")
+        monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 20_000)
+        assert parse("CC(C)C").canonical == "CC(C)C"
+
+
+class TestParseCache:
+    def test_repeated_text_returns_same_object(self):
+        assert parse("CCOc1ccccc1") is parse("CCOc1ccccc1")
+        assert parse("  CCOc1ccccc1\n") is parse("CCOc1ccccc1")
+
+    def test_stays_within_capacity(self):
+        first = parse("CCCN")
+        for length in range(1, 101):
+            parse("C" * length + "N")
+        info = molgraph._parse_interned.cache_info()
+        assert info.maxsize == molgraph._PARSE_CACHE_SIZE == 64
+        assert info.currsize <= molgraph._PARSE_CACHE_SIZE
+        again = parse("CCCN")
+        assert again is not first
+        assert again == first
+
+    def test_invalid_text_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(UnmatchedRingError):
+                parse("C1CC")
+            with pytest.raises(SmilesSyntaxError):
+                parse("C²")
+
+    def test_valence_table_bypasses_cache(self):
+        cached = parse("CC=O")
+        hits = molgraph._parse_interned.cache_info().hits
+        table = load_valence_table()
+        fresh = parse("CC=O", valence_table=table)
+        assert fresh is not cached and fresh == cached
+        assert molgraph._parse_interned.cache_info().hits == hits
+        tight = dict(table, C=3)
+        with pytest.raises(ValenceError):
+            parse("CC=O", valence_table=tight)
+        assert parse("CC=O") is cached
+
+    def test_fingerprint_of_cached_molecule_matches_fresh(self):
+        text = "CC(=O)Nc1ccc(O)cc1"
+        cached = parse(text)
+        first = morgan_fp(cached)
+        assert parse(text) is cached
+        assert morgan_fp(parse(text)) == first
+        fresh = parse(text, valence_table=load_valence_table())
+        assert morgan_fp(fresh) == first
+        assert morgan_fp(cached, 3, 1024) == morgan_fp(fresh, 3, 1024)
+
+
+SMILES_ALPHABET = list("CNOSPFIBcnops()[]=#-+:/\\%@H.*0123456789lr") + [
+    "²", "١", "٣", "૪", "Ⅻ", "ß", "é",
+]
+
+
+class TestParseTotality:
+    @pytest.mark.parametrize(
+        "text", ["C²", "[²C]", "[CH²]", "C١CC١", "C%١٢CC%١٢", "[C+²]", "[C:²]"]
+    )
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(SmilesSyntaxError):
+            parse(text)
+
+    def test_overlong_bracket_number_rejected(self):
+        # more digits than int() converts from text
+        with pytest.raises(SmilesSyntaxError):
+            parse("[1" + "0" * 5000 + "C]")
+
+    @given(st.one_of(
+        st.text(max_size=40),
+        st.lists(st.sampled_from(SMILES_ALPHABET), max_size=40).map("".join),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_parses_or_raises_smiles_error(self, text):
+        try:
+            mol = parse(text)
+        except SmilesError:
+            return
+        assert isinstance(mol, Molecule)
+        assert parse(mol.canonical) == mol
