@@ -2,13 +2,21 @@
 
 Everything here is a pure function of the molecular graph; fingerprints and
 functional-group sets are cached on the molecule instance.
+
+`FingerprintIndex` is the one bulk Tanimoto kernel: rows of packed uint64
+words and their popcounts, scanned with `np.bitwise_count`. Both memories
+use it (the exemplar bank for recall and lead similarity, the skill bank for
+its fingerprint channel). A `FunctionalGroupSet` carries its tags as a
+bitmask, one bit per catalog tag, so a set-overlap (Jaccard) scan is a
+popcount too.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +34,7 @@ from .molgraph import (
 
 __all__ = [
     "Fingerprint",
+    "FingerprintIndex",
     "FunctionalGroupSet",
     "DescriptorVector",
     "DescriptorDelta",
@@ -85,12 +94,14 @@ class Fingerprint:
         object.__setattr__(self, "popcount", self.bits.bit_count())
 
     def to_words(self) -> np.ndarray:
-        """Little-endian uint64 view, for bulk numpy scans."""
-        raw = self.bits.to_bytes(self.width // 8, "little")
-        return np.frombuffer(raw, dtype=np.uint64)
+        """Little-endian uint64 words, the last one zero-padded when the
+        width is below 64 bits."""
+        raw = self.bits.to_bytes(_word_count(self.width) * 8, "little")
+        return np.frombuffer(raw, dtype="<u8")
 
-    def on_bits(self) -> list[int]:
-        return [i for i in range(self.width) if (self.bits >> i) & 1]
+
+def _word_count(width: int) -> int:
+    return -(-width // 64)
 
 
 def fingerprint_from_words(
@@ -177,6 +188,67 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return inter / union
 
 
+class FingerprintIndex:
+    """Fingerprints of one width and radius as rows of packed uint64 words.
+
+    Each row is padded to whole words, so every power-of-two width works.
+    `similarities` scores a query against all rows (or the given rows) in one
+    popcount scan; each value is the `int / int` float64 that `tanimoto`
+    returns, 1.0 where both vectors are all-zero.
+    """
+
+    def __init__(
+        self,
+        fps: Iterable[Fingerprint] = (),
+        width: int = DEFAULT_WIDTH,
+        radius: int = DEFAULT_RADIUS,
+    ):
+        self.width = width
+        self.radius = radius
+        self.words, self.pops = self._pack(list(fps))
+
+    def _check(self, fp: Fingerprint) -> None:
+        if fp.width != self.width or fp.radius != self.radius:
+            raise WidthMismatchError(
+                f"incompatible fingerprints: {fp.width}/{fp.radius} vs "
+                f"{self.width}/{self.radius}"
+            )
+
+    def _pack(self, fps: list[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
+        for fp in fps:
+            self._check(fp)
+        size = _word_count(self.width) * 8
+        raw = b"".join(fp.bits.to_bytes(size, "little") for fp in fps)
+        words = np.frombuffer(raw, dtype="<u8").reshape(len(fps), size // 8)
+        pops = np.fromiter((fp.popcount for fp in fps), np.int64, len(fps))
+        return words, pops
+
+    def insert(self, positions: Sequence[int], fps: Sequence[Fingerprint]) -> None:
+        """Put each fingerprint before the row now at its position
+        (non-decreasing positions, as `np.insert` takes them)."""
+        words, pops = self._pack(list(fps))
+        self.words = np.insert(self.words, positions, words, axis=0)
+        self.pops = np.insert(self.pops, positions, pops)
+
+    def delete(self, rows: Sequence[int]) -> None:
+        self.words = np.delete(self.words, rows, axis=0)
+        self.pops = np.delete(self.pops, rows)
+
+    def similarities(
+        self, query: Fingerprint, rows: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Tanimoto of the query against every row, or against `rows`."""
+        self._check(query)
+        words, pops = self.words, self.pops
+        if rows is not None:
+            words, pops = words[rows], pops[rows]
+        if query.popcount == 0:
+            # the union is empty only where the row is all-zero as well
+            return (pops == 0).astype(np.float64)
+        inter = np.bitwise_count(words & query.to_words()).sum(axis=1, dtype=np.int64)
+        return inter / (pops + (query.popcount - inter))
+
+
 # ---------------------------------------------------------------------------
 # Functional-group detection
 # ---------------------------------------------------------------------------
@@ -194,6 +266,28 @@ class _PatternAtom:
 class _Pattern:
     atoms: tuple[_PatternAtom, ...]
     adj: tuple[tuple[tuple[int, str], ...], ...]  # (neighbor, order) per atom
+    # search order: pattern atom 0, then always an atom next to a placed one,
+    # as (pattern atom, placed neighbour or None)
+    order: tuple[tuple[int, Optional[int]], ...]
+
+
+def _search_order(
+    adj: Sequence[Sequence[tuple[int, str]]],
+) -> tuple[tuple[int, Optional[int]], ...]:
+    order: list[tuple[int, Optional[int]]] = [(0, None)]
+    placed = {0}
+    while len(order) < len(adj):
+        for p_idx in range(len(adj)):
+            if p_idx in placed:
+                continue
+            anchor = next((j for j, _ in adj[p_idx] if j in placed), None)
+            if anchor is not None:
+                order.append((p_idx, anchor))
+                placed.add(p_idx)
+                break
+        else:
+            raise ValueError("pattern graph must be connected")
+    return tuple(order)
 
 
 def _parse_pattern(smiles: str) -> _Pattern:
@@ -255,7 +349,7 @@ def _parse_pattern(smiles: str) -> _Pattern:
             order = "aromatic" if atoms[a].aromatic and atoms[b].aromatic else "single"
         adj[a].append((b, order))
         adj[b].append((a, order))
-    return _Pattern(tuple(atoms), tuple(tuple(nbrs) for nbrs in adj))
+    return _Pattern(tuple(atoms), tuple(tuple(nbrs) for nbrs in adj), _search_order(adj))
 
 
 @dataclass(frozen=True)
@@ -281,22 +375,35 @@ def _load_catalog() -> list[_CatalogEntry]:
 
 
 _CATALOG = _load_catalog()
+_CATALOG_TAGS = frozenset(entry.tag for entry in _CATALOG)
+# one bit per catalog tag, for FunctionalGroupSet.mask
+_TAG_BITS = {tag: 1 << bit for bit, tag in enumerate(sorted(_CATALOG_TAGS))}
 
 
 def catalog_tags() -> frozenset[str]:
-    return frozenset(entry.tag for entry in _CATALOG)
+    return _CATALOG_TAGS
 
 
 @dataclass(frozen=True)
 class FunctionalGroupSet:
-    """Set of functional-group tags drawn from the shipped catalog."""
+    """Set of functional-group tags drawn from the shipped catalog.
+
+    `mask` holds the same set as a bitmask over the catalog tags, so the
+    overlap of two sets is a popcount.
+    """
 
     tags: frozenset[str]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        unknown = self.tags - catalog_tags()
-        if unknown:
-            raise ValueError(f"tags not in catalog: {sorted(unknown)}")
+        mask = 0
+        for tag in self.tags:
+            bit = _TAG_BITS.get(tag)
+            if bit is None:
+                unknown = sorted(self.tags - _CATALOG_TAGS)
+                raise ValueError(f"tags not in catalog: {unknown}")
+            mask |= bit
+        object.__setattr__(self, "mask", mask)
 
     def __iter__(self):
         return iter(sorted(self.tags))
@@ -319,33 +426,27 @@ def _atom_compatible(p: _PatternAtom, mol: Molecule, idx: int) -> bool:
     return True
 
 
-def _pattern_matches(pattern: _Pattern, mol: Molecule) -> set[frozenset[int]]:
-    """All target atom sets hit by the pattern (connected subgraph matches)."""
+def _pattern_matches(
+    pattern: _Pattern,
+    mol: Molecule,
+    mol_adj: Sequence[dict[int, str]],
+    roots: dict[tuple[str, bool], list[int]],
+) -> set[frozenset[int]]:
+    """All target atom sets hit by the pattern (connected subgraph matches).
+
+    `mol_adj` maps each target atom to {neighbour: bond order}; `roots` lists
+    the target atoms of each (element, aromatic) pair, the only candidates
+    for pattern atom 0.
+    """
     p_n = len(pattern.atoms)
-    n = len(mol.atoms)
-    if p_n == 0 or p_n > n:
+    if p_n == 0 or p_n > len(mol.atoms):
+        return set()
+    first = pattern.atoms[0]
+    starts = roots.get((first.element, first.aromatic))
+    if not starts:
         return set()
 
-    mol_adj: list[dict[int, str]] = [
-        {j: order for j, order in mol.neighbors(i)} for i in range(n)
-    ]
-    # search order: start at pattern atom 0, then always extend from mapped
-    order: list[tuple[int, Optional[int]]] = [(0, None)]  # (pattern atom, mapped nbr)
-    placed = {0}
-    while len(order) < p_n:
-        for p_idx in range(p_n):
-            if p_idx in placed:
-                continue
-            anchor = next(
-                (j for j, _ in pattern.adj[p_idx] if j in placed), None
-            )
-            if anchor is not None:
-                order.append((p_idx, anchor))
-                placed.add(p_idx)
-                break
-        else:
-            raise ValueError("pattern graph must be connected")
-
+    order = pattern.order
     results: set[frozenset[int]] = set()
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -355,10 +456,7 @@ def _pattern_matches(pattern: _Pattern, mol: Molecule) -> set[frozenset[int]]:
             results.add(frozenset(mapping.values()))
             return
         p_idx, anchor = order[depth]
-        if anchor is None:
-            candidates = range(n)
-        else:
-            candidates = list(mol_adj[mapping[anchor]].keys())
+        candidates = starts if anchor is None else mol_adj[mapping[anchor]]
         for t_idx in candidates:
             if t_idx in used or not _atom_compatible(pattern.atoms[p_idx], mol, t_idx):
                 continue
@@ -388,16 +486,22 @@ def detect_functional_groups(m: Molecule) -> FunctionalGroupSet:
 
     Suppression uses the raw (pre-suppression) matches of the suppressor:
     a suppressed match is dropped when it shares at least one atom with any
-    match of the suppressing tag.
+    match of the suppressing tag. The target's adjacency maps and root
+    candidates are built once and shared by every pattern.
     """
     cached = m._fp_cache.get("fg")
     if cached is not None:
         return cached
 
+    mol_adj = [{j: order for j, order in m.neighbors(i)} for i in range(len(m.atoms))]
+    roots: dict[tuple[str, bool], list[int]] = defaultdict(list)
+    for idx, atom in enumerate(m.atoms):
+        roots[(atom.element, atom.aromatic)].append(idx)
+
     raw: dict[str, set[frozenset[int]]] = {}
     suppresses: dict[str, set[str]] = {}
     for entry in _CATALOG:
-        found = _pattern_matches(entry.pattern, m)
+        found = _pattern_matches(entry.pattern, m, mol_adj, roots)
         if found:
             raw.setdefault(entry.tag, set()).update(found)
         if entry.suppresses:
@@ -420,10 +524,10 @@ def detect_functional_groups(m: Molecule) -> FunctionalGroupSet:
 
 def jaccard(a: FunctionalGroupSet, b: FunctionalGroupSet) -> float:
     """|intersection| / |union| over tags; 1.0 when both sets are empty."""
-    union = a.tags | b.tags
+    union = (a.mask | b.mask).bit_count()
     if not union:
         return 1.0
-    return len(a.tags & b.tags) / len(union)
+    return (a.mask & b.mask).bit_count() / union
 
 
 # ---------------------------------------------------------------------------

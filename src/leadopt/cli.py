@@ -8,9 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -19,6 +17,7 @@ import yaml
 from . import exembank, skillbank
 from .credit import AdvantageInput, gae
 from .env import read_trajectories
+from .files import write_atomic
 from .harness import (
     SearchConfig,
     get_policy,
@@ -31,19 +30,6 @@ from .molgraph import parse
 from .oracles import Objective, builtin_oracle, load_objective
 
 __all__ = ["main"]
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _resolve(cli_value, config: dict, key: str, default):
@@ -257,8 +243,8 @@ def cmd_run(args) -> int:
         all_trajectories.extend(trajectories)
 
     report = metrics(results, obj)
-    _atomic_write(out_dir / "report.json", report_to_json(report))
-    _atomic_write(out_dir / "report.tsv", report_to_tsv(report))
+    write_atomic(out_dir / "report.json", report_to_json(report))
+    write_atomic(out_dir / "report.tsv", report_to_tsv(report))
     trajectory_lines = []
     for idx, trajectory in enumerate(all_trajectories):
         for turn, record in enumerate(trajectory.steps, start=1):
@@ -277,8 +263,8 @@ def cmd_run(args) -> int:
                 },
                 sort_keys=True,
             ))
-    _atomic_write(out_dir / "trajectories.jsonl",
-                  "\n".join(trajectory_lines) + ("\n" if trajectory_lines else ""))
+    write_atomic(out_dir / "trajectories.jsonl",
+                 "\n".join(trajectory_lines) + ("\n" if trajectory_lines else ""))
     if skill_bank is not None and args.skill_bank:
         skillbank.save_skills(skill_bank, args.skill_bank)
     print(report_to_tsv(report), end="")

@@ -1,7 +1,9 @@
 """Static exemplar memory: property-annotated molecule bank with two-stage
 retrieval (broad fingerprint recall, then lead-constrained objective ranking).
 
-The bank is immutable after build/load; queries are read-only.
+The bank is immutable after build/load; queries are read-only. Both stages
+read one `chemfeat.FingerprintIndex`: recall scans every row, and the lead
+similarities of the recalled pool are a scan of the pool's rows.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from .chemfeat import (
     DEFAULT_RADIUS,
     DEFAULT_WIDTH,
     Fingerprint,
+    FingerprintIndex,
     morgan_fp,
     tanimoto,
 )
+from .files import write_atomic
 from .molgraph import Molecule, SmilesError, parse
 from .oracles import Objective, Oracle
 
@@ -85,48 +89,26 @@ class ExemplarBank:
         self.records: tuple[ExemplarRecord, ...] = tuple(unique)
         self.width = width
         self.radius = radius
-        self._words: Optional[np.ndarray] = None
-        self._pops: Optional[np.ndarray] = None
-        self._inverted: Optional[dict[int, np.ndarray]] = None
+        self._index: Optional[FingerprintIndex] = None
+        self._rows: Optional[dict[str, int]] = None
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def _matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._words is None:
-            if self.records:
-                self._words = np.vstack([r.fp.to_words() for r in self.records])
-            else:
-                self._words = np.zeros((0, self.width // 64), dtype=np.uint64)
-            self._pops = np.array([r.fp.popcount for r in self.records], dtype=np.int64)
-        assert self._pops is not None
-        return self._words, self._pops
+    @property
+    def index(self) -> FingerprintIndex:
+        """The records' fingerprints in record order, packed on first use."""
+        if self._index is None:
+            self._index = FingerprintIndex(
+                (r.fp for r in self.records), self.width, self.radius
+            )
+        return self._index
 
-    def _inverted_index(self) -> dict[int, np.ndarray]:
-        if self._inverted is None:
-            postings: dict[int, list[int]] = {}
-            for idx, record in enumerate(self.records):
-                for bit in record.fp.on_bits():
-                    postings.setdefault(bit, []).append(idx)
-            self._inverted = {
-                bit: np.array(ids, dtype=np.int64) for bit, ids in postings.items()
-            }
-        return self._inverted
-
-    def similarities(self, query: Fingerprint) -> np.ndarray:
-        """Exact Tanimoto of the query against every record."""
-        if query.width != self.width or query.radius != self.radius:
-            raise ValueError("query fingerprint does not match bank parameters")
-        words, pops = self._matrix()
-        if len(self.records) == 0:
-            return np.zeros(0)
-        q = query.to_words()
-        inter = np.bitwise_count(words & q).sum(axis=1).astype(np.int64)
-        union = pops + query.popcount - inter
-        sims = np.ones(len(self.records), dtype=np.float64)
-        nonzero = union > 0
-        sims[nonzero] = inter[nonzero] / union[nonzero]
-        return sims
+    def rows(self, records: Iterable[ExemplarRecord]) -> list[int]:
+        """Index rows of records taken from this bank."""
+        if self._rows is None:
+            self._rows = {r.canonical: i for i, r in enumerate(self.records)}
+        return [self._rows[r.canonical] for r in records]
 
 
 def build_bank(
@@ -198,43 +180,28 @@ def candidate_recall(
     bank: ExemplarBank,
     query: Molecule,
     pool_size: int,
-    mode: str = "exact",
 ) -> list[ExemplarRecord]:
     """Top `pool_size` records by Tanimoto to the query molecule.
 
-    Exact mode scans the whole bank and returns the true top set; the
-    approximate mode ranks only records sharing at least one on-bit with
-    the query. Ties break by canonical-string order.
+    Scans the whole bank and returns the true top set; ties break by
+    canonical-string order.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
     if len(bank) == 0:
         raise EmptyBankError("exemplar bank is empty")
     query_fp = morgan_fp(query, bank.radius, bank.width)
-
-    if mode == "approx":
-        inverted = bank._inverted_index()
-        hit_lists = [inverted[b] for b in query_fp.on_bits() if b in inverted]
-        if not hit_lists:
-            return []
-        candidate_ids = np.unique(np.concatenate(hit_lists))
-        scored = [
-            (tanimoto(query_fp, bank.records[i].fp), bank.records[i])
-            for i in candidate_ids
-        ]
-        scored.sort(key=lambda pair: (-pair[0], pair[1].canonical))
-        return [record for _, record in scored[:pool_size]]
-    if mode != "exact":
-        raise ValueError(f"unknown recall mode {mode!r}")
-
-    sims = bank.similarities(query_fp)
+    sims = bank.index.similarities(query_fp)
     k = min(pool_size, len(bank))
     boundary = np.partition(sims, len(sims) - k)[len(sims) - k]
-    candidate_ids = np.flatnonzero(sims >= boundary)
+    ids = np.flatnonzero(sims >= boundary)
+    rows = ids.tolist()
+    records = bank.records
+    # canonical strings are unique in a bank, so the row never decides
     ranked = sorted(
-        candidate_ids, key=lambda i: (-sims[i], bank.records[i].canonical)
+        zip((-sims[ids]).tolist(), (records[i].canonical for i in rows), rows)
     )
-    return [bank.records[i] for i in ranked[:pool_size]]
+    return [records[i] for _, _, i in ranked[:pool_size]]
 
 
 def retrieve_exemplars(
@@ -245,7 +212,6 @@ def retrieve_exemplars(
     k: int = 3,
     gamma_ex: Optional[float] = None,
     pool_size: int = 200,
-    mode: str = "exact",
 ) -> list[ExemplarRecord]:
     """Two-stage retrieval: broad recall around the current molecule, then
     lead-similarity filtering and objective-score ranking.
@@ -258,12 +224,12 @@ def retrieve_exemplars(
     threshold = obj.gamma if gamma_ex is None else gamma_ex
     if not (0.0 <= threshold <= 1.0):
         raise ValueError("gamma_ex must lie in [0, 1]")
-    pool = candidate_recall(bank, current, pool_size, mode=mode)
+    pool = candidate_recall(bank, current, pool_size)
     lead_fp = morgan_fp(lead, bank.radius, bank.width)
+    lead_sims = bank.index.similarities(lead_fp, bank.rows(pool)).tolist()
 
     scored: list[tuple[float, float, ExemplarRecord]] = []
-    for record in pool:
-        lead_sim = tanimoto(record.fp, lead_fp)
+    for record, lead_sim in zip(pool, lead_sims):
         if lead_sim < threshold:
             continue
         try:
@@ -310,7 +276,6 @@ def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
     Both files land atomically (temp file, then rename).
     """
     base = Path(base)
-    base.parent.mkdir(parents=True, exist_ok=True)
     jsonl_path = base.with_name(base.name + ".bank.jsonl")
     fp_path = base.with_name(base.name + ".fp.bin")
 
@@ -318,7 +283,7 @@ def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
         json.dumps({"smiles": r.canonical, "props": r.props}, sort_keys=True)
         for r in bank.records
     ]
-    _replace_file(jsonl_path, ("\n".join(lines) + "\n" if lines else "").encode())
+    write_atomic(jsonl_path, "\n".join(lines) + "\n" if lines else "")
 
     blob = [
         struct.pack(
@@ -327,23 +292,8 @@ def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
     ]
     for record in bank.records:
         blob.append(record.fp.bits.to_bytes(bank.width // 8, "little"))
-    _replace_file(fp_path, b"".join(blob))
+    write_atomic(fp_path, b"".join(blob))
     return jsonl_path, fp_path
-
-
-def _replace_file(path: Path, payload: bytes) -> None:
-    import os
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def load_bank(base: str | Path) -> ExemplarBank:

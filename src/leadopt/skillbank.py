@@ -1,6 +1,12 @@
 """Evolving skill memory: edit-card extraction from improving transitions,
 strategy-sentence rendering, and a capacity-controlled per-task skill bank
 with dual (fingerprint / functional-group) retrieval.
+
+The bank keeps, per task, the cards in (-delta_r, key) order beside a
+`chemfeat.FingerprintIndex` of their fingerprints and an array of their
+functional-group bitmasks, updated on every insert. Retrieval scores both
+channels over all cards with a few numpy operations and sorts in Python
+only the threshold passers that can reach the top k.
 """
 
 from __future__ import annotations
@@ -8,22 +14,26 @@ from __future__ import annotations
 import json
 import logging
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import lineproto
 from .chemfeat import (
     DescriptorDelta,
     Fingerprint,
+    FingerprintIndex,
     FunctionalGroupSet,
+    WidthMismatchError,
     descriptors,
     detect_functional_groups,
-    jaccard,
     morgan_fp,
-    tanimoto,
 )
+from .files import write_atomic
 from .molgraph import Atom, Bond, Molecule, parse, scaffold_of
 
 __all__ = [
@@ -710,6 +720,85 @@ class _Entry:
     skill: SkillCard
 
 
+def _rank(skill: SkillCard) -> tuple[float, str]:
+    return (-skill.delta_r, skill.key)
+
+
+class _TaskIndex:
+    """One task's cards in `_rank` order, with their fingerprints, their
+    functional-group bitmasks and their improvements in rows of that order."""
+
+    def __init__(self, width: int, radius: int):
+        self.ranks: list[tuple[float, str]] = []
+        self.skills: list[SkillCard] = []
+        self.fps = FingerprintIndex((), width, radius)
+        self.fg = np.zeros(0, dtype=np.uint64)
+        self.delta = np.zeros(0)
+
+    @classmethod
+    def build(cls, skills: Sequence[SkillCard]) -> Optional["_TaskIndex"]:
+        """None when the cards disagree on fingerprint width or radius."""
+        shapes = {(s.fp_key.width, s.fp_key.radius) for s in skills}
+        if len(shapes) != 1:
+            return None
+        index = cls(*shapes.pop())
+        index.update((), skills)
+        return index
+
+    def accepts(self, skills: Iterable[SkillCard]) -> bool:
+        return all(
+            s.fp_key.width == self.fps.width and s.fp_key.radius == self.fps.radius
+            for s in skills
+        )
+
+    def update(self, removed: Iterable[SkillCard], added: Iterable[SkillCard]) -> None:
+        rows = sorted(bisect_left(self.ranks, _rank(s)) for s in removed)
+        for row in reversed(rows):
+            del self.ranks[row]
+            del self.skills[row]
+        added = sorted(added, key=_rank)
+        # positions in the rows left after the deletions, as np.insert takes them
+        positions = [bisect_left(self.ranks, _rank(s)) for s in added]
+        for offset, (pos, skill) in enumerate(zip(positions, added)):
+            self.ranks.insert(pos + offset, _rank(skill))
+            self.skills.insert(pos + offset, skill)
+        if rows:
+            self.fps.delete(rows)
+            self.fg = np.delete(self.fg, rows)
+            self.delta = np.delete(self.delta, rows)
+        if added:
+            self.fps.insert(positions, [s.fp_key for s in added])
+            self.fg = np.insert(self.fg, positions, [s.fg_tags.mask for s in added])
+            self.delta = np.insert(self.delta, positions, [s.delta_r for s in added])
+
+    def fg_similarities(self, query: FunctionalGroupSet) -> np.ndarray:
+        """`chemfeat.jaccard` of the query against every row."""
+        mask = np.uint64(query.mask)
+        if not query.mask:
+            # the union is empty only where the row's set is empty as well
+            return (self.fg == 0).astype(np.float64)
+        return np.bitwise_count(self.fg & mask) / np.bitwise_count(self.fg | mask)
+
+    def top(self, sims: np.ndarray, threshold: float, k: int) -> list[SkillCard]:
+        """The first k rows with sims >= threshold, ranked by (-delta_r,
+        -sim, key)."""
+        passed = np.flatnonzero(sims >= threshold)
+        if k == 0 or not len(passed):
+            return []
+        if len(passed) > k:
+            # rows run in (-delta_r, key) order, which the ranking refines
+            # only among equal delta_r: keep every passer tied with the k-th
+            deltas = self.delta[passed]
+            passed = passed[: np.count_nonzero(deltas >= deltas[k - 1])]
+        ranks = self.ranks
+        # keys are unique, so the row never decides
+        ranked = sorted(
+            (ranks[row][0], -sim, ranks[row][1], row)
+            for row, sim in zip(passed.tolist(), sims[passed].tolist())
+        )
+        return [self.skills[row] for *_, row in ranked[:k]]
+
+
 class SkillBank:
     """Per-task skill store capped at `capacity` by improvement magnitude."""
 
@@ -718,6 +807,8 @@ class SkillBank:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._tasks: dict[str, dict[str, _Entry]] = {}
+        # None for a task whose cards disagree on fingerprint width or radius
+        self._indexes: dict[str, Optional[_TaskIndex]] = {}
         self._seq = 0
 
     def tasks(self) -> list[str]:
@@ -742,7 +833,8 @@ class SkillBank:
         if len(task_names) > 1:
             raise ValueError("one insert batch must target a single task")
         task = task_names.pop()
-        store = dict(self._tasks.get(task, {}))
+        before = self._tasks.get(task, {})
+        store = dict(before)
 
         inserted = 0
         merged = 0
@@ -765,6 +857,19 @@ class SkillBank:
             keep = ranked[: self.capacity]
             evicted = tuple(sorted(key for key, _ in ranked[self.capacity:]))
             store = dict(keep)
+
+        # the index follows the store: entries that left or were replaced,
+        # entries that came in
+        changed = {skill.key for skill in skills}.union(evicted)
+        removed = [before[key].skill for key in changed
+                   if key in before and store.get(key) is not before[key]]
+        added = [store[key].skill for key in changed
+                 if key in store and before.get(key) is not store[key]]
+        index = self._indexes.get(task)
+        if index is not None and index.accepts(added):
+            index.update(removed, added)
+        else:
+            self._indexes[task] = _TaskIndex.build([e.skill for e in store.values()])
         self._tasks[task] = store
         return EvictionReport(inserted, merged, evicted, len(store))
 
@@ -782,36 +887,29 @@ def retrieve_skills(
 
     Each channel keeps threshold passers ranked by improvement (ties by
     channel similarity, then key); the union preserves fp-channel order
-    first and drops duplicates.
+    first and drops duplicates. Raises WidthMismatchError when the task's
+    cards disagree on fingerprint width or radius.
     """
     for threshold in (gamma_fp, gamma_fg):
         if not (0.0 <= threshold <= 1.0):
             raise ValueError("thresholds must lie in [0, 1]")
-    cards = bank.cards(task)
-    if not cards:
+    if k_fp < 0 or k_fg < 0:
+        raise ValueError("k_fp and k_fg must be non-negative")
+    if not bank.size(task):
         return []
-    query_fp = morgan_fp(current, cards[0].fp_key.radius, cards[0].fp_key.width)
+    index = bank._indexes[task]
+    if index is None:
+        raise WidthMismatchError(
+            f"skill cards of task {task!r} disagree on fingerprint width or radius"
+        )
+    query_fp = morgan_fp(current, index.fps.radius, index.fps.width)
     query_fg = detect_functional_groups(current)
 
-    fp_pass = []
-    fg_pass = []
-    for skill in cards:
-        fp_sim = tanimoto(query_fp, skill.fp_key)
-        if fp_sim >= gamma_fp:
-            fp_pass.append((fp_sim, skill))
-        fg_sim = jaccard(query_fg, skill.fg_tags)
-        if fg_sim >= gamma_fg:
-            fg_pass.append((fg_sim, skill))
-    fp_pass.sort(key=lambda pair: (-pair[1].delta_r, -pair[0], pair[1].key))
-    fg_pass.sort(key=lambda pair: (-pair[1].delta_r, -pair[0], pair[1].key))
-
+    fp_top = index.top(index.fps.similarities(query_fp), gamma_fp, k_fp)
+    fg_top = index.top(index.fg_similarities(query_fg), gamma_fg, k_fg)
     result: list[SkillCard] = []
     seen: set[str] = set()
-    for _, skill in fp_pass[:k_fp]:
-        if skill.key not in seen:
-            seen.add(skill.key)
-            result.append(skill)
-    for _, skill in fg_pass[:k_fg]:
+    for skill in fp_top + fg_top:
         if skill.key not in seen:
             seen.add(skill.key)
             result.append(skill)
@@ -837,8 +935,6 @@ def save_skills(bank: SkillBank, path: str | Path) -> Path:
     """One JSON line per card, written atomically (temp file, then rename)."""
     import io
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with io.StringIO() as fh:
         for task in bank.tasks():
             for skill in bank.cards(task):
@@ -870,47 +966,67 @@ def save_skills(bank: SkillBank, path: str | Path) -> Path:
                     + "\n"
                 )
         payload = fh.getvalue()
-    from .exembank import _replace_file
+    return write_atomic(path, payload)
 
-    _replace_file(path, payload.encode("utf-8"))
-    return path
+
+def _skill_from_json(line: str) -> SkillCard:
+    payload = json.loads(line)
+    for name in ("task", "text", "before", "after"):
+        if not isinstance(payload[name], str):
+            raise TypeError(f"{name} is not a string")
+    card = EditCard(
+        before=payload["before"],
+        after=payload["after"],
+        modification_type=payload["modification_type"],
+        removed_fragment=payload["removed_fragment"],
+        added_fragment=payload["added_fragment"],
+        scaffold_before=payload["scaffold_before"],
+        scaffold_after=payload["scaffold_after"],
+        scaffold_type=payload["scaffold_type"],
+        fg_removed=FunctionalGroupSet(frozenset(payload["fg_removed"])),
+        fg_added=FunctionalGroupSet(frozenset(payload["fg_added"])),
+        deltas=DescriptorDelta(**payload["deltas"]),
+        score_before=payload["score_before"],
+        score_after=payload["score_after"],
+        aromatic_attachment=payload.get("aromatic_attachment", False),
+        approximate_mcs=payload.get("approximate_mcs", False),
+    )
+    if payload["delta_r"] != card.delta_r:
+        raise ValueError("delta_r is not score_after - score_before")
+    source = parse(card.before)
+    return SkillCard(
+        text=payload["text"],
+        card=card,
+        delta_r=card.delta_r,
+        fp_key=morgan_fp(source),
+        fg_tags=detect_functional_groups(source),
+        task=payload["task"],
+    )
 
 
 def load_skills(path: str | Path, capacity: int = DEFAULT_CAPACITY) -> SkillBank:
+    """Read a `save_skills` file into a bank of the given capacity.
+
+    A line that is no card (bad JSON, a missing or mistyped field, a
+    `before` that does not parse, a `delta_r` other than score_after -
+    score_before) is skipped with a log line.
+    """
     bank = SkillBank(capacity)
     batches: dict[str, list[SkillCard]] = {}
+    skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            payload = json.loads(line)
-            card = EditCard(
-                before=payload["before"],
-                after=payload["after"],
-                modification_type=payload["modification_type"],
-                removed_fragment=payload["removed_fragment"],
-                added_fragment=payload["added_fragment"],
-                scaffold_before=payload["scaffold_before"],
-                scaffold_after=payload["scaffold_after"],
-                scaffold_type=payload["scaffold_type"],
-                fg_removed=FunctionalGroupSet(frozenset(payload["fg_removed"])),
-                fg_added=FunctionalGroupSet(frozenset(payload["fg_added"])),
-                deltas=DescriptorDelta(**payload["deltas"]),
-                score_before=payload["score_before"],
-                score_after=payload["score_after"],
-                aromatic_attachment=payload.get("aromatic_attachment", False),
-                approximate_mcs=payload.get("approximate_mcs", False),
-            )
-            source = parse(card.before)
-            skill = SkillCard(
-                text=payload["text"],
-                card=card,
-                delta_r=card.delta_r,
-                fp_key=morgan_fp(source),
-                fg_tags=detect_functional_groups(source),
-                task=payload["task"],
-            )
+            try:
+                skill = _skill_from_json(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                skipped += 1
+                log.warning("skipping skill-bank line %d: %s", lineno, exc)
+                continue
             batches.setdefault(skill.task, []).append(skill)
+    if skipped:
+        log.warning("skill-bank load skipped %d bad lines", skipped)
     for task in sorted(batches):
         bank.insert(batches[task])
     return bank

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from leadopt.chemfeat import (
     DescriptorVector,
     Fingerprint,
+    FingerprintIndex,
     FunctionalGroupSet,
     WidthMismatchError,
     catalog_tags,
@@ -16,9 +18,10 @@ from leadopt.chemfeat import (
     morgan_fp,
     tanimoto,
 )
-from leadopt.molgraph import Bond, Molecule, parse
+from leadopt.molgraph import Bond, Molecule, SmilesError, mutate, parse
 
 MASS_H, MASS_C, MASS_O = 1.008, 12.011, 15.999
+FG_GOLDEN = Path(__file__).parent / "golden" / "fg_tags.tsv"
 
 
 def relabel(mol, perm):
@@ -54,6 +57,13 @@ class TestMorgan:
     def test_width_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             Fingerprint(0, width=1000)
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+    def test_words_pad_to_whole_words(self, width):
+        fp = morgan_fp(parse("CC(C)Cc1ccc(cc1)C(C)C(=O)O"), width=width)
+        words = fp.to_words()
+        assert len(words) == -(-width // 64)
+        assert fingerprint_from_words(words, width, fp.radius) == fp
 
     def test_words_round_trip(self):
         fp = morgan_fp(parse("CC(C)Cc1ccc(cc1)C(C)C(=O)O"))
@@ -102,6 +112,59 @@ class TestTanimoto:
             assert (s == 1.0) == (a.bits == b.bits)
 
 
+def brute_tanimoto(a: Fingerprint, b: Fingerprint) -> float:
+    inter = bin(a.bits & b.bits).count("1")
+    union = bin(a.bits | b.bits).count("1")
+    return 1.0 if union == 0 else inter / union
+
+
+class TestFingerprintIndex:
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 512, 2048, 4096])
+    def test_matches_brute_force_at_every_width(self, width):
+        rng = random.Random(width)
+        # all-zero and all-one rows, sparse and dense rows
+        fps = [Fingerprint(0, width), Fingerprint((1 << width) - 1, width)]
+        fps += [
+            Fingerprint(rng.getrandbits(width) & rng.getrandbits(width), width)
+            for _ in range(60)
+        ]
+        index = FingerprintIndex(fps, width)
+        rows = [5, 0, 1, 5, 40]
+        for query in fps[:4] + [Fingerprint(1, width)]:
+            assert index.similarities(query).tolist() == [
+                brute_tanimoto(query, fp) for fp in fps
+            ]
+            assert index.similarities(query, rows).tolist() == [
+                brute_tanimoto(query, fps[r]) for r in rows
+            ]
+
+    def test_insert_and_delete_keep_rows_in_step(self):
+        rng = random.Random(5)
+        fps = [Fingerprint(rng.getrandbits(32), 32) for _ in range(12)]
+        index = FingerprintIndex(fps[:6], 32)
+        index.delete([0, 3])
+        index.insert([0, 2, 2, 4], fps[6:10])
+        expected = [fps[6], fps[1], fps[2], fps[7], fps[8], fps[4], fps[5], fps[9]]
+        query = fps[11]
+        assert len(index.pops) == len(expected)
+        assert index.similarities(query).tolist() == [
+            tanimoto(query, fp) for fp in expected
+        ]
+
+    def test_empty_index(self):
+        index = FingerprintIndex((), 64)
+        assert index.similarities(Fingerprint(3, 64)).tolist() == []
+
+    def test_mismatch_rejected(self):
+        index = FingerprintIndex([Fingerprint(1, 64)], 64)
+        with pytest.raises(WidthMismatchError):
+            index.similarities(Fingerprint(1, 128))
+        with pytest.raises(WidthMismatchError):
+            index.similarities(Fingerprint(1, 64, radius=3))
+        with pytest.raises(WidthMismatchError):
+            FingerprintIndex([Fingerprint(1, 32)], 64)
+
+
 class TestFunctionalGroups:
     @pytest.mark.parametrize(
         "smiles,expected",
@@ -147,6 +210,31 @@ class TestFunctionalGroups:
         assert base <= bigger
 
 
+class TestFunctionalGroupGolden:
+    def test_tags_match_golden(self):
+        # every corpus row plus four seeded edits of it (the inputs of
+        # canonical_strings.tsv), with the tags the per-pattern scan gave
+        rows = [
+            line.split("\t")
+            for line in FG_GOLDEN.read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert len(rows) == 2500
+        mismatches = []
+        for source, op, seed, want in rows:
+            try:
+                mol = parse(source)
+                if op != "parse":
+                    mol = mutate(mol, op, int(seed))
+            except SmilesError as exc:
+                got = "!" + type(exc).__name__
+            else:
+                got = ",".join(detect_functional_groups(mol)) or "-"
+            if got != want:
+                mismatches.append((source, op, seed, got, want))
+        assert mismatches == []
+
+
 class TestJaccard:
     def test_examples(self):
         a = FunctionalGroupSet(frozenset({"amine", "halogen"}))
@@ -170,6 +258,17 @@ class TestJaccard:
         s = jaccard(a, b)
         assert s == jaccard(b, a)
         assert 0.0 <= s <= 1.0
+
+    @given(
+        st.sets(st.sampled_from(sorted(catalog_tags())), max_size=8),
+        st.sets(st.sampled_from(sorted(catalog_tags())), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mask_matches_tag_sets(self, xs, ys):
+        a, b = FunctionalGroupSet(frozenset(xs)), FunctionalGroupSet(frozenset(ys))
+        assert a.mask.bit_count() == len(xs)
+        union = xs | ys
+        assert jaccard(a, b) == (len(xs & ys) / len(union) if union else 1.0)
 
 
 class TestDescriptors:

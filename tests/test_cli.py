@@ -3,6 +3,7 @@ import json
 import pytest
 
 from leadopt.cli import main
+from leadopt.files import write_atomic
 from leadopt.molgraph import parse
 
 LEADS = ["CCCCCCO", "CCCCCCCO", "CCCCCNC"]
@@ -174,6 +175,43 @@ class TestRunEvalSkills:
         assert summary["act"]["cards"] == 2
         assert summary["act"]["retained"] == 1
         assert len(summary["act"]["evicted"]) == 1
+
+
+    def test_skills_list_skips_malformed_lines(self, workspace, capsys):
+        lead = parse("CCCCCCO").canonical
+        rows = [
+            {"trajectory": 0, "lead": lead, "lead_score": 0.5, "turn": 1,
+             "action": "CCCCCCF", "reward": 1.0, "score": 0.7, "valid": True,
+             "injected_source": None, "terminal_reason": "max_turns"},
+        ]
+        trajs = workspace / "trajs.jsonl"
+        trajs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        bank_path = workspace / "skills.jsonl"
+        run_cli(capsys, "skills", "harvest", "--trajectories", trajs,
+                "--objective", workspace / "act.yaml", "--bank", bank_path)
+        good = bank_path.read_text()
+        bank_path.write_text('{"task": "act"}\nnot json\n' + good)
+        code, out, err = run_cli(capsys, "skills", "list", "--bank", bank_path)
+        assert code == 0, err
+        assert [json.loads(line)["task"] for line in out.splitlines()] == ["act"]
+
+
+class TestWriteAtomic:
+    def test_text_and_bytes_land_whole(self, tmp_path):
+        target = tmp_path / "new" / "dir" / "out.txt"
+        assert write_atomic(target, "caf\u00e9\n") == target
+        assert target.read_bytes() == "caf\u00e9\n".encode("utf-8")
+        write_atomic(target, b"\x00\x01")
+        assert target.read_bytes() == b"\x00\x01"
+        assert [p.name for p in target.parent.iterdir()] == ["out.txt"]
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        with pytest.raises(TypeError):
+            write_atomic(target, 42)
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestCredit:

@@ -125,20 +125,6 @@ class TestCandidateRecall:
         )[:50]
         assert [r.canonical for r in got] == [r.canonical for r in expected]
 
-    def test_approx_mode_subset_and_sorted(self):
-        rng = random.Random(3)
-        records = [
-            fake_record(f"M{i:04d}", rng.getrandbits(64), rng.random())
-            for i in range(300)
-        ]
-        bank = ExemplarBank(records, width=64)
-        approx = candidate_recall(bank, parse("CCCCO"), 20, mode="approx")
-        names = {r.canonical for r in records}
-        assert all(r.canonical in names for r in approx)
-        query_fp = morgan_fp(parse("CCCCO"), bank.radius, bank.width)
-        sims = [brute_tanimoto(query_fp, r.fp) for r in approx]
-        assert sims == sorted(sims, reverse=True)
-
 
 class TestRetrieveExemplars:
     def test_single_filter_survivor(self):
@@ -207,6 +193,33 @@ class TestRetrieveExemplars:
                                  act_objective(), k=8, gamma_ex=0.0, pool_size=80)
         scores = [r.props["act"] for r in got]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestWidths:
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 256, 2048, 4096])
+    def test_built_bank_matches_brute_force(self, width):
+        # widths below 64 bits pad each index row to one whole word
+        rng = random.Random(width)
+        pool = ["CCO", "CCCO", "CCCCO", "CCN", "CCCN", "CCOC", "CC(C)O", "CCS",
+                "c1ccccc1", "Cc1ccccc1", "Oc1ccccc1", "Nc1ccccc1", "CC(=O)O",
+                "CC(=O)N", "FCCO", "ClCCN"]
+        bank = build_bank(
+            [f"{s}\tact={round(rng.random(), 6)}" for s in pool], width=width
+        )
+        records = list(bank.records)
+        for query, lead in [("CCCO", "CCO"), ("Cc1ccccc1", "Oc1ccccc1"),
+                            ("CC(=O)N", "CCN")]:
+            query_fp = morgan_fp(parse(query), bank.radius, width)
+            lead_fp = morgan_fp(parse(lead), bank.radius, width)
+            got = candidate_recall(bank, parse(query), 6)
+            want = sorted(
+                records, key=lambda r: (-brute_tanimoto(query_fp, r.fp), r.canonical)
+            )[:6]
+            assert [r.canonical for r in got] == [r.canonical for r in want]
+            got = retrieve_exemplars(bank, parse(query), parse(lead),
+                                     act_objective(), k=3, gamma_ex=0.1, pool_size=8)
+            want = brute_retrieve(records, query_fp, lead_fp, 0.1, 3, 8)
+            assert [r.canonical for r in got] == [r.canonical for r in want]
 
 
 class TestRenderBlock:

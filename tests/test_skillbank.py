@@ -1,13 +1,19 @@
 import itertools
+import json
+import logging
 import random
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leadopt.chemfeat import (
     DescriptorDelta,
     Fingerprint,
     FunctionalGroupSet,
+    WidthMismatchError,
     detect_functional_groups,
     jaccard,
     morgan_fp,
@@ -446,6 +452,154 @@ class TestRetrieveSkills:
         assert deltas == sorted(deltas, reverse=True)
 
 
+def loop_retrieve(bank, current, task, k_fp=3, k_fg=3, gamma_fp=0.4, gamma_fg=0.5):
+    """The per-card loop retrieve_skills replaced, kept as its reference:
+    both similarities for every card, Jaccard over the tag sets."""
+    cards = bank.cards(task)
+    if not cards:
+        return []
+    query_fp = morgan_fp(current, cards[0].fp_key.radius, cards[0].fp_key.width)
+    query_tags = detect_functional_groups(current).tags
+    fp_pass, fg_pass = [], []
+    for skill in cards:
+        fp_sim = tanimoto(query_fp, skill.fp_key)
+        if fp_sim >= gamma_fp:
+            fp_pass.append((fp_sim, skill))
+        union = query_tags | skill.fg_tags.tags
+        fg_sim = len(query_tags & skill.fg_tags.tags) / len(union) if union else 1.0
+        if fg_sim >= gamma_fg:
+            fg_pass.append((fg_sim, skill))
+    fp_pass.sort(key=lambda pair: (-pair[1].delta_r, -pair[0], pair[1].key))
+    fg_pass.sort(key=lambda pair: (-pair[1].delta_r, -pair[0], pair[1].key))
+    result, seen = [], set()
+    for _, skill in fp_pass[:k_fp] + fg_pass[:k_fg]:
+        if skill.key not in seen:
+            seen.add(skill.key)
+            result.append(skill.key)
+    return result
+
+
+# queries with no, one and several functional groups
+QUERY_SMILES = ["C", "CC", "CCO", "CCN", "CC(=O)N", "Oc1ccccc1", "CC(=O)O", "FCCCl"]
+QUERY_TAGS = ["hydroxyl", "amine", "amide", "aromatic_ring", "carboxylic_acid",
+              "halogen"]
+# few keys, few deltas (ties at the k-th place, 0.0 beside -0.0), narrow
+# fingerprints (equal similarities, all-zero rows)
+SYNTH_CARD = st.tuples(
+    st.integers(0, 15),
+    st.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5]),
+    st.integers(0, (1 << 64) - 1),
+    st.frozensets(st.sampled_from(QUERY_TAGS), max_size=3),
+)
+QUERY = st.tuples(
+    st.sampled_from(QUERY_SMILES),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+
+
+def assert_matches_loop(bank, queries, task="qed"):
+    for smiles, k_fp, k_fg, g_fp, g_fg in queries:
+        current = parse(smiles)
+        got = retrieve_skills(bank, current, task, k_fp, k_fg, g_fp, g_fg)
+        assert [s.key for s in got] == loop_retrieve(
+            bank, current, task, k_fp, k_fg, g_fp, g_fg
+        )
+
+
+def real_skill(smiles, idx, delta_r):
+    """A template-summarized card whose keys come from a real molecule."""
+    before = parse(smiles).canonical
+    card = EditCard(
+        before=before, after=f"AFTER{idx}", modification_type="addition",
+        removed_fragment="", added_fragment="F", scaffold_before="",
+        scaffold_after="", scaffold_type="unchanged",
+        fg_removed=FunctionalGroupSet(frozenset()),
+        fg_added=FunctionalGroupSet(frozenset({"halogen"})),
+        deltas=DescriptorDelta(0.0, 0, 0, 0, 0.0, 0),
+        score_before=0.0, score_after=delta_r,
+    )
+    return make_skill_card(card, "qed")
+
+
+class TestIndexedRetrievalDifferential:
+    @given(
+        st.sampled_from([8, 16, 64]),
+        st.integers(1, 10),
+        st.lists(st.lists(SYNTH_CARD, min_size=1, max_size=5), min_size=1, max_size=6),
+        st.lists(QUERY, min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_through_inserts_merges_evictions(
+        self, width, capacity, batches, queries
+    ):
+        bank = SkillBank(capacity)
+        for batch in batches:
+            bank.insert([
+                synthetic_skill(idx, delta, bits & ((1 << width) - 1), tags,
+                                width=width)
+                for idx, delta, bits, tags in batch
+            ])
+            assert_matches_loop(bank, queries)
+
+    @given(
+        st.integers(1, 12),
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(QUERY_SMILES + ["c1ccccc1CC(=O)N", "CCCCO"]),
+                          st.integers(0, 9), st.sampled_from([0.125, 0.25, 0.5])),
+                min_size=1, max_size=5,
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.lists(QUERY, min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_after_save_and_load(self, capacity, batches, queries):
+        bank = SkillBank(capacity)
+        for batch in batches:
+            bank.insert([real_skill(smiles, idx, delta) for smiles, idx, delta in batch])
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_skills(save_skills(bank, Path(tmp) / "skills.jsonl"),
+                                 capacity)
+        assert sorted(s.key for s in loaded.cards("qed")) == sorted(
+            s.key for s in bank.cards("qed"))
+        assert_matches_loop(loaded, queries)
+        for smiles, k_fp, k_fg, g_fp, g_fg in queries:
+            current = parse(smiles)
+            assert retrieve_skills(loaded, current, "qed", k_fp, k_fg, g_fp, g_fg) == \
+                retrieve_skills(bank, current, "qed", k_fp, k_fg, g_fp, g_fg)
+
+    @pytest.mark.parametrize("odd", [{"width": 128}, {"radius": 3}])
+    def test_disagreeing_cards_raise_until_evicted(self, odd):
+        mol = parse("CCCCO")
+        bank = SkillBank(capacity=3)
+        odd_card = synthetic_skill(0, 0.1, 5, ())
+        odd_card = SkillCard(odd_card.text, odd_card.card, odd_card.delta_r,
+                             Fingerprint(5, **{"width": 64, **odd}), odd_card.fg_tags,
+                             "qed")
+        bank.insert([synthetic_skill(1, 0.5, 3, ("hydroxyl",))])
+        bank.insert([odd_card])
+        with pytest.raises(WidthMismatchError):
+            retrieve_skills(bank, mol, "qed")
+        bank.insert([synthetic_skill(5, 0.05, 6, ())])
+        with pytest.raises(WidthMismatchError):
+            retrieve_skills(bank, mol, "qed")
+        # three larger improvements push the odd card out
+        bank.insert([synthetic_skill(i, 0.6, i, ("hydroxyl",)) for i in (2, 3, 4)])
+        assert odd_card.key not in {s.key for s in bank.cards("qed")}
+        assert [s.key for s in retrieve_skills(bank, mol, "qed", gamma_fp=0.0)] == \
+            loop_retrieve(bank, mol, "qed", gamma_fp=0.0)
+
+    def test_negative_k_rejected(self):
+        bank = SkillBank()
+        bank.insert([synthetic_skill(0, 0.5, 1, ())])
+        with pytest.raises(ValueError):
+            retrieve_skills(bank, parse("CCO"), "qed", k_fp=-1)
+
+
 class TestRenderSkillBlock:
     def test_header_and_numbering(self):
         skills = [
@@ -486,6 +640,36 @@ class TestPersistence:
             assert orig[key].delta_r == back[key].delta_r
             assert orig[key].fp_key == back[key].fp_key
             assert orig[key].fg_tags.tags == back[key].fg_tags.tags
+
+
+    def test_bad_lines_skipped_and_counted(self, tmp_path, caplog):
+        bank = SkillBank(capacity=10)
+        bank.insert([real_skill("CCO", 0, 0.25), real_skill("CCN", 1, 0.5)])
+        good = save_skills(bank, tmp_path / "good.jsonl").read_text().splitlines()
+        mismatch = json.loads(good[0])
+        mismatch["delta_r"] = 0.75
+        unparsable = json.loads(good[0])
+        unparsable["before"] = "C1CC"
+        bad_text = json.loads(good[0])
+        bad_text["text"] = 7
+        missing = json.loads(good[0])
+        del missing["before"]
+        lines = [
+            good[0], "not json", json.dumps(missing), json.dumps(unparsable),
+            json.dumps(mismatch), "[1, 2]", json.dumps(bad_text), "", good[1],
+        ]
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING, logger="leadopt.skillbank"):
+            loaded = load_skills(path, capacity=10)
+        assert sorted(s.key for s in loaded.cards("qed")) == sorted(
+            s.key for s in bank.cards("qed"))
+        skips = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("skipping skill-bank line")]
+        assert [m.split(":")[0] for m in skips] == [
+            f"skipping skill-bank line {n}" for n in (2, 3, 4, 5, 6, 7)
+        ]
+        assert "skill-bank load skipped 6 bad lines" in caplog.text
 
 
 class TestMcsRings:
