@@ -16,7 +16,7 @@ import yaml
 
 from . import exembank, skillbank
 from .credit import AdvantageInput, gae
-from .env import read_trajectories
+from .env import read_trajectories, write_trajectories
 from .files import write_atomic
 from .harness import (
     SearchConfig,
@@ -245,26 +245,7 @@ def cmd_run(args) -> int:
     report = metrics(results, obj)
     write_atomic(out_dir / "report.json", report_to_json(report))
     write_atomic(out_dir / "report.tsv", report_to_tsv(report))
-    trajectory_lines = []
-    for idx, trajectory in enumerate(all_trajectories):
-        for turn, record in enumerate(trajectory.steps, start=1):
-            trajectory_lines.append(json.dumps(
-                {
-                    "trajectory": idx,
-                    "lead": trajectory.lead,
-                    "lead_score": trajectory.lead_score,
-                    "turn": turn,
-                    "action": record.action,
-                    "reward": record.reward,
-                    "score": record.score,
-                    "valid": record.valid,
-                    "injected_source": record.injected_source,
-                    "terminal_reason": trajectory.terminal_reason,
-                },
-                sort_keys=True,
-            ))
-    write_atomic(out_dir / "trajectories.jsonl",
-                 "\n".join(trajectory_lines) + ("\n" if trajectory_lines else ""))
+    write_trajectories(all_trajectories, out_dir / "trajectories.jsonl")
     if skill_bank is not None and args.skill_bank:
         skillbank.save_skills(skill_bank, args.skill_bank)
     print(report_to_tsv(report), end="")

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .chemfeat import morgan_fp, tanimoto
 from .exembank import ExemplarBank, render_exemplar_block, retrieve_exemplars
+from .files import write_atomic
 from .molgraph import Molecule, SmilesError, parse
 from .oracles import (
     BudgetExhaustedError,
@@ -437,34 +438,30 @@ class MolEnv:
 # ---------------------------------------------------------------------------
 
 
-def write_trajectories(
-    trajectories: list[Trajectory], path: str | Path, append: bool = False
-) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as fh:
-        for t_idx, trajectory in enumerate(trajectories):
-            for turn, record in enumerate(trajectory.steps, start=1):
-                fh.write(
-                    json.dumps(
-                        {
-                            "trajectory": t_idx,
-                            "lead": trajectory.lead,
-                            "lead_score": trajectory.lead_score,
-                            "turn": turn,
-                            "action": record.action,
-                            "reward": record.reward,
-                            "score": record.score,
-                            "valid": record.valid,
-                            "injected_source": record.injected_source,
-                            "terminal_reason": trajectory.terminal_reason,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-    return path
+def write_trajectories(trajectories: list[Trajectory], path: str | Path) -> Path:
+    """One JSON line per step, trajectories numbered in list order; the file
+    appears whole or not at all."""
+    lines = [
+        json.dumps(
+            {
+                "trajectory": t_idx,
+                "lead": trajectory.lead,
+                "lead_score": trajectory.lead_score,
+                "turn": turn,
+                "action": record.action,
+                "reward": record.reward,
+                "score": record.score,
+                "valid": record.valid,
+                "injected_source": record.injected_source,
+                "terminal_reason": trajectory.terminal_reason,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for t_idx, trajectory in enumerate(trajectories)
+        for turn, record in enumerate(trajectory.steps, start=1)
+    ]
+    return write_atomic(path, "".join(lines))
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:

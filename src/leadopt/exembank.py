@@ -270,6 +270,11 @@ def render_exemplar_block(
     return "\n".join(lines) + "\n"
 
 
+def _fp_bytes(width: int) -> int:
+    """Sidecar bytes per fingerprint: whole bytes, so widths below 8 fit."""
+    return -(-width // 8)
+
+
 def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
     """Write `<base>.bank.jsonl` plus the `<base>.fp.bin` sidecar.
 
@@ -290,8 +295,9 @@ def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
             "<4sHIHQ", _FP_MAGIC, _FP_VERSION, bank.width, bank.radius, len(bank)
         )
     ]
+    block = _fp_bytes(bank.width)
     for record in bank.records:
-        blob.append(record.fp.bits.to_bytes(bank.width // 8, "little"))
+        blob.append(record.fp.bits.to_bytes(block, "little"))
     write_atomic(fp_path, b"".join(blob))
     return jsonl_path, fp_path
 
@@ -308,10 +314,10 @@ def load_bank(base: str | Path) -> ExemplarBank:
             raise ValueError(f"{fp_path} is not a fingerprint sidecar")
         if version != _FP_VERSION:
             raise ValueError(f"unsupported sidecar version {version}")
-        blob = fh.read(count * (width // 8))
+        block = _fp_bytes(width)
+        blob = fh.read(count * block)
 
     records: list[ExemplarRecord] = []
-    block = width // 8
     with open(jsonl_path, "r", encoding="utf-8") as fh:
         for idx, line in enumerate(fh):
             if idx >= count:

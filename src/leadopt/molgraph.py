@@ -6,6 +6,17 @@ graph and computes the canonical string eagerly. :func:`parse` interns its
 last 64 results for the shipped valence table, so re-parsing a recent text
 returns the same object.
 
+A canonical string names its graph, so parsing one the program has just
+written need not search again. The canonical strings of the last 64
+molecules validated under the shipped valence table are remembered with the
+search that wrote them. On a miss in its cache, :func:`parse` turns such a
+string into the writer's *write-order twin*: the source's atoms in the order
+the string writes them, its bonds in the order and orientation the parser
+adds them, its ring flags permuted and its fingerprints kept, which is the
+molecule parsing would build, minus tokenizing, validation, the ring search
+and the canonical search. Unvalidated molecules (skill fragments) and
+molecules checked against another valence table are never remembered.
+
 The canonical search prunes automorphic branches, so highly symmetric
 graphs (tetra-tert-butylmethane, C60) canonicalize in milliseconds; a graph
 that still exhausts the leaf budget raises
@@ -18,6 +29,7 @@ from __future__ import annotations
 import functools
 import heapq
 import random
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional, Sequence
@@ -185,19 +197,54 @@ class Molecule:
         validate: bool = True,
         valence_table: Optional[dict[str, int]] = None,
     ):
-        self.atoms: tuple[Atom, ...] = tuple(atoms)
-        self.bonds: tuple[Bond, ...] = tuple(bonds)
-        self._adj = _adjacency(len(self.atoms), self.bonds)
-        self._ring_bonds = _ring_bond_flags(len(self.atoms), self.bonds, self._adj)
-        self._ring_atoms = [False] * len(self.atoms)
-        for b_idx, bond in enumerate(self.bonds):
-            if self._ring_bonds[b_idx]:
+        self._build(tuple(atoms), tuple(bonds), None, None, validate, valence_table)
+
+    @classmethod
+    def _assemble(
+        cls,
+        atoms: tuple[Atom, ...],
+        bonds: tuple[Bond, ...],
+        ring_bonds: list[bool],
+        *,
+        canonical: Optional[str] = None,
+        valence_table: Optional[dict[str, int]] = None,
+    ) -> "Molecule":
+        """Construction with the bonds' ring flags already known. Given a
+        `canonical` string (a write-order twin), validation and the
+        canonical search are skipped."""
+        mol = cls.__new__(cls)
+        mol._build(atoms, bonds, ring_bonds, canonical, True, valence_table)
+        return mol
+
+    def _build(
+        self,
+        atoms: tuple[Atom, ...],
+        bonds: tuple[Bond, ...],
+        ring_bonds: Optional[list[bool]],
+        canonical: Optional[str],
+        validate: bool,
+        valence_table: Optional[dict[str, int]],
+    ) -> None:
+        self.atoms: tuple[Atom, ...] = atoms
+        self.bonds: tuple[Bond, ...] = bonds
+        self._adj = _adjacency(len(atoms), bonds)
+        if ring_bonds is None:
+            ring_bonds = _ring_bond_flags(len(atoms), bonds, self._adj)
+        self._ring_bonds = ring_bonds
+        self._ring_atoms = [False] * len(atoms)
+        for b_idx, bond in enumerate(bonds):
+            if ring_bonds[b_idx]:
                 self._ring_atoms[bond.a] = True
                 self._ring_atoms[bond.b] = True
-        if validate:
-            self._validate(valence_table or _VALENCE_MAX)
-        self._canonical: str = _canonical_string(self)
+        # graph-only values (chemfeat's fingerprints and FG sets), never
+        # depending on atom order, so a write-order twin shares them
         self._fp_cache: dict = {}
+        if canonical is None:
+            if validate:
+                self._validate(valence_table or _VALENCE_MAX)
+            # only texts valid under the shipped table may skip parse checks
+            canonical = _canonical_string(self, validate and valence_table is None)
+        self._canonical: str = canonical
 
     @classmethod
     def from_graph(
@@ -539,7 +586,10 @@ def parse(smiles: str, *, valence_table: Optional[dict[str, int]] = None) -> Mol
     """Parse a SMILES string into a validated :class:`Molecule`.
 
     Under the shipped valence table, the last few texts parsed map to the
-    same (immutable) Molecule object; a text that fails is parsed again.
+    same (immutable) Molecule object; a text that fails is parsed again. A
+    canonical string written for one of the last few molecules validated
+    under that table is not parsed at all: its write-order twin is built
+    from the molecule that wrote it.
 
     Raises :class:`SmilesSyntaxError`, :class:`UnmatchedRingError`,
     :class:`ValenceError`, :class:`MultiFragmentError`,
@@ -554,6 +604,9 @@ def parse(smiles: str, *, valence_table: Optional[dict[str, int]] = None) -> Mol
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def _parse_interned(smiles: str) -> Molecule:
+    canon = _WRITTEN.get(smiles)
+    if canon is not None:
+        return _write_order_twin(smiles, canon)
     return _parse_text(smiles, None)
 
 
@@ -668,7 +721,9 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
             atom = Atom(atom.element, atom.aromatic, atom.formal_charge, h, atom.isotope)
         final_atoms.append(atom)
 
-    return Molecule(final_atoms, resolved, valence_table=valence_table)
+    return Molecule._assemble(
+        tuple(final_atoms), tuple(resolved), ring_flags, valence_table=valence_table
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +808,16 @@ def _individualize(ranks: list[int], atom: int) -> list[int]:
     ]
 
 
-def _canonical_string(mol: Molecule) -> str:
-    return _Canonicalizer(mol).run() if mol.atoms else ""
+def _canonical_string(mol: Molecule, remember: bool = False) -> str:
+    """Canonical SMILES; with `remember`, the search that wrote it is kept
+    so :func:`parse` can build the string's write-order twin."""
+    if not mol.atoms:
+        return ""
+    canon = _Canonicalizer(mol)
+    text = canon.run()
+    if remember:
+        _remember(text, canon)
+    return text
 
 
 class _Canonicalizer:
@@ -791,10 +854,12 @@ class _Canonicalizer:
         self.automorphisms: list[list[int]] = []
         self.budget = _MAX_CANON_LEAVES
         self.best = ""
+        self.best_ranks: list[int] = []
 
     def run(self) -> str:
         ranks = _refine(self.nbrs, _dense_ranks(_initial_invariants(self.mol)))
         if max(ranks) == len(ranks) - 1:
+            self.best_ranks = ranks
             return self._write(ranks)
         self._visit(ranks, ())
         return self.best
@@ -842,6 +907,7 @@ class _Canonicalizer:
             smiles = self._write(ranks)
             if not self.best or smiles < self.best:
                 self.best = smiles
+                self.best_ranks = ranks
             return len(path) - 1
         first_order, first_path = first
         # maps each atom to the atom holding its rank in the first leaf
@@ -867,8 +933,13 @@ class _Canonicalizer:
                     stack.append(g[idx])
         return not orbit.isdisjoint(explored)
 
-    def _write(self, ranks: list[int]) -> str:
-        """SMILES with atoms taken in `ranks` order."""
+    def _write(
+        self, ranks: list[int], trace: Optional[list[tuple[int, list[int]]]] = None
+    ) -> str:
+        """SMILES with atoms taken in `ranks` order. A `trace` list receives,
+        for each atom in written order, the atom and the neighbours a parser
+        bonds it to on reading it: its tree parent, then the partners of the
+        ring bonds it closes, in digit order."""
         nbrs, bond_chars = self.nbrs, self.bond_chars
         n = len(ranks)
         # terminal atoms give chain-first strings; both keys are isomorphism
@@ -920,6 +991,8 @@ class _Canonicalizer:
                 out.append(idx)
                 continue
             out.append(self.tokens[idx])
+            if trace is not None:
+                trace.append((idx, [parent[idx]] if idx != root else []))
             pairs = closure_atoms.get(idx)
             if pairs:
                 # a pair is open exactly when its other atom came first
@@ -934,6 +1007,8 @@ class _Canonicalizer:
                     del open_digits[pair]
                     heapq.heappush(free_digits, digit)
                     out.append(_digit_token(digit))
+                    if trace is not None:
+                        trace[-1][1].append(pair[0] if pair[1] == idx else pair[1])
                 for _, pair in opening:
                     digit = heapq.heappop(free_digits)
                     open_digits[pair] = digit
@@ -1002,6 +1077,52 @@ def _atom_token(mol: Molecule, idx: int) -> str:
 
 def _digit_token(digit: int) -> str:
     return str(digit) if digit < 10 else f"%{digit:02d}"
+
+
+# ---------------------------------------------------------------------------
+# Write-order twins
+# ---------------------------------------------------------------------------
+
+# canonical string -> the search that wrote it, for the last
+# _PARSE_CACHE_SIZE molecules validated under the shipped valence table
+_WRITTEN: dict[str, _Canonicalizer] = {}
+_WRITTEN_LOCK = threading.Lock()  # rollouts on threads share the entries
+
+
+def _remember(text: str, canon: _Canonicalizer) -> None:
+    canon.leaves.clear()  # certificates only serve the search
+    with _WRITTEN_LOCK:
+        _WRITTEN.pop(text, None)
+        _WRITTEN[text] = canon
+        if len(_WRITTEN) > _PARSE_CACHE_SIZE:
+            del _WRITTEN[next(iter(_WRITTEN))]
+
+
+def _write_order_twin(text: str, canon: _Canonicalizer) -> Molecule:
+    """What ``_parse_text(text, None)`` returns, built from the molecule whose
+    search wrote `text`: its atoms in the order the string writes them, its
+    bonds in the order and orientation the parser adds them, its ring flags
+    permuted. A canonical string names its graph, and the source was
+    validated under the shipped table, so tokenizing, validation, the ring
+    search and the canonical search are all skipped."""
+    src = canon.mol
+    trace: list[tuple[int, list[int]]] = []
+    canon._write(canon.best_ranks, trace)
+    bond_at = {bond.key(): b_idx for b_idx, bond in enumerate(src.bonds)}
+    new = [0] * len(src.atoms)
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    ring_bonds: list[bool] = []
+    for idx, partners in trace:
+        new[idx] = len(atoms)
+        atoms.append(src.atoms[idx])
+        for other in partners:
+            b_idx = bond_at[(other, idx) if other < idx else (idx, other)]
+            bonds.append(Bond(new[other], new[idx], src.bonds[b_idx].order))
+            ring_bonds.append(src._ring_bonds[b_idx])
+    twin = Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds, canonical=text)
+    twin._fp_cache.update(src._fp_cache)
+    return twin
 
 
 # ---------------------------------------------------------------------------

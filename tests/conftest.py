@@ -9,7 +9,13 @@ def no_canon_leaves(monkeypatch):
     whose refined ranks tie raises CanonicalizationBudgetError. Molecules
     needed intact must be built before the fixture runs."""
     monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
-    # a text parsed earlier would come back from the cache without a search
-    molgraph._parse_interned.cache_clear()
+    # a text parsed earlier would come back from the cache, and a text
+    # written earlier as a write-order twin, without a search
+    forget_texts()
     yield
+    forget_texts()
+
+
+def forget_texts():
     molgraph._parse_interned.cache_clear()
+    molgraph._WRITTEN.clear()

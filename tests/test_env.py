@@ -385,6 +385,19 @@ class TestTrajectoryLog:
             s.score for s in trajectory.steps
         ]
 
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        env, _ = make_env()
+        state, _ = env.step(env.reset(parse(LEAD)), "CCCCCC")
+        trajectory = env.to_trajectory(state)
+        path = tmp_path / "t.jsonl"
+        write_trajectories([trajectory, trajectory], path)
+        write_trajectories([trajectory], path)
+        assert len(read_trajectories(path)) == 1
+        assert path.read_text().count("\n") == 1
+        write_trajectories([], path)
+        assert path.read_bytes() == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
 
 from hypothesis import given, settings, strategies as st
 

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -279,6 +280,18 @@ class TestPersistence:
         for orig, back in zip(bank.records, loaded.records):
             assert orig.fp == back.fp
             assert orig.props == back.props
+
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_round_trip_below_one_byte(self, tmp_path, width):
+        # a fingerprint narrower than a byte still takes one sidecar byte
+        bank = build_bank(["CCO\tact=1", "CCN\tact=2", "c1ccccc1\tact=3"], width=width)
+        _, fp_path = save_bank(bank, tmp_path / "b")
+        assert fp_path.stat().st_size == struct.calcsize("<4sHIHQ") + len(bank)
+        loaded = load_bank(tmp_path / "b")
+        assert loaded.width == width
+        assert [r.fp for r in loaded.records] == [r.fp for r in bank.records]
+        assert [r.canonical for r in loaded.records] == [r.canonical for r in bank.records]
 
 
 class TestFormatScore:

@@ -456,6 +456,137 @@ class TestParseCache:
         assert morgan_fp(cached, 3, 1024) == morgan_fp(fresh, 3, 1024)
 
 
+def parsed_equal(twin: Molecule, text: str) -> bool:
+    """Whether `twin` is, field for field, what parsing `text` builds."""
+    fresh = molgraph._parse_text(text, None)
+    return (
+        twin.atoms == fresh.atoms
+        and twin.bonds == fresh.bonds
+        and twin._adj == fresh._adj
+        and twin._ring_bonds == fresh._ring_bonds
+        and twin._ring_atoms == fresh._ring_atoms
+        and twin.canonical == fresh.canonical == text
+    )
+
+
+def twin_of(mol: Molecule) -> Molecule:
+    """The write-order twin of `mol`'s canonical string, from `mol` itself."""
+    canon = molgraph._WRITTEN[mol.canonical]
+    assert canon.mol is mol
+    return molgraph._write_order_twin(mol.canonical, canon)
+
+
+CORPUS = [
+    line
+    for line in (Path(__file__).parent / "fixtures" / "corpus_500.smi")
+    .read_text().splitlines()
+    if line and not line.startswith("#")
+]
+
+
+class TestWriteOrderTwin:
+    def test_equals_parse_on_golden_inputs_and_relabelings(self):
+        rng = random.Random(4)
+        mismatches = []
+        rows = [
+            line.split("\t")
+            for line in GOLDEN.read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        for source, op, seed, want in rows:
+            if want.startswith("!"):
+                continue
+            mol = molgraph._parse_text(source, None)
+            if op != "parse":
+                mol = mutate(mol, op, int(seed))
+            perm = list(range(len(mol.atoms)))
+            rng.shuffle(perm)
+            for order in (sorted(perm), perm):
+                if not parsed_equal(twin_of(relabel(mol, order)), want):
+                    mismatches.append((source, op, seed))
+        assert mismatches == []
+
+    @given(
+        st.sampled_from(CORPUS),
+        st.lists(
+            st.tuples(st.sampled_from(EDIT_OPERATORS), st.integers(0, 10**6)),
+            min_size=1, max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_parse_along_mutate_chains(self, source, edits):
+        mol = parse(source)
+        for op, seed in edits:
+            try:
+                mol = mutate(mol, op, seed)
+            except (NoApplicableSiteError, ValenceError):
+                continue
+            twin = twin_of(mol)
+            assert parsed_equal(twin, mol.canonical)
+            mol = twin
+
+    def test_parse_of_a_written_string_skips_the_parser(self, monkeypatch):
+        mol = mutate(parse("CC(C)c1ccccc1O"), "append_terminal_atom", 3)
+        fp = morgan_fp(mol)
+
+        def no_parse(*args):
+            raise AssertionError("parsed a string the program had just written")
+
+        monkeypatch.setattr(molgraph, "_parse_text", no_parse)
+        molgraph._parse_interned.cache_clear()
+        twin = parse(mol.canonical)
+        assert twin is not mol and twin == mol
+        assert morgan_fp(twin) is fp  # fingerprints carried over
+
+    def test_unvalidated_molecule_is_not_remembered(self):
+        # a skill fragment: aromatic atoms cut out of their ring
+        frag = Molecule(
+            [Atom("C", aromatic=True, hcount=2), Atom("C", aromatic=True, hcount=2)],
+            [Bond(0, 1)],
+            validate=False,
+        )
+        assert frag.canonical == "cc"
+        assert "cc" not in molgraph._WRITTEN
+        with pytest.raises(SmilesSyntaxError):
+            parse("cc")
+
+    def test_custom_valence_table_is_not_remembered(self):
+        loose = dict(load_valence_table(), C=5)
+        text = parse("C(C)(C)(C)(C)C", valence_table=loose).canonical
+        built = Molecule(
+            [Atom("C")] + [Atom("C", hcount=3)] * 5,
+            [Bond(0, k) for k in range(1, 6)],
+            valence_table=loose,
+        )
+        assert built.canonical == text
+        assert text not in molgraph._WRITTEN
+        with pytest.raises(ValenceError):
+            parse(text)
+
+    def test_budget_trip_survives_an_earlier_write(self, request):
+        # methyls tie, so the search needs leaves
+        written = Molecule.from_graph(
+            [Atom("C", hcount=3), Atom("C", hcount=1), Atom("C", hcount=3),
+             Atom("C", hcount=2), Atom("O", hcount=1)],
+            [Bond(0, 1), Bond(1, 2), Bond(1, 3), Bond(3, 4)],
+        )
+        assert written.canonical in molgraph._WRITTEN
+        request.getfixturevalue("no_canon_leaves")
+        with pytest.raises(CanonicalizationBudgetError):
+            parse(written.canonical)
+
+    def test_remembers_the_last_few_strings(self):
+        last = molgraph._PARSE_CACHE_SIZE + 8
+        for length in range(1, last + 1):
+            Molecule.from_graph(
+                [Atom("C", hcount=3 if k in (0, length) else 2) for k in range(length + 1)],
+                [Bond(k, k + 1) for k in range(length)],
+            )
+        assert len(molgraph._WRITTEN) == molgraph._PARSE_CACHE_SIZE
+        assert "C" * (last + 1) in molgraph._WRITTEN
+        assert "CC" not in molgraph._WRITTEN
+
+
 SMILES_ALPHABET = list("CNOSPFIBcnops()[]=#-+:/\\%@H.*0123456789lr") + [
     "²", "١", "٣", "૪", "Ⅻ", "ß", "é",
 ]
