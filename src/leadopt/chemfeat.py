@@ -3,6 +3,12 @@
 Everything here is a pure function of the molecular graph; fingerprints and
 functional-group sets are cached on the molecule instance.
 
+`morgan_fp` hashes each atom environment through a module-level memo of at
+most 4,096 environment hashes, cleared when full, shared by all molecules.
+Molecules a search visits are one or two edits apart, so almost every
+environment was hashed before; the hash is a pure function of the
+environment, so fingerprints are bit-identical with or without the memo.
+
 `FingerprintIndex` is the one bulk Tanimoto kernel: rows of packed uint64
 words and their popcounts, scanned with `np.bitwise_count`. Both memories
 use it (the exemplar bank for recall and lead similarity, the skill bank for
@@ -15,11 +21,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .files import data_text, table_rows
 from .molgraph import (
     Molecule,
     SmilesSyntaxError,
@@ -58,20 +64,8 @@ class WidthMismatchError(ValueError):
     """Fingerprints with different width or radius were compared."""
 
 
-def _load_table(name: str) -> dict[str, float]:
-    text = resources.files("leadopt.data").joinpath(name).read_text()
-    table: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.rstrip()
-        if not line or line.startswith("#"):
-            continue
-        key, value = line.split("\t")[:2]
-        table[key] = float(value)
-    return table
-
-
-_MASSES = _load_table("atomic_masses.tsv")
-_PSA = _load_table("psa_contrib.tsv")
+_MASSES = {key: float(value) for key, value, *_ in table_rows(data_text("atomic_masses.tsv"))}
+_PSA = {key: float(value) for key, value, *_ in table_rows(data_text("psa_contrib.tsv"))}
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +122,32 @@ def _mix_stream(values) -> int:
     return h
 
 
+# environment -> its _mix_stream hash, for every molecule (see the module
+# docstring): an atom's initial invariant, or (iteration, own hash, sorted
+# (order, neighbour hash) pairs...), whose pairs are streamed flat
+_ENV_HASHES: dict[tuple, int] = {}
+_ENV_HASHES_MAX = 4096
+
+
+def _env_hash(env: tuple) -> int:
+    """`_mix_stream` of an environment missing from the memo, stored."""
+    if isinstance(env[-1], tuple):
+        h = _mix_stream((env[0], env[1], *[v for pair in env[2:] for v in pair]))
+    else:
+        h = _mix_stream(env)
+    if len(_ENV_HASHES) >= _ENV_HASHES_MAX:
+        _ENV_HASHES.clear()
+    _ENV_HASHES[env] = h
+    return h
+
+
 def morgan_fp(
     m: Molecule, radius: int = DEFAULT_RADIUS, width: int = DEFAULT_WIDTH
 ) -> Fingerprint:
     """Hash every atom environment at iterations 0..radius into `width` bits.
 
-    Depends only on the molecular graph, never on input atom order.
+    Depends only on the molecular graph, never on input atom order. Each
+    environment's hash is looked up in a bounded memo first.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -142,32 +156,33 @@ def morgan_fp(
     if cached is not None:
         return cached
 
+    memo = _ENV_HASHES
     current = []
     for idx, atom in enumerate(m.atoms):
-        current.append(
-            _mix_stream(
-                (
-                    _ELEMENT_INDEX[atom.element],
-                    int(atom.aromatic),
-                    atom.formal_charge,
-                    atom.hcount,
-                    m.degree(idx),
-                    int(m.atom_in_ring(idx)),
-                )
-            )
+        env = (
+            _ELEMENT_INDEX[atom.element],
+            int(atom.aromatic),
+            atom.formal_charge,
+            atom.hcount,
+            m.degree(idx),
+            int(m.atom_in_ring(idx)),
         )
+        h = memo.get(env)
+        current.append(_env_hash(env) if h is None else h)
     bits = 0
-    for iteration in range(radius + 1):
-        if iteration > 0:
-            refreshed = []
-            for idx in range(len(m.atoms)):
-                stream = [iteration, current[idx]]
-                for pair in sorted(
-                    (_ORDER_SORT[order], current[j]) for j, order in m.neighbors(idx)
-                ):
-                    stream.extend(pair)
-                refreshed.append(_mix_stream(stream))
-            current = refreshed
+    for h in current:
+        bits |= 1 << (h % width)
+    nbrs = [
+        [(_ORDER_SORT[order], j) for j, order in m.neighbors(idx)]
+        for idx in range(len(m.atoms))
+    ]
+    for iteration in range(1, radius + 1):
+        refreshed = []
+        for idx, pairs in enumerate(nbrs):
+            env = (iteration, current[idx], *sorted([(o, current[j]) for o, j in pairs]))
+            h = memo.get(env)
+            refreshed.append(_env_hash(env) if h is None else h)
+        current = refreshed
         for h in current:
             bits |= 1 << (h % width)
     fp = Fingerprint(bits, width, radius)
@@ -360,12 +375,8 @@ class _CatalogEntry:
 
 
 def _load_catalog() -> list[_CatalogEntry]:
-    text = resources.files("leadopt.data").joinpath("fg_catalog.tsv").read_text()
     entries = []
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for parts in table_rows(data_text("fg_catalog.tsv")):
         tag, pattern = parts[0], parts[1]
         suppresses: tuple[str, ...] = ()
         if len(parts) > 2 and parts[2].startswith("suppresses:"):

@@ -15,13 +15,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .chemfeat import morgan_fp, tanimoto
 from .exembank import ExemplarBank, render_exemplar_block, retrieve_exemplars
-from .files import write_atomic
+from .files import data_text, write_atomic
 from .molgraph import Molecule, SmilesError, parse
 from .oracles import (
     BudgetExhaustedError,
@@ -235,9 +234,7 @@ class MolEnv:
         self.ledger = ledger
         self.exemplar_bank = exemplar_bank
         self.skill_bank = skill_bank
-        self._prompt_template = (
-            resources.files("leadopt.data").joinpath("prompt_template.txt").read_text()
-        )
+        self._prompt_template = data_text("prompt_template.txt")
 
     # -- rollout lifecycle --------------------------------------------------
 

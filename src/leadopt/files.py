@@ -1,12 +1,26 @@
-"""Output files that appear whole or not at all."""
+"""Output files that appear whole or not at all; shipped data files and the
+one reader of tab-separated tables."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from importlib import resources
 from pathlib import Path
 
-__all__ = ["write_atomic"]
+__all__ = ["data_text", "table_rows", "write_atomic"]
+
+
+def data_text(name: str) -> str:
+    """A file shipped in `leadopt.data`."""
+    return resources.files("leadopt.data").joinpath(name).read_text()
+
+
+def table_rows(text: str) -> list[list[str]]:
+    """The tab-separated fields of each line of a table; lines are stripped
+    first, blank lines and `#` comments skipped. Callers convert the fields."""
+    lines = (line.strip() for line in text.splitlines())
+    return [line.split("\t") for line in lines if line and not line.startswith("#")]
 
 
 def write_atomic(path: str | Path, payload: str | bytes) -> Path:

@@ -9,13 +9,16 @@ returns the same object.
 A canonical string names its graph, so parsing one the program has just
 written need not search again. The canonical strings of the last 64
 molecules validated under the shipped valence table are remembered with the
-search that wrote them. On a miss in its cache, :func:`parse` turns such a
-string into the writer's *write-order twin*: the source's atoms in the order
-the string writes them, its bonds in the order and orientation the parser
-adds them, its ring flags permuted and its fingerprints kept, which is the
-molecule parsing would build, minus tokenizing, validation, the ring search
-and the canonical search. Unvalidated molecules (skill fragments) and
-molecules checked against another valence table are never remembered.
+search that wrote them, which keeps the trace of its best write. On a miss
+in its cache, :func:`parse` turns such a string into the writer's
+*write-order twin*: the source's atoms in the order the string writes them,
+its bonds in the order and orientation the parser adds them, its ring flags
+permuted and its fingerprints kept, which is the molecule parsing would
+build, minus tokenizing, validation, the ring search, the canonical search
+and a second write. Unvalidated molecules (skill fragments) and molecules
+checked against another valence table are never remembered. :func:`mutate`
+hands the parent's ring-bond flags to the edited molecule (no edit changes
+which bonds lie on a ring); validation and the canonical search still run.
 
 The canonical search prunes automorphic branches, so highly symmetric
 graphs (tetra-tert-butylmethane, C60) canonicalize in milliseconds; a graph
@@ -31,8 +34,9 @@ import heapq
 import random
 import threading
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterator, Optional, Sequence
+
+from .files import data_text, table_rows
 
 __all__ = [
     "Atom",
@@ -133,20 +137,11 @@ _PARSE_CACHE_SIZE = 64
 def load_valence_table(path: Optional[str] = None) -> dict[str, int]:
     """Load `element<TAB>max_valence` lines; defaults to the shipped table."""
     if path is None:
-        text = (
-            resources.files("leadopt.data").joinpath("valence.tsv").read_text()
-        )
+        text = data_text("valence.tsv")
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    table: dict[str, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        element, value = line.split("\t")
-        table[element] = int(value)
-    return table
+    return {element: int(value) for element, value in table_rows(text)}
 
 
 _VALENCE_MAX = load_valence_table()
@@ -854,13 +849,13 @@ class _Canonicalizer:
         self.automorphisms: list[list[int]] = []
         self.budget = _MAX_CANON_LEAVES
         self.best = ""
-        self.best_ranks: list[int] = []
+        # the best string's write trace (see _write), for _write_order_twin
+        self.best_trace: list[tuple[int, list[int]]] = []
 
     def run(self) -> str:
         ranks = _refine(self.nbrs, _dense_ranks(_initial_invariants(self.mol)))
         if max(ranks) == len(ranks) - 1:
-            self.best_ranks = ranks
-            return self._write(ranks)
+            return self._write(ranks, self.best_trace)
         self._visit(ranks, ())
         return self.best
 
@@ -904,10 +899,11 @@ class _Canonicalizer:
         first = self.leaves.get(certificate)
         if first is None:
             self.leaves[certificate] = (order, path)
-            smiles = self._write(ranks)
+            trace: list[tuple[int, list[int]]] = []
+            smiles = self._write(ranks, trace)
             if not self.best or smiles < self.best:
                 self.best = smiles
-                self.best_ranks = ranks
+                self.best_trace = trace
             return len(path) - 1
         first_order, first_path = first
         # maps each atom to the atom holding its rank in the first leaf
@@ -933,10 +929,8 @@ class _Canonicalizer:
                     stack.append(g[idx])
         return not orbit.isdisjoint(explored)
 
-    def _write(
-        self, ranks: list[int], trace: Optional[list[tuple[int, list[int]]]] = None
-    ) -> str:
-        """SMILES with atoms taken in `ranks` order. A `trace` list receives,
+    def _write(self, ranks: list[int], trace: list[tuple[int, list[int]]]) -> str:
+        """SMILES with atoms taken in `ranks` order. The `trace` list receives,
         for each atom in written order, the atom and the neighbours a parser
         bonds it to on reading it: its tree parent, then the partners of the
         ring bonds it closes, in digit order."""
@@ -991,8 +985,7 @@ class _Canonicalizer:
                 out.append(idx)
                 continue
             out.append(self.tokens[idx])
-            if trace is not None:
-                trace.append((idx, [parent[idx]] if idx != root else []))
+            trace.append((idx, [parent[idx]] if idx != root else []))
             pairs = closure_atoms.get(idx)
             if pairs:
                 # a pair is open exactly when its other atom came first
@@ -1007,8 +1000,7 @@ class _Canonicalizer:
                     del open_digits[pair]
                     heapq.heappush(free_digits, digit)
                     out.append(_digit_token(digit))
-                    if trace is not None:
-                        trace[-1][1].append(pair[0] if pair[1] == idx else pair[1])
+                    trace[-1][1].append(pair[0] if pair[1] == idx else pair[1])
                 for _, pair in opening:
                     digit = heapq.heappop(free_digits)
                     open_digits[pair] = digit
@@ -1102,18 +1094,17 @@ def _write_order_twin(text: str, canon: _Canonicalizer) -> Molecule:
     """What ``_parse_text(text, None)`` returns, built from the molecule whose
     search wrote `text`: its atoms in the order the string writes them, its
     bonds in the order and orientation the parser adds them, its ring flags
-    permuted. A canonical string names its graph, and the source was
-    validated under the shipped table, so tokenizing, validation, the ring
-    search and the canonical search are all skipped."""
+    permuted, all read off the trace of the write. A canonical string names
+    its graph, and the source was validated under the shipped table, so
+    tokenizing, validation, the ring search, the canonical search and a
+    second write are all skipped."""
     src = canon.mol
-    trace: list[tuple[int, list[int]]] = []
-    canon._write(canon.best_ranks, trace)
     bond_at = {bond.key(): b_idx for b_idx, bond in enumerate(src.bonds)}
     new = [0] * len(src.atoms)
     atoms: list[Atom] = []
     bonds: list[Bond] = []
     ring_bonds: list[bool] = []
-    for idx, partners in trace:
+    for idx, partners in canon.best_trace:
         new[idx] = len(atoms)
         atoms.append(src.atoms[idx])
         for other in partners:
@@ -1199,6 +1190,8 @@ def mutate(m: Molecule, op: str, seed: int) -> Molecule:
     """
     if op not in EDIT_OPERATORS:
         raise ValueError(f"unknown edit operator {op!r}")
+    # no operator changes which bonds lie on a ring: a deleted or appended
+    # terminal bond is a bridge, so each edit hands on the parent's flags
     rng = random.Random(seed)
     if op == "delete_terminal_atom":
         return _delete_terminal(m, rng)
@@ -1234,12 +1227,12 @@ def _delete_terminal(m: Molecule, rng: random.Random) -> Molecule:
                 atom.isotope,
             )
         atoms.append(atom)
-    bonds = [
-        Bond(remap[b.a], remap[b.b], b.order)
-        for b in m.bonds
-        if target not in (b.a, b.b)
-    ]
-    return Molecule(atoms, bonds)
+    bonds, ring_bonds = [], []
+    for b_idx, bond in enumerate(m.bonds):
+        if target not in (bond.a, bond.b):
+            bonds.append(Bond(remap[bond.a], remap[bond.b], bond.order))
+            ring_bonds.append(m._ring_bonds[b_idx])
+    return Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds)
 
 
 def _append_terminal(m: Molecule, rng: random.Random, element: Optional[str] = None) -> Molecule:
@@ -1252,8 +1245,8 @@ def _append_terminal(m: Molecule, rng: random.Random, element: Optional[str] = N
     atoms = list(m.atoms)
     atoms[site] = Atom(old.element, old.aromatic, old.formal_charge, old.hcount - 1, old.isotope)
     atoms.append(Atom(new_el, hcount=_DEFAULT_VALENCES[new_el][0] - 1))
-    bonds = list(m.bonds) + [Bond(site, len(atoms) - 1, SINGLE)]
-    return Molecule(atoms, bonds)
+    bonds = m.bonds + (Bond(site, len(atoms) - 1, SINGLE),)
+    return Molecule._assemble(tuple(atoms), bonds, m._ring_bonds + [False])
 
 
 def _substitute(m: Molecule, rng: random.Random) -> Molecule:
@@ -1277,7 +1270,7 @@ def _substitute(m: Molecule, rng: random.Random) -> Molecule:
     atoms[idx] = Atom(
         el, old.aromatic, 0, _implicit_hydrogens(el, old.aromatic, orders), None
     )
-    return Molecule(atoms, list(m.bonds))
+    return Molecule._assemble(tuple(atoms), m.bonds, m._ring_bonds)
 
 
 def _change_bond_order(m: Molecule, rng: random.Random) -> Molecule:
@@ -1312,4 +1305,4 @@ def _change_bond_order(m: Molecule, rng: random.Random) -> Molecule:
         )
     bonds = list(m.bonds)
     bonds[b_idx] = Bond(bond.a, bond.b, new_order)
-    return Molecule(atoms, bonds)
+    return Molecule._assemble(tuple(atoms), tuple(bonds), m._ring_bonds)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -18,6 +17,7 @@ import yaml
 
 from . import lineproto
 from .chemfeat import descriptors, morgan_fp, tanimoto
+from .files import data_text, table_rows
 from .molgraph import Molecule, parse
 
 __all__ = [
@@ -52,34 +52,11 @@ class MissingEntryError(KeyError):
     """A table oracle has no row for the requested molecule."""
 
 
-def _load_table(name: str) -> dict[str, float]:
-    text = resources.files("leadopt.data").joinpath(name).read_text()
-    out: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.rstrip()
-        if not line or line.startswith("#"):
-            continue
-        key, value = line.split("\t")[:2]
-        out[key] = float(value)
-    return out
-
-
-_LOGP = _load_table("logp_contrib.tsv")
-
-
-def _load_qed_params() -> dict[str, tuple[float, float]]:
-    text = resources.files("leadopt.data").joinpath("qed_params.tsv").read_text()
-    params: dict[str, tuple[float, float]] = {}
-    for line in text.splitlines():
-        line = line.rstrip()
-        if not line or line.startswith("#"):
-            continue
-        field, center, steepness = line.split("\t")
-        params[field] = (float(center), float(steepness))
-    return params
-
-
-_QED_PARAMS = _load_qed_params()
+_LOGP = {key: float(value) for key, value, *_ in table_rows(data_text("logp_contrib.tsv"))}
+_QED_PARAMS = {
+    field: (float(center), float(steepness))
+    for field, center, steepness in table_rows(data_text("qed_params.tsv"))
+}
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +179,10 @@ def table_oracle(
 ) -> Oracle:
     """Exact lookup by canonical SMILES from a `smiles<TAB>value` file."""
     path = Path(path)
-    table: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            smiles, value = line.split("\t")[:2]
-            table[parse(smiles).canonical] = float(value)
+    table = {
+        parse(smiles).canonical: float(value)
+        for smiles, value, *_ in table_rows(path.read_text(encoding="utf-8"))
+    }
 
     oracle_name = name or path.stem
 
@@ -438,10 +411,7 @@ def load_objective(source: str | Path) -> Objective:
     """Load an objective from YAML; bare names resolve to shipped presets."""
     path = Path(source)
     if not path.suffix and not path.exists():
-        preset = resources.files("leadopt.data").joinpath(
-            f"objectives/{source}.yaml"
-        )
-        raw = yaml.safe_load(preset.read_text())
+        raw = yaml.safe_load(data_text(f"objectives/{source}.yaml"))
         base_dir = Path.cwd()
     else:
         with open(path, "r", encoding="utf-8") as fh:

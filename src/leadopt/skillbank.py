@@ -16,7 +16,6 @@ import logging
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -33,7 +32,7 @@ from .chemfeat import (
     detect_functional_groups,
     morgan_fp,
 )
-from .files import write_atomic
+from .files import data_text, write_atomic
 from .molgraph import Atom, Bond, Molecule, parse, scaffold_of
 
 __all__ = [
@@ -581,9 +580,7 @@ def summarize_template(card: EditCard, task: str) -> str:
 
 def render_summarizer_prompt(card: EditCard, task: str) -> str:
     """The external-summarizer prompt, byte-exact placeholders filled in."""
-    template = (
-        resources.files("leadopt.data").joinpath("summarizer_prompt.txt").read_text()
-    )
+    template = data_text("summarizer_prompt.txt")
     delta_r = card.delta_r
     result = f"Score {'improved' if delta_r > 0 else 'worsened'} by {abs(delta_r):.3f}"
     return template.format(

@@ -1,9 +1,11 @@
+import functools
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leadopt import chemfeat
 from leadopt.chemfeat import (
     DescriptorVector,
     Fingerprint,
@@ -18,10 +20,20 @@ from leadopt.chemfeat import (
     morgan_fp,
     tanimoto,
 )
-from leadopt.molgraph import Bond, Molecule, SmilesError, mutate, parse
+from leadopt.chemfeat import _mix_stream
+from leadopt.molgraph import (
+    _ELEMENT_INDEX,
+    _ORDER_SORT,
+    Bond,
+    Molecule,
+    SmilesError,
+    mutate,
+    parse,
+)
 
 MASS_H, MASS_C, MASS_O = 1.008, 12.011, 15.999
 FG_GOLDEN = Path(__file__).parent / "golden" / "fg_tags.tsv"
+MORGAN_GOLDEN = Path(__file__).parent / "golden" / "morgan_bits.tsv"
 
 
 def relabel(mol, perm):
@@ -78,6 +90,135 @@ class TestMorgan:
         perm = list(range(len(m.atoms)))
         rng.shuffle(perm)
         assert morgan_fp(relabel(m, perm)).bits == morgan_fp(m).bits
+
+
+@functools.lru_cache(maxsize=1)
+def morgan_golden():
+    """(molecule, hex bits at 2048/2, hex bits at 64/3) per golden row: the
+    inputs of canonical_strings.tsv that do not raise, with the bits the
+    fingerprint loop gave before its environment memo existed."""
+    out = []
+    for line in MORGAN_GOLDEN.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        source, op, seed, default_bits, small_bits = line.split("\t")
+        mol = parse(source)
+        if op != "parse":
+            mol = mutate(mol, op, int(seed))
+        out.append((mol, default_bits, small_bits))
+    return out
+
+
+def reference_hashes(m, radius):
+    """Environment hashes per iteration from the fingerprint loop with no
+    memo: each atom's invariant, then (iteration, own hash, sorted
+    (order, neighbour hash) pairs) streamed into _mix_stream."""
+    current = [
+        _mix_stream((
+            _ELEMENT_INDEX[atom.element],
+            int(atom.aromatic),
+            atom.formal_charge,
+            atom.hcount,
+            m.degree(idx),
+            int(m.atom_in_ring(idx)),
+        ))
+        for idx, atom in enumerate(m.atoms)
+    ]
+    layers = [current]
+    for iteration in range(1, radius + 1):
+        refreshed = []
+        for idx in range(len(m.atoms)):
+            stream = [iteration, current[idx]]
+            for pair in sorted(
+                (_ORDER_SORT[order], current[j]) for j, order in m.neighbors(idx)
+            ):
+                stream.extend(pair)
+            refreshed.append(_mix_stream(stream))
+        current = refreshed
+        layers.append(current)
+    return layers
+
+
+def reference_bits(layers, width):
+    bits = 0
+    for layer in layers:
+        for h in layer:
+            bits |= 1 << (h % width)
+    return bits
+
+
+def fresh_fp(m, radius, width):
+    m._fp_cache.clear()  # compute again, not from the molecule's cache
+    return morgan_fp(m, radius, width)
+
+
+WIDTHS = [1 << k for k in range(3, 13)]  # 8 .. 4096
+
+
+class TestMorganMemo:
+    def test_bits_match_golden(self):
+        chemfeat._ENV_HASHES.clear()
+        mismatches = [
+            mol.canonical
+            for mol, default_bits, small_bits in morgan_golden()
+            if f"{fresh_fp(mol, 2, 2048).bits:x}" != default_bits
+            or f"{fresh_fp(mol, 3, 64).bits:x}" != small_bits
+        ]
+        assert len(morgan_golden()) == 2374
+        assert mismatches == []
+
+    @pytest.mark.parametrize("state", ["empty", "warm", "just_cleared"])
+    def test_matches_unmemoized_loop(self, state):
+        memo = chemfeat._ENV_HASHES
+        mols = [mol for mol, _, _ in morgan_golden()[::24]]
+        if state == "warm":
+            for mol in mols:
+                fresh_fp(mol, 3, 2048)
+        mismatches = []
+        for mol in mols:
+            for radius in range(4):
+                layers = reference_hashes(mol, radius)
+                if state == "just_cleared":
+                    # full with keys no molecule has: the first miss clears it
+                    memo.clear()
+                    memo.update(((-1, k), 0) for k in range(chemfeat._ENV_HASHES_MAX))
+                for width in WIDTHS:
+                    if state == "empty":
+                        memo.clear()
+                    if fresh_fp(mol, radius, width).bits != reference_bits(layers, width):
+                        mismatches.append((mol.canonical, radius, width))
+                if state == "just_cleared":
+                    assert (-1, 0) not in memo
+        assert mismatches == []
+
+    def test_memo_never_exceeds_its_bound(self):
+        memo = chemfeat._ENV_HASHES
+        memo.clear()
+        sizes = []
+        for mol, _, _ in morgan_golden():
+            fresh_fp(mol, 3, 2048)
+            sizes.append(len(memo))
+        assert max(sizes) <= chemfeat._ENV_HASHES_MAX
+        # the golden set has more environments than the bound: it was cleared
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+    def test_small_bound_holds_inside_one_molecule(self, monkeypatch):
+        monkeypatch.setattr(chemfeat, "_ENV_HASHES_MAX", 16)
+        chemfeat._ENV_HASHES.clear()
+        m = parse("CC(C)Cc1ccc(cc1)C(C)C(=O)OCCN(CC)CCOc1ncccc1Cl")
+        for radius in range(4):
+            assert fresh_fp(m, radius, 1024).bits == reference_bits(
+                reference_hashes(m, radius), 1024
+            )
+            assert len(chemfeat._ENV_HASHES) <= 16
+
+    def test_second_call_returns_the_cached_object(self):
+        m = parse("CC(=O)Nc1ccc(O)cc1")
+        for radius, width in ((2, 2048), (3, 64), (0, 8)):
+            first = morgan_fp(m, radius, width)
+            chemfeat._ENV_HASHES.clear()
+            assert morgan_fp(m, radius, width) is first
+            assert m._fp_cache[("fp", radius, width)] is first
 
 
 class TestTanimoto:

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -246,6 +247,46 @@ class TestMutate:
             return
         # output must survive parse-level validation via its own string
         assert parse(out.canonical) == out
+
+    def test_handed_on_ring_flags_equal_a_fresh_ring_search(self):
+        # the golden mutate inputs: each edit keeps its parent's ring flags
+        mismatches = []
+        for line in GOLDEN.read_text().splitlines():
+            source, op, seed, want = line.split("\t")
+            if line.startswith("#") or op == "parse" or want.startswith("!"):
+                continue
+            child = mutate(parse(source), op, int(seed))
+            fresh = molgraph._ring_bond_flags(len(child.atoms), child.bonds, child._adj)
+            if child._ring_bonds != fresh:
+                mismatches.append((source, op, seed))
+        assert mismatches == []
+
+
+class TestValenceTable:
+    def test_shipped_table(self):
+        table = load_valence_table()
+        assert table == molgraph._VALENCE_MAX
+        assert (table["C"], table["N"], table["Cl"]) == (4, 5, 1)
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("C\t4\t5", "too many values to unpack"),
+            ("C", "not enough values to unpack"),
+            ("C 4", "not enough values to unpack"),
+            ("C\tx", "invalid literal for int()"),
+        ],
+    )
+    def test_malformed_line_in_a_file_raises(self, tmp_path, line, error):
+        path = tmp_path / "valence.tsv"
+        path.write_text(f"# max valence\nN\t3\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_valence_table(str(path))
+
+    def test_file_skips_comments_and_blanks_and_strips_lines(self, tmp_path):
+        path = tmp_path / "valence.tsv"
+        path.write_text("# header\n\n  C\t4  \n\tN\t3\r\n  # indented\n", encoding="utf-8")
+        assert load_valence_table(str(path)) == {"C": 4, "N": 3}
 
 
 class TestMoleculeInvariants:
@@ -524,6 +565,32 @@ class TestWriteOrderTwin:
             twin = twin_of(mol)
             assert parsed_equal(twin, mol.canonical)
             mol = twin
+
+    def test_twin_never_writes(self, monkeypatch):
+        # the twin reads the trace of the write that produced the best
+        # string, for tied searches too
+        writes = []
+        real_write = molgraph._Canonicalizer._write
+
+        def counted_write(canon, *args):
+            writes.append(canon)
+            return real_write(canon, *args)
+
+        monkeypatch.setattr(molgraph._Canonicalizer, "_write", counted_write)
+        tied = 0
+        for line in GOLDEN.read_text().splitlines()[1::5]:
+            source, op, seed, want = line.split("\t")
+            if want.startswith("!"):
+                continue
+            mol = molgraph._parse_text(source, None)
+            if op != "parse":
+                mol = mutate(mol, op, int(seed))
+            tied += bool(molgraph._WRITTEN[mol.canonical].automorphisms)
+            before = len(writes)
+            twin = twin_of(mol)
+            assert len(writes) == before, (source, op, seed)
+            assert twin.canonical == mol.canonical == want
+        assert tied
 
     def test_parse_of_a_written_string_skips_the_parser(self, monkeypatch):
         mol = mutate(parse("CC(C)c1ccccc1O"), "append_terminal_atom", 3)
