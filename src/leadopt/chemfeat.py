@@ -27,15 +27,13 @@ import numpy as np
 
 from .files import data_text, table_rows
 from .molgraph import (
+    Atom,
     Molecule,
-    SmilesSyntaxError,
-    UnsupportedAtomError,
-    _AROMATIC_OK,
-    _BOND_CHARS,
     _ELEMENT_INDEX,
     _ORDER_SORT,
-    _parse_bracket,
-    _tokenize,
+    _parse_organic,
+    _smiles_graph,
+    neighbor_maps,
 )
 
 __all__ = [
@@ -270,16 +268,8 @@ class FingerprintIndex:
 
 
 @dataclass(frozen=True)
-class _PatternAtom:
-    element: str
-    aromatic: bool
-    charge: int
-    h_min: Optional[int]
-
-
-@dataclass(frozen=True)
 class _Pattern:
-    atoms: tuple[_PatternAtom, ...]
+    atoms: tuple[Atom, ...]  # hcount is a lower bound
     adj: tuple[tuple[tuple[int, str], ...], ...]  # (neighbor, order) per atom
     # search order: pattern atom 0, then always an atom next to a placed one,
     # as (pattern atom, placed neighbour or None)
@@ -306,58 +296,11 @@ def _search_order(
 
 
 def _parse_pattern(smiles: str) -> _Pattern:
-    """Pattern SMILES: no implicit hydrogens, bracket H is a lower bound."""
-    atoms: list[_PatternAtom] = []
-    bonds: list[tuple[int, int, Optional[str]]] = []
-    anchor: Optional[int] = None
-    pending: Optional[str] = None
-    branch_stack: list[int] = []
-    open_rings: dict[int, tuple[int, Optional[str]]] = {}
-
-    for kind, value in _tokenize(smiles):
-        if kind == "atom":
-            token = str(value)
-            if token.startswith("["):
-                parsed = _parse_bracket(token)
-                h_min = parsed.hcount if "H" in token else None
-                atom = _PatternAtom(
-                    parsed.element, parsed.aromatic, parsed.formal_charge, h_min
-                )
-            else:
-                if token[0].islower():
-                    element = token.capitalize()
-                    if element not in _AROMATIC_OK:
-                        raise UnsupportedAtomError(
-                            f"element {element!r} cannot be aromatic"
-                        )
-                    atom = _PatternAtom(element, True, 0, None)
-                else:
-                    if token not in _ELEMENT_INDEX:
-                        raise UnsupportedAtomError(f"unsupported element {token!r}")
-                    atom = _PatternAtom(token, False, 0, None)
-            idx = len(atoms)
-            atoms.append(atom)
-            if anchor is not None:
-                bonds.append((anchor, idx, pending))
-            pending = None
-            anchor = idx
-        elif kind == "bond":
-            pending = _BOND_CHARS[str(value)]
-        elif kind == "open":
-            branch_stack.append(anchor)  # type: ignore[arg-type]
-        elif kind == "close":
-            anchor = branch_stack.pop()
-        elif kind == "ring":
-            num = int(value)  # type: ignore[arg-type]
-            if num in open_rings:
-                other, order_there = open_rings.pop(num)
-                bonds.append((other, anchor, pending or order_there))  # type: ignore[arg-type]
-            else:
-                open_rings[num] = (anchor, pending)  # type: ignore[dict-item]
-            pending = None
-    if open_rings:
-        raise SmilesSyntaxError(f"unmatched ring digit in pattern {smiles!r}")
-
+    """Pattern SMILES in the molecule grammar, read by pattern rules: no
+    implicit hydrogens, bracket H is a lower bound, and an unspecified bond
+    is aromatic between two aromatic atoms, single otherwise."""
+    tokens, bonds = _smiles_graph(smiles)
+    atoms = [_parse_organic(t) if isinstance(t, str) else t for t in tokens]
     adj: list[list[tuple[int, str]]] = [[] for _ in atoms]
     for a, b, order in bonds:
         if order is None:
@@ -426,15 +369,13 @@ class FunctionalGroupSet:
         return len(self.tags)
 
 
-def _atom_compatible(p: _PatternAtom, mol: Molecule, idx: int) -> bool:
+def _atom_compatible(p: Atom, mol: Molecule, idx: int) -> bool:
     atom = mol.atoms[idx]
     if atom.element != p.element or atom.aromatic != p.aromatic:
         return False
-    if atom.formal_charge != p.charge:
+    if atom.formal_charge != p.formal_charge:
         return False
-    if p.h_min is not None and atom.hcount < p.h_min:
-        return False
-    return True
+    return atom.hcount >= p.hcount
 
 
 def _pattern_matches(
@@ -504,7 +445,7 @@ def detect_functional_groups(m: Molecule) -> FunctionalGroupSet:
     if cached is not None:
         return cached
 
-    mol_adj = [{j: order for j, order in m.neighbors(i)} for i in range(len(m.atoms))]
+    mol_adj = neighbor_maps(m)
     roots: dict[tuple[str, bool], list[int]] = defaultdict(list)
     for idx, atom in enumerate(m.atoms):
         roots[(atom.element, atom.aromatic)].append(idx)

@@ -40,6 +40,26 @@ def _resolve(cli_value, config: dict, key: str, default):
     return default
 
 
+# `leadopt run` option (and YAML config key) -> SearchConfig field
+_SEARCH_FIELDS = {
+    "generations": "generations",
+    "rollouts": "rollouts_per_gen",
+    "temp0": "temp0",
+    "temp_step": "temp_step",
+    "temp_max": "temp_max",
+    "budget": "budget",
+    "budget_unit": "budget_unit",
+    "seed": "seed",
+    "turns": "max_turns",
+    "plateau": "plateau_patience",
+}
+
+
+def _print_json(payload, file=None) -> None:
+    """One JSON object with sorted keys on a line (stdout by default)."""
+    print(json.dumps(payload, sort_keys=True), file=file)
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -68,6 +88,13 @@ def _read_leads(path: str) -> list[str]:
     return leads
 
 
+def _skill_bank(path: str, capacity: int) -> skillbank.SkillBank:
+    """The skill bank stored at `path`, or an empty one if there is no file."""
+    if Path(path).exists():
+        return skillbank.load_skills(path, capacity)
+    return skillbank.SkillBank(capacity)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -83,15 +110,7 @@ def cmd_build_bank(args) -> int:
         )
     bank = exembank.build_bank(args.corpus, oracles=oracles)
     jsonl_path, fp_path = exembank.save_bank(bank, args.out)
-    print(
-        json.dumps(
-            {
-                "records": len(bank),
-                "files": [str(jsonl_path), str(fp_path)],
-            },
-            sort_keys=True,
-        )
-    )
+    _print_json({"records": len(bank), "files": [str(jsonl_path), str(fp_path)]})
     return 0
 
 
@@ -105,23 +124,18 @@ def cmd_retrieve(args) -> int:
         k=args.k, gamma_ex=args.gamma_ex, pool_size=args.pool,
     )
     if not exemplars:
-        print(json.dumps({"error": "NoExemplars",
-                          "message": "no exemplar passed the lead filter"}),
-              file=sys.stderr)
+        _print_json({"error": "NoExemplars",
+                     "message": "no exemplar passed the lead filter"}, sys.stderr)
         return 1
     sys.stdout.write(exembank.render_exemplar_block(exemplars, obj, lead))
     return 0
 
 
 def cmd_skills(args) -> int:
-    capacity = args.capacity if args.capacity is not None else 1000
+    capacity = args.capacity
     if args.skills_command == "harvest":
         obj = load_objective(args.objective)
-        bank = (
-            skillbank.load_skills(args.bank, capacity)
-            if Path(args.bank).exists()
-            else skillbank.SkillBank(capacity)
-        )
+        bank = _skill_bank(args.bank, capacity)
         trajectories = read_trajectories(args.trajectories)
         cards = []
         for trajectory in trajectories:
@@ -136,17 +150,14 @@ def cmd_skills(args) -> int:
         ]
         report = bank.insert(skills) if skills else None
         skillbank.save_skills(bank, args.bank)
-        print(json.dumps(
-            {
-                "trajectories": len(trajectories),
-                "cards": len(cards),
-                "inserted": report.inserted if report else 0,
-                "merged": report.merged if report else 0,
-                "evicted": list(report.evicted_keys) if report else [],
-                "bank_size": bank.size(obj.name),
-            },
-            sort_keys=True,
-        ))
+        _print_json({
+            "trajectories": len(trajectories),
+            "cards": len(cards),
+            "inserted": report.inserted if report else 0,
+            "merged": report.merged if report else 0,
+            "evicted": list(report.evicted_keys) if report else [],
+            "bank_size": bank.size(obj.name),
+        })
         return 0
     if args.skills_command == "list":
         bank = skillbank.load_skills(args.bank, capacity)
@@ -154,19 +165,12 @@ def cmd_skills(args) -> int:
             if args.task and task != args.task:
                 continue
             for skill in bank.cards(task):
-                print(json.dumps(
-                    {"task": task, "delta_r": skill.delta_r,
-                     "before": skill.card.before, "after": skill.card.after,
-                     "text": skill.text},
-                    sort_keys=True,
-                ))
+                _print_json({"task": task, "delta_r": skill.delta_r,
+                             "before": skill.card.before, "after": skill.card.after,
+                             "text": skill.text})
         return 0
     if args.skills_command == "insert":
-        bank = (
-            skillbank.load_skills(args.bank, capacity)
-            if Path(args.bank).exists()
-            else skillbank.SkillBank(capacity)
-        )
+        bank = _skill_bank(args.bank, capacity)
         incoming = skillbank.load_skills(args.cards, capacity)
         reports = {}
         for task in incoming.tasks():
@@ -178,7 +182,7 @@ def cmd_skills(args) -> int:
                 "retained": report.retained,
             }
         skillbank.save_skills(bank, args.bank)
-        print(json.dumps(reports, sort_keys=True))
+        _print_json(reports)
         return 0
     # evict-report: show what a capacity bound would remove, don't write
     loose = skillbank.load_skills(args.bank, capacity=10**9)
@@ -192,7 +196,7 @@ def cmd_skills(args) -> int:
             "evicted": list(report.evicted_keys),
             "retained": report.retained,
         }
-    print(json.dumps(summary, sort_keys=True))
+    _print_json(summary)
     return 0
 
 
@@ -202,18 +206,14 @@ def cmd_run(args) -> int:
         load_objective(args.objective),
         _resolve(args.gamma_sim, config, "gamma_sim", None),
     )
+    # an option given on the command line wins over the config file; what
+    # neither sets keeps its SearchConfig default
+    settings = {field: config[key] for key, field in _SEARCH_FIELDS.items() if key in config}
+    for key, field in _SEARCH_FIELDS.items():
+        if getattr(args, key) is not None:
+            settings[field] = getattr(args, key)
     cfg = SearchConfig(
-        generations=_resolve(args.generations, config, "generations", 20),
-        rollouts_per_gen=_resolve(args.rollouts, config, "rollouts", 32),
-        temp0=_resolve(args.temp0, config, "temp0", 0.9),
-        temp_step=_resolve(args.temp_step, config, "temp_step", 0.1),
-        temp_max=_resolve(args.temp_max, config, "temp_max", 2.0),
-        budget=_resolve(args.budget, config, "budget", 500),
-        budget_unit=_resolve(args.budget_unit, config, "budget_unit",
-                             "per_candidate"),
-        seed=_resolve(args.seed, config, "seed", 0),
-        max_turns=_resolve(args.turns, config, "turns", 5),
-        plateau_patience=_resolve(args.plateau, config, "plateau", 2),
+        **settings,
         warm_start_incumbent=bool(args.warm_start_incumbent),
         harvest_skills=bool(args.harvest_skills),
     )
@@ -221,14 +221,7 @@ def cmd_run(args) -> int:
     policy = get_policy(policy_spec, timeout=args.wire_timeout)
 
     exemplar_bank = exembank.load_bank(args.exemplar_bank) if args.exemplar_bank else None
-    capacity = args.skill_capacity if args.skill_capacity is not None else 1000
-    skill_bank = None
-    if args.skill_bank:
-        skill_bank = (
-            skillbank.load_skills(args.skill_bank, capacity)
-            if Path(args.skill_bank).exists()
-            else skillbank.SkillBank(capacity)
-        )
+    skill_bank = _skill_bank(args.skill_bank, args.skill_capacity) if args.skill_bank else None
 
     out_dir = Path(args.out)
     results = []
@@ -272,11 +265,8 @@ def cmd_eval(args) -> int:
         key: abs(aggregates[key] - stored.get(key, aggregates[key]))
         for key in aggregates
     }
-    print(json.dumps(
-        {"task": payload.get("task", ""), "aggregates": aggregates,
-         "recomputation_drift": drift, "leads": n},
-        sort_keys=True,
-    ))
+    _print_json({"task": payload.get("task", ""), "aggregates": aggregates,
+                 "recomputation_drift": drift, "leads": n})
     return 0
 
 
@@ -333,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bank", required=True, help="skill bank JSONL to update")
     sp.add_argument("--delta", type=float, default=0.05,
                     help="minimum improvement to harvest (default: 0.05)")
-    sp.add_argument("--capacity", type=int, default=None,
+    sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
                     help="skill bank capacity (default: 1000)")
     sp.add_argument("--summarizer", default="template",
                     help="'template' or 'external:<endpoint>' "
@@ -342,18 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = skills_sub.add_parser("list", help="print stored skills")
     sp.add_argument("--bank", required=True)
     sp.add_argument("--task", default=None, help="filter by task name")
-    sp.add_argument("--capacity", type=int, default=None)
+    sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY)
     sp.set_defaults(fn=cmd_skills)
     sp = skills_sub.add_parser("insert", help="merge a card file into a bank")
     sp.add_argument("--bank", required=True)
     sp.add_argument("--cards", required=True, help="skill JSONL to merge in")
-    sp.add_argument("--capacity", type=int, default=None,
+    sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
                     help="skill bank capacity (default: 1000)")
     sp.set_defaults(fn=cmd_skills)
     sp = skills_sub.add_parser("evict-report",
                                help="preview capacity-bound evictions")
     sp.add_argument("--bank", required=True)
-    sp.add_argument("--capacity", type=int, default=None,
+    sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
                     help="capacity to apply (default: 1000)")
     sp.set_defaults(fn=cmd_skills)
 
@@ -389,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed (default: 0)")
     p.add_argument("--exemplar-bank", default=None, help="bank base path")
     p.add_argument("--skill-bank", default=None, help="skill JSONL path")
-    p.add_argument("--skill-capacity", type=int, default=None,
+    p.add_argument("--skill-capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
                    help="skill bank capacity (default: 1000)")
     p.add_argument("--warm-start-incumbent", action="store_true",
                    help="start rollouts from the incumbent instead of the lead")
@@ -427,13 +417,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:
         return 1
     except Exception as exc:  # surfaced as machine-readable JSON
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
+        _print_json({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         return 1
 
 

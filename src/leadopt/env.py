@@ -20,15 +20,9 @@ from typing import Optional
 
 from .chemfeat import morgan_fp, tanimoto
 from .exembank import ExemplarBank, render_exemplar_block, retrieve_exemplars
-from .files import data_text, write_atomic
+from .files import data_text, write_jsonl
 from .molgraph import Molecule, SmilesError, parse
-from .oracles import (
-    BudgetExhaustedError,
-    BudgetLedger,
-    Objective,
-    check_success,
-    evaluate,
-)
+from .oracles import BudgetExhaustedError, BudgetLedger, Objective, check_success
 from .skillbank import SkillBank, render_skill_block, retrieve_skills
 
 __all__ = [
@@ -40,7 +34,6 @@ __all__ = [
     "Trajectory",
     "MolEnv",
     "RewardOutcome",
-    "compute_reward",
     "reward_outcome",
     "write_trajectories",
     "read_trajectories",
@@ -51,6 +44,14 @@ REWARD_NO_OP = -0.3
 IMPROVEMENT_SCALE = 5.0
 SIMILARITY_SCALE = 2.0
 
+# memory retrieval on a plateau: exemplars kept from a broad recall pool,
+# skills per retrieval channel, and the chance that exemplars win when both
+# memories have a block
+EXEMPLAR_K = 3
+EXEMPLAR_POOL = 200
+SKILL_K = 3
+MEMORY_SELECT_P = 0.5
+
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -58,13 +59,8 @@ class EnvConfig:
     max_turns: int = 5
     plateau_patience: int = 2
     copy_penalty: float = -0.3
-    memory_select_p: float = 0.5
     seed: int = 0
-    exemplar_k: int = 3
-    exemplar_pool: int = 200
     gamma_exemplar: Optional[float] = None  # None: reuse objective.gamma
-    skill_k_fp: int = 3
-    skill_k_fg: int = 3
     gamma_fp: float = 0.4
     gamma_fg: float = 0.5
 
@@ -75,8 +71,6 @@ class EnvConfig:
             raise ValueError("plateau_patience must be >= 1")
         if self.copy_penalty > 0:
             raise ValueError("copy_penalty must be non-positive")
-        if not (0.0 <= self.memory_select_p <= 1.0):
-            raise ValueError("memory_select_p must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -184,8 +178,8 @@ def reward_outcome(
             f"similarity {sim:.4f} to the lead is below the threshold {gamma:g}",
         )
     if current_score is None:
-        current_score = obj.aggregate(evaluate(current, obj, ledger))
-    values = evaluate(candidate, obj, ledger)
+        current_score = obj.aggregate(ledger.evaluate(current, obj))
+    values = ledger.evaluate(candidate, obj)
     score = obj.aggregate(values)
     delta = score - current_score
     if delta > 0:
@@ -199,23 +193,6 @@ def reward_outcome(
         reward, "evaluated", candidate, values, score, sim,
         f"evaluated: {detail}; aggregate {score:.4f} (delta {delta:+.4f})",
     )
-
-
-def compute_reward(
-    current: Molecule,
-    proposal: str,
-    lead: Molecule,
-    obj: Objective,
-    gamma: float,
-    injected_exemplars: frozenset[str],
-    ledger: BudgetLedger,
-    copy_penalty: float = REWARD_NO_OP,
-) -> float:
-    """The scalar step reward (see module docstring for the branch table)."""
-    return reward_outcome(
-        current, proposal, lead, obj, gamma, injected_exemplars, ledger,
-        copy_penalty,
-    ).reward
 
 
 class MolEnv:
@@ -246,14 +223,14 @@ class MolEnv:
     ) -> EnvState:
         """Fresh state; evaluates the lead once (a cache hit after the
         first rollout). Raises BudgetExhaustedError when nothing is left."""
-        lead_values = evaluate(lead, self.objective, self.ledger)
+        lead_values = self.ledger.evaluate(lead, self.objective)
         lead_score = self.objective.aggregate(lead_values)
         current = lead if start is None else start
         if start is None or start.canonical == lead.canonical:
             current_score = lead_score
         else:
             current_score = self.objective.aggregate(
-                evaluate(start, self.objective, self.ledger)
+                self.ledger.evaluate(start, self.objective)
             )
         return EnvState(
             lead=lead,
@@ -349,7 +326,7 @@ class MolEnv:
     def maybe_inject_memory(self, state: EnvState) -> None:
         """Inject a rendered memory block once progress has stalled for
         `plateau_patience` turns; both sources eligible -> seeded coin flip
-        (exemplars win below memory_select_p). Below patience the slot is
+        (exemplars win below MEMORY_SELECT_P). Below patience the slot is
         cleared."""
         if state.stall_count < self.config.plateau_patience:
             state.injected = None
@@ -366,9 +343,9 @@ class MolEnv:
                 state.current,
                 state.lead,
                 self.objective,
-                k=self.config.exemplar_k,
+                k=EXEMPLAR_K,
                 gamma_ex=gamma_ex,
-                pool_size=self.config.exemplar_pool,
+                pool_size=EXEMPLAR_POOL,
             )
             if exemplars:
                 exemplar_block = InjectedMemory(
@@ -382,8 +359,8 @@ class MolEnv:
                 self.skill_bank,
                 state.current,
                 self.objective.name,
-                k_fp=self.config.skill_k_fp,
-                k_fg=self.config.skill_k_fg,
+                k_fp=SKILL_K,
+                k_fg=SKILL_K,
                 gamma_fp=self.config.gamma_fp,
                 gamma_fg=self.config.gamma_fg,
             )
@@ -394,7 +371,7 @@ class MolEnv:
                     (),
                 )
         if exemplar_block and skill_block:
-            pick_exemplar = state.rng.random() < self.config.memory_select_p
+            pick_exemplar = state.rng.random() < MEMORY_SELECT_P
             state.injected = exemplar_block if pick_exemplar else skill_block
         else:
             state.injected = exemplar_block or skill_block
@@ -438,27 +415,22 @@ class MolEnv:
 def write_trajectories(trajectories: list[Trajectory], path: str | Path) -> Path:
     """One JSON line per step, trajectories numbered in list order; the file
     appears whole or not at all."""
-    lines = [
-        json.dumps(
-            {
-                "trajectory": t_idx,
-                "lead": trajectory.lead,
-                "lead_score": trajectory.lead_score,
-                "turn": turn,
-                "action": record.action,
-                "reward": record.reward,
-                "score": record.score,
-                "valid": record.valid,
-                "injected_source": record.injected_source,
-                "terminal_reason": trajectory.terminal_reason,
-            },
-            sort_keys=True,
-        )
-        + "\n"
+    return write_jsonl(path, (
+        {
+            "trajectory": t_idx,
+            "lead": trajectory.lead,
+            "lead_score": trajectory.lead_score,
+            "turn": turn,
+            "action": record.action,
+            "reward": record.reward,
+            "score": record.score,
+            "valid": record.valid,
+            "injected_source": record.injected_source,
+            "terminal_reason": trajectory.terminal_reason,
+        }
         for t_idx, trajectory in enumerate(trajectories)
         for turn, record in enumerate(trajectory.steps, start=1)
-    ]
-    return write_atomic(path, "".join(lines))
+    ))
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:

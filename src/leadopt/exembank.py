@@ -26,7 +26,7 @@ from .chemfeat import (
     morgan_fp,
     tanimoto,
 )
-from .files import write_atomic
+from .files import write_atomic, write_jsonl
 from .molgraph import Molecule, SmilesError, parse
 from .oracles import Objective, Oracle
 
@@ -275,20 +275,20 @@ def _fp_bytes(width: int) -> int:
     return -(-width // 8)
 
 
+def _bank_paths(base: str | Path) -> tuple[Path, Path]:
+    """The records file and the fingerprint sidecar of a bank at `base`."""
+    base = Path(base)
+    return base.with_name(base.name + ".bank.jsonl"), base.with_name(base.name + ".fp.bin")
+
+
 def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
     """Write `<base>.bank.jsonl` plus the `<base>.fp.bin` sidecar.
 
     Both files land atomically (temp file, then rename).
     """
-    base = Path(base)
-    jsonl_path = base.with_name(base.name + ".bank.jsonl")
-    fp_path = base.with_name(base.name + ".fp.bin")
+    jsonl_path, fp_path = _bank_paths(base)
 
-    lines = [
-        json.dumps({"smiles": r.canonical, "props": r.props}, sort_keys=True)
-        for r in bank.records
-    ]
-    write_atomic(jsonl_path, "\n".join(lines) + "\n" if lines else "")
+    write_jsonl(jsonl_path, ({"smiles": r.canonical, "props": r.props} for r in bank.records))
 
     blob = [
         struct.pack(
@@ -303,9 +303,7 @@ def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
 
 
 def load_bank(base: str | Path) -> ExemplarBank:
-    base = Path(base)
-    jsonl_path = base.with_name(base.name + ".bank.jsonl")
-    fp_path = base.with_name(base.name + ".fp.bin")
+    jsonl_path, fp_path = _bank_paths(base)
 
     with open(fp_path, "rb") as fh:
         header = fh.read(struct.calcsize("<4sHIHQ"))

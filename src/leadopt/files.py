@@ -3,12 +3,14 @@ one reader of tab-separated tables."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from importlib import resources
 from pathlib import Path
+from typing import Iterable
 
-__all__ = ["data_text", "table_rows", "write_atomic"]
+__all__ = ["data_text", "table_rows", "write_atomic", "write_jsonl"]
 
 
 def data_text(name: str) -> str:
@@ -41,3 +43,9 @@ def write_atomic(path: str | Path, payload: str | bytes) -> Path:
             os.unlink(tmp)
         raise
     return path
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> Path:
+    """Each row as one JSON object with sorted keys on a line of its own,
+    written with :func:`write_atomic`."""
+    return write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))

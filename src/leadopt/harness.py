@@ -64,7 +64,6 @@ class SearchConfig:
     seed: int = 0
     max_turns: int = 5
     plateau_patience: int = 2
-    memory_select_p: float = 0.5
     warm_start_incumbent: bool = False
     harvest_skills: bool = False
     harvest_delta: float = 0.05
@@ -238,7 +237,6 @@ def optimize_lead(
             objective=objective,
             max_turns=cfg.max_turns,
             plateau_patience=cfg.plateau_patience,
-            memory_select_p=cfg.memory_select_p,
             seed=cfg.seed,
         ),
         ledger,

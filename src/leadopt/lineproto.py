@@ -31,6 +31,8 @@ class ProtocolTimeout(ProtocolError):
 
 
 class LineTransport:
+    _buffer = b""  # bytes received past the last reply line
+
     def request(self, line: str) -> str:
         raise NotImplementedError
 
@@ -43,12 +45,20 @@ class LineTransport:
     def __exit__(self, *exc):
         self.close()
 
+    def _take_line(self) -> str:
+        """The first buffered line, decoded; the rest stays buffered. A
+        reply that is not UTF-8 is a ProtocolError like any malformed one."""
+        response, self._buffer = self._buffer.split(b"\n", 1)
+        try:
+            return response.decode("utf-8").rstrip("\r")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"reply is not UTF-8: {exc}") from None
+
 
 class _ProcTransport(LineTransport):
     def __init__(self, command: str, timeout: float):
         self._timeout = timeout
         self._lock = threading.Lock()
-        self._buffer = b""
         self._proc = subprocess.Popen(
             shlex.split(command),
             stdin=subprocess.PIPE,
@@ -74,8 +84,7 @@ class _ProcTransport(LineTransport):
                 if not chunk:
                     raise ProtocolError("child closed the stream")
                 self._buffer += chunk
-            response, self._buffer = self._buffer.split(b"\n", 1)
-            return response.decode("utf-8").rstrip("\r")
+            return self._take_line()
 
     def close(self) -> None:
         if self._proc.poll() is None:
@@ -89,7 +98,6 @@ class _ProcTransport(LineTransport):
 class _TcpTransport(LineTransport):
     def __init__(self, host: str, port: int, timeout: float):
         self._lock = threading.Lock()
-        self._buffer = b""
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.settimeout(timeout)
 
@@ -106,8 +114,7 @@ class _TcpTransport(LineTransport):
                 raise ProtocolTimeout(str(exc)) from exc
             except OSError as exc:
                 raise ProtocolError(str(exc)) from exc
-            response, self._buffer = self._buffer.split(b"\n", 1)
-            return response.decode("utf-8").rstrip("\r")
+            return self._take_line()
 
     def close(self) -> None:
         try:

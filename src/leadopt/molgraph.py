@@ -1,8 +1,8 @@
 """SMILES parsing, validation, canonicalization, scaffolds, and local edits.
 
 Molecules are immutable once constructed; every construction path
-(:func:`parse`, :meth:`Molecule.from_graph`, :func:`mutate`) validates the
-graph and computes the canonical string eagerly. :func:`parse` interns its
+(:func:`parse`, the :class:`Molecule` constructor, :func:`mutate`) validates
+the graph and computes the canonical string eagerly. :func:`parse` interns its
 last 64 results for the shipped valence table, so re-parsing a recent text
 returns the same object.
 
@@ -52,8 +52,10 @@ __all__ = [
     "NoApplicableSiteError",
     "CanonicalizationBudgetError",
     "parse",
-    "canonicalize",
     "scaffold_of",
+    "scaffold_atoms",
+    "induced_subgraph",
+    "neighbor_maps",
     "mutate",
     "load_valence_table",
     "EDIT_OPERATORS",
@@ -157,6 +159,9 @@ class Atom:
     hcount: int = 0
     isotope: Optional[int] = None
 
+    def with_hcount(self, hcount: int) -> "Atom":
+        return Atom(self.element, self.aromatic, self.formal_charge, hcount, self.isotope)
+
 
 @dataclass(frozen=True)
 class Bond:
@@ -166,9 +171,6 @@ class Bond:
 
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
 
 
 class Molecule:
@@ -240,20 +242,6 @@ class Molecule:
             # only texts valid under the shipped table may skip parse checks
             canonical = _canonical_string(self, validate and valence_table is None)
         self._canonical: str = canonical
-
-    @classmethod
-    def from_graph(
-        cls,
-        atoms: Sequence[Atom],
-        bonds: Sequence[Bond],
-        *,
-        validate: bool = True,
-    ) -> "Molecule":
-        return cls(atoms, bonds, validate=validate)
-
-    @classmethod
-    def empty(cls) -> "Molecule":
-        return cls((), (), validate=False)
 
     # -- derived structure ------------------------------------------------
 
@@ -355,6 +343,13 @@ def _adjacency(n: int, bonds: Sequence[Bond]) -> list[list[tuple[int, str]]]:
     return adj
 
 
+def neighbor_maps(m: Molecule) -> list[dict[int, str]]:
+    """{neighbour: bond order} for each atom, built anew on every call: a
+    write-order twin shares its writer's `_fp_cache` but not its atom order,
+    so per-index views are never cached there."""
+    return [{j: order for j, order in nbrs} for nbrs in m._adj]
+
+
 def _component_size(start: int, adj: list[list[tuple[int, str]]]) -> int:
     seen = {start}
     stack = [start]
@@ -441,60 +436,6 @@ def _digit_run(text: str, i: int) -> int:
     return i
 
 
-def _tokenize(smiles: str) -> Iterator[tuple[str, object]]:
-    i = 0
-    n = len(smiles)
-    while i < n:
-        ch = smiles[i]
-        if ch == "[":
-            end = smiles.find("]", i)
-            if end == -1:
-                raise SmilesSyntaxError("unterminated bracket atom")
-            yield ("atom", smiles[i : end + 1])
-            i = end + 1
-        elif ch in "-=#:":
-            yield ("bond", ch)
-            i += 1
-        elif ch in "/\\":
-            # stereo marks are accepted and discarded
-            i += 1
-        elif ch == "(":
-            yield ("open", ch)
-            i += 1
-        elif ch == ")":
-            yield ("close", ch)
-            i += 1
-        elif ch == ".":
-            raise MultiFragmentError("multi-fragment SMILES is not supported")
-        elif ch == "%":
-            if i + 2 >= n or _digit_run(smiles, i + 1) < i + 3:
-                raise SmilesSyntaxError("'%' must be followed by two digits")
-            yield ("ring", int(smiles[i + 1 : i + 3]))
-            i += 3
-        elif ch in _DIGITS:
-            yield ("ring", int(ch))
-            i += 1
-        elif ch == "*":
-            raise UnsupportedAtomError("wildcard atoms are not supported")
-        elif ch.isalpha():
-            two = smiles[i : i + 2]
-            if two in ("Cl", "Br"):
-                yield ("atom", two)
-                i += 2
-            elif ch in "BCNOPSFI":
-                yield ("atom", ch)
-                i += 1
-            elif ch in "bcnops":
-                yield ("atom", ch)
-                i += 1
-            elif two and two[0].isupper():
-                raise UnsupportedAtomError(f"unsupported element at {i}: {smiles[i:i+2]!r}")
-            else:
-                raise SmilesSyntaxError(f"unexpected character {ch!r} at {i}")
-        else:
-            raise SmilesSyntaxError(f"unexpected character {ch!r} at {i}")
-
-
 def _bracket_number(token: str, digits: str) -> int:
     try:
         return int(digits)
@@ -565,16 +506,16 @@ def _parse_bracket(token: str) -> Atom:
     return Atom(element, aromatic, charge, hcount, isotope)
 
 
-def _parse_organic(token: str) -> tuple[Atom, bool]:
-    """Returns the atom plus a flag marking that hcount needs inference."""
+def _parse_organic(token: str) -> Atom:
+    """A bare (organic-subset) atom; its hydrogens are left to the caller."""
     if token[0].islower():
         element = token.capitalize()
         if element not in _AROMATIC_OK:
             raise UnsupportedAtomError(f"element {element!r} cannot be aromatic")
-        return Atom(element, aromatic=True), True
+        return Atom(element, aromatic=True)
     if token not in _ELEMENT_INDEX:
         raise UnsupportedAtomError(f"unsupported element {token!r}")
-    return Atom(token), True
+    return Atom(token)
 
 
 def parse(smiles: str, *, valence_table: Optional[dict[str, int]] = None) -> Molecule:
@@ -605,11 +546,22 @@ def _parse_interned(smiles: str) -> Molecule:
     return _parse_text(smiles, None)
 
 
-def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecule:
-    atoms: list[Atom] = []
-    needs_h: list[bool] = []
-    bond_orders: list[Optional[str]] = []  # None = unspecified, resolved later
-    bonds: list[Bond] = []
+def _smiles_graph(
+    smiles: str,
+) -> tuple[list[str | Atom], list[tuple[int, int, Optional[str]]]]:
+    """The SMILES grammar, read in one pass over the text: the atoms in text
+    order and the bonds between them.
+
+    A bare atom stays its token, whose meaning the caller decides; a bracket
+    atom is read by :func:`_parse_bracket` where it stands, so every error
+    is raised at the first character that causes one. A bond is (a, b,
+    order), the order None where the text leaves it unspecified; stereo
+    marks are dropped. Raises :class:`SmilesSyntaxError`,
+    :class:`UnmatchedRingError`, :class:`MultiFragmentError` or
+    :class:`UnsupportedAtomError`.
+    """
+    atoms: list[str | Atom] = []
+    bonds: list[tuple[int, int, Optional[str]]] = []
     bond_keys: set[tuple[int, int]] = set()
     anchor: Optional[int] = None
     pending: Optional[str] = None
@@ -623,47 +575,70 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
         if key in bond_keys:
             raise SmilesSyntaxError(f"duplicate bond between atoms {key}")
         bond_keys.add(key)
-        bonds.append(Bond(a, b, SINGLE))
-        bond_orders.append(order)
+        bonds.append((a, b, order))
 
     just_opened = False
-    for kind, value in _tokenize(smiles):
-        if kind == "atom":
-            token = str(value)
-            if token.startswith("["):
-                atom = _parse_bracket(token)
-                infer = False
+    i, n = 0, len(smiles)
+    while i < n:
+        ch = smiles[i]
+        if ch == "[" or ch.isalpha():
+            if ch == "[":
+                end = smiles.find("]", i)
+                if end == -1:
+                    raise SmilesSyntaxError("unterminated bracket atom")
+                atom: str | Atom = _parse_bracket(smiles[i : end + 1])
+                i = end + 1
+            elif smiles[i : i + 2] in ("Cl", "Br"):
+                atom = smiles[i : i + 2]
+                i += 2
+            elif ch in "BCNOPSFIbcnops":
+                atom = ch
+                i += 1
+            elif ch.isupper():
+                raise UnsupportedAtomError(f"unsupported element at {i}: {smiles[i:i+2]!r}")
             else:
-                atom, infer = _parse_organic(token)
-            idx = len(atoms)
-            atoms.append(atom)
-            needs_h.append(infer)
+                raise SmilesSyntaxError(f"unexpected character {ch!r} at {i}")
             if anchor is not None:
-                add_bond(anchor, idx, pending)
+                add_bond(anchor, len(atoms), pending)
             elif pending is not None:
                 raise SmilesSyntaxError("bond symbol before the first atom")
+            anchor = len(atoms)
+            atoms.append(atom)
             pending = None
-            anchor = idx
             just_opened = False
-        elif kind == "bond":
+            continue
+        i += 1
+        if ch in _BOND_CHARS:
             if pending is not None:
                 raise SmilesSyntaxError("two consecutive bond symbols")
-            pending = _BOND_CHARS[str(value)]
-        elif kind == "open":
+            pending = _BOND_CHARS[ch]
+        elif ch in "/\\":
+            pass  # stereo marks are accepted and discarded
+        elif ch == "(":
             if anchor is None:
                 raise SmilesSyntaxError("branch before the first atom")
             if just_opened:
                 raise SmilesSyntaxError("empty branch")
             branch_stack.append(anchor)
             just_opened = True
-        elif kind == "close":
+        elif ch == ")":
             if not branch_stack:
                 raise SmilesSyntaxError("unmatched ')'")
             if pending is not None or just_opened:
                 raise SmilesSyntaxError("dangling branch content before ')'")
             anchor = branch_stack.pop()
-        elif kind == "ring":
-            num = int(value)  # type: ignore[arg-type]
+        elif ch == ".":
+            raise MultiFragmentError("multi-fragment SMILES is not supported")
+        elif ch == "*":
+            raise UnsupportedAtomError("wildcard atoms are not supported")
+        elif ch == "%" or ch in _DIGITS:
+            if ch == "%":
+                if _digit_run(smiles, i) < i + 2:
+                    raise SmilesSyntaxError("'%' must be followed by two digits")
+                num = int(smiles[i : i + 2])
+                i += 2
+            else:
+                num = int(ch)
             if anchor is None:
                 raise SmilesSyntaxError("ring digit before the first atom")
             if num in open_rings:
@@ -671,10 +646,11 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
                 if pending is not None and order_there is not None and pending != order_there:
                     raise SmilesSyntaxError(f"conflicting ring-bond orders for digit {num}")
                 add_bond(other, anchor, pending if pending is not None else order_there)
-                pending = None
             else:
                 open_rings[num] = (anchor, pending)
-                pending = None
+            pending = None
+        else:
+            raise SmilesSyntaxError(f"unexpected character {ch!r} at {i - 1}")
 
     if branch_stack:
         raise SmilesSyntaxError("unclosed '('")
@@ -685,24 +661,27 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
         raise UnmatchedRingError(f"unmatched ring digit(s): {digits}")
     if not atoms:
         raise SmilesSyntaxError("no atoms in SMILES string")
+    return atoms, bonds
+
+
+def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecule:
+    tokens, graph = _smiles_graph(smiles)
+    atoms = [_parse_organic(t) if isinstance(t, str) else t for t in tokens]
 
     # Resolve unspecified bond orders: aromatic between two aromatic atoms
     # when the bond lies on a ring, single otherwise.
-    adj = _adjacency(len(atoms), bonds)
-    ring_flags = _ring_bond_flags(len(atoms), bonds, adj)
+    placeholders = [Bond(a, b) for a, b, _ in graph]
+    ring_flags = _ring_bond_flags(
+        len(atoms), placeholders, _adjacency(len(atoms), placeholders)
+    )
     resolved: list[Bond] = []
-    for i, bond in enumerate(bonds):
-        order = bond_orders[i]
+    for i, (a, b, order) in enumerate(graph):
         if order is None:
-            if (
-                atoms[bond.a].aromatic
-                and atoms[bond.b].aromatic
-                and ring_flags[i]
-            ):
+            if atoms[a].aromatic and atoms[b].aromatic and ring_flags[i]:
                 order = AROMATIC
             else:
                 order = SINGLE
-        resolved.append(Bond(bond.a, bond.b, order))
+        resolved.append(Bond(a, b, order))
 
     # Infer implicit hydrogens for bare atoms.
     per_atom_orders: list[list[str]] = [[] for _ in atoms]
@@ -711,9 +690,10 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
         per_atom_orders[bond.b].append(bond.order)
     final_atoms: list[Atom] = []
     for idx, atom in enumerate(atoms):
-        if needs_h[idx]:
-            h = _implicit_hydrogens(atom.element, atom.aromatic, per_atom_orders[idx])
-            atom = Atom(atom.element, atom.aromatic, atom.formal_charge, h, atom.isotope)
+        if isinstance(tokens[idx], str):
+            atom = atom.with_hcount(
+                _implicit_hydrogens(atom.element, atom.aromatic, per_atom_orders[idx])
+            )
         final_atoms.append(atom)
 
     return Molecule._assemble(
@@ -724,11 +704,6 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
 # ---------------------------------------------------------------------------
 # Canonicalization
 # ---------------------------------------------------------------------------
-
-
-def canonicalize(m: Molecule) -> str:
-    """Canonical SMILES of a molecule (already cached on the instance)."""
-    return m.canonical
 
 
 def _initial_invariants(mol: Molecule) -> list[tuple]:
@@ -1129,46 +1104,46 @@ class Scaffold:
     ring_count: int
 
 
-def scaffold_of(m: Molecule) -> Scaffold:
-    """Iteratively prune terminal atoms until only rings and linkers remain."""
+def scaffold_atoms(m: Molecule) -> set[int]:
+    """The atoms left after pruning terminal non-ring atoms until none is
+    left: ring systems plus the linkers between them."""
     keep = set(range(len(m.atoms)))
     while True:
-        removable = []
-        for idx in keep:
-            deg = sum(1 for nbr, _ in m.neighbors(idx) if nbr in keep)
-            if deg <= 1 and not m.atom_in_ring(idx):
-                removable.append(idx)
+        removable = [
+            idx
+            for idx in keep
+            if sum(1 for nbr, _ in m.neighbors(idx) if nbr in keep) <= 1
+            and not m.atom_in_ring(idx)
+        ]
         if not removable:
-            break
+            return keep
         keep.difference_update(removable)
-    if not keep:
-        return Scaffold(Molecule.empty(), 0)
 
+
+def induced_subgraph(
+    m: Molecule, keep: set[int]
+) -> tuple[list[Atom], list[Bond]]:
+    """The atoms in `keep` (in index order, renumbered from 0) and the bonds
+    among them; hydrogens refill the valence of every bond cut."""
     remap = {old: new for new, old in enumerate(sorted(keep))}
     atoms = []
-    for old in sorted(keep):
-        atom = m.atoms[old]
-        # hydrogens refill the valence freed by pruned neighbors
-        pruned = sum(
-            _ORDER_ELECTRONS[order]
-            for nbr, order in m.neighbors(old)
-            if nbr not in keep
+    for old in remap:
+        cut = sum(
+            _ORDER_ELECTRONS[order] for nbr, order in m.neighbors(old) if nbr not in keep
         )
-        atoms.append(
-            Atom(
-                atom.element,
-                atom.aromatic,
-                atom.formal_charge,
-                atom.hcount + pruned,
-                atom.isotope,
-            )
-        )
+        atoms.append(m.atoms[old].with_hcount(m.atoms[old].hcount + cut))
     bonds = [
         Bond(remap[b.a], remap[b.b], b.order)
         for b in m.bonds
         if b.a in keep and b.b in keep
     ]
-    core = Molecule(atoms, bonds)
+    return atoms, bonds
+
+
+def scaffold_of(m: Molecule) -> Scaffold:
+    """The validated molecule on :func:`scaffold_atoms`; empty for acyclic
+    molecules."""
+    core = Molecule(*induced_subgraph(m, scaffold_atoms(m)))
     return Scaffold(core, core.ring_count())
 
 
@@ -1219,13 +1194,7 @@ def _delete_terminal(m: Molecule, rng: random.Random) -> Molecule:
             continue
         remap[idx] = len(atoms)
         if idx == nbr:
-            atom = Atom(
-                atom.element,
-                atom.aromatic,
-                atom.formal_charge,
-                atom.hcount + _ORDER_ELECTRONS[order],
-                atom.isotope,
-            )
+            atom = atom.with_hcount(atom.hcount + _ORDER_ELECTRONS[order])
         atoms.append(atom)
     bonds, ring_bonds = [], []
     for b_idx, bond in enumerate(m.bonds):
@@ -1235,15 +1204,15 @@ def _delete_terminal(m: Molecule, rng: random.Random) -> Molecule:
     return Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds)
 
 
-def _append_terminal(m: Molecule, rng: random.Random, element: Optional[str] = None) -> Molecule:
+def _append_terminal(m: Molecule, rng: random.Random) -> Molecule:
     sites = [idx for idx, atom in enumerate(m.atoms) if atom.hcount >= 1]
     if not sites:
         raise NoApplicableSiteError("no atom with a spare hydrogen")
     site = rng.choice(sorted(sites))
-    new_el = element or rng.choice(_APPEND_POOL)
+    new_el = rng.choice(_APPEND_POOL)
     old = m.atoms[site]
     atoms = list(m.atoms)
-    atoms[site] = Atom(old.element, old.aromatic, old.formal_charge, old.hcount - 1, old.isotope)
+    atoms[site] = old.with_hcount(old.hcount - 1)
     atoms.append(Atom(new_el, hcount=_DEFAULT_VALENCES[new_el][0] - 1))
     bonds = m.bonds + (Bond(site, len(atoms) - 1, SINGLE),)
     return Molecule._assemble(tuple(atoms), bonds, m._ring_bonds + [False])
@@ -1295,14 +1264,7 @@ def _change_bond_order(m: Molecule, rng: random.Random) -> Molecule:
     delta = _ORDER_ELECTRONS[new_order] - _ORDER_ELECTRONS[bond.order]
     atoms = list(m.atoms)
     for end in (bond.a, bond.b):
-        atom = atoms[end]
-        atoms[end] = Atom(
-            atom.element,
-            atom.aromatic,
-            atom.formal_charge,
-            atom.hcount - delta,
-            atom.isotope,
-        )
+        atoms[end] = atoms[end].with_hcount(atoms[end].hcount - delta)
     bonds = list(m.bonds)
     bonds[b_idx] = Bond(bond.a, bond.b, new_order)
     return Molecule._assemble(tuple(atoms), tuple(bonds), m._ring_bonds)

@@ -7,6 +7,7 @@ default, one per term with ``unit="per_term"``).
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ __all__ = [
     "BudgetLedger",
     "BudgetExhaustedError",
     "MissingEntryError",
-    "evaluate",
     "check_success",
     "builtin_mw",
     "builtin_ring",
@@ -42,6 +42,8 @@ __all__ = [
     "external_oracle",
     "load_objective",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -177,12 +179,24 @@ def table_oracle(
     direction: int = 1,
     default: Optional[float] = None,
 ) -> Oracle:
-    """Exact lookup by canonical SMILES from a `smiles<TAB>value` file."""
+    """Exact lookup by canonical SMILES from a `smiles<TAB>value` file.
+
+    A row that is no entry (a header line, a SMILES that does not parse, a
+    missing or non-numeric value) is skipped with a log line.
+    """
     path = Path(path)
-    table = {
-        parse(smiles).canonical: float(value)
-        for smiles, value, *_ in table_rows(path.read_text(encoding="utf-8"))
-    }
+    table: dict[str, float] = {}
+    skipped = 0
+    for fields in table_rows(path.read_text(encoding="utf-8")):
+        try:
+            if len(fields) < 2:
+                raise ValueError("row has no value")
+            table[parse(fields[0]).canonical] = float(fields[1])
+        except ValueError as exc:  # SmilesError is a ValueError
+            skipped += 1
+            log.warning("skipping %s row %r: %s", path, "\t".join(fields), exc)
+    if skipped:
+        log.warning("table oracle %s skipped %d bad rows", path, skipped)
 
     oracle_name = name or path.stem
 
@@ -342,10 +356,6 @@ class BudgetLedger:
         self._lock = threading.Lock()
 
     @property
-    def remaining(self) -> int:
-        return self.budget - self.consumed
-
-    @property
     def exhausted(self) -> bool:
         return self.consumed >= self.budget
 
@@ -354,6 +364,7 @@ class BudgetLedger:
         return dict(cached) if cached is not None else None
 
     def evaluate(self, m: Molecule, obj: Objective) -> dict[str, float]:
+        """All term values for a molecule; one budget unit on a cache miss."""
         key = m.canonical
         with self._lock:
             cached = self.cache.get(key) if self.cache_enabled else None
@@ -373,11 +384,6 @@ class BudgetLedger:
                 merged.update(values)
                 self.cache[key] = merged
         return values
-
-
-def evaluate(m: Molecule, obj: Objective, ledger: BudgetLedger) -> dict[str, float]:
-    """All term values for a molecule; one budget unit on a cache miss."""
-    return ledger.evaluate(m, obj)
 
 
 def check_success(

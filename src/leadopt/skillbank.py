@@ -15,7 +15,7 @@ import json
 import logging
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -32,8 +32,15 @@ from .chemfeat import (
     detect_functional_groups,
     morgan_fp,
 )
-from .files import data_text, write_atomic
-from .molgraph import Atom, Bond, Molecule, parse, scaffold_of
+from .files import data_text, write_jsonl
+from .molgraph import (
+    Molecule,
+    induced_subgraph,
+    neighbor_maps,
+    parse,
+    scaffold_atoms,
+    scaffold_of,
+)
 
 __all__ = [
     "McsResult",
@@ -100,10 +107,6 @@ def _atom_label(mol: Molecule, idx: int) -> tuple:
     return (atom.element, atom.aromatic, atom.formal_charge)
 
 
-def _adj_maps(mol: Molecule) -> list[dict[int, str]]:
-    return [{j: order for j, order in mol.neighbors(i)} for i in range(len(mol.atoms))]
-
-
 def _exact_mcs(
     g: Molecule, h: Molecule, deadline: float
 ) -> tuple[list[tuple[int, int]], bool]:
@@ -112,8 +115,8 @@ def _exact_mcs(
 
     Returns (best mapping, completed) where completed is False on timeout.
     """
-    g_adj = _adj_maps(g)
-    h_adj = _adj_maps(h)
+    g_adj = neighbor_maps(g)
+    h_adj = neighbor_maps(h)
     target = min(len(g.atoms), len(h.atoms))
 
     classes: dict[tuple, tuple[list[int], list[int]]] = {}
@@ -193,8 +196,8 @@ def _exact_mcs(
 
 def _greedy_mcs(g: Molecule, h: Molecule) -> list[tuple[int, int]]:
     """Anchor-grown common-substructure mapping; fast but not maximal."""
-    g_adj = _adj_maps(g)
-    h_adj = _adj_maps(h)
+    g_adj = neighbor_maps(g)
+    h_adj = neighbor_maps(h)
     seeds = [
         (i, j)
         for i in range(len(g.atoms))
@@ -237,11 +240,9 @@ def _greedy_mcs(g: Molecule, h: Molecule) -> list[tuple[int, int]]:
 def _fragment_string(mol: Molecule, outside: set[int]) -> str:
     """Canonical string of the atoms outside the mapping, components joined.
 
-    Hydrogens refill valence freed at cut bonds; the string is descriptive
-    (fragments torn from rings need not re-parse as molecules).
+    Each component is an unvalidated :func:`induced_subgraph`: the string is
+    descriptive (fragments torn from rings need not re-parse as molecules).
     """
-    if not outside:
-        return ""
     unvisited = set(outside)
     fragments = []
     while unvisited:
@@ -255,24 +256,7 @@ def _fragment_string(mol: Molecule, outside: set[int]) -> str:
                     comp.add(nbr)
                     queue.append(nbr)
         unvisited -= comp
-        remap = {old: new for new, old in enumerate(sorted(comp))}
-        atoms = []
-        for old in sorted(comp):
-            atom = mol.atoms[old]
-            cut = sum(
-                {"single": 1, "double": 2, "triple": 3, "aromatic": 1}[order]
-                for nbr, order in mol.neighbors(old)
-                if nbr not in comp
-            )
-            atoms.append(
-                Atom(atom.element, atom.aromatic, atom.formal_charge,
-                     atom.hcount + cut, atom.isotope)
-            )
-        bonds = [
-            Bond(remap[b.a], remap[b.b], b.order)
-            for b in mol.bonds
-            if b.a in comp and b.b in comp
-        ]
+        atoms, bonds = induced_subgraph(mol, comp)
         fragments.append(Molecule(atoms, bonds, validate=False).canonical)
     return ".".join(sorted(fragments))
 
@@ -364,18 +348,14 @@ class EditCard:
         return f"{self.before}>>{self.after}"
 
 
-def _scaffold_atom_set(m: Molecule) -> set[int]:
-    keep = set(range(len(m.atoms)))
-    while True:
-        removable = [
-            idx
-            for idx in keep
-            if sum(1 for nbr, _ in m.neighbors(idx) if nbr in keep) <= 1
-            and not m.atom_in_ring(idx)
-        ]
-        if not removable:
-            return keep
-        keep.difference_update(removable)
+def _aromatic_attachment(mol: Molecule, mapped: set[int]) -> bool:
+    """Whether an atom outside the mapping is bonded to a mapped aromatic atom."""
+    return any(
+        nbr in mapped and mol.atoms[nbr].aromatic
+        for idx in range(len(mol.atoms))
+        if idx not in mapped
+        for nbr, _ in mol.neighbors(idx)
+    )
 
 
 def build_edit_card(
@@ -399,7 +379,7 @@ def build_edit_card(
         scaffold_type = "ring_removal"
     elif sc_after.ring_count > sc_before.ring_count:
         scaffold_type = "ring_addition"
-    elif not _scaffold_atom_set(before) <= set(mapping):
+    elif not scaffold_atoms(before) <= set(mapping):
         scaffold_type = "scaffold_hop"
     else:
         scaffold_type = "scaffold_replacement"
@@ -420,21 +400,9 @@ def build_edit_card(
     fg_removed = FunctionalGroupSet(fg_before.tags - fg_after.tags)
     fg_added = FunctionalGroupSet(fg_after.tags - fg_before.tags)
 
-    mapped_before = set(mapping)
-    mapped_after = set(mapping.values())
-    attach = False
-    for idx in range(len(before.atoms)):
-        if idx in mapped_before:
-            continue
-        for nbr, _ in before.neighbors(idx):
-            if nbr in mapped_before and before.atoms[nbr].aromatic:
-                attach = True
-    for idx in range(len(after.atoms)):
-        if idx in mapped_after:
-            continue
-        for nbr, _ in after.neighbors(idx):
-            if nbr in mapped_after and after.atoms[nbr].aromatic:
-                attach = True
+    attach = _aromatic_attachment(before, set(mapping)) or _aromatic_attachment(
+        after, set(mapping.values())
+    )
 
     return EditCard(
         before=before.canonical,
@@ -928,42 +896,35 @@ def render_skill_block(skills: Sequence[SkillCard], task: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def save_skills(bank: SkillBank, path: str | Path) -> Path:
-    """One JSON line per card, written atomically (temp file, then rename)."""
-    import io
+def _field_to_json(value):
+    if isinstance(value, FunctionalGroupSet):
+        return sorted(value)
+    if isinstance(value, DescriptorDelta):
+        return vars(value)
+    return value
 
-    with io.StringIO() as fh:
-        for task in bank.tasks():
-            for skill in bank.cards(task):
-                card = skill.card
-                fh.write(
-                    json.dumps(
-                        {
-                            "task": skill.task,
-                            "text": skill.text,
-                            "delta_r": skill.delta_r,
-                            "before": card.before,
-                            "after": card.after,
-                            "modification_type": card.modification_type,
-                            "removed_fragment": card.removed_fragment,
-                            "added_fragment": card.added_fragment,
-                            "scaffold_before": card.scaffold_before,
-                            "scaffold_after": card.scaffold_after,
-                            "scaffold_type": card.scaffold_type,
-                            "fg_removed": sorted(card.fg_removed),
-                            "fg_added": sorted(card.fg_added),
-                            "deltas": vars(card.deltas),
-                            "score_before": card.score_before,
-                            "score_after": card.score_after,
-                            "aromatic_attachment": card.aromatic_attachment,
-                            "approximate_mcs": card.approximate_mcs,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        payload = fh.getvalue()
-    return write_atomic(path, payload)
+
+def _field_from_json(name: str, value):
+    if name in ("fg_removed", "fg_added"):
+        return FunctionalGroupSet(frozenset(value))
+    if name == "deltas":
+        return DescriptorDelta(**value)
+    return value
+
+
+def save_skills(bank: SkillBank, path: str | Path) -> Path:
+    """One JSON line per card: the task, the sentence, delta_r and every
+    `EditCard` field; written atomically (temp file, then rename)."""
+    return write_jsonl(path, (
+        {
+            "task": skill.task,
+            "text": skill.text,
+            "delta_r": skill.delta_r,
+            **{f.name: _field_to_json(getattr(skill.card, f.name)) for f in fields(EditCard)},
+        }
+        for task in bank.tasks()
+        for skill in bank.cards(task)
+    ))
 
 
 def _skill_from_json(line: str) -> SkillCard:
@@ -971,23 +932,14 @@ def _skill_from_json(line: str) -> SkillCard:
     for name in ("task", "text", "before", "after"):
         if not isinstance(payload[name], str):
             raise TypeError(f"{name} is not a string")
-    card = EditCard(
-        before=payload["before"],
-        after=payload["after"],
-        modification_type=payload["modification_type"],
-        removed_fragment=payload["removed_fragment"],
-        added_fragment=payload["added_fragment"],
-        scaffold_before=payload["scaffold_before"],
-        scaffold_after=payload["scaffold_after"],
-        scaffold_type=payload["scaffold_type"],
-        fg_removed=FunctionalGroupSet(frozenset(payload["fg_removed"])),
-        fg_added=FunctionalGroupSet(frozenset(payload["fg_added"])),
-        deltas=DescriptorDelta(**payload["deltas"]),
-        score_before=payload["score_before"],
-        score_after=payload["score_after"],
-        aromatic_attachment=payload.get("aromatic_attachment", False),
-        approximate_mcs=payload.get("approximate_mcs", False),
-    )
+    # a field with a default (aromatic_attachment, approximate_mcs) may be
+    # missing from cards written before it existed
+    card = EditCard(**{
+        f.name: _field_from_json(
+            f.name, payload[f.name] if f.default is MISSING else payload.get(f.name, f.default)
+        )
+        for f in fields(EditCard)
+    })
     if payload["delta_r"] != card.delta_r:
         raise ValueError("delta_r is not score_after - score_before")
     source = parse(card.before)

@@ -22,7 +22,7 @@ from leadopt.chemfeat import (
     tanimoto,
 )
 from leadopt.credit import AdvantageInput, gae, ppo_clip_term
-from leadopt.env import EnvConfig, MolEnv, compute_reward
+from leadopt.env import EnvConfig, MolEnv, reward_outcome
 from leadopt.exembank import (
     ExemplarBank,
     ExemplarRecord,
@@ -99,7 +99,7 @@ def relabel(mol: Molecule, perm):
     inv = {old: new for new, old in enumerate(perm)}
     atoms = [mol.atoms[old] for old in perm]
     bonds = [Bond(inv[b.a], inv[b.b], b.order) for b in mol.bonds]
-    return Molecule.from_graph(atoms, bonds)
+    return Molecule(atoms, bonds)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def test_criterion_01_reward_table_exactness():
     ]
     assert len(cases) >= 20
     for proposal, inj, penalty, expected in cases:
-        got = compute_reward(lead, proposal, lead, obj, gamma, inj, ledger, penalty)
+        got = reward_outcome(lead, proposal, lead, obj, gamma, inj, ledger, penalty).reward
         assert got == expected, (proposal, got, expected)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

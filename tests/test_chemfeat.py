@@ -40,7 +40,7 @@ def relabel(mol, perm):
     inv = {old: new for new, old in enumerate(perm)}
     atoms = [mol.atoms[old] for old in perm]
     bonds = [Bond(inv[b.a], inv[b.b], b.order) for b in mol.bonds]
-    return Molecule.from_graph(atoms, bonds)
+    return Molecule(atoms, bonds)
 
 
 def fp_from_bits(on_bits, width=2048):

@@ -4,7 +4,6 @@ from leadopt.chemfeat import morgan_fp, tanimoto
 from leadopt.env import (
     EnvConfig,
     MolEnv,
-    compute_reward,
     read_trajectories,
     reward_outcome,
     write_trajectories,
@@ -75,10 +74,10 @@ class TestRewardBranches:
         self.lead_values = self.ledger.evaluate(self.lead, self.obj)
 
     def reward(self, proposal, injected=frozenset(), copy_penalty=-0.3):
-        return compute_reward(
+        return reward_outcome(
             self.lead, proposal, self.lead, self.obj, self.obj.gamma,
             injected, self.ledger, copy_penalty,
-        )
+        ).reward
 
     def test_invalid(self):
         assert self.reward("C1CC") == -0.5
@@ -103,8 +102,8 @@ class TestRewardBranches:
         cand = parse("CCCCCCN")
         sim = tanimoto(morgan_fp(self.lead), morgan_fp(cand))
         obj = objective(gamma=sim)
-        reward = compute_reward(self.lead, "CCCCCCN", self.lead, obj, sim,
-                                frozenset(), self.ledger)
+        reward = reward_outcome(self.lead, "CCCCCCN", self.lead, obj, sim,
+                                frozenset(), self.ledger).reward
         assert reward == 5 * (SCORES["CCCCCCN"] - SCORES["CCCCCCO"])
 
     def test_improvement_scaled_five(self):
@@ -135,9 +134,9 @@ class TestRewardBranches:
         ledger.evaluate(lead, obj)
         base = ledger.consumed
         for proposal in ["C1CC", LEAD, "CCCC"]:
-            compute_reward(lead, proposal, lead, obj, 0.4, frozenset(), ledger)
+            reward_outcome(lead, proposal, lead, obj, 0.4, frozenset(), ledger).reward
         assert ledger.consumed == base
-        compute_reward(lead, "CCCCCCN", lead, obj, 0.4, frozenset(), ledger)
+        reward_outcome(lead, "CCCCCCN", lead, obj, 0.4, frozenset(), ledger).reward
         assert ledger.consumed == base + 1
 
     def test_canonicalization_budget_trip_is_invalid(self, no_canon_leaves):

@@ -236,6 +236,17 @@ class TestPolicies:
         policy = policy_wire(f"proc:python3 {stub}")
         assert policy("obs", self.view(), 0.9, random.Random(0)) == ""
 
+    def test_wire_policy_undecodable_reply_is_invalid(self, tmp_path):
+        stub = tmp_path / "policy.py"
+        stub.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    sys.stdout.buffer.write(b'OK C\\xff\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        policy = policy_wire(f"proc:python3 {stub}")
+        assert policy("obs", self.view(), 0.9, random.Random(0)) == ""
+
     def test_wire_policy_unreachable_is_invalid(self):
         policy = policy_wire("tcp:127.0.0.1:1", timeout=0.2)
         assert policy("obs", self.view(), 0.9, random.Random(0)) == ""

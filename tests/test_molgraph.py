@@ -22,7 +22,6 @@ from leadopt.molgraph import (
     UnmatchedRingError,
     UnsupportedAtomError,
     ValenceError,
-    canonicalize,
     load_valence_table,
     mutate,
     parse,
@@ -37,7 +36,7 @@ def relabel(mol: Molecule, perm: list[int]) -> Molecule:
     inv = {old: new for new, old in enumerate(perm)}
     atoms = [mol.atoms[old] for old in perm]
     bonds = [Bond(inv[b.a], inv[b.b], b.order) for b in mol.bonds]
-    return Molecule.from_graph(atoms, bonds)
+    return Molecule(atoms, bonds)
 
 
 def graph_signature(mol: Molecule):
@@ -135,7 +134,7 @@ class TestParse:
 
 class TestCanonical:
     def test_same_graph_same_string(self):
-        assert canonicalize(parse("OCC")) == canonicalize(parse("CCO"))
+        assert parse("OCC").canonical == parse("CCO").canonical
 
     def test_idempotent(self):
         for s in ["CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O", "C[N+](=O)[O-]",
@@ -161,7 +160,7 @@ class TestCanonical:
         for s in ["CCO", "c1ccccc1", "CC(C)Cc1ccc(cc1)C(C)C(=O)O",
                   "c1ccc2ccccc2c1", "CS(=O)(=O)N", "C#N", "[O-]C(=O)C"]:
             m = parse(s)
-            m2 = parse(canonicalize(m))
+            m2 = parse(m.canonical)
             assert graph_signature(m) == graph_signature(m2)
             assert m2.canonical == m.canonical
 
@@ -293,17 +292,17 @@ class TestMoleculeInvariants:
     def test_disconnected_graph_rejected(self):
         atoms = [Atom("C", hcount=4), Atom("C", hcount=4)]
         with pytest.raises(MultiFragmentError):
-            Molecule.from_graph(atoms, [])
+            Molecule(atoms, [])
 
     def test_duplicate_bond_rejected(self):
         atoms = [Atom("C", hcount=2), Atom("C", hcount=2)]
         bonds = [Bond(0, 1, "single"), Bond(1, 0, "single")]
         with pytest.raises(SmilesSyntaxError):
-            Molecule.from_graph(atoms, bonds)
+            Molecule(atoms, bonds)
 
     def test_self_bond_rejected(self):
         with pytest.raises(SmilesSyntaxError):
-            Molecule.from_graph([Atom("C", hcount=4)], [Bond(0, 0, "single")])
+            Molecule([Atom("C", hcount=4)], [Bond(0, 0, "single")])
 
     def test_equality_by_canonical(self):
         assert parse("OCC") == parse("CCO")
@@ -326,7 +325,7 @@ class TestCanonicalHardGraphs:
         # every vertex equivalent: worst case for invariant refinement
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7),
                  (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)]
-        mol = Molecule.from_graph(
+        mol = Molecule(
             [Atom("C", hcount=1)] * 8,
             [Bond(a, b, "single") for a, b in edges],
         )
@@ -354,7 +353,7 @@ class TestCanonicalHardGraphs:
             degree[b.a] += 1
             degree[b.b] += 1
         atoms = [Atom("C", hcount=4 - degree[i]) for i in range(16)]
-        self._assert_invariant(Molecule.from_graph(atoms, bonds), perms=25)
+        self._assert_invariant(Molecule(atoms, bonds), perms=25)
 
 
 class TestCanonicalGolden:
@@ -632,7 +631,7 @@ class TestWriteOrderTwin:
 
     def test_budget_trip_survives_an_earlier_write(self, request):
         # methyls tie, so the search needs leaves
-        written = Molecule.from_graph(
+        written = Molecule(
             [Atom("C", hcount=3), Atom("C", hcount=1), Atom("C", hcount=3),
              Atom("C", hcount=2), Atom("O", hcount=1)],
             [Bond(0, 1), Bond(1, 2), Bond(1, 3), Bond(3, 4)],
@@ -645,7 +644,7 @@ class TestWriteOrderTwin:
     def test_remembers_the_last_few_strings(self):
         last = molgraph._PARSE_CACHE_SIZE + 8
         for length in range(1, last + 1):
-            Molecule.from_graph(
+            Molecule(
                 [Atom("C", hcount=3 if k in (0, length) else 2) for k in range(length + 1)],
                 [Bond(k, k + 1) for k in range(length)],
             )

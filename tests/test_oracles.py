@@ -23,7 +23,6 @@ from leadopt.oracles import (
     builtin_ring,
     builtin_sa_lite,
     check_success,
-    evaluate,
     external_oracle,
     load_objective,
     table_oracle,
@@ -114,23 +113,23 @@ class TestLedger:
     def test_first_eval_consumes_one(self):
         obj = single_objective(builtin_oracle("qed_lite"))
         ledger = BudgetLedger(10)
-        evaluate(parse("CCO"), obj, ledger)
+        ledger.evaluate(parse("CCO"), obj)
         assert ledger.consumed == 1
 
     def test_cache_hit_free(self):
         obj = single_objective(builtin_oracle("qed_lite"))
         ledger = BudgetLedger(10)
-        first = evaluate(parse("CCO"), obj, ledger)
-        second = evaluate(parse("OCC"), obj, ledger)  # same canonical molecule
+        first = ledger.evaluate(parse("CCO"), obj)
+        second = ledger.evaluate(parse("OCC"), obj)  # same canonical molecule
         assert ledger.consumed == 1
         assert first == second
 
     def test_exhaustion(self):
         obj = single_objective(builtin_oracle("qed_lite"))
         ledger = BudgetLedger(1)
-        evaluate(parse("CCO"), obj, ledger)
+        ledger.evaluate(parse("CCO"), obj)
         with pytest.raises(BudgetExhaustedError):
-            evaluate(parse("CCN"), obj, ledger)
+            ledger.evaluate(parse("CCN"), obj)
         assert ledger.consumed == 1
 
     def test_per_term_unit(self):
@@ -144,14 +143,14 @@ class TestLedger:
             ),
         )
         ledger = BudgetLedger(10, unit="per_term")
-        evaluate(parse("CCO"), obj, ledger)
+        ledger.evaluate(parse("CCO"), obj)
         assert ledger.consumed == 2
 
     def test_cache_disabled(self):
         obj = single_objective(builtin_oracle("qed_lite"))
         ledger = BudgetLedger(10, cache_enabled=False)
-        evaluate(parse("CCO"), obj, ledger)
-        evaluate(parse("CCO"), obj, ledger)
+        ledger.evaluate(parse("CCO"), obj)
+        ledger.evaluate(parse("CCO"), obj)
         assert ledger.consumed == 2
 
     def test_atomic_tail_of_budget(self):
@@ -162,7 +161,7 @@ class TestLedger:
 
         def worker(smiles):
             try:
-                evaluate(parse(smiles), obj, ledger)
+                ledger.evaluate(parse(smiles), obj)
                 outcomes.append("ok")
             except BudgetExhaustedError:
                 outcomes.append("refused")
@@ -181,7 +180,7 @@ class TestLedger:
         ledger = BudgetLedger(50)
         seen = [ledger.consumed]
         for s in ["C", "CC", "CCC", "CC", "C", "CCCC"]:
-            evaluate(parse(s), obj, ledger)
+            ledger.evaluate(parse(s), obj)
             seen.append(ledger.consumed)
         assert seen == sorted(seen)
         assert ledger.consumed == 4  # four distinct molecules
@@ -206,6 +205,35 @@ class TestTableAndExternal:
         table.write_text("CCO\t0.42\n")
         oracle = table_oracle(table, name="act", default=0.0)
         assert oracle(parse("CCCC")) == 0.0
+
+    @pytest.mark.parametrize("row", ["smiles\tvalue", "C1CC\t0.5", "CCN"])
+    def test_table_skips_bad_row(self, tmp_path, caplog, row):
+        # a header line, an unparseable SMILES, a row with no value
+        table = tmp_path / "act.tsv"
+        table.write_text(f"{row}\nCCO\t0.42\n")
+        with caplog.at_level("WARNING", logger="leadopt.oracles"):
+            oracle = table_oracle(table, name="act")
+        assert oracle(parse("OCC")) == 0.42
+        with pytest.raises(MissingEntryError):
+            oracle(parse("CCN"))
+        messages = [record.getMessage() for record in caplog.records]
+        assert any(repr(row) in message for message in messages)
+        assert any("skipped 1 bad rows" in message for message in messages)
+
+    def test_external_undecodable_reply_raises(self, tmp_path):
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys\n"
+            "replies = [b'OK 0.\\xff\\n', b'OK 0.5\\n']\n"
+            "for line, reply in zip(sys.stdin, replies):\n"
+            "    sys.stdout.buffer.write(reply)\n"
+            "    sys.stdout.flush()\n"
+        )
+        oracle = external_oracle(f"proc:python3 {stub}", name="bad", timeout=10.0)
+        with pytest.raises(ProtocolError):
+            oracle(parse("CCO"))
+        # the bad line is consumed: the next request reads its own reply
+        assert oracle(parse("CCN")) == 0.5
 
     def test_external_echo_stub(self, tmp_path):
         stub = tmp_path / "stub.py"

@@ -241,6 +241,42 @@ class TestEditCard:
         assert card.deltas.hba == -1
 
 
+EDIT_CARD_GOLDEN = Path(__file__).parent / "golden" / "edit_cards.tsv"
+
+
+class TestEditCardGolden:
+    def test_cards_match_golden(self):
+        # every (source, child) pair of canonical_strings.tsv whose child
+        # parses and differs from its source, decomposed by build_edit_card
+        # at a 60 s MCS cap (no search is approximate), with the card fields
+        # that the subgraph, fragment and scaffold code produce
+        rows = [
+            line.split("\t")
+            for line in EDIT_CARD_GOLDEN.read_text().splitlines()
+            if not line.startswith("#")
+        ]
+        assert len(rows) == 1874
+        mismatches = []
+        for source, child, *want in rows:
+            card = build_edit_card(parse(source), parse(child), 0.0, 1.0,
+                                   time_cap=60.0)
+            got = [
+                card.modification_type,
+                card.removed_fragment or "-",
+                card.added_fragment or "-",
+                card.scaffold_before or "-",
+                card.scaffold_after or "-",
+                card.scaffold_type,
+                ",".join(card.fg_removed) or "-",
+                ",".join(card.fg_added) or "-",
+                str(int(card.aromatic_attachment)),
+                str(int(card.approximate_mcs)),
+            ]
+            if got != want:
+                mismatches.append((source, child, got, want))
+        assert mismatches == []
+
+
 class TestHarvest:
     def test_monotone_worsening_empty(self):
         traj = FakeTrajectory("CCCCO", 0.9, [
@@ -718,7 +754,7 @@ class TestMcsRandomDifferential:
                     el = "C"
                     cap = 4
                 atoms.append(Atom(el, hcount=cap - degree[i]))
-            return Molecule.from_graph(atoms, bonds)
+            return Molecule(atoms, bonds)
 
         checked = 0
         for _ in range(160):
