@@ -26,6 +26,7 @@ from .molgraph import (
     NoApplicableSiteError,
     SmilesError,
     ValenceError,
+    _edit,
     mutate,
     parse,
 )
@@ -107,13 +108,17 @@ Policy = Callable[[str, PolicyView, float, random.Random], str]
 
 
 def _random_edits(molecule: Molecule, count: int, rng: random.Random) -> Molecule:
+    """`count` edits in a chain, each tried up to six times. Only the last
+    edit searches for its child's string; when it fails, the chain ends on
+    an intermediate whose string is still unread."""
     out = molecule
-    for _ in range(count):
+    for step in range(count):
+        edit = mutate if step == count - 1 else _edit
         for _attempt in range(6):
             op = rng.choice(EDIT_OPERATORS)
             seed = rng.randrange(1 << 30)
             try:
-                out = mutate(out, op, seed)
+                out = edit(out, op, seed)
                 break
             except (NoApplicableSiteError, ValenceError, CanonicalizationBudgetError):
                 continue
@@ -123,40 +128,57 @@ def _random_edits(molecule: Molecule, count: int, rng: random.Random) -> Molecul
 def policy_random_edit(
     observation: str, view: PolicyView, temp: float, rng: random.Random
 ) -> str:
-    """Edit count scales with temperature: ceil(temperature) local edits."""
+    """Edit count scales with temperature: ceil(temperature) local edits.
+    A chain that ends on an intermediate whose search trips proposes the
+    current molecule."""
     edits = max(1, math.ceil(temp))
-    return _random_edits(view.current, edits, rng).canonical
+    try:
+        return _random_edits(view.current, edits, rng).canonical
+    except CanonicalizationBudgetError:
+        return view.current.canonical
 
 
 def policy_retrieval_greedy(
     observation: str, view: PolicyView, temp: float, rng: random.Random
 ) -> str:
     """Mutate the top injected exemplar one step toward the lead; never the
-    exemplar verbatim. Falls back to random edits without an injection."""
+    exemplar verbatim. Falls back to random edits without an injection.
+
+    Of 8 edits, proposes the child closest to the lead (the largest string
+    among ties), skipping edits that fail, trip the canonical search or
+    give the exemplar back. Only the children tied at the best score still
+    in play are named: a child whose fingerprint differs from the
+    exemplar's cannot be the exemplar.
+    """
     if view.injected_source != "exemplar" or not view.injected_exemplars:
         return policy_random_edit(observation, view, temp, rng)
     try:
         base = parse(view.injected_exemplars[0])
     except SmilesError:
         return policy_random_edit(observation, view, temp, rng)
-    lead_fp = morgan_fp(view.lead)
-    candidates: list[Molecule] = []
+    lead_fp, base_fp = morgan_fp(view.lead), morgan_fp(base)
+    by_score: dict[float, list[tuple[Molecule, bool]]] = {}
     for _ in range(8):
         op = rng.choice(EDIT_OPERATORS)
         seed = rng.randrange(1 << 30)
         try:
-            cand = mutate(base, op, seed)
-        except (NoApplicableSiteError, ValenceError, CanonicalizationBudgetError):
+            cand = _edit(base, op, seed)
+        except (NoApplicableSiteError, ValenceError):
             continue
-        if cand.canonical != base.canonical:
-            candidates.append(cand)
-    if not candidates:
-        return policy_random_edit(observation, view, temp, rng)
-    best = max(
-        candidates,
-        key=lambda m: (tanimoto(lead_fp, morgan_fp(m)), m.canonical),
-    )
-    return best.canonical
+        fp = morgan_fp(cand)
+        by_score.setdefault(tanimoto(lead_fp, fp), []).append((cand, fp == base_fp))
+    for score in sorted(by_score, reverse=True):
+        names = []
+        for cand, maybe_base in by_score[score]:
+            try:
+                name = cand.canonical
+            except CanonicalizationBudgetError:
+                continue
+            if not (maybe_base and name == base.canonical):
+                names.append(name)
+        if names:
+            return max(names)
+    return policy_random_edit(observation, view, temp, rng)
 
 
 def policy_wire(endpoint: str, timeout: float = 10.0) -> Policy:

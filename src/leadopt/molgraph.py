@@ -1,10 +1,13 @@
 """SMILES parsing, validation, canonicalization, scaffolds, and local edits.
 
-Molecules are immutable once constructed; every construction path
-(:func:`parse`, the :class:`Molecule` constructor, :func:`mutate`) validates
-the graph and computes the canonical string eagerly. :func:`parse` interns its
-last 64 results for the shipped valence table, so re-parsing a recent text
-returns the same object.
+Molecules are immutable once constructed. :func:`parse`, the
+:class:`Molecule` constructor, :func:`scaffold_of` and :func:`mutate`
+validate the graph and compute the canonical string eagerly. The private
+:func:`_edit` behind :func:`mutate` leaves the string to its first read, so a
+scripted policy that edits a molecule several times and keeps one result
+pays for one canonical search. :func:`parse` interns its last 64 results for
+the shipped valence table, so re-parsing a recent text returns the same
+object.
 
 A canonical string names its graph, so parsing one the program has just
 written need not search again. The canonical strings of the last 64
@@ -16,9 +19,13 @@ its bonds in the order and orientation the parser adds them, its ring flags
 permuted and its fingerprints kept, which is the molecule parsing would
 build, minus tokenizing, validation, the ring search, the canonical search
 and a second write. Unvalidated molecules (skill fragments) and molecules
-checked against another valence table are never remembered. :func:`mutate`
-hands the parent's ring-bond flags to the edited molecule (no edit changes
-which bonds lie on a ring); validation and the canonical search still run.
+checked against another valence table are never remembered.
+
+An edit hands the parent's ring-bond flags to the edited molecule (no edit
+changes which bonds lie on a ring). None of the four operators can
+disconnect the graph, duplicate a bond or make an aromatic bond, so the
+child of a parent validated under the shipped table checks only the atoms
+its edit touched; any other parent's child is validated in full.
 
 The canonical search prunes automorphic branches, so highly symmetric
 graphs (tetra-tert-butylmethane, C60) canonicalize in milliseconds; a graph
@@ -34,7 +41,7 @@ import heapq
 import random
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .files import data_text, table_rows
 
@@ -174,7 +181,13 @@ class Bond:
 
 
 class Molecule:
-    """Immutable molecular graph with a cached canonical SMILES string."""
+    """Immutable molecular graph named by its canonical SMILES string.
+
+    Every construction path validates the graph and computes the string at
+    once, except edit children (:func:`_edit`), which search for it on its
+    first read; that read raises :class:`CanonicalizationBudgetError` when
+    the search trips.
+    """
 
     __slots__ = (
         "atoms",
@@ -182,6 +195,7 @@ class Molecule:
         "_adj",
         "_ring_bonds",
         "_ring_atoms",
+        "_checked",
         "_canonical",
         "_fp_cache",
     )
@@ -194,7 +208,8 @@ class Molecule:
         validate: bool = True,
         valence_table: Optional[dict[str, int]] = None,
     ):
-        self._build(tuple(atoms), tuple(bonds), None, None, validate, valence_table)
+        self._build(tuple(atoms), tuple(bonds), None)
+        self._validate_and_name(validate, valence_table)
 
     @classmethod
     def _assemble(
@@ -210,7 +225,12 @@ class Molecule:
         `canonical` string (a write-order twin), validation and the
         canonical search are skipped."""
         mol = cls.__new__(cls)
-        mol._build(atoms, bonds, ring_bonds, canonical, True, valence_table)
+        mol._build(atoms, bonds, ring_bonds)
+        if canonical is None:
+            mol._validate_and_name(True, valence_table)
+        else:
+            mol._checked = True
+            mol._canonical = canonical
         return mol
 
     def _build(
@@ -218,10 +238,8 @@ class Molecule:
         atoms: tuple[Atom, ...],
         bonds: tuple[Bond, ...],
         ring_bonds: Optional[list[bool]],
-        canonical: Optional[str],
-        validate: bool,
-        valence_table: Optional[dict[str, int]],
     ) -> None:
+        """The graph and its derived structure, unchecked and unnamed."""
         self.atoms: tuple[Atom, ...] = atoms
         self.bonds: tuple[Bond, ...] = bonds
         self._adj = _adjacency(len(atoms), bonds)
@@ -236,17 +254,29 @@ class Molecule:
         # graph-only values (chemfeat's fingerprints and FG sets), never
         # depending on atom order, so a write-order twin shares them
         self._fp_cache: dict = {}
-        if canonical is None:
-            if validate:
-                self._validate(valence_table or _VALENCE_MAX)
-            # only texts valid under the shipped table may skip parse checks
-            canonical = _canonical_string(self, validate and valence_table is None)
-        self._canonical: str = canonical
+        # validated under the shipped valence table: only such molecules
+        # are remembered for write-order twins, and only their edit
+        # children may check just the edited atoms
+        self._checked = False
+        self._canonical: Optional[str] = None
+
+    def _validate_and_name(
+        self, validate: bool, valence_table: Optional[dict[str, int]]
+    ) -> None:
+        """Eager validation, then the canonical search."""
+        if validate:
+            self._validate(valence_table or _VALENCE_MAX)
+        self._checked = validate and valence_table is None
+        self._canonical = _canonical_string(self, self._checked)
 
     # -- derived structure ------------------------------------------------
 
     @property
     def canonical(self) -> str:
+        # only edit children reach the search here; it is pure, so two
+        # threads racing on a first read store the same string
+        if self._canonical is None:
+            self._canonical = _canonical_string(self, self._checked)
         return self._canonical
 
     def neighbors(self, idx: int) -> list[tuple[int, str]]:
@@ -276,13 +306,13 @@ class Molecule:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Molecule):
             return NotImplemented
-        return self._canonical == other._canonical
+        return self.canonical == other.canonical
 
     def __hash__(self) -> int:
-        return hash(self._canonical)
+        return hash(self.canonical)
 
     def __repr__(self) -> str:
-        return f"Molecule({self._canonical!r})"
+        return f"Molecule({self.canonical!r})"
 
     # -- validation ---------------------------------------------------------
 
@@ -303,17 +333,20 @@ class Molecule:
         if _component_size(0, self._adj) != n:
             raise MultiFragmentError("molecule graph is disconnected")
 
-        bond_sums = [0] * n
         for b_idx, bond in enumerate(self.bonds):
             if bond.order == AROMATIC:
                 if not (self.atoms[bond.a].aromatic and self.atoms[bond.b].aromatic):
                     raise SmilesSyntaxError("aromatic bond between non-aromatic atoms")
                 if not self._ring_bonds[b_idx]:
                     raise SmilesSyntaxError("aromatic bond outside a ring")
-            bond_sums[bond.a] += _ORDER_ELECTRONS[bond.order]
-            bond_sums[bond.b] += _ORDER_ELECTRONS[bond.order]
 
-        for idx, atom in enumerate(self.atoms):
+        self._check_atoms(range(n), valence_max)
+
+    def _check_atoms(self, indices: Iterable[int], valence_max: dict[str, int]) -> None:
+        """Element support, the aromatic rules, a non-negative hydrogen
+        count and the valence ceiling of each atom in `indices`, in order."""
+        for idx in indices:
+            atom = self.atoms[idx]
             if atom.element not in _ELEMENT_INDEX:
                 raise UnsupportedAtomError(f"unsupported element {atom.element!r}")
             if atom.aromatic:
@@ -328,11 +361,19 @@ class Molecule:
             if atom.hcount < 0:
                 raise ValenceError(f"atom {idx} has negative hydrogen count")
             ceiling = max(0, valence_max[atom.element] + atom.formal_charge)
-            if atom.hcount + bond_sums[idx] > ceiling:
+            total = atom.hcount
+            for _, order in self._adj[idx]:
+                total += _ORDER_ELECTRONS[order]
+            if total > ceiling:
                 raise ValenceError(
-                    f"atom {idx} ({atom.element}) valence "
-                    f"{atom.hcount + bond_sums[idx]} exceeds {ceiling}"
+                    f"atom {idx} ({atom.element}) valence {total} exceeds {ceiling}"
                 )
+
+
+def _bond_electrons(nbrs: list[tuple[int, str]]) -> int:
+    """Valence one atom spends on its bonds, from its (neighbour, order)
+    pairs."""
+    return sum(_ORDER_ELECTRONS[order] for _, order in nbrs)
 
 
 def _adjacency(n: int, bonds: Sequence[Bond]) -> list[list[tuple[int, str]]]:
@@ -406,12 +447,13 @@ def _ring_bond_flags(
     return flags
 
 
-def _implicit_hydrogens(element: str, aromatic: bool, bond_orders: list[str]) -> int:
-    """Implicit-H rule for bare SMILES atoms.
+def _implicit_hydrogens(element: str, aromatic: bool, bond_electrons: int) -> int:
+    """Implicit-H rule for a bare SMILES atom whose bonds spend
+    `bond_electrons` of its valence.
 
     Aromatic atoms reserve one valence slot for the ring pi system.
     """
-    total = sum(_ORDER_ELECTRONS[o] for o in bond_orders)
+    total = bond_electrons
     if aromatic:
         total += 1
     for valence in _DEFAULT_VALENCES[element]:
@@ -684,15 +726,15 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
         resolved.append(Bond(a, b, order))
 
     # Infer implicit hydrogens for bare atoms.
-    per_atom_orders: list[list[str]] = [[] for _ in atoms]
+    bond_electrons = [0] * len(atoms)
     for bond in resolved:
-        per_atom_orders[bond.a].append(bond.order)
-        per_atom_orders[bond.b].append(bond.order)
+        bond_electrons[bond.a] += _ORDER_ELECTRONS[bond.order]
+        bond_electrons[bond.b] += _ORDER_ELECTRONS[bond.order]
     final_atoms: list[Atom] = []
     for idx, atom in enumerate(atoms):
         if isinstance(tokens[idx], str):
             atom = atom.with_hcount(
-                _implicit_hydrogens(atom.element, atom.aromatic, per_atom_orders[idx])
+                _implicit_hydrogens(atom.element, atom.aromatic, bond_electrons[idx])
             )
         final_atoms.append(atom)
 
@@ -1012,12 +1054,12 @@ def _bond_char(mol: Molecule, bond_idx: int) -> str:
 
 def _atom_token(mol: Molecule, idx: int) -> str:
     atom = mol.atoms[idx]
-    orders = [order for _, order in mol.neighbors(idx)]
+    electrons = _bond_electrons(mol.neighbors(idx))
     plain_ok = (
         atom.formal_charge == 0
         and atom.isotope is None
         and (not atom.aromatic or atom.element in _AROMATIC_OK)
-        and _implicit_hydrogens(atom.element, atom.aromatic, orders) == atom.hcount
+        and _implicit_hydrogens(atom.element, atom.aromatic, electrons) == atom.hcount
     )
     symbol = atom.element.lower() if atom.aromatic else atom.element
     if plain_ok:
@@ -1161,8 +1203,18 @@ def mutate(m: Molecule, op: str, seed: int) -> Molecule:
     """Apply one local edit; deterministic for a given seed.
 
     Raises :class:`NoApplicableSiteError` when the operator has no valid
-    site, :class:`ValenceError` when the edit would break valence rules.
+    site, :class:`ValenceError` when the edit would break valence rules,
+    :class:`CanonicalizationBudgetError` when the child's canonical search
+    trips.
     """
+    child = _edit(m, op, seed)
+    child.canonical  # the search runs now, so a trip raises here
+    return child
+
+
+def _edit(m: Molecule, op: str, seed: int) -> Molecule:
+    """:func:`mutate` without the canonical search: the child searches for
+    its string on the first read of ``.canonical``."""
     if op not in EDIT_OPERATORS:
         raise ValueError(f"unknown edit operator {op!r}")
     # no operator changes which bonds lie on a ring: a deleted or appended
@@ -1175,6 +1227,28 @@ def mutate(m: Molecule, op: str, seed: int) -> Molecule:
     if op == "substitute_atom":
         return _substitute(m, rng)
     return _change_bond_order(m, rng)
+
+
+def _edit_child(
+    m: Molecule,
+    atoms: list[Atom],
+    bonds: tuple[Bond, ...],
+    ring_bonds: list[bool],
+    edited: Sequence[int],
+) -> Molecule:
+    """An edit's child, its canonical string deferred. Under a parent
+    validated under the shipped table only the `edited` atoms can break a
+    rule (see the module docstring); any other parent's child is validated
+    in full."""
+    child = Molecule.__new__(Molecule)
+    child._build(tuple(atoms), bonds, ring_bonds)
+    if m._checked:
+        # index order: the first error is the one a full validation raises
+        child._check_atoms(sorted(edited), _VALENCE_MAX)
+    else:
+        child._validate(_VALENCE_MAX)
+    child._checked = True
+    return child
 
 
 def _delete_terminal(m: Molecule, rng: random.Random) -> Molecule:
@@ -1201,7 +1275,7 @@ def _delete_terminal(m: Molecule, rng: random.Random) -> Molecule:
         if target not in (bond.a, bond.b):
             bonds.append(Bond(remap[bond.a], remap[bond.b], bond.order))
             ring_bonds.append(m._ring_bonds[b_idx])
-    return Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds)
+    return _edit_child(m, atoms, tuple(bonds), ring_bonds, (remap[nbr],))
 
 
 def _append_terminal(m: Molecule, rng: random.Random) -> Molecule:
@@ -1215,31 +1289,36 @@ def _append_terminal(m: Molecule, rng: random.Random) -> Molecule:
     atoms[site] = old.with_hcount(old.hcount - 1)
     atoms.append(Atom(new_el, hcount=_DEFAULT_VALENCES[new_el][0] - 1))
     bonds = m.bonds + (Bond(site, len(atoms) - 1, SINGLE),)
-    return Molecule._assemble(tuple(atoms), bonds, m._ring_bonds + [False])
+    return _edit_child(m, atoms, bonds, m._ring_bonds + [False], (site, len(atoms) - 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _substitutes(aromatic: bool, bond_electrons: int) -> tuple[str, ...]:
+    """The pool elements, in pool order, that may replace an atom of this
+    aromaticity whose bonds spend `bond_electrons` valence."""
+    pool = _SUBSTITUTE_AROMATIC_POOL if aromatic else _SUBSTITUTE_POOL
+    return tuple(
+        el
+        for el in pool
+        if bond_electrons + _implicit_hydrogens(el, aromatic, bond_electrons)
+        <= _VALENCE_MAX[el]
+    )
 
 
 def _substitute(m: Molecule, rng: random.Random) -> Molecule:
     candidates: list[tuple[int, str]] = []
     for idx, atom in enumerate(m.atoms):
-        orders = [order for _, order in m.neighbors(idx)]
-        pool = _SUBSTITUTE_AROMATIC_POOL if atom.aromatic else _SUBSTITUTE_POOL
-        for el in pool:
-            if el == atom.element:
-                continue
-            h = _implicit_hydrogens(el, atom.aromatic, orders)
-            bond_sum = sum(_ORDER_ELECTRONS[o] for o in orders)
-            if bond_sum + h <= _VALENCE_MAX[el] and bond_sum <= _VALENCE_MAX[el]:
+        for el in _substitutes(atom.aromatic, _bond_electrons(m.neighbors(idx))):
+            if el != atom.element:
                 candidates.append((idx, el))
     if not candidates:
         raise NoApplicableSiteError("no substitutable atom")
     idx, el = rng.choice(sorted(candidates))
     old = m.atoms[idx]
-    orders = [order for _, order in m.neighbors(idx)]
+    hcount = _implicit_hydrogens(el, old.aromatic, _bond_electrons(m.neighbors(idx)))
     atoms = list(m.atoms)
-    atoms[idx] = Atom(
-        el, old.aromatic, 0, _implicit_hydrogens(el, old.aromatic, orders), None
-    )
-    return Molecule._assemble(tuple(atoms), m.bonds, m._ring_bonds)
+    atoms[idx] = Atom(el, old.aromatic, 0, hcount, None)
+    return _edit_child(m, atoms, m.bonds, m._ring_bonds, (idx,))
 
 
 def _change_bond_order(m: Molecule, rng: random.Random) -> Molecule:
@@ -1267,4 +1346,4 @@ def _change_bond_order(m: Molecule, rng: random.Random) -> Molecule:
         atoms[end] = atoms[end].with_hcount(atoms[end].hcount - delta)
     bonds = list(m.bonds)
     bonds[b_idx] = Bond(bond.a, bond.b, new_order)
-    return Molecule._assemble(tuple(atoms), tuple(bonds), m._ring_bonds)
+    return _edit_child(m, atoms, tuple(bonds), m._ring_bonds, (bond.a, bond.b))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -689,6 +689,13 @@ def _rank(skill: SkillCard) -> tuple[float, str]:
     return (-skill.delta_r, skill.key)
 
 
+def _store_rank(key: str, entry: _Entry) -> tuple[float, int, str, _Entry]:
+    """A store item in capacity order: the largest improvement first, newer
+    cards first among ties. `seq` is unique, so no two items compare
+    beyond it."""
+    return (-entry.skill.delta_r, -entry.seq, key, entry)
+
+
 class _TaskIndex:
     """One task's cards in `_rank` order, with their fingerprints, their
     functional-group bitmasks and their improvements in rows of that order."""
@@ -772,6 +779,9 @@ class SkillBank:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._tasks: dict[str, dict[str, _Entry]] = {}
+        # per task, every store item in capacity order (see _store_rank),
+        # kept up to date by bisection
+        self._rankings: dict[str, list[tuple[float, int, str, _Entry]]] = {}
         # None for a task whose cards disagree on fingerprint width or radius
         self._indexes: dict[str, Optional[_TaskIndex]] = {}
         self._seq = 0
@@ -814,18 +824,22 @@ class SkillBank:
                 store[skill.key] = _Entry(self._seq, skill)
                 merged += 1
 
+        batch = {skill.key for skill in skills}
+        ranking = list(self._rankings.get(task, ()))
+        for key in batch:
+            if store[key] is not before.get(key):
+                if key in before:
+                    del ranking[bisect_left(ranking, _store_rank(key, before[key]))]
+                insort(ranking, _store_rank(key, store[key]))
         evicted: tuple[str, ...] = ()
         if len(store) > self.capacity:
-            ranked = sorted(
-                store.items(), key=lambda kv: (-kv[1].skill.delta_r, -kv[1].seq)
-            )
-            keep = ranked[: self.capacity]
-            evicted = tuple(sorted(key for key, _ in ranked[self.capacity:]))
-            store = dict(keep)
+            evicted = tuple(sorted(key for _, _, key, _ in ranking[self.capacity:]))
+            del ranking[self.capacity:]
+            store = {key: entry for _, _, key, entry in ranking}
 
         # the index follows the store: entries that left or were replaced,
         # entries that came in
-        changed = {skill.key for skill in skills}.union(evicted)
+        changed = batch.union(evicted)
         removed = [before[key].skill for key in changed
                    if key in before and store.get(key) is not before[key]]
         added = [store[key].skill for key in changed
@@ -836,6 +850,7 @@ class SkillBank:
         else:
             self._indexes[task] = _TaskIndex.build([e.skill for e in store.values()])
         self._tasks[task] = store
+        self._rankings[task] = ranking
         return EvictionReport(inserted, merged, evicted, len(store))
 
 

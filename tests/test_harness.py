@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,12 +22,15 @@ from leadopt.harness import (
     report_to_tsv,
     temperature,
 )
+from leadopt import molgraph
 from leadopt.harness import _random_edits
 from leadopt.molgraph import (
     EDIT_OPERATORS,
     CanonicalizationBudgetError,
     NoApplicableSiteError,
+    SmilesError,
     ValenceError,
+    _edit,
     mutate,
     parse,
 )
@@ -257,6 +261,150 @@ class TestPolicies:
         assert callable(get_policy("wire:tcp:127.0.0.1:1"))
         with pytest.raises(ValueError):
             get_policy("alphafold")
+
+
+CORPUS = [
+    line
+    for line in (Path(__file__).parent / "fixtures" / "corpus_500.smi")
+    .read_text().splitlines()
+    if line and not line.startswith("#")
+]
+
+
+def eager_greedy(observation, view, temp, rng, trips):
+    """Eager reference of the greedy policy: every candidate built by
+    `mutate`, no-ops dropped by string, the best by (Tanimoto, string).
+    `trips` collects the candidates whose search tripped."""
+    if view.injected_source != "exemplar" or not view.injected_exemplars:
+        return policy_random_edit(observation, view, temp, rng)
+    try:
+        base = parse(view.injected_exemplars[0])
+    except SmilesError:
+        return policy_random_edit(observation, view, temp, rng)
+    lead_fp = morgan_fp(view.lead)
+    candidates = []
+    for _ in range(8):
+        op = rng.choice(EDIT_OPERATORS)
+        seed = rng.randrange(1 << 30)
+        try:
+            cand = mutate(base, op, seed)
+        except CanonicalizationBudgetError:
+            trips.append(op)
+            continue
+        except (NoApplicableSiteError, ValenceError):
+            continue
+        if cand.canonical != base.canonical:
+            candidates.append(cand)
+    if not candidates:
+        return policy_random_edit(observation, view, temp, rng)
+    best = max(
+        candidates, key=lambda m: (tanimoto(lead_fp, morgan_fp(m)), m.canonical)
+    )
+    return best.canonical
+
+
+def corpus_views(count):
+    """(view, seed) pairs: corpus exemplars edited toward other corpus leads.
+    The molecules are parsed here, before any leaf-budget fixture runs."""
+    views = []
+    for i in range(count):
+        lead = parse(CORPUS[(7 * i + 3) % len(CORPUS)])
+        exemplar = parse(CORPUS[i % len(CORPUS)]).canonical
+        views.append((PolicyView(lead, lead, "exemplar", (exemplar,), 0), i))
+    return views
+
+
+def count_searches(monkeypatch):
+    searches = []
+    real = molgraph._canonical_string
+
+    def counted(*args):
+        searches.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(molgraph, "_canonical_string", counted)
+    return searches
+
+
+class TestDeferredPolicies:
+    def greedy_matches_eager(self, views):
+        trips = []
+        for view, seed in views:
+            got = policy_retrieval_greedy("", view, 0.9, random.Random(seed))
+            want = eager_greedy("", view, 0.9, random.Random(seed), trips)
+            assert got == want, (view.injected_exemplars[0], seed)
+        return trips
+
+    def test_greedy_equals_eager_reference(self):
+        self.greedy_matches_eager(corpus_views(240))
+
+    def test_greedy_equals_eager_reference_when_searches_trip(self, request):
+        views = corpus_views(240)
+        request.getfixturevalue("no_canon_leaves")
+        # the policy must drop tripped candidates and go on to the next score
+        assert self.greedy_matches_eager(views)
+
+    def test_random_edit_never_raises_when_searches_trip(self, request, monkeypatch):
+        views = corpus_views(240)
+        request.getfixturevalue("no_canon_leaves")
+        outs, trapped = [], 0
+        for view, seed in views:
+            for temp in (2.0, 3.0):
+                outs.append(policy_random_edit("", view, temp, random.Random(seed)))
+                chain = _random_edits(view.current, int(temp), random.Random(seed))
+                try:
+                    chain.canonical
+                except CanonicalizationBudgetError:
+                    # the last edit failed, and the chain ends on an
+                    # intermediate whose search trips
+                    trapped += 1
+                    assert outs[-1] == view.current.canonical
+        assert trapped
+        monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 20_000)
+        for out in outs:
+            assert parse(out).canonical == out
+
+    def test_edit_runs_no_search(self, monkeypatch):
+        parent = parse(CORPUS[0])
+        searches = count_searches(monkeypatch)
+        children = []
+        for op in EDIT_OPERATORS:
+            for seed in range(5):
+                try:
+                    children.append(_edit(parent, op, seed))
+                except NoApplicableSiteError:
+                    pass
+        assert children and searches == []
+        # the first read searches, later reads return the stored string
+        name = children[0].canonical
+        assert children[0].canonical is name and searches == [children[0]]
+
+    def test_greedy_names_one_candidate(self, monkeypatch):
+        # a unique best candidate whose fingerprint differs from the
+        # exemplar's is proposed with a single canonical search
+        checked = 0
+        for view, seed in corpus_views(40):
+            base = parse(view.injected_exemplars[0])
+            lead_fp, base_fp = morgan_fp(view.lead), morgan_fp(base)
+            rng = random.Random(seed)
+            scored = []
+            for _ in range(8):
+                op = rng.choice(EDIT_OPERATORS)
+                try:
+                    cand = _edit(base, op, rng.randrange(1 << 30))
+                except NoApplicableSiteError:
+                    continue
+                scored.append((tanimoto(lead_fp, morgan_fp(cand)), cand))
+            best = max(score for score, _ in scored)
+            top = [cand for score, cand in scored if score == best]
+            if len(top) != 1 or morgan_fp(top[0]) == base_fp:
+                continue
+            with monkeypatch.context() as patch:
+                searches = count_searches(patch)
+                out = policy_retrieval_greedy("", view, 0.9, random.Random(seed))
+            assert len(searches) == 1 and out == top[0].canonical
+            checked += 1
+        assert checked >= 10
 
 
 class TestOptimizeLead:

@@ -683,3 +683,48 @@ class TestParseTotality:
             return
         assert isinstance(mol, Molecule)
         assert parse(mol.canonical) == mol
+
+
+class TestEditChildren:
+    @given(
+        st.sampled_from(CORPUS),
+        st.lists(
+            st.tuples(st.sampled_from(EDIT_OPERATORS), st.integers(0, 10**6)),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_checking_the_edited_atoms_is_enough(self, source, edits):
+        # a chain of deferred children, each checked only where it was
+        # edited, against a full validation and an eager construction
+        mol = parse(source)
+        for op, seed in edits:
+            try:
+                child = molgraph._edit(mol, op, seed)
+            except NoApplicableSiteError:
+                continue
+            assert child._canonical is None
+            child._validate(molgraph._VALENCE_MAX)
+            assert child.canonical == Molecule(child.atoms, child.bonds).canonical
+            assert parse(child.canonical) == child
+            mol = child
+
+    def test_child_of_a_custom_table_parent_is_validated_in_full(self):
+        # the pentavalent centre is never an edit site, so only a full
+        # validation of the child finds it
+        loose = dict(load_valence_table(), C=5)
+        parent = parse("C(C)(C)(C)(C)C", valence_table=loose)
+        for seed in range(10):
+            with pytest.raises(ValenceError, match="atom 0 "):
+                molgraph._edit(parent, "append_terminal_atom", seed)
+
+    def test_child_of_an_unvalidated_parent_is_validated_in_full(self):
+        # an aromatic atom outside a ring, with no hydrogen to append to
+        frag = Molecule(
+            [Atom("C", hcount=3), Atom("C", aromatic=True), Atom("C", hcount=3)],
+            [Bond(0, 1), Bond(1, 2)],
+            validate=False,
+        )
+        for seed in range(10):
+            with pytest.raises(SmilesSyntaxError, match="not in a ring"):
+                molgraph._edit(frag, "append_terminal_atom", seed)

@@ -560,6 +560,66 @@ def real_skill(smiles, idx, delta_r):
     return make_skill_card(card, "qed")
 
 
+class SortingBank:
+    """One task's store as `SkillBank.insert` kept it before it maintained a
+    ranking: merge the batch, then sort the whole store past capacity."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.store = {}
+        self.seq = 0
+
+    def insert(self, skills):
+        store = dict(self.store)
+        for skill in skills:
+            existing = store.get(skill.key)
+            if existing is None or skill.delta_r > existing[1].delta_r:
+                self.seq += 1
+                store[skill.key] = (self.seq, skill)
+        evicted = ()
+        if len(store) > self.capacity:
+            ranked = sorted(store.items(), key=lambda kv: (-kv[1][1].delta_r, -kv[1][0]))
+            evicted = tuple(sorted(key for key, _ in ranked[self.capacity:]))
+            store = dict(ranked[: self.capacity])
+        self.store = store
+        return evicted
+
+    def cards(self):
+        return [skill for _, skill in self.store.values()]
+
+
+class TestBankInsertDifferential:
+    SOURCES = ("CCO", "CCN", "c1ccccc1O", "CC(=O)O")
+
+    @given(
+        st.integers(1, 12),
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 24), st.sampled_from([0.1, 0.25, 0.5, 0.75])),
+                min_size=1, max_size=8,
+            ),
+            min_size=1, max_size=12,
+        ),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_store_matches_a_full_sort(self, capacity, batches, reload_at):
+        # few keys and few improvements: duplicates merge, ranks tie, and
+        # the bank fills, overflows, or never reaches capacity
+        bank, ref = SkillBank(capacity), SortingBank(capacity)
+        for step, batch in enumerate(batches):
+            if step == reload_at:
+                with tempfile.TemporaryDirectory() as tmp:
+                    bank = load_skills(save_skills(bank, Path(tmp) / "s.jsonl"), capacity)
+                cards, ref = ref.cards(), SortingBank(capacity)
+                ref.insert(cards)
+            skills = [real_skill(self.SOURCES[k % 4], k, d) for k, d in batch]
+            assert bank.insert(skills).evicted_keys == ref.insert(skills)
+            assert [(s.key, s.delta_r) for s in bank.cards("qed")] == [
+                (s.key, s.delta_r) for s in ref.cards()
+            ]
+
+
 class TestIndexedRetrievalDifferential:
     @given(
         st.sampled_from([8, 16, 64]),
