@@ -8,6 +8,13 @@ Reward branches, in precedence order (earlier masks later):
   4. lead similarity below gamma -> -2 * (gamma - sim)
   5. oracle evaluation           -> 5 * delta if improved else -|delta|
 Only branch 5 touches the oracle budget.
+
+Rollouts restart from the lead and keep returning to the same molecules, so
+an env remembers each exemplar block it retrieved, keyed by the current
+molecule's and the lead's canonical strings: one retrieval per pair, with
+the coin flip between the two memories still drawn on every injection.
+Skill blocks are retrieved anew each time, since harvesting grows the skill
+bank during a search.
 """
 
 from __future__ import annotations
@@ -212,6 +219,10 @@ class MolEnv:
         self.exemplar_bank = exemplar_bank
         self.skill_bank = skill_bank
         self._prompt_template = data_text("prompt_template.txt")
+        # (current, lead) canonical strings -> exemplar block or None; the
+        # bank's records are a tuple and the objective is fixed, so a block
+        # depends only on the pair
+        self._exemplar_blocks: dict[tuple[str, str], Optional[InjectedMemory]] = {}
 
     # -- rollout lifecycle --------------------------------------------------
 
@@ -327,32 +338,17 @@ class MolEnv:
         """Inject a rendered memory block once progress has stalled for
         `plateau_patience` turns; both sources eligible -> seeded coin flip
         (exemplars win below MEMORY_SELECT_P). Below patience the slot is
-        cleared."""
+        cleared. The exemplar block is retrieved once per (current, lead)
+        pair, so a record that lacks a property is logged once per pair."""
         if state.stall_count < self.config.plateau_patience:
             state.injected = None
             return
         exemplar_block = None
         if self.exemplar_bank is not None and len(self.exemplar_bank) > 0:
-            gamma_ex = (
-                self.objective.gamma
-                if self.config.gamma_exemplar is None
-                else self.config.gamma_exemplar
-            )
-            exemplars = retrieve_exemplars(
-                self.exemplar_bank,
-                state.current,
-                state.lead,
-                self.objective,
-                k=EXEMPLAR_K,
-                gamma_ex=gamma_ex,
-                pool_size=EXEMPLAR_POOL,
-            )
-            if exemplars:
-                exemplar_block = InjectedMemory(
-                    "exemplar",
-                    render_exemplar_block(exemplars, self.objective, state.lead),
-                    tuple(record.canonical for record in exemplars),
-                )
+            key = (state.current.canonical, state.lead.canonical)
+            if key not in self._exemplar_blocks:
+                self._exemplar_blocks[key] = self._exemplar_block(state)
+            exemplar_block = self._exemplar_blocks[key]
         skill_block = None
         if self.skill_bank is not None:
             skills = retrieve_skills(
@@ -375,6 +371,29 @@ class MolEnv:
             state.injected = exemplar_block if pick_exemplar else skill_block
         else:
             state.injected = exemplar_block or skill_block
+
+    def _exemplar_block(self, state: EnvState) -> Optional[InjectedMemory]:
+        gamma_ex = (
+            self.objective.gamma
+            if self.config.gamma_exemplar is None
+            else self.config.gamma_exemplar
+        )
+        exemplars = retrieve_exemplars(
+            self.exemplar_bank,
+            state.current,
+            state.lead,
+            self.objective,
+            k=EXEMPLAR_K,
+            gamma_ex=gamma_ex,
+            pool_size=EXEMPLAR_POOL,
+        )
+        if not exemplars:
+            return None
+        return InjectedMemory(
+            "exemplar",
+            render_exemplar_block(exemplars, self.objective, state.lead),
+            tuple(record.canonical for record in exemplars),
+        )
 
     # -- observation ----------------------------------------------------------
 

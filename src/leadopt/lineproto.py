@@ -87,12 +87,20 @@ class _ProcTransport(LineTransport):
             return self._take_line()
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.terminate()
+        """Stop the child if it still runs, then close both pipes."""
+        proc = self._proc
+        if proc.poll() is None:
+            proc.terminate()
             try:
-                self._proc.wait(timeout=2)
+                proc.wait(timeout=2)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
+                proc.kill()
+                proc.wait()
+        for pipe in (proc.stdin, proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # flushing to a child that is gone
+                pass
 
 
 class _TcpTransport(LineTransport):

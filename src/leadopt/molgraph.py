@@ -27,6 +27,19 @@ disconnect the graph, duplicate a bond or make an aromatic bond, so the
 child of a parent validated under the shipped table checks only the atoms
 its edit touched; any other parent's child is validated in full.
 
+Search keeps returning to the same molecules, so an edit memo keeps the
+last _EDIT_MEMO_MAX pieces of edit work on molecules named when they were
+built (parsed, constructed or a twin), least recently used first out: an
+operator's sorted site list, and the child of a resolved edit (the
+operator plus the site, element or bond order the seed drew). A repeated
+edit makes the same draws and hands back the child built before, already
+checked and perhaps named and fingerprinted. A deferred edit child's own
+edits and a failed edit are never kept. The memo is keyed by the molecule
+object, never by a canonical string, since sites are atom indices and a
+write-order twin lists its atoms in another order. A kept child may have
+been named long ago: once its string has left the remembered writes,
+parsing that string is a full parse, not a write-order twin.
+
 The canonical search prunes automorphic branches, so highly symmetric
 graphs (tetra-tert-butylmethane, C60) canonicalize in milliseconds; a graph
 that still exhausts the leaf budget raises
@@ -41,7 +54,7 @@ import heapq
 import random
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .files import data_text, table_rows
 
@@ -198,6 +211,7 @@ class Molecule:
         "_checked",
         "_canonical",
         "_fp_cache",
+        "_keeps_edits",
     )
 
     def __init__(
@@ -259,6 +273,9 @@ class Molecule:
         # children may check just the edited atoms
         self._checked = False
         self._canonical: Optional[str] = None
+        # whether the edit memo keeps this molecule's edits (see _edit):
+        # not on a deferred edit child
+        self._keeps_edits = True
 
     def _validate_and_name(
         self, validate: bool, valence_table: Optional[dict[str, int]]
@@ -1198,6 +1215,15 @@ _APPEND_POOL = ("C", "N", "O", "F", "Cl", "S")
 _SUBSTITUTE_POOL = ("C", "N", "O", "S", "P", "F", "Cl", "B")
 _SUBSTITUTE_AROMATIC_POOL = ("C", "N", "O", "S")
 
+# the last _EDIT_MEMO_MAX pieces of edit work on molecules named when they
+# were built, least recently used first: (id of the molecule, op) -> (the
+# molecule, its sites in draw order), and (id of the molecule, op, site[,
+# element]) -> (the molecule, the child). An entry holds its molecule, so no
+# other molecule can take that id while the entry lives.
+_EDIT_MEMO_MAX = 128
+_EDIT_MEMO: dict[tuple, tuple[Molecule, object]] = {}
+_EDIT_MEMO_LOCK = threading.Lock()
+
 
 def mutate(m: Molecule, op: str, seed: int) -> Molecule:
     """Apply one local edit; deterministic for a given seed.
@@ -1214,19 +1240,42 @@ def mutate(m: Molecule, op: str, seed: int) -> Molecule:
 
 def _edit(m: Molecule, op: str, seed: int) -> Molecule:
     """:func:`mutate` without the canonical search: the child searches for
-    its string on the first read of ``.canonical``."""
+    its string on the first read of ``.canonical``. Site lists and children
+    the edit memo still holds are the ones made before (see the module
+    docstring)."""
     if op not in EDIT_OPERATORS:
         raise ValueError(f"unknown edit operator {op!r}")
+    find_sites, build, no_site = _OPERATORS[op]
+    sites = _edit_work(m, (op,), lambda: find_sites(m))
+    if not sites:
+        raise NoApplicableSiteError(no_site)
+    rng = random.Random(seed)
+    key = (op, rng.choice(sites))
+    if op == "append_terminal_atom":
+        key += (rng.choice(_APPEND_POOL),)
     # no operator changes which bonds lie on a ring: a deleted or appended
     # terminal bond is a bridge, so each edit hands on the parent's flags
-    rng = random.Random(seed)
-    if op == "delete_terminal_atom":
-        return _delete_terminal(m, rng)
-    if op == "append_terminal_atom":
-        return _append_terminal(m, rng)
-    if op == "substitute_atom":
-        return _substitute(m, rng)
-    return _change_bond_order(m, rng)
+    return _edit_work(m, key, lambda: build(m, key))
+
+
+def _edit_work(m: Molecule, key: tuple, make: Callable[[], object]) -> object:
+    """`make()`, or what it gave before for `m` and `key` if the edit memo
+    still holds it. A failed `make` is not kept. Threads racing on one key
+    may each make the value; the values are equal."""
+    if not m._keeps_edits:
+        return make()
+    key = (id(m),) + key
+    with _EDIT_MEMO_LOCK:
+        entry = _EDIT_MEMO.pop(key, None)
+        if entry is not None:
+            _EDIT_MEMO[key] = entry
+            return entry[1]
+    value = make()
+    with _EDIT_MEMO_LOCK:
+        _EDIT_MEMO[key] = (m, value)
+        if len(_EDIT_MEMO) > _EDIT_MEMO_MAX:
+            del _EDIT_MEMO[next(iter(_EDIT_MEMO))]
+    return value
 
 
 def _edit_child(
@@ -1248,48 +1297,45 @@ def _edit_child(
     else:
         child._validate(_VALENCE_MAX)
     child._checked = True
+    child._keeps_edits = False
     return child
 
 
-def _delete_terminal(m: Molecule, rng: random.Random) -> Molecule:
-    sites = [
-        idx
-        for idx in range(len(m.atoms))
-        if m.degree(idx) == 1 and len(m.atoms) > 1
-    ]
-    if not sites:
-        raise NoApplicableSiteError("no terminal atom to delete")
-    target = rng.choice(sorted(sites))
-    (nbr, order), = m.neighbors(target)
-    atoms = []
-    remap = {}
-    for idx, atom in enumerate(m.atoms):
-        if idx == target:
-            continue
-        remap[idx] = len(atoms)
-        if idx == nbr:
-            atom = atom.with_hcount(atom.hcount + _ORDER_ELECTRONS[order])
-        atoms.append(atom)
+def _terminal_atoms(m: Molecule) -> list[int]:
+    return [idx for idx, nbrs in enumerate(m._adj) if len(nbrs) == 1]
+
+
+def _delete_terminal(m: Molecule, key: tuple) -> Molecule:
+    _, target = key
+    (nbr, order), = m._adj[target]
+    atoms = list(m.atoms)
+    atoms[nbr] = atoms[nbr].with_hcount(atoms[nbr].hcount + _ORDER_ELECTRONS[order])
+    del atoms[target]
     bonds, ring_bonds = [], []
     for b_idx, bond in enumerate(m.bonds):
-        if target not in (bond.a, bond.b):
-            bonds.append(Bond(remap[bond.a], remap[bond.b], bond.order))
-            ring_bonds.append(m._ring_bonds[b_idx])
-    return _edit_child(m, atoms, tuple(bonds), ring_bonds, (remap[nbr],))
+        if target == bond.a or target == bond.b:
+            continue
+        if bond.a > target or bond.b > target:
+            bond = Bond(bond.a - (bond.a > target), bond.b - (bond.b > target), bond.order)
+        bonds.append(bond)
+        ring_bonds.append(m._ring_bonds[b_idx])
+    return _edit_child(m, atoms, tuple(bonds), ring_bonds, (nbr - (nbr > target),))
 
 
-def _append_terminal(m: Molecule, rng: random.Random) -> Molecule:
-    sites = [idx for idx, atom in enumerate(m.atoms) if atom.hcount >= 1]
-    if not sites:
-        raise NoApplicableSiteError("no atom with a spare hydrogen")
-    site = rng.choice(sorted(sites))
-    new_el = rng.choice(_APPEND_POOL)
+def _hydrogen_sites(m: Molecule) -> list[int]:
+    return [idx for idx, atom in enumerate(m.atoms) if atom.hcount >= 1]
+
+
+def _append_terminal(m: Molecule, key: tuple) -> Molecule:
+    _, site, element = key
+    new = len(m.atoms)
     old = m.atoms[site]
     atoms = list(m.atoms)
     atoms[site] = old.with_hcount(old.hcount - 1)
-    atoms.append(Atom(new_el, hcount=_DEFAULT_VALENCES[new_el][0] - 1))
-    bonds = m.bonds + (Bond(site, len(atoms) - 1, SINGLE),)
-    return _edit_child(m, atoms, bonds, m._ring_bonds + [False], (site, len(atoms) - 1))
+    atoms.append(Atom(element, hcount=_DEFAULT_VALENCES[element][0] - 1))
+    return _edit_child(
+        m, atoms, m.bonds + (Bond(site, new, SINGLE),), m._ring_bonds + [False], (site, new)
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -1305,45 +1351,65 @@ def _substitutes(aromatic: bool, bond_electrons: int) -> tuple[str, ...]:
     )
 
 
-def _substitute(m: Molecule, rng: random.Random) -> Molecule:
-    candidates: list[tuple[int, str]] = []
-    for idx, atom in enumerate(m.atoms):
-        for el in _substitutes(atom.aromatic, _bond_electrons(m.neighbors(idx))):
-            if el != atom.element:
-                candidates.append((idx, el))
-    if not candidates:
-        raise NoApplicableSiteError("no substitutable atom")
-    idx, el = rng.choice(sorted(candidates))
+def _substitutions(m: Molecule) -> list[tuple[int, str]]:
+    return sorted(
+        (idx, el)
+        for idx, atom in enumerate(m.atoms)
+        for el in _substitutes(atom.aromatic, _bond_electrons(m._adj[idx]))
+        if el != atom.element
+    )
+
+
+def _substitute(m: Molecule, key: tuple) -> Molecule:
+    _, (idx, element) = key
     old = m.atoms[idx]
-    hcount = _implicit_hydrogens(el, old.aromatic, _bond_electrons(m.neighbors(idx)))
+    hcount = _implicit_hydrogens(element, old.aromatic, _bond_electrons(m._adj[idx]))
     atoms = list(m.atoms)
-    atoms[idx] = Atom(el, old.aromatic, 0, hcount, None)
+    atoms[idx] = Atom(element, old.aromatic, 0, hcount, None)
     return _edit_child(m, atoms, m.bonds, m._ring_bonds, (idx,))
 
 
-def _change_bond_order(m: Molecule, rng: random.Random) -> Molecule:
+def _bond_order_changes(m: Molecule) -> list[tuple[int, str]]:
     candidates: list[tuple[int, str]] = []
     for b_idx, bond in enumerate(m.bonds):
         if bond.order == AROMATIC:
+            continue
+        a, b = m.atoms[bond.a], m.atoms[bond.b]
+        if a.aromatic or b.aromatic:
             continue
         for new_order in (SINGLE, DOUBLE, TRIPLE):
             if new_order == bond.order:
                 continue
             delta = _ORDER_ELECTRONS[new_order] - _ORDER_ELECTRONS[bond.order]
-            a, b = m.atoms[bond.a], m.atoms[bond.b]
-            if a.hcount - delta < 0 or b.hcount - delta < 0:
-                continue
-            if a.aromatic or b.aromatic:
-                continue
-            candidates.append((b_idx, new_order))
-    if not candidates:
-        raise NoApplicableSiteError("no bond eligible for an order change")
-    b_idx, new_order = rng.choice(sorted(candidates))
+            if a.hcount - delta >= 0 and b.hcount - delta >= 0:
+                candidates.append((b_idx, new_order))
+    candidates.sort()
+    return candidates
+
+
+def _change_bond_order(m: Molecule, key: tuple) -> Molecule:
+    _, (b_idx, order) = key
     bond = m.bonds[b_idx]
-    delta = _ORDER_ELECTRONS[new_order] - _ORDER_ELECTRONS[bond.order]
+    delta = _ORDER_ELECTRONS[order] - _ORDER_ELECTRONS[bond.order]
     atoms = list(m.atoms)
     for end in (bond.a, bond.b):
         atoms[end] = atoms[end].with_hcount(atoms[end].hcount - delta)
     bonds = list(m.bonds)
-    bonds[b_idx] = Bond(bond.a, bond.b, new_order)
+    bonds[b_idx] = Bond(bond.a, bond.b, order)
     return _edit_child(m, atoms, tuple(bonds), m._ring_bonds, (bond.a, bond.b))
+
+
+# per operator: its sites in draw order, the child of a resolved edit, and
+# the error when there is no site
+_OPERATORS = {
+    "substitute_atom": (_substitutions, _substitute, "no substitutable atom"),
+    "append_terminal_atom": (
+        _hydrogen_sites, _append_terminal, "no atom with a spare hydrogen"
+    ),
+    "delete_terminal_atom": (
+        _terminal_atoms, _delete_terminal, "no terminal atom to delete"
+    ),
+    "change_bond_order": (
+        _bond_order_changes, _change_bond_order, "no bond eligible for an order change"
+    ),
+}

@@ -473,6 +473,53 @@ class TestOptimizeLead:
         assert all(len(t.steps) <= 2 for t in trajectories)
 
 
+class TestInjectionMemo:
+    def test_one_retrieval_per_pair_and_the_same_trajectories(self, monkeypatch):
+        # rollouts restart from the lead, so injections repeat (current,
+        # lead) pairs; each pair is retrieved once, and forgetting every
+        # block before each injection changes nothing but the call count
+        from leadopt import env as env_module
+        from leadopt.env import MolEnv
+        from leadopt.oracles import load_objective
+
+        objective = load_objective("qed")
+        bank = build_bank(CORPUS[:150], oracles=[t.oracle for t in objective.terms])
+        cfg = SearchConfig(generations=3, rollouts_per_gen=8, budget=60,
+                           seed=7, harvest_skills=True)
+        calls = []
+        real_retrieve = env_module.retrieve_exemplars
+
+        def spy(bank, current, lead, *args, **kwargs):
+            calls.append((current.canonical, lead.canonical))
+            return real_retrieve(bank, current, lead, *args, **kwargs)
+
+        monkeypatch.setattr(env_module, "retrieve_exemplars", spy)
+
+        def search():
+            calls.clear()
+            result, trajectories = optimize_lead(
+                parse(CORPUS[1]), cfg, get_policy("greedy"), objective,
+                exemplar_bank=bank,
+            )
+            return result, trajectories, list(calls)
+
+        result, trajectories, remembered = search()
+        assert remembered and len(remembered) == len(set(remembered))
+        assert any(step.injected_source == "exemplar"
+                   for t in trajectories for step in t.steps)
+
+        real_inject = MolEnv.maybe_inject_memory
+
+        def forgetful(self, state):
+            self._exemplar_blocks.clear()
+            real_inject(self, state)
+
+        monkeypatch.setattr(MolEnv, "maybe_inject_memory", forgetful)
+        forgot_result, forgot_trajectories, forgot = search()
+        assert (forgot_result, forgot_trajectories) == (result, trajectories)
+        assert set(forgot) == set(remembered) and len(forgot) > len(remembered)
+
+
 class TestReports:
     def test_json_deterministic(self):
         obj = scripted_objective()

@@ -555,7 +555,9 @@ class TestWriteOrderTwin:
     )
     @settings(max_examples=60, deadline=None)
     def test_equals_parse_along_mutate_chains(self, source, edits):
-        mol = parse(source)
+        # a fresh parent: the one parse() caches may hand back a child named
+        # long ago, whose string is no longer remembered as its own write
+        mol = molgraph._parse_text(source, None)
         for op, seed in edits:
             try:
                 mol = mutate(mol, op, seed)
@@ -696,8 +698,9 @@ class TestEditChildren:
     @settings(max_examples=120, deadline=None)
     def test_checking_the_edited_atoms_is_enough(self, source, edits):
         # a chain of deferred children, each checked only where it was
-        # edited, against a full validation and an eager construction
-        mol = parse(source)
+        # edited, against a full validation and an eager construction; a
+        # fresh parent, since parse() may hand back one with named children
+        mol = molgraph._parse_text(source, None)
         for op, seed in edits:
             try:
                 child = molgraph._edit(mol, op, seed)
@@ -728,3 +731,117 @@ class TestEditChildren:
         for seed in range(10):
             with pytest.raises(SmilesSyntaxError, match="not in a ring"):
                 molgraph._edit(frag, "append_terminal_atom", seed)
+
+
+MORGAN_GOLDEN = Path(__file__).parent / "golden" / "morgan_bits.tsv"
+
+
+def structure(mol: Molecule) -> tuple:
+    return (mol.atoms, mol.bonds, mol._adj, mol._ring_bonds, mol._ring_atoms)
+
+
+class TestEditMemo:
+    def test_repeated_edits_match_fresh_edits_and_goldens(self):
+        # every mutate row of the golden file, edited twice on one parent
+        # per source: the second edit hands back the first child or fails
+        # as the first did, and the child is the one a fresh parent gives,
+        # with the golden string and fingerprint bits
+        bits = {}
+        for line in MORGAN_GOLDEN.read_text().splitlines():
+            if not line.startswith("#"):
+                source, op, seed, default_bits, small_bits = line.split("\t")
+                bits[source, op, seed] = (default_bits, small_bits)
+        parents: dict[str, Molecule] = {}
+        mismatches = []
+        checked = 0
+        for line in GOLDEN.read_text().splitlines():
+            source, op, seed, want = line.split("\t")
+            if line.startswith("#") or op == "parse":
+                continue
+            if source not in parents:
+                parents[source] = molgraph._parse_text(source, None)
+            parent = parents[source]
+            outcomes = []
+            for _ in range(2):
+                try:
+                    outcomes.append(molgraph._edit(parent, op, int(seed)))
+                except SmilesError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            first, second = outcomes
+            if isinstance(first, tuple):
+                if second != first or "!" + first[0].__name__ != want:
+                    mismatches.append((source, op, seed, first, second))
+                continue
+            assert second is first, (source, op, seed)
+            fresh = molgraph._edit(molgraph._parse_text(source, None), op, int(seed))
+            rebuilt = Molecule(first.atoms, first.bonds)
+            if not (
+                structure(first) == structure(fresh) == structure(rebuilt)
+                and first._checked and first._canonical is None
+                and first.canonical == want
+                and (f"{morgan_fp(first).bits:x}", f"{morgan_fp(first, 3, 64).bits:x}")
+                == bits[source, op, seed]
+            ):
+                mismatches.append((source, op, seed))
+                continue
+            # the memo keeps the edits of the child's write-order twin, not
+            # those of the deferred child, and the twin starts with none
+            canon = molgraph._WRITTEN[first.canonical]
+            assert canon.mol is first
+            twin = molgraph._write_order_twin(first.canonical, canon)
+            assert twin._keeps_edits and not first._keeps_edits
+            assert all(mol is not twin for mol, _ in molgraph._EDIT_MEMO.values())
+            assert parsed_equal(twin, want)
+            checked += 1
+        assert mismatches == []
+        assert checked > 1500
+        assert len(molgraph._EDIT_MEMO) == molgraph._EDIT_MEMO_MAX
+        for key, (mol, _) in molgraph._EDIT_MEMO.items():
+            assert key[0] == id(mol) and mol._keeps_edits
+
+    def test_the_memo_keeps_the_most_recently_used_edits(self):
+        # more edit work than the memo keeps: the least recently used goes,
+        # what is kept in use stays, and an edit rebuilt after it went equals
+        # the one kept before
+        source = "CC(C)Cc1ccc(cc1)C(C)C(=O)O"
+        cold_parent, warm_parent = (molgraph._parse_text(source, None) for _ in range(2))
+        cold = molgraph._edit(cold_parent, "substitute_atom", 0)
+        warm = molgraph._edit(warm_parent, "substitute_atom", 0)
+        for _ in range(molgraph._EDIT_MEMO_MAX):
+            # another parent object, so another entry
+            molgraph._edit(molgraph._parse_text(source, None), "substitute_atom", 0)
+            assert molgraph._edit(warm_parent, "substitute_atom", 0) is warm
+        assert len(molgraph._EDIT_MEMO) == molgraph._EDIT_MEMO_MAX
+        again = molgraph._edit(cold_parent, "substitute_atom", 0)
+        assert again is not cold and structure(again) == structure(cold)
+        assert molgraph._edit(cold_parent, "substitute_atom", 0) is again
+
+    def test_deferred_children_keep_no_children(self):
+        parent = molgraph._parse_text("CCOc1ccccc1", None)
+        child = molgraph._edit(parent, "append_terminal_atom", 5)
+        grandchild = molgraph._edit(child, "append_terminal_atom", 5)
+        assert not child._keeps_edits
+        assert molgraph._edit(child, "append_terminal_atom", 5) is not grandchild
+        # a molecule named when it was built keeps them
+        named = Molecule(child.atoms, child.bonds)
+        assert molgraph._edit(named, "append_terminal_atom", 5) is molgraph._edit(
+            named, "append_terminal_atom", 5
+        )
+
+    def test_a_kept_child_whose_string_was_forgotten_parses_in_full(self):
+        # a memo hit may hand back a child named long ago; once its string
+        # has left the remembered writes, parsing it is a full parse, not a
+        # write-order twin, and still gives an equal molecule
+        source = "CC(C)(C)OC(=O)N1CCC(CC1)C#N"
+        parent = parse(source)
+        assert parse(source) is parent
+        child = molgraph._edit(parent, "substitute_atom", 11)
+        text = child.canonical
+        assert molgraph._WRITTEN[text].mol is child
+        for n in range(1, molgraph._PARSE_CACHE_SIZE + 2):
+            molgraph._parse_text("C" * n, None)
+        assert text not in molgraph._WRITTEN
+        assert molgraph._edit(parent, "substitute_atom", 11) is child
+        reparsed = parse(text)
+        assert reparsed == child and reparsed is not child
+        assert parsed_equal(reparsed, text)
