@@ -265,8 +265,9 @@ class Molecule:
             if ring_bonds[b_idx]:
                 self._ring_atoms[bond.a] = True
                 self._ring_atoms[bond.b] = True
-        # graph-only values (chemfeat's fingerprints and FG sets), never
-        # depending on atom order, so a write-order twin shares them
+        # graph-only values (chemfeat's fingerprints and FG sets, the
+        # scaffold), never depending on atom order, so a write-order twin
+        # shares them
         self._fp_cache: dict = {}
         # validated under the shipped valence table: only such molecules
         # are remembered for write-order twins, and only their edit
@@ -1201,9 +1202,14 @@ def induced_subgraph(
 
 def scaffold_of(m: Molecule) -> Scaffold:
     """The validated molecule on :func:`scaffold_atoms`; empty for acyclic
-    molecules."""
-    core = Molecule(*induced_subgraph(m, scaffold_atoms(m)))
-    return Scaffold(core, core.ring_count())
+    molecules. Computed once per molecule and kept in its `_fp_cache`, so a
+    write-order twin may hold a core in its writer's atom order: read only
+    the core's string and the ring count."""
+    scaffold = m._fp_cache.get("scaffold")
+    if scaffold is None:
+        core = Molecule(*induced_subgraph(m, scaffold_atoms(m)))
+        scaffold = m._fp_cache["scaffold"] = Scaffold(core, core.ring_count())
+    return scaffold
 
 
 # ---------------------------------------------------------------------------

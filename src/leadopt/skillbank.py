@@ -2,6 +2,11 @@
 strategy-sentence rendering, and a capacity-controlled per-task skill bank
 with dual (fingerprint / functional-group) retrieval.
 
+An edit card's atom mapping is the maximum common connected substructure of
+its pair, found by an exact branch and bound over atom bitsets that stops
+after a fixed number of search nodes, never at a clock: a card depends only
+on its two molecules.
+
 The bank keeps, per task, the cards in (-delta_r, key) order beside a
 `chemfeat.FingerprintIndex` of their fingerprints and an array of their
 functional-group bitmasks, updated on every insert. Retrieval scores both
@@ -13,11 +18,10 @@ from __future__ import annotations
 
 import json
 import logging
-import time
 from bisect import bisect_left, insort
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +79,10 @@ SCAFFOLD_TYPES = (
 )
 
 _EXACT_MCS_ATOM_LIMIT = 40
-DEFAULT_MCS_TIME_CAP = 0.2
+# nodes an exact MCS search may visit before it falls back to the greedy
+# mapping: at most 517 on the benchmark's harvests, where a 40-atom search
+# pays about 14 us a node
+_MCS_NODE_BUDGET = 20_000
 DEFAULT_HARVEST_DELTA = 0.05
 DEFAULT_CAPACITY = 1000
 
@@ -98,8 +105,8 @@ class McsResult:
         return dict(self.mapping)
 
 
-class _SearchTimeout(Exception):
-    pass
+class _SearchStop(Exception):
+    """The mapping cannot grow any more, or the node budget is spent."""
 
 
 def _atom_label(mol: Molecule, idx: int) -> tuple:
@@ -107,91 +114,143 @@ def _atom_label(mol: Molecule, idx: int) -> tuple:
     return (atom.element, atom.aromatic, atom.formal_charge)
 
 
-def _exact_mcs(
-    g: Molecule, h: Molecule, deadline: float
-) -> tuple[list[tuple[int, int]], bool]:
-    """McSplit-style branch and bound for the maximum common connected
-    induced subgraph with matching atom labels and bond orders.
+def _neighbour_masks(
+    mol: Molecule, orders: Sequence[str]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Per atom, the bitmask of its neighbours by each bond order in
+    `orders`, and the bitmask of all its neighbours."""
+    nbrs = [mol.neighbors(i) for i in range(len(mol.atoms))]
+    by_order = [
+        tuple(sum(1 << j for j, o in row if o == order) for order in orders)
+        for row in nbrs
+    ]
+    return by_order, [sum(1 << j for j, _ in row) for row in nbrs]
 
-    Returns (best mapping, completed) where completed is False on timeout.
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reachable(start: int, avail: int, nbrs: list[int]) -> int:
+    """The atoms of `avail` joined to `start` by paths through `avail`."""
+    reach = frontier = start & avail
+    while frontier:
+        grown = 0
+        for u in _bits(frontier):
+            grown |= nbrs[u]
+        frontier = grown & avail & ~reach
+        reach |= frontier
+    return reach
+
+
+def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, int]:
+    """McSplit-style branch and bound for the maximum common connected
+    induced subgraph with matching atom labels and bond orders (McCreesh,
+    Prosser & Trimble, IJCAI 2017) on label classes of atom bitmasks.
+
+    Below the best mapping, a node also bounds by the atoms joined to the
+    mapping through atoms still in some class: only those can extend a
+    connected mapping. Returns (best mapping, completed, nodes visited);
+    completed is False once _MCS_NODE_BUDGET nodes are spent.
     """
-    g_adj = neighbor_maps(g)
-    h_adj = neighbor_maps(h)
+    orders = sorted({b.order for b in g.bonds} & {b.order for b in h.bonds})
+    g_by_order, g_every = _neighbour_masks(g, orders)
+    h_by_order, h_every = _neighbour_masks(h, orders)
+    g_all = (1 << len(g.atoms)) - 1
+    h_all = (1 << len(h.atoms)) - 1
+    # atoms neither the branching atom nor one of its neighbours
+    g_other = [g_all & ~(nbrs | 1 << i) for i, nbrs in enumerate(g_every)]
+    h_other = [h_all & ~(nbrs | 1 << j) for j, nbrs in enumerate(h_every)]
     target = min(len(g.atoms), len(h.atoms))
 
-    classes: dict[tuple, tuple[list[int], list[int]]] = {}
+    labels: dict[tuple, list[int]] = {}
     for i in range(len(g.atoms)):
-        classes.setdefault(_atom_label(g, i), ([], []))[0].append(i)
+        labels.setdefault(_atom_label(g, i), [0, 0])[0] |= 1 << i
     for j in range(len(h.atoms)):
-        classes.setdefault(_atom_label(h, j), ([], []))[1].append(j)
-    initial = [
-        (gs, hs, False) for gs, hs in classes.values() if gs and hs
-    ]
+        labels.setdefault(_atom_label(h, j), [0, 0])[1] |= 1 << j
+    initial = [(gs, hs, False) for gs, hs in labels.values() if gs and hs]
 
+    mapping: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
-    completed = True
+    nodes = 0
 
     def refine(
-        current: list[tuple[list[int], list[int], bool]], v: int, w: int
-    ) -> list[tuple[list[int], list[int], bool]]:
+        classes: list[tuple[int, int, bool]], v: int, w: int
+    ) -> list[tuple[int, int, bool]]:
+        g_off, h_off = g_other[v], h_other[w]
+        bonded = [
+            (gm, hm) for gm, hm in zip(g_by_order[v], h_by_order[w]) if gm and hm
+        ]
         out = []
-        for gs, hs, adj in current:
-            buckets: dict[Optional[str], tuple[list[int], list[int]]] = {}
-            for u in gs:
-                if u == v:
-                    continue
-                buckets.setdefault(g_adj[v].get(u), ([], []))[0].append(u)
-            for u in hs:
-                if u == w:
-                    continue
-                buckets.setdefault(h_adj[w].get(u), ([], []))[1].append(u)
-            for key, (sub_g, sub_h) in buckets.items():
+        for gs, hs, adj in classes:
+            sub_g, sub_h = gs & g_off, hs & h_off
+            if sub_g and sub_h:
+                out.append((sub_g, sub_h, adj))
+            for gm, hm in bonded:
+                sub_g, sub_h = gs & gm, hs & hm
                 if sub_g and sub_h:
-                    out.append((sub_g, sub_h, adj or key is not None))
+                    out.append((sub_g, sub_h, True))
         return out
 
-    def search(
-        mapping: list[tuple[int, int]],
-        current: list[tuple[list[int], list[int], bool]],
-    ) -> None:
-        nonlocal best
-        if time.monotonic() > deadline:
-            raise _SearchTimeout
-        if len(mapping) > len(best):
+    def search(classes: list[tuple[int, int, bool]]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > _MCS_NODE_BUDGET:
+            raise _SearchStop
+        depth = len(mapping)
+        if depth > len(best):
             best = list(mapping)
-            if len(best) == target:
-                raise _SearchTimeout  # cannot do better; not a real timeout
-        bound = len(mapping) + sum(min(len(gs), len(hs)) for gs, hs, _ in current)
-        if bound <= len(best):
+            if depth == target:
+                raise _SearchStop  # cannot do better; the search is complete
+        sizes = [min(gs.bit_count(), hs.bit_count()) for gs, hs, _ in classes]
+        if depth + sum(sizes) <= len(best):
             return
-        usable = [
-            (gs, hs, adj)
-            for gs, hs, adj in current
-            if gs and hs and (adj or not mapping)
-        ]
-        if not usable:
+        # branch on the usable class of largest min side, then on its atom
+        # of highest degree; ties go to the lowest g index, so the tree and
+        # the mapping found do not depend on the order of the classes
+        pick, key = -1, None
+        for k, ((gs, _, adj), size) in enumerate(zip(classes, sizes)):
+            if (adj or not depth) and (key is None or (size, -(gs & -gs)) > key):
+                pick, key = k, (size, -(gs & -gs))
+        if pick < 0:
             return
-        # branch on the largest class; deterministic tie-break by node id
-        gs, hs, adj = max(
-            usable, key=lambda c: (min(len(c[0]), len(c[1])), -min(c[0]))
-        )
-        v = max(gs, key=lambda u: (len(g_adj[u]), -u))
-        rest = [c for c in current if c[0] is not gs] + [
-            ([u for u in gs if u != v], hs, adj)
-        ]
-        for w in sorted(hs):
-            search(mapping + [(v, w)], refine(current, v, w))
+        if depth and len(best) > depth:
+            avail_g = avail_h = start_g = start_h = 0
+            for gs, hs, adj in classes:
+                avail_g |= gs
+                avail_h |= hs
+                if adj:
+                    start_g |= gs
+                    start_h |= hs
+            reach_g = _reachable(start_g, avail_g, g_every)
+            reach_h = _reachable(start_h, avail_h, h_every)
+            bound = depth + sum(
+                min((gs & reach_g).bit_count(), (hs & reach_h).bit_count())
+                for gs, hs, _ in classes
+            )
+            if bound <= len(best):
+                return
+        gs, hs, adj = classes[pick]
+        v = max(_bits(gs), key=lambda u: (g_every[u].bit_count(), -u))
+        for w in _bits(hs):
+            mapping.append((v, w))
+            search(refine(classes, v, w))
+            mapping.pop()
         # branch with v left unmatched
-        search(mapping, [c for c in rest if c[0] and c[1]])
+        left = classes[:pick] + classes[pick + 1:]
+        if gs & ~(1 << v):
+            left.append((gs & ~(1 << v), hs, adj))
+        search(left)
 
     try:
-        search([], initial)
-    except _SearchTimeout:
-        # raised either because the mapping size hit its ceiling (still an
-        # exact result) or because the deadline passed mid-search
-        if len(best) < target:
-            completed = False
-    return best, completed
+        search(initial)
+    except _SearchStop:
+        pass
+    return best, nodes <= _MCS_NODE_BUDGET, nodes
 
 
 def _greedy_mcs(g: Molecule, h: Molecule) -> list[tuple[int, int]]:
@@ -261,15 +320,15 @@ def _fragment_string(mol: Molecule, outside: set[int]) -> str:
     return ".".join(sorted(fragments))
 
 
-def mcs_decompose(
-    before: Molecule, after: Molecule, time_cap: float = DEFAULT_MCS_TIME_CAP
-) -> McsResult:
+def mcs_decompose(before: Molecule, after: Molecule) -> McsResult:
     """Maximum common connected substructure split into kept/removed/added.
 
-    Exact branch and bound up to 40 heavy atoms within the time cap; larger
-    or timed-out instances fall back to a greedy mapping and are flagged
-    approximate. The pair is ordered internally by canonical string, so
-    swapping the arguments exactly swaps the removed/added fragments.
+    Exact branch and bound up to 40 heavy atoms within a budget of search
+    nodes, so the result depends only on the pair; larger instances, and
+    searches that spend the budget, fall back to the larger of the greedy
+    and the partial mapping and are flagged approximate. The pair is
+    ordered internally by canonical string, so swapping the arguments
+    exactly swaps the removed/added fragments.
     """
     swapped = after.canonical < before.canonical
     g, h = (after, before) if swapped else (before, after)
@@ -279,7 +338,7 @@ def mcs_decompose(
         pairs = _greedy_mcs(g, h)
         approximate = True
     else:
-        pairs, completed = _exact_mcs(g, h, time.monotonic() + time_cap)
+        pairs, completed, _ = _exact_mcs(g, h)
         if not completed:
             greedy = _greedy_mcs(g, h)
             if len(greedy) > len(pairs):
@@ -359,16 +418,12 @@ def _aromatic_attachment(mol: Molecule, mapped: set[int]) -> bool:
 
 
 def build_edit_card(
-    before: Molecule,
-    after: Molecule,
-    score_before: float,
-    score_after: float,
-    time_cap: float = DEFAULT_MCS_TIME_CAP,
+    before: Molecule, after: Molecule, score_before: float, score_after: float
 ) -> EditCard:
     """Full edit decomposition: MCS diff, scaffold change, FG flux, deltas."""
     if before.canonical == after.canonical:
         raise ValueError("identical molecules leave nothing to decompose")
-    mcs = mcs_decompose(before, after, time_cap)
+    mcs = mcs_decompose(before, after)
     mapping = mcs.mapping_dict()
 
     sc_before = scaffold_of(before)
@@ -427,7 +482,6 @@ def harvest(
     trajectory,
     obj=None,
     delta: float = DEFAULT_HARVEST_DELTA,
-    time_cap: float = DEFAULT_MCS_TIME_CAP,
 ) -> list[EditCard]:
     """One card per consecutive evaluated pair improving by more than delta.
 
@@ -446,8 +500,7 @@ def harvest(
             continue
         if step.score - prev_score > delta:
             card = build_edit_card(
-                parse(prev_smiles), parse(step.action),
-                prev_score, step.score, time_cap,
+                parse(prev_smiles), parse(step.action), prev_score, step.score
             )
             existing = cards.get(card.key)
             if existing is None or card.delta_r > existing.delta_r:

@@ -205,6 +205,28 @@ class TestScaffold:
         sc = scaffold_of(parse("O=C1CCCC1"))
         assert sc.core.canonical == parse("C1CCCC1").canonical
 
+    def test_write_order_twins_share_their_writers_scaffold(self):
+        # computed once per molecule: a twin made after its writer's scaffold
+        # holds the writer's, one made before computes its own from its own
+        # atom order, and both read the writer's string and ring count
+        rng = random.Random(11)
+        for source in CORPUS[:40]:
+            perm = list(range(len(parse(source).atoms)))
+            rng.shuffle(perm)
+            writer = relabel(parse(source), perm)
+            early = twin_of(writer)
+            # the scaffold's own search may write the same string (a bare
+            # ring system), so the writer's search is kept from before
+            canon = molgraph._WRITTEN[writer.canonical]
+            sc = scaffold_of(writer)
+            assert scaffold_of(writer) is sc
+            late = molgraph._write_order_twin(writer.canonical, canon)
+            assert scaffold_of(late) is sc
+            own = scaffold_of(early)
+            assert own is not sc
+            assert (own.core.canonical, own.ring_count) == (
+                sc.core.canonical, sc.ring_count), source
+
 
 class TestMutate:
     def test_delete_terminal(self):

@@ -3,6 +3,7 @@ import json
 import logging
 import random
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +20,18 @@ from leadopt.chemfeat import (
     morgan_fp,
     tanimoto,
 )
-from leadopt.molgraph import parse
+from leadopt import skillbank
+from leadopt.molgraph import (
+    AROMATIC,
+    DOUBLE,
+    SINGLE,
+    TRIPLE,
+    Atom,
+    Bond,
+    Molecule,
+    neighbor_maps,
+    parse,
+)
 from leadopt.skillbank import (
     EditCard,
     SkillBank,
@@ -248,8 +260,9 @@ class TestEditCardGolden:
     def test_cards_match_golden(self):
         # every (source, child) pair of canonical_strings.tsv whose child
         # parses and differs from its source, decomposed by build_edit_card
-        # at a 60 s MCS cap (no search is approximate), with the card fields
-        # that the subgraph, fragment and scaffold code produce
+        # (no search spends the MCS node budget, so none is approximate),
+        # with the card fields that the subgraph, fragment and scaffold code
+        # produce
         rows = [
             line.split("\t")
             for line in EDIT_CARD_GOLDEN.read_text().splitlines()
@@ -258,8 +271,7 @@ class TestEditCardGolden:
         assert len(rows) == 1874
         mismatches = []
         for source, child, *want in rows:
-            card = build_edit_card(parse(source), parse(child), 0.0, 1.0,
-                                   time_cap=60.0)
+            card = build_edit_card(parse(source), parse(child), 0.0, 1.0)
             got = [
                 card.modification_type,
                 card.removed_fragment or "-",
@@ -822,7 +834,7 @@ class TestMcsRandomDifferential:
             b = random_molecule(rng.randint(3, 8))
             if a is None or b is None:
                 continue
-            res = mcs_decompose(a, b, time_cap=2.0)
+            res = mcs_decompose(a, b)
             if res.approximate:
                 continue
             assert len(res.mapping) == exhaustive_mccs_size(a, b), (
@@ -830,3 +842,226 @@ class TestMcsRandomDifferential:
             )
             checked += 1
         assert checked >= 100
+
+
+# -- the exact MCS search on atom bitsets -------------------------------------
+
+
+def reference_exact_mcs(g, h):
+    """The list-based McSplit search that the bitset search replaced, with
+    its wall-clock deadline taken out and a node count put in: the same
+    branching rules, the class-size bound only. Returns (mapping, completed,
+    nodes)."""
+    g_adj = neighbor_maps(g)
+    h_adj = neighbor_maps(h)
+    target = min(len(g.atoms), len(h.atoms))
+
+    classes = {}
+    for i in range(len(g.atoms)):
+        classes.setdefault(skillbank._atom_label(g, i), ([], []))[0].append(i)
+    for j in range(len(h.atoms)):
+        classes.setdefault(skillbank._atom_label(h, j), ([], []))[1].append(j)
+    initial = [(gs, hs, False) for gs, hs in classes.values() if gs and hs]
+
+    best = []
+    nodes = 0
+
+    class Done(Exception):
+        pass
+
+    def refine(current, v, w):
+        out = []
+        for gs, hs, adj in current:
+            buckets = {}
+            for u in gs:
+                if u == v:
+                    continue
+                buckets.setdefault(g_adj[v].get(u), ([], []))[0].append(u)
+            for u in hs:
+                if u == w:
+                    continue
+                buckets.setdefault(h_adj[w].get(u), ([], []))[1].append(u)
+            for key, (sub_g, sub_h) in buckets.items():
+                if sub_g and sub_h:
+                    out.append((sub_g, sub_h, adj or key is not None))
+        return out
+
+    def search(mapping, current):
+        nonlocal best, nodes
+        nodes += 1
+        if len(mapping) > len(best):
+            best = list(mapping)
+            if len(best) == target:
+                raise Done
+        bound = len(mapping) + sum(min(len(gs), len(hs)) for gs, hs, _ in current)
+        if bound <= len(best):
+            return
+        usable = [
+            (gs, hs, adj)
+            for gs, hs, adj in current
+            if gs and hs and (adj or not mapping)
+        ]
+        if not usable:
+            return
+        gs, hs, adj = max(
+            usable, key=lambda c: (min(len(c[0]), len(c[1])), -min(c[0]))
+        )
+        v = max(gs, key=lambda u: (len(g_adj[u]), -u))
+        rest = [c for c in current if c[0] is not gs] + [
+            ([u for u in gs if u != v], hs, adj)
+        ]
+        for w in sorted(hs):
+            search(mapping + [(v, w)], refine(current, v, w))
+        search(mapping, [c for c in rest if c[0] and c[1]])
+
+    try:
+        search([], initial)
+    except Done:
+        pass
+    return best, True, nodes
+
+
+def mcs_order(a, b):
+    """The pair in the order mcs_decompose hands it to the exact search."""
+    return (b, a) if b.canonical < a.canonical else (a, b)
+
+
+LABELS = [
+    ("C", False, 0), ("C", False, 0), ("C", True, 0), ("N", False, 0),
+    ("N", True, 0), ("N", False, 1), ("O", False, 0), ("O", False, -1),
+]
+
+
+@st.composite
+def labelled_graphs(draw, max_atoms=9):
+    """A connected graph of labelled atoms: a random spanning tree plus up to
+    three ring bonds, every bond of any order. Not validated: only the
+    labels and bond orders matter to the MCS search."""
+    n = draw(st.integers(1, max_atoms))
+    orders = st.sampled_from([SINGLE, DOUBLE, TRIPLE, AROMATIC])
+    bonds = {}
+    for i in range(1, n):
+        bonds[(draw(st.integers(0, i - 1)), i)] = draw(orders)
+    for a, b, order in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), orders),
+        max_size=3,
+    )):
+        if a != b:
+            bonds.setdefault((min(a, b), max(a, b)), order)
+    atoms = [
+        Atom(element, aromatic=aromatic, formal_charge=charge)
+        for element, aromatic, charge in draw(
+            st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)
+        )
+    ]
+    return Molecule(
+        atoms, [Bond(a, b, order) for (a, b), order in bonds.items()],
+        validate=False,
+    )
+
+
+class TestExactMcsBitsets:
+    def test_golden_pairs_match_the_reference_search(self):
+        # the same mapping, tie-break included, on every exact pair of
+        # edit_cards.tsv; the reachability bound only prunes, and it takes
+        # the count from the reference's 158,164 nodes (3,861 at most on
+        # one pair) to 55,556 (231)
+        mismatches = []
+        total = 0
+        for line in EDIT_CARD_GOLDEN.read_text().splitlines():
+            if line.startswith("#"):
+                continue
+            source, child = line.split("\t")[:2]
+            g, h = mcs_order(parse(source), parse(child))
+            if max(len(g.atoms), len(h.atoms)) > skillbank._EXACT_MCS_ATOM_LIMIT:
+                continue
+            mapping, completed, nodes = skillbank._exact_mcs(g, h)
+            want, want_completed, reference_nodes = reference_exact_mcs(g, h)
+            if (mapping, completed) != (want, want_completed):
+                mismatches.append((source, child))
+            assert nodes <= reference_nodes, (source, child)
+            total += nodes
+        assert mismatches == []
+        assert total <= 60_000
+
+    @given(labelled_graphs(), labelled_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_labelled_graphs_match_the_reference_search(self, g, h):
+        mapping, completed, nodes = skillbank._exact_mcs(g, h)
+        want, want_completed, reference_nodes = reference_exact_mcs(g, h)
+        assert (mapping, completed) == (want, want_completed)
+        assert nodes <= reference_nodes
+
+    @given(labelled_graphs(), st.integers(0, 511), st.integers(0, 511))
+    @settings(max_examples=200, deadline=None)
+    def test_reachable_walks_only_through_available_atoms(self, mol, start, avail):
+        n = len(mol.atoms)
+        start &= (1 << n) - 1
+        avail &= (1 << n) - 1
+        seen = {i for i in range(n) if start >> i & avail >> i & 1}
+        stack = list(seen)
+        while stack:
+            for j, _ in mol.neighbors(stack.pop()):
+                if avail >> j & 1 and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        nbrs = [sum(1 << j for j, _ in mol.neighbors(i)) for i in range(n)]
+        assert skillbank._reachable(start, avail, nbrs) == sum(1 << i for i in seen)
+
+
+TEST_MCS_PAIRS = [
+    ("CCO", "CCO"), ("CCO", "CCN"), ("c1ccccc1C", "c1ccccc1F"),
+    ("CCC(=O)O", "CCC(=O)N"), ("CCCCO", "CCCC"), ("CCCC", "CCC"),
+    ("c1ccccc1", "c1ccncc1"), ("CC(=O)O", "CC(=O)N"), ("C1CCCCC1", "C1CCCC1"),
+    ("CCOCC", "CCSCC"), ("CC(C)O", "CC(C)(C)O"),
+    ("CCc1ccccc1O", "CCc1ccccc1N"),
+]
+
+BUDGET_PAIRS = [
+    ("COc1ccccc1CC(=O)N", "Fc1ccccc1CC(=O)N"),
+    ("CC(C)Cc1ccc(cc1)C(C)C(=O)O", "CC(C)Cc1ccc(cc1)C(C)C(=O)N"),
+    ("c1ccc2ccccc2c1", "c1ccccc1CC"),
+    ("CCn1c(=O)n(CC(=O)NCC(C)C)c2ccccc21", "CCn1c(=O)n(CC(=O)NCC)c2ccccc21"),
+    # the greedy mapping is one atom short of the exact one (9 of 10)
+    ("Oc1cc2c(cc1)cccc2", "Oc1ccc2c(cccc2)n1"),
+]
+
+
+class TestMcsDeterminism:
+    def test_a_slow_clock_changes_nothing(self, monkeypatch):
+        want = [mcs_decompose(parse(a), parse(b)) for a, b in TEST_MCS_PAIRS]
+        clock = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: 3600.0 * next(clock))
+        got = [mcs_decompose(parse(a), parse(b)) for a, b in TEST_MCS_PAIRS]
+        assert got == want
+        assert not any(res.approximate for res in got)
+
+    def test_a_spent_budget_keeps_the_larger_mapping(self, monkeypatch):
+        # every pair needs more than 13 nodes to complete
+        kept = set()
+        for budget in (1, 2, 3, 5, 8, 13):
+            monkeypatch.setattr(skillbank, "_MCS_NODE_BUDGET", budget)
+            for a, b in BUDGET_PAIRS:
+                before, after = parse(a), parse(b)
+                g, h = mcs_order(before, after)
+                partial, completed, nodes = skillbank._exact_mcs(g, h)
+                assert not completed and nodes == budget + 1
+                greedy = skillbank._greedy_mcs(g, h)
+                pairs = greedy if len(greedy) > len(partial) else partial
+                kept.add("greedy" if pairs is greedy else "partial")
+                if g is after:
+                    pairs = [(y, x) for x, y in pairs]
+                res = mcs_decompose(before, after)
+                assert res.approximate
+                assert res.mapping == tuple(sorted(pairs))
+        assert kept == {"greedy", "partial"}
+
+    def test_a_spent_budget_still_builds_a_card(self, monkeypatch):
+        monkeypatch.setattr(skillbank, "_MCS_NODE_BUDGET", 2)
+        for a, b in BUDGET_PAIRS:
+            card = card_from(a, b, 0.3, 0.6)
+            res = mcs_decompose(parse(a), parse(b))
+            assert card.approximate_mcs and res.approximate
+            assert (card.removed_fragment, card.added_fragment) == (
+                res.removed_fragment, res.added_fragment)
+            assert make_skill_card(card, "qed").card is card
