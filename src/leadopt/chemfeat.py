@@ -9,12 +9,16 @@ Molecules a search visits are one or two edits apart, so almost every
 environment was hashed before; the hash is a pure function of the
 environment, so fingerprints are bit-identical with or without the memo.
 
-`FingerprintIndex` is the one bulk Tanimoto kernel: rows of packed uint64
-words and their popcounts, scanned with `np.bitwise_count`. Both memories
-use it (the exemplar bank for recall and lead similarity, the skill bank for
-its fingerprint channel). A `FunctionalGroupSet` carries its tags as a
-bitmask, one bit per catalog tag, so a set-overlap (Jaccard) scan is a
-popcount too.
+Two bulk Tanimoto kernels return the same `int / int` float64 values as
+`tanimoto`. `FingerprintIndex` keeps rows of packed uint64 words and their
+popcounts, scanned with `np.bitwise_count`; rows can be inserted and
+deleted, so the skill bank's per-task card store uses it. `FingerprintPlanes`
+is a bit-plane view of a static set, one packed bitset over the rows per bit
+position: a scan unpacks and sums only the planes of the query's set bits,
+which for sparse fingerprints (about 32 of 2,048 bits set) reads a few
+percent of what a dense scan reads. The exemplar bank uses it for recall and
+lead similarity. A `FunctionalGroupSet` carries its tags as a bitmask, one
+bit per catalog tag, so a set-overlap (Jaccard) scan is a popcount too.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .molgraph import (
 __all__ = [
     "Fingerprint",
     "FingerprintIndex",
+    "FingerprintPlanes",
     "FunctionalGroupSet",
     "DescriptorVector",
     "DescriptorDelta",
@@ -188,12 +193,16 @@ def morgan_fp(
     return fp
 
 
+def _check_compatible(width: int, radius: int, fp: Fingerprint) -> None:
+    if fp.width != width or fp.radius != radius:
+        raise WidthMismatchError(
+            f"incompatible fingerprints: {width}/{radius} vs {fp.width}/{fp.radius}"
+        )
+
+
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """|a AND b| / |a OR b|; 1.0 when both vectors are all-zero."""
-    if a.width != b.width or a.radius != b.radius:
-        raise WidthMismatchError(
-            f"incompatible fingerprints: {a.width}/{a.radius} vs {b.width}/{b.radius}"
-        )
+    _check_compatible(a.width, a.radius, b)
     inter = (a.bits & b.bits).bit_count()
     union = a.popcount + b.popcount - inter
     if union == 0:
@@ -201,13 +210,32 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return inter / union
 
 
+def _pack_rows(
+    fps: Sequence[Fingerprint], width: int, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fingerprints as rows of little-endian bytes, each padded to whole
+    uint64 words, and their popcounts."""
+    for fp in fps:
+        _check_compatible(width, radius, fp)
+    size = _word_count(width) * 8
+    raw = b"".join(fp.bits.to_bytes(size, "little") for fp in fps)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(fps), size)
+    pops = np.fromiter((fp.popcount for fp in fps), np.int64, len(fps))
+    return rows, pops
+
+
+def _set_bits(fp: Fingerprint) -> np.ndarray:
+    """Positions of the fingerprint's set bits, ascending."""
+    return np.flatnonzero(np.unpackbits(fp.to_words().view(np.uint8), bitorder="little"))
+
+
 class FingerprintIndex:
     """Fingerprints of one width and radius as rows of packed uint64 words.
 
     Each row is padded to whole words, so every power-of-two width works.
-    `similarities` scores a query against all rows (or the given rows) in one
-    popcount scan; each value is the `int / int` float64 that `tanimoto`
-    returns, 1.0 where both vectors are all-zero.
+    `similarities` scores a query against all rows in one popcount scan;
+    each value is the `int / int` float64 that `tanimoto` returns, 1.0 where
+    both vectors are all-zero.
     """
 
     def __init__(
@@ -220,21 +248,9 @@ class FingerprintIndex:
         self.radius = radius
         self.words, self.pops = self._pack(list(fps))
 
-    def _check(self, fp: Fingerprint) -> None:
-        if fp.width != self.width or fp.radius != self.radius:
-            raise WidthMismatchError(
-                f"incompatible fingerprints: {fp.width}/{fp.radius} vs "
-                f"{self.width}/{self.radius}"
-            )
-
     def _pack(self, fps: list[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
-        for fp in fps:
-            self._check(fp)
-        size = _word_count(self.width) * 8
-        raw = b"".join(fp.bits.to_bytes(size, "little") for fp in fps)
-        words = np.frombuffer(raw, dtype="<u8").reshape(len(fps), size // 8)
-        pops = np.fromiter((fp.popcount for fp in fps), np.int64, len(fps))
-        return words, pops
+        words, pops = _pack_rows(fps, self.width, self.radius)
+        return words.view("<u8"), pops
 
     def insert(self, positions: Sequence[int], fps: Sequence[Fingerprint]) -> None:
         """Put each fingerprint before the row now at its position
@@ -247,18 +263,67 @@ class FingerprintIndex:
         self.words = np.delete(self.words, rows, axis=0)
         self.pops = np.delete(self.pops, rows)
 
-    def similarities(
-        self, query: Fingerprint, rows: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Tanimoto of the query against every row, or against `rows`."""
-        self._check(query)
-        words, pops = self.words, self.pops
-        if rows is not None:
-            words, pops = words[rows], pops[rows]
+    def similarities(self, query: Fingerprint) -> np.ndarray:
+        """Tanimoto of the query against every row."""
+        _check_compatible(self.width, self.radius, query)
         if query.popcount == 0:
             # the union is empty only where the row is all-zero as well
+            return (self.pops == 0).astype(np.float64)
+        inter = np.bitwise_count(self.words & query.to_words()).sum(axis=1, dtype=np.int64)
+        return inter / (self.pops + (query.popcount - inter))
+
+
+# rows packed into planes per step of a `FingerprintPlanes` build: the
+# unpacked step is width x rows bytes, 1 MB at 2,048 bits
+_PLANE_CHUNK = 512
+
+
+class FingerprintPlanes:
+    """A static set of fingerprints of one width and radius as bit planes.
+
+    `planes[b]` packs bit `b` of every row, eight rows per byte (row `r` is
+    bit `r % 8` of byte `r // 8`). `similarities` unpacks and sums only the
+    planes of the query's set bits, so its cost grows with the query's
+    popcount rather than the width; each value is the `int / int` float64
+    that `tanimoto` and `FingerprintIndex.similarities` return, 1.0 where
+    both vectors are all-zero. The planes are built `_PLANE_CHUNK` rows at a
+    time, so the build never holds the whole set unpacked.
+    """
+
+    def __init__(
+        self,
+        fps: Sequence[Fingerprint],
+        width: int = DEFAULT_WIDTH,
+        radius: int = DEFAULT_RADIUS,
+    ):
+        self.width = width
+        self.radius = radius
+        self.count = len(fps)
+        self.planes = np.zeros((width, -(-self.count // 8)), dtype=np.uint8)
+        for start in range(0, self.count, _PLANE_CHUNK):
+            rows, _ = _pack_rows(fps[start : start + _PLANE_CHUNK], width, radius)
+            bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+            packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+            self.planes[:, start // 8 : start // 8 + packed.shape[1]] = packed
+        self.pops = np.fromiter((fp.popcount for fp in fps), np.int64, self.count)
+        # an intersection is at most the width, so a narrow sum is exact
+        self._sum_dtype = np.uint16 if width < 1 << 16 else np.int64
+
+    def similarities(
+        self, query: Fingerprint, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Tanimoto of the query against every row, or against `rows` (an
+        integer array)."""
+        _check_compatible(self.width, self.radius, query)
+        pops = self.pops if rows is None else self.pops[rows]
+        if query.popcount == 0:
             return (pops == 0).astype(np.float64)
-        inter = np.bitwise_count(words & query.to_words()).sum(axis=1, dtype=np.int64)
+        planes = self.planes[_set_bits(query)]
+        if rows is None:
+            hits = np.unpackbits(planes, axis=1, count=self.count, bitorder="little")
+        else:
+            hits = (planes[:, rows >> 3] >> (rows & 7).astype(np.uint8)) & 1
+        inter = hits.sum(axis=0, dtype=self._sum_dtype).astype(np.int64)
         return inter / (pops + (query.popcount - inter))
 
 
@@ -271,16 +336,19 @@ class FingerprintIndex:
 class _Pattern:
     atoms: tuple[Atom, ...]  # hcount is a lower bound
     adj: tuple[tuple[tuple[int, str], ...], ...]  # (neighbor, order) per atom
-    # search order: pattern atom 0, then always an atom next to a placed one,
-    # as (pattern atom, placed neighbour or None)
-    order: tuple[tuple[int, Optional[int]], ...]
+    # (element, aromatic) label of each distinct kind of atom, with the first
+    # pattern atom that carries it: the candidate roots of a search
+    labels: tuple[tuple[tuple[str, bool], int], ...]
+    # search order per root atom: the root, then always an atom next to a
+    # placed one, as (pattern atom, placed neighbour or None)
+    orders: tuple[tuple[tuple[int, Optional[int]], ...], ...]
 
 
 def _search_order(
-    adj: Sequence[Sequence[tuple[int, str]]],
+    adj: Sequence[Sequence[tuple[int, str]]], root: int
 ) -> tuple[tuple[int, Optional[int]], ...]:
-    order: list[tuple[int, Optional[int]]] = [(0, None)]
-    placed = {0}
+    order: list[tuple[int, Optional[int]]] = [(root, None)]
+    placed = {root}
     while len(order) < len(adj):
         for p_idx in range(len(adj)):
             if p_idx in placed:
@@ -307,7 +375,15 @@ def _parse_pattern(smiles: str) -> _Pattern:
             order = "aromatic" if atoms[a].aromatic and atoms[b].aromatic else "single"
         adj[a].append((b, order))
         adj[b].append((a, order))
-    return _Pattern(tuple(atoms), tuple(tuple(nbrs) for nbrs in adj), _search_order(adj))
+    labels: dict[tuple[str, bool], int] = {}
+    for idx, atom in enumerate(atoms):
+        labels.setdefault((atom.element, atom.aromatic), idx)
+    return _Pattern(
+        tuple(atoms),
+        tuple(tuple(nbrs) for nbrs in adj),
+        tuple(labels.items()),
+        tuple(_search_order(adj, root) for root in range(len(atoms))),
+    )
 
 
 @dataclass(frozen=True)
@@ -387,18 +463,24 @@ def _pattern_matches(
     """All target atom sets hit by the pattern (connected subgraph matches).
 
     `mol_adj` maps each target atom to {neighbour: bond order}; `roots` lists
-    the target atoms of each (element, aromatic) pair, the only candidates
-    for pattern atom 0.
+    the target atoms of each (element, aromatic) pair. The search starts at
+    the pattern atom whose label has the fewest target atoms; a label with
+    none rules the pattern out. The set of matches does not depend on where
+    the search starts.
     """
     p_n = len(pattern.atoms)
     if p_n == 0 or p_n > len(mol.atoms):
         return set()
-    first = pattern.atoms[0]
-    starts = roots.get((first.element, first.aromatic))
-    if not starts:
-        return set()
+    starts: Sequence[int] = ()
+    root = 0
+    for label, p_idx in pattern.labels:
+        candidates = roots.get(label)
+        if not candidates:
+            return set()
+        if not starts or len(candidates) < len(starts):
+            starts, root = candidates, p_idx
 
-    order = pattern.order
+    order = pattern.orders[root]
     results: set[frozenset[int]] = set()
     mapping: dict[int, int] = {}
     used: set[int] = set()

@@ -2,14 +2,19 @@
 retrieval (broad fingerprint recall, then lead-constrained objective ranking).
 
 The bank is immutable after build/load; queries are read-only. Both stages
-read one `chemfeat.FingerprintIndex`: recall scans every row, and the lead
-similarities of the recalled pool are a scan of the pool's rows.
+work on row ids and arrays the bank builds on first use: a
+`chemfeat.FingerprintPlanes` view of the fingerprints, each record's rank in
+canonical-string order, and per objective a float64 score column with a mask
+of the records that have every term property. Recall is one plane scan, a
+partition and a lexsort; ranking gathers the pool's lead similarities from
+the same planes and lexsorts the rows that pass the threshold.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -22,7 +27,7 @@ from .chemfeat import (
     DEFAULT_RADIUS,
     DEFAULT_WIDTH,
     Fingerprint,
-    FingerprintIndex,
+    FingerprintPlanes,
     morgan_fp,
     tanimoto,
 )
@@ -69,7 +74,7 @@ class ExemplarRecord:
 
 
 class ExemplarBank:
-    """Deduplicated exemplar records plus a popcount-aware scan index."""
+    """Deduplicated exemplar records plus the arrays retrieval reads."""
 
     def __init__(
         self,
@@ -89,26 +94,48 @@ class ExemplarBank:
         self.records: tuple[ExemplarRecord, ...] = tuple(unique)
         self.width = width
         self.radius = radius
-        self._index: Optional[FingerprintIndex] = None
-        self._rows: Optional[dict[str, int]] = None
+        self._planes: Optional[FingerprintPlanes] = None
+        self._canon_rank: Optional[np.ndarray] = None
+        self._scores: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
 
     @property
-    def index(self) -> FingerprintIndex:
-        """The records' fingerprints in record order, packed on first use."""
-        if self._index is None:
-            self._index = FingerprintIndex(
-                (r.fp for r in self.records), self.width, self.radius
+    def planes(self) -> FingerprintPlanes:
+        """The records' fingerprints in record order, built on first use."""
+        if self._planes is None:
+            self._planes = FingerprintPlanes(
+                [r.fp for r in self.records], self.width, self.radius
             )
-        return self._index
+        return self._planes
 
-    def rows(self, records: Iterable[ExemplarRecord]) -> list[int]:
-        """Index rows of records taken from this bank."""
-        if self._rows is None:
-            self._rows = {r.canonical: i for i, r in enumerate(self.records)}
-        return [self._rows[r.canonical] for r in records]
+    @property
+    def canon_rank(self) -> np.ndarray:
+        """Each record's rank in canonical-string order (the tie-break)."""
+        if self._canon_rank is None:
+            records = self.records
+            order = sorted(range(len(records)), key=lambda i: records[i].canonical)
+            self._canon_rank = np.empty(len(records), dtype=np.int64)
+            self._canon_rank[order] = np.arange(len(records))
+        return self._canon_rank
+
+    def scores(self, obj: Objective) -> tuple[np.ndarray, np.ndarray]:
+        """`obj.aggregate` of every record as float64, and a mask of the
+        records that have every term property (0.0 where one is missing)."""
+        key = tuple((t.oracle.name, t.oracle.direction, t.weight) for t in obj.terms)
+        column = self._scores.get(key)
+        if column is None:
+            values = np.zeros(len(self.records), dtype=np.float64)
+            known = np.zeros(len(self.records), dtype=bool)
+            for row, record in enumerate(self.records):
+                try:
+                    values[row] = obj.aggregate(record.props)
+                except KeyError:
+                    continue
+                known[row] = True
+            column = self._scores[key] = (values, known)
+        return column
 
 
 def build_bank(
@@ -120,9 +147,10 @@ def build_bank(
     """Ingest a corpus into a deduplicated, fingerprinted bank.
 
     Rows are either TSV (`smiles<TAB>prop=value;prop=value`) or JSON objects
-    (`{"smiles": ..., "props": {...}}`); bad rows are skipped with a log
-    line. Missing properties are filled offline with the given oracles —
-    bank construction never touches an optimization budget.
+    (`{"smiles": ..., "props": {...}}`); bad rows, and rows with a property
+    that is not finite, are skipped with a log line. Missing properties are
+    filled offline with the given oracles — bank construction never touches
+    an optimization budget.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -146,10 +174,15 @@ def build_bank(
             continue
         if molecule.canonical in seen:
             continue
-        seen.add(molecule.canonical)
         for oracle in oracles:
             if oracle.name not in props:
                 props[oracle.name] = oracle(molecule)
+        problem = _non_finite(props)
+        if problem:
+            skipped += 1
+            log.warning("skipping corpus row %d: %s", lineno, problem)
+            continue
+        seen.add(molecule.canonical)
         records.append(
             ExemplarRecord(
                 molecule.canonical, morgan_fp(molecule, radius, width), props
@@ -176,6 +209,27 @@ def _parse_row(line: str) -> tuple[str, dict[str, float]]:
     return smiles, props
 
 
+def _non_finite(props: dict[str, float]) -> str:
+    """A reason to skip a record whose properties are not all finite (a NaN
+    would rank ahead of every score), or '' when they are."""
+    bad = sorted(name for name, value in props.items() if not math.isfinite(value))
+    return f"non-finite property {', '.join(bad)}" if bad else ""
+
+
+def _recall_rows(bank: ExemplarBank, query: Molecule, pool_size: int) -> np.ndarray:
+    """Rows of the top `pool_size` records by Tanimoto to the query, best
+    first, ties broken by canonical-string order."""
+    if pool_size < 1:
+        raise ValueError("pool_size must be >= 1")
+    if len(bank) == 0:
+        raise EmptyBankError("exemplar bank is empty")
+    sims = bank.planes.similarities(morgan_fp(query, bank.radius, bank.width))
+    k = min(pool_size, len(sims))
+    boundary = np.partition(sims, len(sims) - k)[len(sims) - k]
+    ids = np.flatnonzero(sims >= boundary)
+    return ids[np.lexsort((bank.canon_rank[ids], -sims[ids]))[:k]]
+
+
 def candidate_recall(
     bank: ExemplarBank,
     query: Molecule,
@@ -186,22 +240,8 @@ def candidate_recall(
     Scans the whole bank and returns the true top set; ties break by
     canonical-string order.
     """
-    if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
-    if len(bank) == 0:
-        raise EmptyBankError("exemplar bank is empty")
-    query_fp = morgan_fp(query, bank.radius, bank.width)
-    sims = bank.index.similarities(query_fp)
-    k = min(pool_size, len(bank))
-    boundary = np.partition(sims, len(sims) - k)[len(sims) - k]
-    ids = np.flatnonzero(sims >= boundary)
-    rows = ids.tolist()
     records = bank.records
-    # canonical strings are unique in a bank, so the row never decides
-    ranked = sorted(
-        zip((-sims[ids]).tolist(), (records[i].canonical for i in rows), rows)
-    )
-    return [records[i] for _, _, i in ranked[:pool_size]]
+    return [records[i] for i in _recall_rows(bank, query, pool_size).tolist()]
 
 
 def retrieve_exemplars(
@@ -217,33 +257,29 @@ def retrieve_exemplars(
     lead-similarity filtering and objective-score ranking.
 
     Ranking ties break by higher lead similarity, then canonical order.
-    Records missing a term property are dropped with a log line.
+    Records missing a term property are dropped with a log line, in pool
+    order, on every retrieval.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     threshold = obj.gamma if gamma_ex is None else gamma_ex
     if not (0.0 <= threshold <= 1.0):
         raise ValueError("gamma_ex must lie in [0, 1]")
-    pool = candidate_recall(bank, current, pool_size)
-    lead_fp = morgan_fp(lead, bank.radius, bank.width)
-    lead_sims = bank.index.similarities(lead_fp, bank.rows(pool)).tolist()
-
-    scored: list[tuple[float, float, ExemplarRecord]] = []
-    for record, lead_sim in zip(pool, lead_sims):
-        if lead_sim < threshold:
-            continue
-        try:
-            score = obj.aggregate(record.props)
-        except KeyError:
-            log.warning(
-                "exemplar %s lacks a property for objective %s; dropped",
-                record.canonical,
-                obj.name,
-            )
-            continue
-        scored.append((score, lead_sim, record))
-    scored.sort(key=lambda item: (-item[0], -item[1], item[2].canonical))
-    return [record for _, _, record in scored[:k]]
+    rows = _recall_rows(bank, current, pool_size)
+    lead_sims = bank.planes.similarities(morgan_fp(lead, bank.radius, bank.width), rows)
+    scores, known = bank.scores(obj)
+    passed = lead_sims >= threshold
+    records = bank.records
+    for row in rows[passed & ~known[rows]].tolist():
+        log.warning(
+            "exemplar %s lacks a property for objective %s; dropped",
+            records[row].canonical,
+            obj.name,
+        )
+    passed &= known[rows]
+    rows, lead_sims = rows[passed], lead_sims[passed]
+    best = np.lexsort((bank.canon_rank[rows], -lead_sims, -scores[rows]))[:k]
+    return [records[i] for i in rows[best].tolist()]
 
 
 def render_exemplar_block(
@@ -316,19 +352,22 @@ def load_bank(base: str | Path) -> ExemplarBank:
         blob = fh.read(count * block)
 
     records: list[ExemplarRecord] = []
+    lines = 0
     with open(jsonl_path, "r", encoding="utf-8") as fh:
         for idx, line in enumerate(fh):
             if idx >= count:
                 raise ValueError("more records than fingerprints in sidecar")
+            lines += 1
             payload = json.loads(line)
+            props = {k: float(v) for k, v in payload["props"].items()}
+            problem = _non_finite(props)
+            if problem:
+                log.warning("skipping corpus row %d: %s", idx + 1, problem)
+                continue
             bits = int.from_bytes(blob[idx * block : (idx + 1) * block], "little")
             records.append(
-                ExemplarRecord(
-                    payload["smiles"],
-                    Fingerprint(bits, width, radius),
-                    {k: float(v) for k, v in payload["props"].items()},
-                )
+                ExemplarRecord(payload["smiles"], Fingerprint(bits, width, radius), props)
             )
-    if len(records) != count:
+    if lines != count:
         raise ValueError("fingerprint sidecar count does not match records")
     return ExemplarBank(records, width=width, radius=radius)

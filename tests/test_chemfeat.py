@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from leadopt.chemfeat import (
     DescriptorVector,
     Fingerprint,
     FingerprintIndex,
+    FingerprintPlanes,
     FunctionalGroupSet,
     WidthMismatchError,
     catalog_tags,
@@ -20,7 +23,7 @@ from leadopt.chemfeat import (
     morgan_fp,
     tanimoto,
 )
-from leadopt.chemfeat import _mix_stream
+from leadopt.chemfeat import _CATALOG, _mix_stream, _pattern_matches
 from leadopt.molgraph import (
     _ELEMENT_INDEX,
     _ORDER_SORT,
@@ -270,13 +273,9 @@ class TestFingerprintIndex:
             for _ in range(60)
         ]
         index = FingerprintIndex(fps, width)
-        rows = [5, 0, 1, 5, 40]
         for query in fps[:4] + [Fingerprint(1, width)]:
             assert index.similarities(query).tolist() == [
                 brute_tanimoto(query, fp) for fp in fps
-            ]
-            assert index.similarities(query, rows).tolist() == [
-                brute_tanimoto(query, fps[r]) for r in rows
             ]
 
     def test_insert_and_delete_keep_rows_in_step(self):
@@ -304,6 +303,84 @@ class TestFingerprintIndex:
             index.similarities(Fingerprint(1, 64, radius=3))
         with pytest.raises(WidthMismatchError):
             FingerprintIndex([Fingerprint(1, 32)], 64)
+
+
+@st.composite
+def fingerprint_sets(draw):
+    """A width, rows of that width (a count that need not be a multiple of
+    8, spanning more than one build step, with all-zero rows and repeats)
+    and queries."""
+    width = draw(st.sampled_from([1, 8, 32, 64, 2048]))
+    count = draw(st.one_of(st.integers(0, 20), st.integers(500, 1100)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    density = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    def random_bits():
+        return sum(1 << b for b in range(width) if rng.random() < density)
+    fps = [Fingerprint(random_bits(), width) for _ in range(count)]
+    if count:
+        fps[rng.randrange(count)] = Fingerprint(0, width)
+        fps[rng.randrange(count)] = fps[0]
+    queries = [Fingerprint(0, width), Fingerprint(random_bits(), width)]
+    queries += fps[:1]
+    return width, fps, queries
+
+
+class TestFingerprintPlanes:
+    @given(fingerprint_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dense_index(self, case):
+        width, fps, queries = case
+        planes = FingerprintPlanes(fps, width)
+        index = FingerprintIndex(fps, width)
+        rng = random.Random(len(fps))
+        rows = np.array([rng.randrange(len(fps)) for _ in range(9) if fps], dtype=np.int64)
+        for query in queries:
+            assert np.array_equal(planes.similarities(query), index.similarities(query))
+            assert np.array_equal(
+                planes.similarities(query, rows), index.similarities(query)[rows]
+            )
+
+    def test_planes_hold_one_bit_per_row(self):
+        fps = [Fingerprint(0b101, 8), Fingerprint(0b100, 8), Fingerprint(0, 8)]
+        planes = FingerprintPlanes(fps, 8)
+        assert planes.planes.shape == (8, 1)
+        assert planes.planes[:3, 0].tolist() == [0b001, 0, 0b011]
+        assert planes.pops.tolist() == [2, 1, 0]
+
+    def test_mismatch_rejected(self):
+        planes = FingerprintPlanes([Fingerprint(1, 64)], 64)
+        with pytest.raises(WidthMismatchError):
+            planes.similarities(Fingerprint(1, 128))
+        with pytest.raises(WidthMismatchError):
+            FingerprintPlanes([Fingerprint(1, 32)], 64)
+
+
+class TestPatternRoots:
+    def test_every_root_finds_the_same_matches(self):
+        # the search may start at any pattern atom; each catalog pattern
+        # forced to start at each of its atoms finds the matches of the
+        # rarest-label start on every golden molecule
+        sources = sorted({line.split("\t")[0] for line in FG_GOLDEN.read_text().splitlines()
+                          if not line.startswith("#")})[:150]
+        sources += ["CC(=O)Oc1ccccc1C(=O)O", "CS(=O)(=O)Nc1ccccc1", "COCCOC"]
+        checked = 0
+        for source in sources:
+            mol = parse(source)
+            mol_adj = chemfeat.neighbor_maps(mol)
+            roots: dict = {}
+            for idx, atom in enumerate(mol.atoms):
+                roots.setdefault((atom.element, atom.aromatic), []).append(idx)
+            for entry in _CATALOG:
+                pattern = entry.pattern
+                want = _pattern_matches(pattern, mol, mol_adj, roots)
+                for root, atom in enumerate(pattern.atoms):
+                    forced = dataclasses.replace(
+                        pattern, labels=(((atom.element, atom.aromatic), root),)
+                    )
+                    assert _pattern_matches(forced, mol, mol_adj, roots) == want
+                checked += bool(want)
+        assert checked > 100
 
 
 class TestFunctionalGroups:

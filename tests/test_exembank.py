@@ -1,9 +1,13 @@
+import json
+import logging
+import math
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leadopt.chemfeat import Fingerprint, morgan_fp
+from leadopt.chemfeat import Fingerprint, morgan_fp, tanimoto
 from leadopt.exembank import (
     EXEMPLAR_FOOTER,
     EXEMPLAR_HEADER,
@@ -194,6 +198,175 @@ class TestRetrieveExemplars:
                                  act_objective(), k=8, gamma_ex=0.0, pool_size=80)
         scores = [r.props["act"] for r in got]
         assert scores == sorted(scores, reverse=True)
+
+
+DIFF_MOLECULES = ["CCO", "CCCCO", "c1ccccc1O", "CC(=O)N", "CCN(C)C", "FCCCl"]
+
+
+def tox_objective():
+    return Objective(
+        name="act_tox",
+        terms=(
+            ObjectiveTerm(Oracle("act", lambda m: 0.0), 0.75,
+                          SuccessCriterion("absolute", "ge", 0.9)),
+            ObjectiveTerm(Oracle("tox", lambda m: 0.0, direction=-1), 0.25,
+                          SuccessCriterion("absolute", "le", 0.1)),
+        ),
+    )
+
+
+@st.composite
+def banks(draw):
+    """A bank whose rows share bits with the query molecules' fingerprints,
+    with tied fingerprints, all-zero rows, tied scores and records that
+    lack a property, at a row count that need not be a multiple of 8."""
+    width = draw(st.sampled_from([32, 64, 2048]))
+    count = draw(st.one_of(st.integers(1, 40), st.integers(505, 530)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    seen_bits = [morgan_fp(parse(s), 2, width).bits for s in DIFF_MOLECULES]
+    shapes = [0] + seen_bits + [rng.getrandbits(width) & rng.getrandbits(width)
+                                for _ in range(4)]
+    records = []
+    for i in range(count):
+        bits = rng.choice(shapes)
+        if rng.random() < 0.5:
+            bits = (bits & rng.getrandbits(width)) | rng.choice(shapes)
+        props = {}
+        if rng.random() < 0.9:
+            props["act"] = rng.choice([0.1, 0.5, 0.5, 0.9, rng.random()])
+        if rng.random() < 0.8:
+            props["tox"] = rng.choice([0.0, 0.2, rng.random()])
+        name = f"R{rng.randrange(10**6):06d}.{i}"
+        records.append(ExemplarRecord(name, Fingerprint(bits, width), props))
+    obj = draw(st.sampled_from(["act", "act_tox"]))
+    return ExemplarBank(records, width=width), obj
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def reference_retrieve(bank, current, lead, obj, k, threshold, pool_size):
+    """`tanimoto` and Python sorts with the documented tie-breaks, and the
+    names of the pool records logged as lacking a property, in pool order."""
+    query_fp = morgan_fp(current, bank.radius, bank.width)
+    lead_fp = morgan_fp(lead, bank.radius, bank.width)
+    pool = sorted(
+        bank.records, key=lambda r: (-tanimoto(query_fp, r.fp), r.canonical)
+    )[:pool_size]
+    scored, lacking = [], []
+    for record in pool:
+        lead_sim = tanimoto(record.fp, lead_fp)
+        if lead_sim < threshold:
+            continue
+        try:
+            scored.append((obj.aggregate(record.props), lead_sim, record))
+        except KeyError:
+            lacking.append(record.canonical)
+    scored.sort(key=lambda item: (-item[0], -item[1], item[2].canonical))
+    return pool, [record for _, _, record in scored[:k]], lacking
+
+
+class TestDifferential:
+    @given(
+        banks(),
+        st.sampled_from(DIFF_MOLECULES),
+        st.sampled_from(DIFF_MOLECULES),
+        st.sampled_from([1, 3, 8, 10_000]),
+        st.sampled_from([0.0, 0.2, 0.4, 1.0]),
+        st.sampled_from([1, 5, 20, 600]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_reference(self, case, current, lead, k, gamma, pool):
+        bank, obj_name = case
+        obj = act_objective() if obj_name == "act" else tox_objective()
+        current, lead = parse(current), parse(lead)
+        want_pool, want, lacking = reference_retrieve(bank, current, lead, obj, k,
+                                                      gamma, pool)
+        assert candidate_recall(bank, current, pool) == want_pool
+        handler = _Lines()
+        logger = logging.getLogger("leadopt.exembank")
+        logger.addHandler(handler)
+        try:
+            got = retrieve_exemplars(bank, current, lead, obj, k=k, gamma_ex=gamma,
+                                     pool_size=pool)
+        finally:
+            logger.removeHandler(handler)
+        assert got == want
+        assert handler.lines == [
+            f"exemplar {name} lacks a property for objective {obj.name}; dropped"
+            for name in lacking
+        ]
+
+    def test_missing_property_logged_on_every_retrieval(self, caplog):
+        lead = parse("CCCCO")
+        bits = morgan_fp(lead, width=64).bits
+        bank = ExemplarBank(
+            [
+                ExemplarRecord("A", Fingerprint(bits, 64), {"act": 0.3}),
+                ExemplarRecord("B", Fingerprint(bits, 64), {"other": 0.9}),
+            ],
+            width=64,
+        )
+        for _ in range(2):
+            got = retrieve_exemplars(bank, lead, lead, act_objective(), gamma_ex=0.5)
+            assert [r.canonical for r in got] == ["A"]
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines == ["exemplar B lacks a property for objective act; dropped"] * 2
+
+
+class TestNonFiniteProperties:
+    HEXYL = ["CCCCCCO", "CCCCCCN", "CCCCCCC", "CCCCCCF", "CCCCCCS", "CCCCCCCl",
+             "OCCCCCCO", "NCCCCCCO", "CCCCCC(C)O", "CCCCCC(=O)O"]
+
+    def test_nan_row_skipped_and_logged(self, caplog):
+        rows = [f"{s}\tqed_lite={0.9 - 0.05 * i:.3f}" for i, s in enumerate(self.HEXYL)]
+        rows[0] = "CCCCCCO\tqed_lite=nan"
+        bank = build_bank(rows)
+        assert len(bank) == 9
+        assert "skipping corpus row 1: non-finite property qed_lite" in caplog.text
+        obj = Objective(
+            name="qed",
+            terms=(ObjectiveTerm(Oracle("qed_lite", lambda m: 0.0), 1.0,
+                                 SuccessCriterion("absolute", "ge", 0.9)),),
+        )
+        lead = parse("CCCCCCO")
+        got = retrieve_exemplars(bank, lead, lead, obj, k=3, gamma_ex=0.0, pool_size=10)
+        scores = [r.props["qed_lite"] for r in got]
+        assert all(math.isfinite(v) for v in scores)
+        finite = sorted((r.props["qed_lite"] for r in bank.records), reverse=True)
+        assert scores == finite[:3]
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_json_rows_skipped(self, value, caplog):
+        bank = build_bank(['{"smiles": "CCO", "props": {"act": 0.5}}',
+                           '{"smiles": "CCN", "props": {"act": %s}}' % value])
+        assert [r.canonical for r in bank.records] == ["CCO"]
+        assert "skipping corpus row 2" in caplog.text
+
+    def test_oracle_filled_nan_skipped(self):
+        bank = build_bank(["CCO", "CCN\tact=0.2"],
+                          oracles=[Oracle("act", lambda m: float("nan"))])
+        assert [r.canonical for r in bank.records] == ["CCN"]
+
+    def test_load_skips_and_keeps_fingerprints_aligned(self, tmp_path, caplog):
+        bank = build_bank(["CCO\tact=0.1", "c1ccccc1\tact=0.2", "CCCCN\tact=0.3"])
+        jsonl_path, _ = save_bank(bank, tmp_path / "b")
+        lines = jsonl_path.read_text().splitlines()
+        row = json.loads(lines[1])
+        row["props"]["act"] = float("inf")
+        lines[1] = json.dumps(row)
+        jsonl_path.write_text("\n".join(lines) + "\n")
+        loaded = load_bank(tmp_path / "b")
+        assert [(r.canonical, r.fp) for r in loaded.records] == [
+            (r.canonical, r.fp) for r in bank.records if r.canonical != row["smiles"]
+        ]
+        assert "skipping corpus row 2: non-finite property act" in caplog.text
 
 
 class TestWidths:

@@ -15,8 +15,10 @@ one subprocess, its peak resident set size read from the kernel's resource
 usage of that subprocess, and its outputs hashed. The file is written to
 the current directory.
 
-The file holds, per tree, the git rev (null outside a git checkout), the
-source digest, the src/ line count and the Python and numpy versions (as
+The file holds, per tree, the git rev and whether the tree had uncommitted
+changes (``git status --porcelain`` lists anything; both null outside a git
+checkout, and the rev null for a modified tree, whose HEAD names its parent
+rather than the code measured), the source digest, the src/ line count and the Python and numpy versions (as
 perfbench reports them), every run's end-to-end metrics and output
 digests, the per-workload medians and the fixture's wall time, peak RSS
 and sha256 values. With a baseline it also holds, per workload and
@@ -59,6 +61,16 @@ def _perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[di
         cwd=tree, capture_output=True, text=True, check=True)
     env_line, result_line = done.stdout.strip().splitlines()[-2:]
     return json.loads(env_line), json.loads(result_line)
+
+
+def _git_state(tree: Path, rev: str | None) -> dict:
+    """`git_rev` and `git_dirty` of a tree, given the rev perfbench read."""
+    if not (tree / ".git").exists():
+        return {"git_rev": None, "git_dirty": None}
+    status = subprocess.run(["git", "-C", str(tree), "status", "--porcelain"],
+                            capture_output=True, text=True, check=True)
+    dirty = bool(status.stdout.strip())
+    return {"git_rev": None if dirty else rev, "git_dirty": dirty}
 
 
 def _run_record(seed: int, env: dict, result: dict) -> dict:
@@ -170,9 +182,11 @@ def main(argv: list[str] | None = None) -> int:
                 if entry["environment"] is None:
                     entry["environment"] = {
                         key: env["environment"].get(key)
-                        for key in ("git_rev", "source_sha256", "src_lines", "python",
-                                    "numpy", "machine", "nproc")
+                        for key in ("source_sha256", "src_lines", "python", "numpy",
+                                    "machine", "nproc")
                     }
+                    entry["environment"].update(
+                        _git_state(trees[side], env["environment"].get("git_rev")))
                 entry["workloads"].setdefault(workload, {"runs": []})["runs"].append(
                     _run_record(seed, env, result))
                 print(f"{side} {workload} seed {seed}: ops_per_s "
