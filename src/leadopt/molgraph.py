@@ -12,14 +12,15 @@ object.
 A canonical string names its graph, so parsing one the program has just
 written need not search again. The canonical strings of the last 64
 molecules validated under the shipped valence table are remembered with the
-search that wrote them, which keeps the trace of its best write. On a miss
-in its cache, :func:`parse` turns such a string into the writer's
-*write-order twin*: the source's atoms in the order the string writes them,
-its bonds in the order and orientation the parser adds them, its ring flags
-permuted and its fingerprints kept, which is the molecule parsing would
-build, minus tokenizing, validation, the ring search, the canonical search
-and a second write. Unvalidated molecules (skill fragments) and molecules
-checked against another valence table are never remembered.
+molecule, the trace of the search's best write and the search's atom pair
+-> bond index map. On a miss in its cache, :func:`parse` turns such a
+string into the writer's *write-order twin*: the source's atoms in the
+order the string writes them, its bonds in the order and orientation the
+parser adds them, its ring flags permuted and its fingerprints kept, which
+is the molecule parsing would build, minus tokenizing, validation, the ring
+search, the canonical search and a second write. Unvalidated molecules
+(skill fragments) and molecules checked against another valence table are
+never remembered.
 
 An edit hands the parent's ring-bond flags to the edited molecule (no edit
 changes which bonds lie on a ring). None of the four operators can
@@ -40,11 +41,15 @@ write-order twin lists its atoms in another order. A kept child may have
 been named long ago: once its string has left the remembered writes,
 parsing that string is a full parse, not a write-order twin.
 
-The canonical search prunes automorphic branches, so highly symmetric
-graphs (tetra-tert-butylmethane, C60) canonicalize in milliseconds; a graph
-that still exhausts the leaf budget raises
-:class:`CanonicalizationBudgetError`, a :class:`SmilesError`. Parsing
-accepts ASCII digits only, so every bad text raises a :class:`SmilesError`.
+The canonical search sets up in one pass over the bonds and one over the
+atoms, refines by keying again only the cells next to a cell that split, and
+writes a leaf without sorting. It prunes automorphic branches, so highly
+symmetric graphs (tetra-tert-butylmethane, C60) canonicalize in
+milliseconds; a graph that still exhausts the leaf budget raises
+:class:`CanonicalizationBudgetError`, a :class:`SmilesError`. Refinement
+takes one pass per layer of a long chain, so its cost grows with the square
+of the chain's length. Parsing accepts ASCII digits only, so every bad text
+raises a :class:`SmilesError`.
 """
 
 from __future__ import annotations
@@ -141,6 +146,9 @@ AROMATIC = "aromatic"
 _ORDER_ELECTRONS = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1}
 _ORDER_SORT = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
 _BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
+# what the writer writes for a bond of each order, a single bond between
+# aromatic ring atoms aside
+_ORDER_CHAR = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
 
 EDIT_OPERATORS = (
     "substitute_atom",
@@ -258,7 +266,7 @@ class Molecule:
         self.bonds: tuple[Bond, ...] = bonds
         self._adj = _adjacency(len(atoms), bonds)
         if ring_bonds is None:
-            ring_bonds = _ring_bond_flags(len(atoms), bonds, self._adj)
+            ring_bonds = _ring_bond_flags(len(atoms), [(b.a, b.b) for b in bonds])
         self._ring_bonds = ring_bonds
         self._ring_atoms = [False] * len(atoms)
         for b_idx, bond in enumerate(bonds):
@@ -421,15 +429,18 @@ def _component_size(start: int, adj: list[list[tuple[int, str]]]) -> int:
     return len(seen)
 
 
-def _ring_bond_flags(
-    n: int, bonds: Sequence[Bond], adj: list[list[tuple[int, str]]]
-) -> list[bool]:
-    """True for every bond on a cycle; bridges are the only non-ring bonds."""
-    if n == 0 or not bonds:
-        return [False] * len(bonds)
-    edge_index: dict[tuple[int, int], int] = {b.key(): i for i, b in enumerate(bonds)}
+def _ring_bond_flags(n: int, edges: Sequence[tuple[int, int]]) -> list[bool]:
+    """True for every bond on a cycle, given each bond's (a, b) pair;
+    bridges are the only non-ring bonds."""
+    if n == 0 or not edges:
+        return [False] * len(edges)
+    # per atom: (neighbour, bond index)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for b_idx, (a, b) in enumerate(edges):
+        adj[a].append((b, b_idx))
+        adj[b].append((a, b_idx))
     # back edges always close a cycle; tree edges checked with low-links
-    flags = [True] * len(bonds)
+    flags = [True] * len(edges)
     disc = [-1] * n
     low = [0] * n
     timer = 0
@@ -438,30 +449,28 @@ def _ring_bond_flags(
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack: list[tuple[int, int, Iterator[tuple[int, str]]]] = [
+        # (atom, the tree bond it was reached by, its unread neighbours)
+        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
             (root, -1, iter(adj[root]))
         ]
         while stack:
-            node, parent, it = stack[-1]
-            advanced = False
-            for nbr, _ in it:
-                if nbr == parent:
+            node, via, it = stack[-1]
+            for nbr, b_idx in it:
+                if b_idx == via:
                     continue
                 if disc[nbr] == -1:
                     disc[nbr] = low[nbr] = timer
                     timer += 1
-                    stack.append((nbr, node, iter(adj[nbr])))
-                    advanced = True
+                    stack.append((nbr, b_idx, iter(adj[nbr])))
                     break
                 low[node] = min(low[node], disc[nbr])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                up = stack[-1][0]
-                low[up] = min(low[up], low[node])
-                if low[node] > disc[up]:
-                    flags[edge_index[(min(up, node), max(up, node))]] = False
+            else:
+                stack.pop()
+                if stack:
+                    up = stack[-1][0]
+                    low[up] = min(low[up], low[node])
+                    if low[node] > disc[up]:
+                        flags[via] = False
     return flags
 
 
@@ -730,10 +739,7 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
 
     # Resolve unspecified bond orders: aromatic between two aromatic atoms
     # when the bond lies on a ring, single otherwise.
-    placeholders = [Bond(a, b) for a, b, _ in graph]
-    ring_flags = _ring_bond_flags(
-        len(atoms), placeholders, _adjacency(len(atoms), placeholders)
-    )
+    ring_flags = _ring_bond_flags(len(atoms), [(a, b) for a, b, _ in graph])
     resolved: list[Bond] = []
     for i, (a, b, order) in enumerate(graph):
         if order is None:
@@ -766,23 +772,6 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
 # ---------------------------------------------------------------------------
 
 
-def _initial_invariants(mol: Molecule) -> list[tuple]:
-    inv = []
-    for idx, atom in enumerate(mol.atoms):
-        inv.append(
-            (
-                _ELEMENT_INDEX[atom.element],
-                atom.aromatic,
-                atom.formal_charge,
-                atom.hcount,
-                mol.degree(idx),
-                mol.atom_in_ring(idx),
-                atom.isotope or 0,
-            )
-        )
-    return inv
-
-
 def _dense_ranks(keys: list) -> list[int]:
     order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
     return [order[key] for key in keys]
@@ -792,41 +781,58 @@ def _refine(nbrs: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
     """Split cells by their atoms' sorted (bond order, neighbour rank) lists
     until no cell splits; `nbrs[i]` holds atom i's (order sort key, neighbour).
 
-    A pass equals dense-ranking every atom's key (rank, neighbour list): the
-    rank part keeps cells in place, so only cells of two or more atoms are
-    keyed, and the atoms of a cell that does not split keep one rank.
+    A pass equals dense-ranking every atom's key (rank, neighbour list), each
+    key read on the last pass's ranks: the rank part keeps cells in place, so
+    a cell that splits leaves its parts where it stood, in key order, and the
+    cells after it move up. The cell lists are kept from pass to pass. The
+    first pass keys every cell of two or more atoms; a later pass keys only
+    the cells holding a neighbour of an atom whose cell split in the pass
+    before. That is exact: the atoms of any other cell had equal keys when
+    the cell was last keyed (or made), none of their neighbours has changed
+    cell since, and renumbering keeps the order of the ranks, so their keys
+    are still equal.
     """
     n = len(ranks)
-    while True:
-        cells: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
-        for idx, rank in enumerate(ranks):
-            cells[rank].append(idx)
-        if len(cells) == n:
-            return ranks
-        new_ranks = [0] * n
-        offset = 0
-        split = False
-        for cell in cells:
-            if len(cell) > 1:
-                # (order, rank) pairs packed into one int keep their order
-                keys = [
-                    tuple(sorted([order * n + ranks[j] for order, j in nbrs[i]]))
-                    for i in cell
-                ]
-                distinct = sorted(set(keys))
-                if len(distinct) > 1:
-                    split = True
-                    position = {key: offset + k for k, key in enumerate(distinct)}
-                    for idx, key in zip(cell, keys):
-                        new_ranks[idx] = position[key]
-                    offset += len(distinct)
-                    continue
-            for idx in cell:
-                new_ranks[idx] = offset
-            offset += 1
-        if not split:
-            return ranks
-        ranks = new_ranks
+    cells: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for idx, rank in enumerate(ranks):
+        cells[rank].append(idx)
+    ranks = list(ranks)
+    touched: Iterable[int] = range(len(cells))
+    while len(cells) < n:
+        new_cells: list[list[int]] = []
+        copied = first = 0  # cells[:copied] are in new_cells
+        moved: list[int] = []  # atoms of the cells that split
+        for pos in touched:
+            cell = cells[pos]
+            if len(cell) < 2:
+                continue
+            # (order, rank) pairs packed into one int keep their order
+            keyed = sorted([
+                (sorted([order * n + ranks[j] for order, j in nbrs[i]]), i) for i in cell
+            ])
+            if keyed[0][0] == keyed[-1][0]:
+                continue
+            if not moved:
+                first = pos
+            new_cells += cells[copied:pos]
+            copied = pos + 1
+            moved += cell
+            part = [keyed[0][1]]
+            for (last, _), (key, idx) in zip(keyed, keyed[1:]):
+                if key != last:
+                    new_cells.append(part)
+                    part = []
+                part.append(idx)
+            new_cells.append(part)
+        if not moved:
+            break
+        new_cells += cells[copied:]
+        cells = new_cells
+        for rank in range(first, len(cells)):
+            for idx in cells[rank]:
+                ranks[idx] = rank
+        touched = sorted({ranks[j] for i in moved for _, j in nbrs[i]})
+    return ranks
 
 
 def _individualize(ranks: list[int], atom: int) -> list[int]:
@@ -854,31 +860,70 @@ class _Canonicalizer:
     """Canonical SMILES: the smallest leaf string of the individualize-and-
     refine search tree, with per-molecule data computed once.
 
-    A node individualizes each atom of its first tied cell in turn; a leaf
-    (every atom ranked apart) writes SMILES in rank order. A molecule whose
-    refined ranks have no tie is its own single leaf. Two leaves with equal
-    certificates (atom tokens in rank order plus the sorted rank-labelled
-    edges) differ by an automorphism and write equal strings, so each
-    certificate is written once. That automorphism maps the later leaf's
-    path onto the earlier one's, and the later leaf's subtree below the
-    deepest node both paths share onto a subtree already searched, so the
-    search resumes at that node. A node also skips atoms in the orbit of an
-    atom it has explored, under the automorphisms found so far that fix its
-    path (McKay & Piperno, J. Symb. Comput. 60, 2014). Pruned leaves write
-    the strings of leaves kept, so the smallest string is unchanged.
+    One pass over the bonds and one over the atoms build the neighbour rows,
+    the bond characters, a lower atom * n + higher atom -> bond index map,
+    the atom tokens (only bracket atoms call :func:`_atom_token`) and the
+    initial invariants; the edges the certificates list are built once the
+    refined ranks tie. A node individualizes each atom of its first tied
+    cell in turn; a leaf (every atom ranked apart) writes SMILES in rank
+    order. A molecule whose refined ranks have no tie is its own single leaf.
+    Two leaves with equal certificates (atom tokens in rank order plus the
+    sorted rank-labelled edges) differ by an automorphism and write equal
+    strings, so each certificate is written once. That automorphism maps the
+    later leaf's path onto the earlier one's, and the later leaf's subtree
+    below the deepest node both paths share onto a subtree already searched,
+    so the search resumes at that node. A node also skips atoms in the orbit
+    of an atom it has explored, under the automorphisms found so far that fix
+    its path (McKay & Piperno, J. Symb. Comput. 60, 2014). Pruned leaves
+    write the strings of leaves kept, so the smallest string is unchanged.
     """
 
     def __init__(self, mol: Molecule):
-        n = len(mol.atoms)
+        atoms, ring_bonds, n = mol.atoms, mol._ring_bonds, len(mol.atoms)
         self.mol = mol
         # per atom: (order sort key, neighbour) pairs
-        self.nbrs = [
-            [(_ORDER_SORT[order], j) for j, order in mol.neighbors(i)]
-            for i in range(n)
-        ]
-        self.tokens = [_atom_token(mol, i) for i in range(n)]
-        self.bond_chars = {b.key(): _bond_char(mol, i) for i, b in enumerate(mol.bonds)}
-        self.edges = [(b.a, b.b, _ORDER_SORT[b.order]) for b in mol.bonds]
+        self.nbrs = nbrs = [[] for _ in range(n)]
+        electrons = [0] * n
+        self.bond_chars = bond_chars = []
+        # lower atom * n + higher atom -> bond index
+        self.bond_at = bond_at = {}
+        for b_idx, bond in enumerate(mol.bonds):
+            a, b, order = bond.a, bond.b, bond.order
+            sort_key = _ORDER_SORT[order]
+            nbrs[a].append((sort_key, b))
+            nbrs[b].append((sort_key, a))
+            spent = _ORDER_ELECTRONS[order]
+            electrons[a] += spent
+            electrons[b] += spent
+            bond_at[a * n + b if a < b else b * n + a] = b_idx
+            # a single bond is written '-' only where re-parsing would
+            # resolve the default order to aromatic
+            bond_chars.append(
+                "-" if order == SINGLE and ring_bonds[b_idx]
+                and atoms[a].aromatic and atoms[b].aromatic else _ORDER_CHAR[order]
+            )
+        self.tokens = tokens = []
+        self.invariants = invariants = []
+        ring_atoms = mol._ring_atoms
+        for idx, atom in enumerate(atoms):
+            element, aromatic, charge, hcount, isotope = (
+                atom.element, atom.aromatic, atom.formal_charge, atom.hcount, atom.isotope
+            )
+            symbol = element.lower() if aromatic else element
+            if (
+                charge == 0
+                and isotope is None
+                and (not aromatic or element in _AROMATIC_OK)
+                and _implicit_hydrogens(element, aromatic, electrons[idx]) == hcount
+            ):
+                tokens.append(symbol)
+            else:
+                tokens.append(_atom_token(atom, symbol))
+            invariants.append((
+                _ELEMENT_INDEX[element], aromatic, charge, hcount,
+                len(nbrs[idx]), ring_atoms[idx], isotope or 0,
+            ))
+        self.edges: list[tuple[int, int, int]] = []  # built once ranks tie
         # certificate -> (atom at each rank, path) of its first leaf
         self.leaves: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
         self.automorphisms: list[list[int]] = []
@@ -888,21 +933,22 @@ class _Canonicalizer:
         self.best_trace: list[tuple[int, list[int]]] = []
 
     def run(self) -> str:
-        ranks = _refine(self.nbrs, _dense_ranks(_initial_invariants(self.mol)))
+        ranks = _refine(self.nbrs, _dense_ranks(self.invariants))
         if max(ranks) == len(ranks) - 1:
             return self._write(ranks, self.best_trace)
+        self.edges = [(b.a, b.b, _ORDER_SORT[b.order]) for b in self.mol.bonds]
         self._visit(ranks, ())
         return self.best
 
     def _visit(self, ranks: list[int], path: tuple[int, ...]) -> int:
         """Search below the node `path` individualizes; returns the depth of
         the node where the search goes on."""
+        if max(ranks) == len(ranks) - 1:
+            return self._leaf(ranks, path)
         cells: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
         for idx, rank in enumerate(ranks):
             cells[rank].append(idx)
-        tied = next((cell for cell in cells if len(cell) > 1), None)
-        if tied is None:
-            return self._leaf(ranks, path)
+        tied = next(cell for cell in cells if len(cell) > 1)
         depth = len(path)
         explored: list[int] = []
         for atom in tied:
@@ -969,119 +1015,92 @@ class _Canonicalizer:
         for each atom in written order, the atom and the neighbours a parser
         bonds it to on reading it: its tree parent, then the partners of the
         ring bonds it closes, in digit order."""
-        nbrs, bond_chars = self.nbrs, self.bond_chars
         n = len(ranks)
+        order = [0] * n
+        for idx, rank in enumerate(ranks):
+            order[rank] = idx
+        # each atom's neighbours in rank order, from one pass in rank order
+        ordered: list[list[int]] = [[] for _ in range(n)]
+        for idx in order:
+            for _, nbr in self.nbrs[idx]:
+                ordered[nbr].append(idx)
         # terminal atoms give chain-first strings; both keys are isomorphism
         # invariants, so the choice is still canonical
-        root = min(range(n), key=lambda i: (len(nbrs[i]) != 1, ranks[i]))
+        root = order[0]
+        for idx in order:
+            if len(ordered[idx]) == 1:
+                root = idx
+                break
 
-        # depth-first spanning tree, neighbors taken in canonical-rank order
-        children: list[list[int]] = [[] for _ in range(n)]
-        closure_set: set[tuple[int, int]] = set()
-        visited = [False] * n
+        # a depth-first spanning tree, its preorder the written order: a
+        # child with a later sibling is a branch, closed after the last atom
+        # of its subtree; every other bond joins an atom to an ancestor
+        preorder = [root]
+        seen = [-1] * n  # preorder position
+        seen[root] = 0
         parent = [-1] * n
-        visited[root] = True
-
-        def _ordered(idx: int) -> list[int]:
-            return sorted([nbr for _, nbr in nbrs[idx]], key=ranks.__getitem__)
-
-        dfs: list[tuple[int, Iterator[int]]] = [(root, iter(_ordered(root)))]
+        last_child = [-1] * n
+        branch = [False] * n
+        closes = [0] * n  # branches closed after the atom
+        opens: dict[int, list[int]] = {}  # ancestor -> ring partners
+        shuts: dict[int, list[int]] = {}  # descendant -> ring partners
+        dfs: list[tuple[int, Iterator[int]]] = [(root, iter(ordered[root]))]
         while dfs:
             node, it = dfs[-1]
-            advanced = False
             for nbr in it:
-                if not visited[nbr]:
-                    visited[nbr] = True
+                if seen[nbr] < 0:
+                    if last_child[node] >= 0:
+                        branch[last_child[node]] = True
+                        closes[preorder[-1]] += 1
+                    last_child[node] = nbr
                     parent[nbr] = node
-                    children[node].append(nbr)
-                    dfs.append((nbr, iter(_ordered(nbr))))
-                    advanced = True
+                    seen[nbr] = len(preorder)
+                    preorder.append(nbr)
+                    dfs.append((nbr, iter(ordered[nbr])))
                     break
-                if nbr != parent[node]:
-                    closure_set.add((min(node, nbr), max(node, nbr)))
-            if not advanced:
+                if seen[nbr] < seen[node] and nbr != parent[node]:
+                    opens.setdefault(nbr, []).append(node)
+                    shuts.setdefault(node, []).append(nbr)
+            else:
                 dfs.pop()
 
-        closure_atoms: dict[int, list[tuple[int, int]]] = {}
-        for pair in closure_set:
-            closure_atoms.setdefault(pair[0], []).append(pair)
-            closure_atoms.setdefault(pair[1], []).append(pair)
+        tokens, bond_chars, bond_at = self.tokens, self.bond_chars, self.bond_at
         free_digits = list(range(1, 100))  # a heap: sorted, so already one
-        open_digits: dict[tuple[int, int], int] = {}
-
-        # atoms in preorder: each atom's token and ring digits, then its
-        # children, every child but the last as a branch; the stack holds
-        # atoms to write and text to copy, the next item last
+        open_digits: dict[tuple[int, int], int] = {}  # (ancestor, descendant)
         out: list[str] = []
-        stack: list = [root]
-        while stack:
-            idx = stack.pop()
-            if isinstance(idx, str):
-                out.append(idx)
-                continue
-            out.append(self.tokens[idx])
-            trace.append((idx, [parent[idx]] if idx != root else []))
-            pairs = closure_atoms.get(idx)
-            if pairs:
-                # a pair is open exactly when its other atom came first
-                closing = sorted((open_digits[p], p) for p in pairs if p in open_digits)
-                # deterministic: open closures toward lower-ranked partners first
-                opening = sorted(
-                    (ranks[p[0] if p[1] == idx else p[1]], p)
-                    for p in pairs
-                    if p not in open_digits
-                )
-                for digit, pair in closing:
-                    del open_digits[pair]
+        emit = out.append
+        for idx in preorder:
+            up = parent[idx]
+            if up < 0:
+                partners = []
+            else:
+                partners = [up]
+                if branch[idx]:
+                    emit("(")
+                emit(bond_chars[bond_at[up * n + idx if up < idx else idx * n + up]])
+            emit(tokens[idx])
+            if idx in shuts:
+                for digit, other in sorted(
+                    [(open_digits.pop((other, idx)), other) for other in shuts[idx]]
+                ):
                     heapq.heappush(free_digits, digit)
-                    out.append(_digit_token(digit))
-                    trace[-1][1].append(pair[0] if pair[1] == idx else pair[1])
-                for _, pair in opening:
+                    emit(_digit_token(digit))
+                    partners.append(other)
+            if idx in opens:
+                # deterministic: open closures toward lower-ranked partners first
+                for _, other in sorted([(ranks[other], other) for other in opens[idx]]):
                     digit = heapq.heappop(free_digits)
-                    open_digits[pair] = digit
-                    out.append(bond_chars[pair] + _digit_token(digit))
-            kids = children[idx]
-            for pos in range(len(kids) - 1, -1, -1):
-                kid = kids[pos]
-                bond = bond_chars[(idx, kid) if idx < kid else (kid, idx)]
-                if pos == len(kids) - 1:
-                    stack += (kid, bond)
-                else:
-                    stack += (")", kid, bond, "(")
+                    open_digits[(idx, other)] = digit
+                    pair = idx * n + other if idx < other else other * n + idx
+                    emit(bond_chars[bond_at[pair]] + _digit_token(digit))
+            trace.append((idx, partners))
+            if closes[idx]:
+                emit(")" * closes[idx])
         return "".join(out)
 
 
-def _bond_char(mol: Molecule, bond_idx: int) -> str:
-    bond = mol.bonds[bond_idx]
-    if bond.order == DOUBLE:
-        return "="
-    if bond.order == TRIPLE:
-        return "#"
-    if bond.order == AROMATIC:
-        return ""
-    # single bond: explicit '-' only where re-parsing would otherwise
-    # resolve the default order to aromatic (ring bond, both ends aromatic)
-    if (
-        mol.bond_in_ring(bond_idx)
-        and mol.atoms[bond.a].aromatic
-        and mol.atoms[bond.b].aromatic
-    ):
-        return "-"
-    return ""
-
-
-def _atom_token(mol: Molecule, idx: int) -> str:
-    atom = mol.atoms[idx]
-    electrons = _bond_electrons(mol.neighbors(idx))
-    plain_ok = (
-        atom.formal_charge == 0
-        and atom.isotope is None
-        and (not atom.aromatic or atom.element in _AROMATIC_OK)
-        and _implicit_hydrogens(atom.element, atom.aromatic, electrons) == atom.hcount
-    )
-    symbol = atom.element.lower() if atom.aromatic else atom.element
-    if plain_ok:
-        return symbol
+def _atom_token(atom: Atom, symbol: str) -> str:
+    """The bracket token of an atom that cannot be written bare."""
     parts = ["["]
     if atom.isotope is not None:
         parts.append(str(atom.isotope))
@@ -1110,40 +1129,41 @@ def _digit_token(digit: int) -> str:
 # Write-order twins
 # ---------------------------------------------------------------------------
 
-# canonical string -> the search that wrote it, for the last
-# _PARSE_CACHE_SIZE molecules validated under the shipped valence table
-_WRITTEN: dict[str, _Canonicalizer] = {}
+# canonical string -> (molecule, best trace, bond map) of the search that
+# wrote it, for the last _PARSE_CACHE_SIZE molecules validated under the
+# shipped valence table
+_WRITTEN: dict[str, tuple] = {}
 _WRITTEN_LOCK = threading.Lock()  # rollouts on threads share the entries
 
 
 def _remember(text: str, canon: _Canonicalizer) -> None:
-    canon.leaves.clear()  # certificates only serve the search
+    written = (canon.mol, canon.best_trace, canon.bond_at)
     with _WRITTEN_LOCK:
         _WRITTEN.pop(text, None)
-        _WRITTEN[text] = canon
+        _WRITTEN[text] = written
         if len(_WRITTEN) > _PARSE_CACHE_SIZE:
             del _WRITTEN[next(iter(_WRITTEN))]
 
 
-def _write_order_twin(text: str, canon: _Canonicalizer) -> Molecule:
+def _write_order_twin(text: str, written: tuple) -> Molecule:
     """What ``_parse_text(text, None)`` returns, built from the molecule whose
     search wrote `text`: its atoms in the order the string writes them, its
     bonds in the order and orientation the parser adds them, its ring flags
-    permuted, all read off the trace of the write. A canonical string names
-    its graph, and the source was validated under the shipped table, so
-    tokenizing, validation, the ring search, the canonical search and a
-    second write are all skipped."""
-    src = canon.mol
-    bond_at = {bond.key(): b_idx for b_idx, bond in enumerate(src.bonds)}
-    new = [0] * len(src.atoms)
+    permuted, all read off the trace of the write and the search's bond map.
+    A canonical string names its graph, and the source was validated under
+    the shipped table, so tokenizing, validation, the ring search, the
+    canonical search and a second write are all skipped."""
+    src, trace, bond_at = written
+    n = len(src.atoms)
+    new = [0] * n
     atoms: list[Atom] = []
     bonds: list[Bond] = []
     ring_bonds: list[bool] = []
-    for idx, partners in canon.best_trace:
+    for idx, partners in trace:
         new[idx] = len(atoms)
         atoms.append(src.atoms[idx])
         for other in partners:
-            b_idx = bond_at[(other, idx) if other < idx else (idx, other)]
+            b_idx = bond_at[other * n + idx if other < idx else idx * n + other]
             bonds.append(Bond(new[other], new[idx], src.bonds[b_idx].order))
             ring_bonds.append(src._ring_bonds[b_idx])
     twin = Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds, canonical=text)

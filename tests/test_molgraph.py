@@ -1,8 +1,10 @@
+import heapq
 import random
 import re
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,10 +219,10 @@ class TestScaffold:
             early = twin_of(writer)
             # the scaffold's own search may write the same string (a bare
             # ring system), so the writer's search is kept from before
-            canon = molgraph._WRITTEN[writer.canonical]
+            written = molgraph._WRITTEN[writer.canonical]
             sc = scaffold_of(writer)
             assert scaffold_of(writer) is sc
-            late = molgraph._write_order_twin(writer.canonical, canon)
+            late = molgraph._write_order_twin(writer.canonical, written)
             assert scaffold_of(late) is sc
             own = scaffold_of(early)
             assert own is not sc
@@ -277,7 +279,9 @@ class TestMutate:
             if line.startswith("#") or op == "parse" or want.startswith("!"):
                 continue
             child = mutate(parse(source), op, int(seed))
-            fresh = molgraph._ring_bond_flags(len(child.atoms), child.bonds, child._adj)
+            fresh = molgraph._ring_bond_flags(
+                len(child.atoms), [(b.a, b.b) for b in child.bonds]
+            )
             if child._ring_bonds != fresh:
                 mismatches.append((source, op, seed))
         assert mismatches == []
@@ -533,9 +537,9 @@ def parsed_equal(twin: Molecule, text: str) -> bool:
 
 def twin_of(mol: Molecule) -> Molecule:
     """The write-order twin of `mol`'s canonical string, from `mol` itself."""
-    canon = molgraph._WRITTEN[mol.canonical]
-    assert canon.mol is mol
-    return molgraph._write_order_twin(mol.canonical, canon)
+    written = molgraph._WRITTEN[mol.canonical]
+    assert written[0] is mol
+    return molgraph._write_order_twin(mol.canonical, written)
 
 
 CORPUS = [
@@ -600,6 +604,15 @@ class TestWriteOrderTwin:
             return real_write(canon, *args)
 
         monkeypatch.setattr(molgraph._Canonicalizer, "_write", counted_write)
+        # the searches whose refined ranks tied
+        visits = []
+        real_visit = molgraph._Canonicalizer._visit
+
+        def counted_visit(canon, *args):
+            visits.append(canon)
+            return real_visit(canon, *args)
+
+        monkeypatch.setattr(molgraph._Canonicalizer, "_visit", counted_visit)
         tied = 0
         for line in GOLDEN.read_text().splitlines()[1::5]:
             source, op, seed, want = line.split("\t")
@@ -608,7 +621,7 @@ class TestWriteOrderTwin:
             mol = molgraph._parse_text(source, None)
             if op != "parse":
                 mol = mutate(mol, op, int(seed))
-            tied += bool(molgraph._WRITTEN[mol.canonical].automorphisms)
+            tied += any(canon.mol is mol for canon in visits)
             before = len(writes)
             twin = twin_of(mol)
             assert len(writes) == before, (source, op, seed)
@@ -808,9 +821,9 @@ class TestEditMemo:
                 continue
             # the memo keeps the edits of the child's write-order twin, not
             # those of the deferred child, and the twin starts with none
-            canon = molgraph._WRITTEN[first.canonical]
-            assert canon.mol is first
-            twin = molgraph._write_order_twin(first.canonical, canon)
+            written = molgraph._WRITTEN[first.canonical]
+            assert written[0] is first
+            twin = molgraph._write_order_twin(first.canonical, written)
             assert twin._keeps_edits and not first._keeps_edits
             assert all(mol is not twin for mol, _ in molgraph._EDIT_MEMO.values())
             assert parsed_equal(twin, want)
@@ -859,7 +872,7 @@ class TestEditMemo:
         assert parse(source) is parent
         child = molgraph._edit(parent, "substitute_atom", 11)
         text = child.canonical
-        assert molgraph._WRITTEN[text].mol is child
+        assert molgraph._WRITTEN[text][0] is child
         for n in range(1, molgraph._PARSE_CACHE_SIZE + 2):
             molgraph._parse_text("C" * n, None)
         assert text not in molgraph._WRITTEN
@@ -867,3 +880,507 @@ class TestEditMemo:
         reparsed = parse(text)
         assert reparsed == child and reparsed is not child
         assert parsed_equal(reparsed, text)
+
+
+# ---------------------------------------------------------------------------
+# The canonical search as it was before its one-pass setup, touched-cell
+# refinement and rank-ordered writer, kept as the reference the search must
+# match: every refine call's ranks, the strings, the best write traces, the
+# leaf counts and the write-order twins. The reference records its refine
+# calls in `refines`; nothing else differs.
+# ---------------------------------------------------------------------------
+
+
+def reference_initial_invariants(mol: Molecule) -> list[tuple]:
+    inv = []
+    for idx, atom in enumerate(mol.atoms):
+        inv.append(
+            (
+                molgraph._ELEMENT_INDEX[atom.element],
+                atom.aromatic,
+                atom.formal_charge,
+                atom.hcount,
+                mol.degree(idx),
+                mol.atom_in_ring(idx),
+                atom.isotope or 0,
+            )
+        )
+    return inv
+
+
+def reference_dense_ranks(keys: list) -> list[int]:
+    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [order[key] for key in keys]
+
+
+def reference_refine(nbrs: list[list[tuple[int, int]]], ranks: list[int]) -> list[int]:
+    """Split cells by their atoms' sorted (bond order, neighbour rank) lists
+    until no cell splits; `nbrs[i]` holds atom i's (order sort key, neighbour).
+
+    A pass equals dense-ranking every atom's key (rank, neighbour list): the
+    rank part keeps cells in place, so only cells of two or more atoms are
+    keyed, and the atoms of a cell that does not split keep one rank.
+    """
+    n = len(ranks)
+    while True:
+        cells: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+        for idx, rank in enumerate(ranks):
+            cells[rank].append(idx)
+        if len(cells) == n:
+            return ranks
+        new_ranks = [0] * n
+        offset = 0
+        split = False
+        for cell in cells:
+            if len(cell) > 1:
+                # (order, rank) pairs packed into one int keep their order
+                keys = [
+                    tuple(sorted([order * n + ranks[j] for order, j in nbrs[i]]))
+                    for i in cell
+                ]
+                distinct = sorted(set(keys))
+                if len(distinct) > 1:
+                    split = True
+                    position = {key: offset + k for k, key in enumerate(distinct)}
+                    for idx, key in zip(cell, keys):
+                        new_ranks[idx] = position[key]
+                    offset += len(distinct)
+                    continue
+            for idx in cell:
+                new_ranks[idx] = offset
+            offset += 1
+        if not split:
+            return ranks
+        ranks = new_ranks
+
+
+def reference_individualize(ranks: list[int], atom: int) -> list[int]:
+    """Move `atom` into a cell of its own, just before the rest of its cell."""
+    own = ranks[atom]
+    return [
+        rank + (rank > own or (rank == own and idx != atom))
+        for idx, rank in enumerate(ranks)
+    ]
+
+
+class ReferenceCanonicalizer:
+    """Canonical SMILES: the smallest leaf string of the individualize-and-
+    refine search tree, with per-molecule data computed once.
+
+    A node individualizes each atom of its first tied cell in turn; a leaf
+    (every atom ranked apart) writes SMILES in rank order. A molecule whose
+    refined ranks have no tie is its own single leaf. Two leaves with equal
+    certificates (atom tokens in rank order plus the sorted rank-labelled
+    edges) differ by an automorphism and write equal strings, so each
+    certificate is written once. That automorphism maps the later leaf's
+    path onto the earlier one's, and the later leaf's subtree below the
+    deepest node both paths share onto a subtree already searched, so the
+    search resumes at that node. A node also skips atoms in the orbit of an
+    atom it has explored, under the automorphisms found so far that fix its
+    path (McKay & Piperno, J. Symb. Comput. 60, 2014). Pruned leaves write
+    the strings of leaves kept, so the smallest string is unchanged.
+    """
+
+    def __init__(self, mol: Molecule):
+        n = len(mol.atoms)
+        self.mol = mol
+        # per atom: (order sort key, neighbour) pairs
+        self.nbrs = [
+            [(molgraph._ORDER_SORT[order], j) for j, order in mol.neighbors(i)]
+            for i in range(n)
+        ]
+        self.tokens = [reference_atom_token(mol, i) for i in range(n)]
+        self.bond_chars = {b.key(): reference_bond_char(mol, i) for i, b in enumerate(mol.bonds)}
+        self.edges = [(b.a, b.b, molgraph._ORDER_SORT[b.order]) for b in mol.bonds]
+        # certificate -> (atom at each rank, path) of its first leaf
+        self.leaves: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
+        self.automorphisms: list[list[int]] = []
+        self.budget = molgraph._MAX_CANON_LEAVES
+        self.best = ""
+        # the best string's write trace (see _write), for _write_order_twin
+        self.best_trace: list[tuple[int, list[int]]] = []
+        # (ranks in, ranks out) of every refine call, in order
+        self.refines: list[tuple[list[int], list[int]]] = []
+
+    def _refine(self, ranks: list[int]) -> list[int]:
+        refined = reference_refine(self.nbrs, ranks)
+        self.refines.append((ranks, refined))
+        return refined
+
+    def run(self) -> str:
+        ranks = self._refine(reference_dense_ranks(reference_initial_invariants(self.mol)))
+        if max(ranks) == len(ranks) - 1:
+            return self._write(ranks, self.best_trace)
+        self._visit(ranks, ())
+        return self.best
+
+    def _visit(self, ranks: list[int], path: tuple[int, ...]) -> int:
+        """Search below the node `path` individualizes; returns the depth of
+        the node where the search goes on."""
+        cells: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+        for idx, rank in enumerate(ranks):
+            cells[rank].append(idx)
+        tied = next((cell for cell in cells if len(cell) > 1), None)
+        if tied is None:
+            return self._leaf(ranks, path)
+        depth = len(path)
+        explored: list[int] = []
+        for atom in tied:
+            if explored and self._in_explored_orbit(atom, explored, path):
+                continue
+            explored.append(atom)
+            resume = self._visit(
+                self._refine(reference_individualize(ranks, atom)), path + (atom,)
+            )
+            if resume < depth:
+                return resume
+        return depth - 1
+
+    def _leaf(self, ranks: list[int], path: tuple[int, ...]) -> int:
+        self.budget -= 1
+        if self.budget < 0:
+            raise molgraph.CanonicalizationBudgetError(
+                "canonicalization budget exceeded (graph too symmetric)"
+            )
+        order = [0] * len(ranks)
+        for idx, rank in enumerate(ranks):
+            order[rank] = idx
+        edges = []
+        for a, b, o in self.edges:
+            ra, rb = ranks[a], ranks[b]
+            edges.append((ra, rb, o) if ra < rb else (rb, ra, o))
+        edges.sort()
+        certificate = (tuple([self.tokens[idx] for idx in order]), tuple(edges))
+        first = self.leaves.get(certificate)
+        if first is None:
+            self.leaves[certificate] = (order, path)
+            trace: list[tuple[int, list[int]]] = []
+            smiles = self._write(ranks, trace)
+            if not self.best or smiles < self.best:
+                self.best = smiles
+                self.best_trace = trace
+            return len(path) - 1
+        first_order, first_path = first
+        # maps each atom to the atom holding its rank in the first leaf
+        self.automorphisms.append([first_order[rank] for rank in ranks])
+        depth = 0
+        while path[depth] == first_path[depth]:
+            depth += 1
+        return depth
+
+    def _in_explored_orbit(
+        self, atom: int, explored: list[int], path: tuple[int, ...]
+    ) -> bool:
+        """Whether automorphisms fixing every atom of `path` map `atom` onto
+        an explored atom."""
+        generators = [g for g in self.automorphisms if all(g[v] == v for v in path)]
+        orbit = {atom}
+        stack = [atom]
+        while stack:
+            idx = stack.pop()
+            for g in generators:
+                if g[idx] not in orbit:
+                    orbit.add(g[idx])
+                    stack.append(g[idx])
+        return not orbit.isdisjoint(explored)
+
+    def _write(self, ranks: list[int], trace: list[tuple[int, list[int]]]) -> str:
+        """SMILES with atoms taken in `ranks` order. The `trace` list receives,
+        for each atom in written order, the atom and the neighbours a parser
+        bonds it to on reading it: its tree parent, then the partners of the
+        ring bonds it closes, in digit order."""
+        nbrs, bond_chars = self.nbrs, self.bond_chars
+        n = len(ranks)
+        # terminal atoms give chain-first strings; both keys are isomorphism
+        # invariants, so the choice is still canonical
+        root = min(range(n), key=lambda i: (len(nbrs[i]) != 1, ranks[i]))
+
+        # depth-first spanning tree, neighbors taken in canonical-rank order
+        children: list[list[int]] = [[] for _ in range(n)]
+        closure_set: set[tuple[int, int]] = set()
+        visited = [False] * n
+        parent = [-1] * n
+        visited[root] = True
+
+        def _ordered(idx: int) -> list[int]:
+            return sorted([nbr for _, nbr in nbrs[idx]], key=ranks.__getitem__)
+
+        dfs: list[tuple[int, Iterator[int]]] = [(root, iter(_ordered(root)))]
+        while dfs:
+            node, it = dfs[-1]
+            advanced = False
+            for nbr in it:
+                if not visited[nbr]:
+                    visited[nbr] = True
+                    parent[nbr] = node
+                    children[node].append(nbr)
+                    dfs.append((nbr, iter(_ordered(nbr))))
+                    advanced = True
+                    break
+                if nbr != parent[node]:
+                    closure_set.add((min(node, nbr), max(node, nbr)))
+            if not advanced:
+                dfs.pop()
+
+        closure_atoms: dict[int, list[tuple[int, int]]] = {}
+        for pair in closure_set:
+            closure_atoms.setdefault(pair[0], []).append(pair)
+            closure_atoms.setdefault(pair[1], []).append(pair)
+        free_digits = list(range(1, 100))  # a heap: sorted, so already one
+        open_digits: dict[tuple[int, int], int] = {}
+
+        # atoms in preorder: each atom's token and ring digits, then its
+        # children, every child but the last as a branch; the stack holds
+        # atoms to write and text to copy, the next item last
+        out: list[str] = []
+        stack: list = [root]
+        while stack:
+            idx = stack.pop()
+            if isinstance(idx, str):
+                out.append(idx)
+                continue
+            out.append(self.tokens[idx])
+            trace.append((idx, [parent[idx]] if idx != root else []))
+            pairs = closure_atoms.get(idx)
+            if pairs:
+                # a pair is open exactly when its other atom came first
+                closing = sorted((open_digits[p], p) for p in pairs if p in open_digits)
+                # deterministic: open closures toward lower-ranked partners first
+                opening = sorted(
+                    (ranks[p[0] if p[1] == idx else p[1]], p)
+                    for p in pairs
+                    if p not in open_digits
+                )
+                for digit, pair in closing:
+                    del open_digits[pair]
+                    heapq.heappush(free_digits, digit)
+                    out.append(molgraph._digit_token(digit))
+                    trace[-1][1].append(pair[0] if pair[1] == idx else pair[1])
+                for _, pair in opening:
+                    digit = heapq.heappop(free_digits)
+                    open_digits[pair] = digit
+                    out.append(bond_chars[pair] + molgraph._digit_token(digit))
+            kids = children[idx]
+            for pos in range(len(kids) - 1, -1, -1):
+                kid = kids[pos]
+                bond = bond_chars[(idx, kid) if idx < kid else (kid, idx)]
+                if pos == len(kids) - 1:
+                    stack += (kid, bond)
+                else:
+                    stack += (")", kid, bond, "(")
+        return "".join(out)
+
+
+def reference_bond_char(mol: Molecule, bond_idx: int) -> str:
+    bond = mol.bonds[bond_idx]
+    if bond.order == molgraph.DOUBLE:
+        return "="
+    if bond.order == molgraph.TRIPLE:
+        return "#"
+    if bond.order == molgraph.AROMATIC:
+        return ""
+    # single bond: explicit '-' only where re-parsing would otherwise
+    # resolve the default order to aromatic (ring bond, both ends aromatic)
+    if (
+        mol.bond_in_ring(bond_idx)
+        and mol.atoms[bond.a].aromatic
+        and mol.atoms[bond.b].aromatic
+    ):
+        return "-"
+    return ""
+
+
+def reference_atom_token(mol: Molecule, idx: int) -> str:
+    atom = mol.atoms[idx]
+    electrons = molgraph._bond_electrons(mol.neighbors(idx))
+    plain_ok = (
+        atom.formal_charge == 0
+        and atom.isotope is None
+        and (not atom.aromatic or atom.element in molgraph._AROMATIC_OK)
+        and molgraph._implicit_hydrogens(atom.element, atom.aromatic, electrons) == atom.hcount
+    )
+    symbol = atom.element.lower() if atom.aromatic else atom.element
+    if plain_ok:
+        return symbol
+    parts = ["["]
+    if atom.isotope is not None:
+        parts.append(str(atom.isotope))
+    parts.append(symbol)
+    if atom.hcount == 1:
+        parts.append("H")
+    elif atom.hcount > 1:
+        parts.append(f"H{atom.hcount}")
+    if atom.formal_charge == 1:
+        parts.append("+")
+    elif atom.formal_charge == -1:
+        parts.append("-")
+    elif atom.formal_charge > 1:
+        parts.append(f"+{atom.formal_charge}")
+    elif atom.formal_charge < -1:
+        parts.append(str(atom.formal_charge))
+    parts.append("]")
+    return "".join(parts)
+
+
+def reference_write_order_twin(text: str, canon: ReferenceCanonicalizer) -> Molecule:
+    """What ``_parse_text(text, None)`` returns, built from the molecule whose
+    search wrote `text`: its atoms in the order the string writes them, its
+    bonds in the order and orientation the parser adds them, its ring flags
+    permuted, all read off the trace of the write. A canonical string names
+    its graph, and the source was validated under the shipped table, so
+    tokenizing, validation, the ring search, the canonical search and a
+    second write are all skipped."""
+    src = canon.mol
+    bond_at = {bond.key(): b_idx for b_idx, bond in enumerate(src.bonds)}
+    new = [0] * len(src.atoms)
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    ring_bonds: list[bool] = []
+    for idx, partners in canon.best_trace:
+        new[idx] = len(atoms)
+        atoms.append(src.atoms[idx])
+        for other in partners:
+            b_idx = bond_at[(other, idx) if other < idx else (idx, other)]
+            bonds.append(Bond(new[other], new[idx], src.bonds[b_idx].order))
+            ring_bonds.append(src._ring_bonds[b_idx])
+    twin = Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds, canonical=text)
+    twin._fp_cache.update(src._fp_cache)
+    return twin
+
+
+def unnamed(atoms, bonds) -> Molecule:
+    """A graph built without validation or a canonical search."""
+    mol = Molecule.__new__(Molecule)
+    mol._build(tuple(atoms), tuple(bonds), None)
+    return mol
+
+
+def search_matches_reference(mol: Molecule) -> ReferenceCanonicalizer:
+    """Run the search and the reference on `mol` and check that they agree,
+    call for call; returns the reference."""
+    refines = []
+    real = molgraph._refine
+
+    def recording(nbrs, ranks):
+        refined = real(nbrs, ranks)
+        refines.append((list(ranks), refined))
+        return refined
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(molgraph, "_refine", recording)
+        canon = molgraph._Canonicalizer(mol)
+        text = canon.run()
+    ref = ReferenceCanonicalizer(mol)
+    assert text == ref.run()
+    assert canon.best_trace == ref.best_trace
+    assert refines == ref.refines
+    assert canon.budget == ref.budget  # the same number of leaves
+    assert canon.automorphisms == ref.automorphisms
+    twin = molgraph._write_order_twin(text, (mol, canon.best_trace, canon.bond_at))
+    want = reference_write_order_twin(text, ref)
+    assert (twin.atoms, twin.bonds, twin._ring_bonds) == (
+        want.atoms, want.bonds, want._ring_bonds)
+    return ref
+
+
+@st.composite
+def canon_graphs(draw, max_atoms=12):
+    """A connected, unvalidated graph: a random spanning tree plus up to four
+    more bonds, every bond of any order, the atoms aromatic or not, charged
+    or not, with an isotope or not. Half the graphs repeat one atom, so ranks
+    tie."""
+    n = draw(st.integers(1, max_atoms))
+    orders = st.sampled_from(["single", "double", "triple", "aromatic"])
+    bonds = {}
+    for i in range(1, n):
+        bonds[(draw(st.integers(0, i - 1)), i)] = draw(orders)
+    for a, b, order in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), orders), max_size=4
+    )):
+        if a != b:
+            bonds.setdefault((min(a, b), max(a, b)), order)
+    atom = st.builds(
+        Atom, st.sampled_from(["C", "N", "O", "S"]), st.booleans(),
+        st.sampled_from([0, 0, 1, -1]), st.integers(0, 3), st.sampled_from([None, None, 13]),
+    )
+    atoms = [draw(atom)] * n if draw(st.booleans()) else draw(
+        st.lists(atom, min_size=n, max_size=n))
+    return unnamed(atoms, [Bond(a, b, order) for (a, b), order in bonds.items()])
+
+
+def relabelled(mol: Molecule, rng: random.Random) -> Molecule:
+    perm = list(range(len(mol.atoms)))
+    rng.shuffle(perm)
+    inv = {old: new for new, old in enumerate(perm)}
+    return unnamed([mol.atoms[old] for old in perm],
+                   [Bond(inv[b.a], inv[b.b], b.order) for b in mol.bonds])
+
+
+class TestCanonicalSearchMatchesReference:
+    @given(canon_graphs())
+    @settings(max_examples=400, deadline=None)
+    def test_labelled_graphs(self, mol):
+        search_matches_reference(mol)
+
+    @pytest.mark.parametrize("smiles", [row[1] for row in SYMMETRIC] + [
+        "C1C2CC3CC1CC(C2)C3",  # adamantane
+    ], ids=[row[0] for row in SYMMETRIC] + ["adamantane"])
+    def test_symmetric_graphs_and_relabellings(self, smiles):
+        mol = parse(smiles, valence_table=load_valence_table())
+        rng = random.Random(len(smiles))
+        for graph in [unnamed(mol.atoms, mol.bonds)] + [
+            relabelled(mol, rng) for _ in range(2)
+        ]:
+            search_matches_reference(graph)
+
+    def test_cubane_by_hand(self):
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7),
+                 (7, 4), (0, 4), (1, 5), (2, 6), (3, 7)]
+        search_matches_reference(
+            unnamed([Atom("C", hcount=1)] * 8, [Bond(a, b) for a, b in edges]))
+
+    def test_long_chain(self):
+        # one refinement pass per layer of the chain: 550 passes
+        n = 1100
+        atoms = [Atom("C", hcount=3)] + [Atom("C", hcount=2)] * (n - 2) + [
+            Atom("C", hcount=3)]
+        ref = search_matches_reference(unnamed(atoms, [Bond(k, k + 1) for k in range(n - 1)]))
+        assert ref.best == "C" * n
+
+    def test_corpus_molecules_and_relabellings(self):
+        rng = random.Random(12)
+        for source in CORPUS[:150]:
+            mol = parse(source)
+            search_matches_reference(unnamed(mol.atoms, mol.bonds))
+            search_matches_reference(relabelled(mol, rng))
+
+    def test_the_leaf_budget_trips_on_the_same_graphs(self, monkeypatch):
+        mol = parse(SYMMETRIC[0][1], valence_table=load_valence_table())
+        graph = unnamed(mol.atoms, mol.bonds)
+        ref = ReferenceCanonicalizer(graph)
+        ref.run()
+        leaves = molgraph._MAX_CANON_LEAVES - ref.budget
+        assert leaves > 1
+        monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", leaves)
+        search_matches_reference(graph)
+        monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", leaves - 1)
+        for search in (molgraph._Canonicalizer, ReferenceCanonicalizer):
+            with pytest.raises(CanonicalizationBudgetError):
+                search(graph).run()
+
+    @given(canon_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_ring_flags_mark_the_bonds_on_a_cycle(self, mol):
+        # a bond lies on a cycle exactly when its ends stay connected
+        # without it
+        for b_idx, bond in enumerate(mol.bonds):
+            rest = [b for k, b in enumerate(mol.bonds) if k != b_idx]
+            reach = {bond.a}
+            grew = True
+            while grew:
+                grew = False
+                for b in rest:
+                    if (b.a in reach) != (b.b in reach):
+                        reach |= {b.a, b.b}
+                        grew = True
+            assert mol._ring_bonds[b_idx] == (bond.b in reach)

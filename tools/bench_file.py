@@ -23,7 +23,12 @@ perfbench reports them), every run's end-to-end metrics and output
 digests, the per-workload medians and the fixture's wall time, peak RSS
 and sha256 values. With a baseline it also holds, per workload and
 metric, the baseline's quartiles and how many seeds the tree measured beat
-the baseline on.
+the baseline on, and under ``agreement`` whether the two trees' outputs are
+equal: per workload and seed, whether the output digests match (a bank and
+a stream where the workload has them; of the search invocations, those
+both runs made, since a faster tree makes more in the same time), whether
+the fixture's three sha256 values match, and the tree's src/ line count
+minus the baseline's.
 """
 
 from __future__ import annotations
@@ -153,6 +158,36 @@ def _compare(tree_runs: list[dict], base_runs: list[dict], better: dict) -> dict
     return out
 
 
+def _same_digests(tree: dict, base: dict) -> bool:
+    """Whether two runs' output digests agree: every digest both name, the
+    search invocations compared on the prefix both runs made."""
+    for key in set(tree) | set(base):
+        if key == "invocations":
+            common = min(len(tree[key]), len(base[key]))
+            if tree[key][:common] != base[key][:common]:
+                return False
+        elif tree.get(key) != base.get(key):
+            return False
+    return True
+
+
+def _agreement(trees: dict) -> dict:
+    """Whether the tree's outputs equal the baseline's, and the src/ line
+    delta, from the per-tree records of a report."""
+    tree, base = trees["tree"], trees["baseline"]
+    return {
+        "digests_equal": {
+            workload: {
+                str(run["seed"]): _same_digests(run["digests"], other["digests"])
+                for run, other in zip(data["runs"], base["workloads"][workload]["runs"])
+            }
+            for workload, data in tree["workloads"].items()
+        },
+        "fixture_sha256_equal": tree["fixture"]["sha256"] == base["fixture"]["sha256"],
+        "src_lines_delta": tree["environment"]["src_lines"] - base["environment"]["src_lines"],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
@@ -200,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
                 report["trees"]["baseline"]["workloads"][workload]["runs"], better)
     for side, root in trees.items():
         report["trees"][side]["fixture"] = _fixture(root)
+    if args.baseline:
+        report["agreement"] = agreement = _agreement(report["trees"])
+        print(f"agreement: {json.dumps(agreement, sort_keys=True)}", file=sys.stderr)
 
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
