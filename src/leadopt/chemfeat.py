@@ -12,12 +12,14 @@ environment, so fingerprints are bit-identical with or without the memo.
 Two bulk Tanimoto kernels return the same `int / int` float64 values as
 `tanimoto`. `FingerprintIndex` keeps rows of packed uint64 words and their
 popcounts, scanned with `np.bitwise_count`; rows can be inserted and
-deleted, so the skill bank's per-task card store uses it. `FingerprintPlanes`
-is a bit-plane view of a static set, one packed bitset over the rows per bit
-position: a scan unpacks and sums only the planes of the query's set bits,
-which for sparse fingerprints (about 32 of 2,048 bits set) reads a few
-percent of what a dense scan reads. The exemplar bank uses it for recall and
-lead similarity. A `FunctionalGroupSet` carries its tags as a bitmask, one
+deleted, and each write binds new arrays, so a shallow copy is edited apart
+from its original. The skill bank's per-task stores, never changed once
+built, hold one each, and a write edits a copy for the new store.
+`FingerprintPlanes` is a bit-plane view of a static set, one packed bitset
+over the rows per bit position: a scan unpacks and sums only the planes of
+the query's set bits, which for sparse fingerprints (about 32 of 2,048 bits
+set) reads a few percent of what a dense scan reads. The exemplar bank uses
+it for recall and lead similarity. A `FunctionalGroupSet` carries its tags as a bitmask, one
 bit per catalog tag, so a set-overlap (Jaccard) scan is a popcount too.
 """
 
@@ -254,7 +256,8 @@ class FingerprintIndex:
 
     def insert(self, positions: Sequence[int], fps: Sequence[Fingerprint]) -> None:
         """Put each fingerprint before the row now at its position
-        (non-decreasing positions, as `np.insert` takes them)."""
+        (non-decreasing positions, as `np.insert` takes them). Like
+        `delete`, it binds new arrays and never writes the old ones."""
         words, pops = self._pack(list(fps))
         self.words = np.insert(self.words, positions, words, axis=0)
         self.pops = np.insert(self.pops, positions, pops)

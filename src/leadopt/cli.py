@@ -148,14 +148,14 @@ def cmd_skills(args) -> int:
             skillbank.make_skill_card(card, obj.name, summarizer, endpoint)
             for card in cards
         ]
-        report = bank.insert(skills) if skills else None
+        report = bank.insert(skills)
         skillbank.save_skills(bank, args.bank)
         _print_json({
             "trajectories": len(trajectories),
             "cards": len(cards),
-            "inserted": report.inserted if report else 0,
-            "merged": report.merged if report else 0,
-            "evicted": list(report.evicted_keys) if report else [],
+            "inserted": report.inserted,
+            "merged": report.merged,
+            "evicted": list(report.evicted_keys),
             "bank_size": bank.size(obj.name),
         })
         return 0

@@ -5,28 +5,26 @@ Molecules are immutable once constructed. :func:`parse`, the
 validate the graph and compute the canonical string eagerly. The private
 :func:`_edit` behind :func:`mutate` leaves the string to its first read, so a
 scripted policy that edits a molecule several times and keeps one result
-pays for one canonical search. :func:`parse` interns its last 64 results for
-the shipped valence table, so re-parsing a recent text returns the same
-object.
+pays for one canonical search. :func:`parse` interns its last 64 results,
+so re-parsing a recent text returns the same object.
 
 A canonical string names its graph, so parsing one the program has just
 written need not search again. The canonical strings of the last 64
-molecules validated under the shipped valence table are remembered with the
-molecule, the trace of the search's best write and the search's atom pair
--> bond index map. On a miss in its cache, :func:`parse` turns such a
-string into the writer's *write-order twin*: the source's atoms in the
-order the string writes them, its bonds in the order and orientation the
-parser adds them, its ring flags permuted and its fingerprints kept, which
-is the molecule parsing would build, minus tokenizing, validation, the ring
-search, the canonical search and a second write. Unvalidated molecules
-(skill fragments) and molecules checked against another valence table are
-never remembered.
+validated molecules are remembered with the molecule, the trace of the
+search's best write and the search's atom pair -> bond index map. On a miss
+in its cache, :func:`parse` turns such a string into the writer's
+*write-order twin*: the source's atoms in the order the string writes them,
+its bonds in the order and orientation the parser adds them, its ring flags
+permuted and its fingerprints kept, which is the molecule parsing would
+build, minus tokenizing, validation, the ring search, the canonical search
+and a second write. Unvalidated molecules (skill fragments) are never
+remembered.
 
 An edit hands the parent's ring-bond flags to the edited molecule (no edit
 changes which bonds lie on a ring). None of the four operators can
 disconnect the graph, duplicate a bond or make an aromatic bond, so the
-child of a parent validated under the shipped table checks only the atoms
-its edit touched; any other parent's child is validated in full.
+child of a validated parent checks only the atoms its edit touched; an
+unvalidated parent's child is validated in full.
 
 Search keeps returning to the same molecules, so an edit memo keeps the
 last _EDIT_MEMO_MAX pieces of edit work on molecules named when they were
@@ -82,7 +80,6 @@ __all__ = [
     "induced_subgraph",
     "neighbor_maps",
     "mutate",
-    "load_valence_table",
     "EDIT_OPERATORS",
 ]
 
@@ -160,21 +157,10 @@ EDIT_OPERATORS = (
 # Guard against combinatorial blow-up on pathologically symmetric graphs.
 _MAX_CANON_LEAVES = 20_000
 
-# parse() keeps this many recent results for the shipped valence table.
+# parse() keeps this many recent results.
 _PARSE_CACHE_SIZE = 64
 
-
-def load_valence_table(path: Optional[str] = None) -> dict[str, int]:
-    """Load `element<TAB>max_valence` lines; defaults to the shipped table."""
-    if path is None:
-        text = data_text("valence.tsv")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return {element: int(value) for element, value in table_rows(text)}
-
-
-_VALENCE_MAX = load_valence_table()
+_VALENCE_MAX = {element: int(value) for element, value in table_rows(data_text("valence.tsv"))}
 
 
 @dataclass(frozen=True)
@@ -228,10 +214,9 @@ class Molecule:
         bonds: Sequence[Bond],
         *,
         validate: bool = True,
-        valence_table: Optional[dict[str, int]] = None,
     ):
         self._build(tuple(atoms), tuple(bonds), None)
-        self._validate_and_name(validate, valence_table)
+        self._validate_and_name(validate)
 
     @classmethod
     def _assemble(
@@ -241,7 +226,6 @@ class Molecule:
         ring_bonds: list[bool],
         *,
         canonical: Optional[str] = None,
-        valence_table: Optional[dict[str, int]] = None,
     ) -> "Molecule":
         """Construction with the bonds' ring flags already known. Given a
         `canonical` string (a write-order twin), validation and the
@@ -249,7 +233,7 @@ class Molecule:
         mol = cls.__new__(cls)
         mol._build(atoms, bonds, ring_bonds)
         if canonical is None:
-            mol._validate_and_name(True, valence_table)
+            mol._validate_and_name(True)
         else:
             mol._checked = True
             mol._canonical = canonical
@@ -277,22 +261,20 @@ class Molecule:
         # scaffold), never depending on atom order, so a write-order twin
         # shares them
         self._fp_cache: dict = {}
-        # validated under the shipped valence table: only such molecules
-        # are remembered for write-order twins, and only their edit
-        # children may check just the edited atoms
+        # validated: only such molecules are remembered for write-order
+        # twins, and only their edit children may check just the edited
+        # atoms
         self._checked = False
         self._canonical: Optional[str] = None
         # whether the edit memo keeps this molecule's edits (see _edit):
         # not on a deferred edit child
         self._keeps_edits = True
 
-    def _validate_and_name(
-        self, validate: bool, valence_table: Optional[dict[str, int]]
-    ) -> None:
+    def _validate_and_name(self, validate: bool) -> None:
         """Eager validation, then the canonical search."""
         if validate:
-            self._validate(valence_table or _VALENCE_MAX)
-        self._checked = validate and valence_table is None
+            self._validate()
+        self._checked = validate
         self._canonical = _canonical_string(self, self._checked)
 
     # -- derived structure ------------------------------------------------
@@ -342,7 +324,7 @@ class Molecule:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, valence_max: dict[str, int]) -> None:
+    def _validate(self) -> None:
         n = len(self.atoms)
         if n == 0:
             return
@@ -366,9 +348,9 @@ class Molecule:
                 if not self._ring_bonds[b_idx]:
                     raise SmilesSyntaxError("aromatic bond outside a ring")
 
-        self._check_atoms(range(n), valence_max)
+        self._check_atoms(range(n))
 
-    def _check_atoms(self, indices: Iterable[int], valence_max: dict[str, int]) -> None:
+    def _check_atoms(self, indices: Iterable[int]) -> None:
         """Element support, the aromatic rules, a non-negative hydrogen
         count and the valence ceiling of each atom in `indices`, in order."""
         for idx in indices:
@@ -386,7 +368,7 @@ class Molecule:
                     )
             if atom.hcount < 0:
                 raise ValenceError(f"atom {idx} has negative hydrogen count")
-            ceiling = max(0, valence_max[atom.element] + atom.formal_charge)
+            ceiling = max(0, _VALENCE_MAX[atom.element] + atom.formal_charge)
             total = atom.hcount
             for _, order in self._adj[idx]:
                 total += _ORDER_ELECTRONS[order]
@@ -587,14 +569,13 @@ def _parse_organic(token: str) -> Atom:
     return Atom(token)
 
 
-def parse(smiles: str, *, valence_table: Optional[dict[str, int]] = None) -> Molecule:
+def parse(smiles: str) -> Molecule:
     """Parse a SMILES string into a validated :class:`Molecule`.
 
-    Under the shipped valence table, the last few texts parsed map to the
-    same (immutable) Molecule object; a text that fails is parsed again. A
-    canonical string written for one of the last few molecules validated
-    under that table is not parsed at all: its write-order twin is built
-    from the molecule that wrote it.
+    The last few texts parsed map to the same (immutable) Molecule object; a
+    text that fails is parsed again. A canonical string written for one of
+    the last few validated molecules is not parsed at all: its write-order
+    twin is built from the molecule that wrote it.
 
     Raises :class:`SmilesSyntaxError`, :class:`UnmatchedRingError`,
     :class:`ValenceError`, :class:`MultiFragmentError`,
@@ -602,9 +583,7 @@ def parse(smiles: str, *, valence_table: Optional[dict[str, int]] = None) -> Mol
     """
     if not isinstance(smiles, str) or not smiles.strip():
         raise SmilesSyntaxError("empty SMILES string")
-    if valence_table is None:
-        return _parse_interned(smiles.strip())
-    return _parse_text(smiles.strip(), valence_table)
+    return _parse_interned(smiles.strip())
 
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
@@ -612,7 +591,7 @@ def _parse_interned(smiles: str) -> Molecule:
     canon = _WRITTEN.get(smiles)
     if canon is not None:
         return _write_order_twin(smiles, canon)
-    return _parse_text(smiles, None)
+    return _parse_text(smiles)
 
 
 def _smiles_graph(
@@ -733,7 +712,7 @@ def _smiles_graph(
     return atoms, bonds
 
 
-def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecule:
+def _parse_text(smiles: str) -> Molecule:
     tokens, graph = _smiles_graph(smiles)
     atoms = [_parse_organic(t) if isinstance(t, str) else t for t in tokens]
 
@@ -762,9 +741,7 @@ def _parse_text(smiles: str, valence_table: Optional[dict[str, int]]) -> Molecul
             )
         final_atoms.append(atom)
 
-    return Molecule._assemble(
-        tuple(final_atoms), tuple(resolved), ring_flags, valence_table=valence_table
-    )
+    return Molecule._assemble(tuple(final_atoms), tuple(resolved), ring_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -1130,8 +1107,7 @@ def _digit_token(digit: int) -> str:
 # ---------------------------------------------------------------------------
 
 # canonical string -> (molecule, best trace, bond map) of the search that
-# wrote it, for the last _PARSE_CACHE_SIZE molecules validated under the
-# shipped valence table
+# wrote it, for the last _PARSE_CACHE_SIZE validated molecules
 _WRITTEN: dict[str, tuple] = {}
 _WRITTEN_LOCK = threading.Lock()  # rollouts on threads share the entries
 
@@ -1146,13 +1122,13 @@ def _remember(text: str, canon: _Canonicalizer) -> None:
 
 
 def _write_order_twin(text: str, written: tuple) -> Molecule:
-    """What ``_parse_text(text, None)`` returns, built from the molecule whose
+    """What ``_parse_text(text)`` returns, built from the molecule whose
     search wrote `text`: its atoms in the order the string writes them, its
     bonds in the order and orientation the parser adds them, its ring flags
     permuted, all read off the trace of the write and the search's bond map.
-    A canonical string names its graph, and the source was validated under
-    the shipped table, so tokenizing, validation, the ring search, the
-    canonical search and a second write are all skipped."""
+    A canonical string names its graph, and the source was validated, so
+    tokenizing, validation, the ring search, the canonical search and a
+    second write are all skipped."""
     src, trace, bond_at = written
     n = len(src.atoms)
     new = [0] * n
@@ -1311,17 +1287,16 @@ def _edit_child(
     ring_bonds: list[bool],
     edited: Sequence[int],
 ) -> Molecule:
-    """An edit's child, its canonical string deferred. Under a parent
-    validated under the shipped table only the `edited` atoms can break a
-    rule (see the module docstring); any other parent's child is validated
-    in full."""
+    """An edit's child, its canonical string deferred. Under a validated
+    parent only the `edited` atoms can break a rule (see the module
+    docstring); an unvalidated parent's child is validated in full."""
     child = Molecule.__new__(Molecule)
     child._build(tuple(atoms), bonds, ring_bonds)
     if m._checked:
         # index order: the first error is the one a full validation raises
-        child._check_atoms(sorted(edited), _VALENCE_MAX)
+        child._check_atoms(sorted(edited))
     else:
-        child._validate(_VALENCE_MAX)
+        child._validate()
     child._checked = True
     child._keeps_edits = False
     return child

@@ -432,11 +432,12 @@ def load_objective(source: str | Path) -> Objective:
             table_path = Path(spec["path"])
             if not table_path.is_absolute():
                 table_path = base_dir / table_path
+            default = spec.get("default")
             oracle = table_oracle(
                 table_path,
                 name=spec["name"],
                 direction=direction,
-                default=spec.get("default"),
+                default=None if default is None else float(default),
             )
         elif kind == "external":
             oracle = external_oracle(

@@ -7,21 +7,25 @@ its pair, found by an exact branch and bound over atom bitsets that stops
 after a fixed number of search nodes, never at a clock: a card depends only
 on its two molecules.
 
-The bank keeps, per task, the cards in (-delta_r, key) order beside a
-`chemfeat.FingerprintIndex` of their fingerprints and an array of their
-functional-group bitmasks, updated on every insert. Retrieval scores both
-channels over all cards with a few numpy operations and sorts in Python
-only the threshold passers that can reach the top k.
+The bank keeps one store per task. Its cards are kept once, as rows in
+capacity order (the largest improvement first, the newer card first among
+ties), beside a `chemfeat.FingerprintIndex` of their fingerprints and arrays
+of their functional-group bitmasks and improvements, row for row; a key ->
+card map serves merging and the listing order. An insert cuts the rows at
+capacity and updates the arrays by the rows that left and came in.
+Retrieval scores both channels over all rows with a few numpy operations
+and sorts in Python only the threshold passers that can reach the top k.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 from bisect import bisect_left, insort
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,9 +83,9 @@ SCAFFOLD_TYPES = (
 )
 
 _EXACT_MCS_ATOM_LIMIT = 40
-# nodes an exact MCS search may visit before it falls back to the greedy
-# mapping: at most 517 on the benchmark's harvests, where a 40-atom search
-# pays about 14 us a node
+# nodes an exact MCS search may visit before it stops; mcs_decompose then
+# keeps the larger of the greedy and the partial mapping. At most 517 on the
+# benchmark's harvests, where a 40-atom search pays about 14 us a node
 _MCS_NODE_BUDGET = 20_000
 DEFAULT_HARVEST_DELTA = 0.05
 DEFAULT_CAPACITY = 1000
@@ -732,69 +736,65 @@ class EvictionReport:
     retained: int
 
 
-@dataclass
-class _Entry:
-    seq: int
-    skill: SkillCard
+# A stored card is its rank item (-delta_r, -seq, key, skill). Items sort in
+# capacity order: the largest improvement first, the newer card first among
+# ties. `seq` is unique, so no two items compare beyond it.
+_Item = tuple[float, int, str, SkillCard]
 
 
-def _rank(skill: SkillCard) -> tuple[float, str]:
-    return (-skill.delta_r, skill.key)
+@dataclass(frozen=True, eq=False)
+class _TaskStore:
+    """One task's cards. `items` maps key -> item in `SkillBank.cards`
+    order; `rows` holds the same items in capacity order, and `fps`, `fg`
+    and `delta` hold their fingerprints, functional-group bitmasks and
+    improvements row for row. `fps` is None while the cards disagree on
+    fingerprint width or radius. A store is never changed once built."""
 
-
-def _store_rank(key: str, entry: _Entry) -> tuple[float, int, str, _Entry]:
-    """A store item in capacity order: the largest improvement first, newer
-    cards first among ties. `seq` is unique, so no two items compare
-    beyond it."""
-    return (-entry.skill.delta_r, -entry.seq, key, entry)
-
-
-class _TaskIndex:
-    """One task's cards in `_rank` order, with their fingerprints, their
-    functional-group bitmasks and their improvements in rows of that order."""
-
-    def __init__(self, width: int, radius: int):
-        self.ranks: list[tuple[float, str]] = []
-        self.skills: list[SkillCard] = []
-        self.fps = FingerprintIndex((), width, radius)
-        self.fg = np.zeros(0, dtype=np.uint64)
-        self.delta = np.zeros(0)
+    items: dict[str, _Item]
+    rows: list[_Item]
+    fps: Optional[FingerprintIndex]
+    fg: np.ndarray
+    delta: np.ndarray
 
     @classmethod
-    def build(cls, skills: Sequence[SkillCard]) -> Optional["_TaskIndex"]:
-        """None when the cards disagree on fingerprint width or radius."""
+    def of(cls, items: dict[str, _Item], rows: list[_Item]) -> "_TaskStore":
+        """A store with its arrays built from `rows`."""
+        skills = [item[3] for item in rows]
         shapes = {(s.fp_key.width, s.fp_key.radius) for s in skills}
-        if len(shapes) != 1:
-            return None
-        index = cls(*shapes.pop())
-        index.update((), skills)
-        return index
+        fps = None
+        if len(shapes) == 1:
+            fps = FingerprintIndex([s.fp_key for s in skills], *shapes.pop())
+        fg = np.array([s.fg_tags.mask for s in skills], dtype=np.uint64)
+        return cls(items, rows, fps, fg, np.array([s.delta_r for s in skills]))
 
-    def accepts(self, skills: Iterable[SkillCard]) -> bool:
-        return all(
-            s.fp_key.width == self.fps.width and s.fp_key.radius == self.fps.radius
-            for s in skills
-        )
-
-    def update(self, removed: Iterable[SkillCard], added: Iterable[SkillCard]) -> None:
-        rows = sorted(bisect_left(self.ranks, _rank(s)) for s in removed)
-        for row in reversed(rows):
-            del self.ranks[row]
-            del self.skills[row]
-        added = sorted(added, key=_rank)
-        # positions in the rows left after the deletions, as np.insert takes them
-        positions = [bisect_left(self.ranks, _rank(s)) for s in added]
-        for offset, (pos, skill) in enumerate(zip(positions, added)):
-            self.ranks.insert(pos + offset, _rank(skill))
-            self.skills.insert(pos + offset, skill)
-        if rows:
-            self.fps.delete(rows)
-            self.fg = np.delete(self.fg, rows)
-            self.delta = np.delete(self.delta, rows)
-        if added:
-            self.fps.insert(positions, [s.fp_key for s in added])
-            self.fg = np.insert(self.fg, positions, [s.fg_tags.mask for s in added])
-            self.delta = np.insert(self.delta, positions, [s.delta_r for s in added])
+    def updated(self, items: dict[str, _Item], rows: list[_Item],
+                gone: list[_Item], new: list[_Item]) -> "_TaskStore":
+        """The store of `items` and `rows`, which are this store's less the
+        `gone` items plus the `new` ones: its arrays are this store's with
+        those rows deleted and inserted."""
+        fps = self.fps
+        if fps is None or any(
+            (item[3].fp_key.width, item[3].fp_key.radius) != (fps.width, fps.radius)
+            for item in new
+        ):
+            return _TaskStore.of(items, rows)
+        # insert and delete bind new arrays, so editing the copy leaves this
+        # store's index as it is
+        fps = copy.copy(fps)
+        fg, delta = self.fg, self.delta
+        if gone:
+            dropped = sorted(bisect_left(self.rows, item) for item in gone)
+            fps.delete(dropped)
+            fg = np.delete(fg, dropped)
+            delta = np.delete(delta, dropped)
+        if new:
+            new = sorted(new)
+            # the i-th new row's place among the rows kept, as np.insert takes it
+            positions = [bisect_left(rows, item) - i for i, item in enumerate(new)]
+            fps.insert(positions, [item[3].fp_key for item in new])
+            fg = np.insert(fg, positions, [item[3].fg_tags.mask for item in new])
+            delta = np.insert(delta, positions, [item[3].delta_r for item in new])
+        return _TaskStore(items, rows, fps, fg, delta)
 
     def fg_similarities(self, query: FunctionalGroupSet) -> np.ndarray:
         """`chemfeat.jaccard` of the query against every row."""
@@ -811,17 +811,17 @@ class _TaskIndex:
         if k == 0 or not len(passed):
             return []
         if len(passed) > k:
-            # rows run in (-delta_r, key) order, which the ranking refines
+            # rows run in non-increasing delta_r, which the ranking refines
             # only among equal delta_r: keep every passer tied with the k-th
             deltas = self.delta[passed]
             passed = passed[: np.count_nonzero(deltas >= deltas[k - 1])]
-        ranks = self.ranks
+        rows = self.rows
         # keys are unique, so the row never decides
         ranked = sorted(
-            (ranks[row][0], -sim, ranks[row][1], row)
+            (rows[row][0], -sim, rows[row][2], row)
             for row, sim in zip(passed.tolist(), sims[passed].tolist())
         )
-        return [self.skills[row] for *_, row in ranked[:k]]
+        return [rows[row][3] for *_, row in ranked[:k]]
 
 
 class SkillBank:
@@ -831,29 +831,29 @@ class SkillBank:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._tasks: dict[str, dict[str, _Entry]] = {}
-        # per task, every store item in capacity order (see _store_rank),
-        # kept up to date by bisection
-        self._rankings: dict[str, list[tuple[float, int, str, _Entry]]] = {}
-        # None for a task whose cards disagree on fingerprint width or radius
-        self._indexes: dict[str, Optional[_TaskIndex]] = {}
+        self._tasks: dict[str, _TaskStore] = {}
         self._seq = 0
 
     def tasks(self) -> list[str]:
         return sorted(self._tasks)
 
     def cards(self, task: str) -> list[SkillCard]:
-        return [entry.skill for entry in self._tasks.get(task, {}).values()]
+        store = self._tasks.get(task)
+        return [item[3] for item in store.items.values()] if store else []
 
     def size(self, task: str) -> int:
-        return len(self._tasks.get(task, {}))
+        store = self._tasks.get(task)
+        return len(store.items) if store else 0
 
     def insert(self, skills: Sequence[SkillCard]) -> EvictionReport:
         """Dedup-merge a batch for one task, then enforce capacity.
 
         Duplicates (same before/after pair) keep the larger improvement;
         when over capacity the smallest-delta cards go, newer cards win
-        ties. Insertion is atomic from a reader's perspective.
+        ties. A new card joins the end of `cards`, a merged one keeps its
+        place, and an eviction leaves the cards in capacity order. A reader
+        sees the task's old store or its new one, never a mix: the new one
+        is built aside and replaces the old in one assignment.
         """
         if not skills:
             return EvictionReport(0, 0, (), 0)
@@ -861,50 +861,41 @@ class SkillBank:
         if len(task_names) > 1:
             raise ValueError("one insert batch must target a single task")
         task = task_names.pop()
-        before = self._tasks.get(task, {})
-        store = dict(before)
+        old = self._tasks.get(task) or _TaskStore.of({}, [])
+        items = dict(old.items)
 
         inserted = 0
         merged = 0
         for skill in skills:
-            existing = store.get(skill.key)
+            existing = items.get(skill.key)
             if existing is None:
-                self._seq += 1
-                store[skill.key] = _Entry(self._seq, skill)
                 inserted += 1
-            elif skill.delta_r > existing.skill.delta_r:
-                self._seq += 1
-                store[skill.key] = _Entry(self._seq, skill)
+            elif skill.delta_r > existing[3].delta_r:
                 merged += 1
+            else:
+                continue
+            self._seq += 1
+            items[skill.key] = (-skill.delta_r, -self._seq, skill.key, skill)
 
-        batch = {skill.key for skill in skills}
-        ranking = list(self._rankings.get(task, ()))
-        for key in batch:
-            if store[key] is not before.get(key):
-                if key in before:
-                    del ranking[bisect_left(ranking, _store_rank(key, before[key]))]
-                insort(ranking, _store_rank(key, store[key]))
+        # the batch's new items, and the items they replaced
+        new = [items[key] for key in dict.fromkeys(skill.key for skill in skills)
+               if items[key] is not old.items.get(key)]
+        gone = [old.items[item[2]] for item in new if item[2] in old.items]
+        rows = list(old.rows)
+        for item in gone:
+            del rows[bisect_left(rows, item)]
+        for item in new:
+            insort(rows, item)
         evicted: tuple[str, ...] = ()
-        if len(store) > self.capacity:
-            evicted = tuple(sorted(key for _, _, key, _ in ranking[self.capacity:]))
-            del ranking[self.capacity:]
-            store = {key: entry for _, _, key, entry in ranking}
-
-        # the index follows the store: entries that left or were replaced,
-        # entries that came in
-        changed = batch.union(evicted)
-        removed = [before[key].skill for key in changed
-                   if key in before and store.get(key) is not before[key]]
-        added = [store[key].skill for key in changed
-                 if key in store and before.get(key) is not store[key]]
-        index = self._indexes.get(task)
-        if index is not None and index.accepts(added):
-            index.update(removed, added)
-        else:
-            self._indexes[task] = _TaskIndex.build([e.skill for e in store.values()])
-        self._tasks[task] = store
-        self._rankings[task] = ranking
-        return EvictionReport(inserted, merged, evicted, len(store))
+        if len(rows) > self.capacity:
+            cut = rows[self.capacity:]
+            del rows[self.capacity:]
+            evicted = tuple(sorted(item[2] for item in cut))
+            items = {item[2]: item for item in rows}
+            gone += [item for item in cut if old.items.get(item[2]) is item]
+            new = [item for item in new if items.get(item[2]) is item]
+        self._tasks[task] = old.updated(items, rows, gone, new)
+        return EvictionReport(inserted, merged, evicted, len(items))
 
 
 def retrieve_skills(
@@ -928,18 +919,18 @@ def retrieve_skills(
             raise ValueError("thresholds must lie in [0, 1]")
     if k_fp < 0 or k_fg < 0:
         raise ValueError("k_fp and k_fg must be non-negative")
-    if not bank.size(task):
+    store = bank._tasks.get(task)
+    if store is None:
         return []
-    index = bank._indexes[task]
-    if index is None:
+    if store.fps is None:
         raise WidthMismatchError(
             f"skill cards of task {task!r} disagree on fingerprint width or radius"
         )
-    query_fp = morgan_fp(current, index.fps.radius, index.fps.width)
+    query_fp = morgan_fp(current, store.fps.radius, store.fps.width)
     query_fg = detect_functional_groups(current)
 
-    fp_top = index.top(index.fps.similarities(query_fp), gamma_fp, k_fp)
-    fg_top = index.top(index.fg_similarities(query_fg), gamma_fg, k_fg)
+    fp_top = store.top(store.fps.similarities(query_fp), gamma_fp, k_fp)
+    fg_top = store.top(store.fg_similarities(query_fg), gamma_fg, k_fg)
     result: list[SkillCard] = []
     seen: set[str] = set()
     for skill in fp_top + fg_top:

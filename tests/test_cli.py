@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +153,27 @@ class TestRunEvalSkills:
         assert entry["task"] == "act"
         assert entry["text"].endswith(".")
 
+    def test_skills_harvest_without_improvement(self, workspace, capsys):
+        lead = parse("CCCCCCO").canonical
+        rows = [
+            {"trajectory": 0, "lead": lead, "lead_score": 0.5, "turn": 1,
+             "action": "CCCCCCS", "reward": -1.0, "score": 0.4, "valid": True,
+             "injected_source": None, "terminal_reason": "max_turns"},
+        ]
+        trajs = workspace / "trajs.jsonl"
+        trajs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        bank_path = workspace / "skills.jsonl"
+        code, out, err = run_cli(
+            capsys, "skills", "harvest", "--trajectories", trajs,
+            "--objective", workspace / "act.yaml", "--bank", bank_path,
+        )
+        assert code == 0, err
+        assert json.loads(out) == {
+            "trajectories": 1, "cards": 0, "inserted": 0, "merged": 0,
+            "evicted": [], "bank_size": 0,
+        }
+        assert bank_path.read_text() == ""
+
     def test_skills_evict_report(self, workspace, capsys):
         lead = parse("CCCCCCO").canonical
         rows = [
@@ -194,6 +217,42 @@ class TestRunEvalSkills:
         code, out, err = run_cli(capsys, "skills", "list", "--bank", bank_path)
         assert code == 0, err
         assert [json.loads(line)["task"] for line in out.splitlines()] == ["act"]
+
+
+class TestEvictingRunPin:
+    """A harvesting run whose skill bank overflows its capacity: the bytes
+    the eviction path writes stay pinned (86 cards harvested, 40 kept)."""
+
+    CORPUS = Path(__file__).parent / "fixtures" / "corpus_500.smi"
+    SHA256 = {
+        "out/report.json":
+            "8d36d50ef803e767984badd97a1972e415b17c6ab8cd744db06c90d493c00cda",
+        "out/trajectories.jsonl":
+            "9718fb2dab228b8a06c6f7c85175763980567ad2c065f0b6bb16d4b427f75282",
+        "skills.jsonl":
+            "8764897aa393fb718690c732d9b6def56fce588d9b86e440ac50815334bdbd4a",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys):
+        rows = [line for line in self.CORPUS.read_text().splitlines()
+                if line and not line.startswith("#")]
+        (tmp_path / "leads.smi").write_text("\n".join(rows[:8]) + "\n")
+        code, _, err = run_cli(capsys, "build-bank", "--corpus", self.CORPUS,
+                               "--out", tmp_path / "bank", "--objective", "qed")
+        assert code == 0, err
+        code, _, err = run_cli(
+            capsys, "run", "--leads", tmp_path / "leads.smi", "--objective", "qed",
+            "--policy", "greedy", "--exemplar-bank", tmp_path / "bank",
+            "--skill-bank", tmp_path / "skills.jsonl", "--skill-capacity", "40",
+            "--harvest-skills", "--budget", "200", "--generations", "6",
+            "--rollouts", "16", "--seed", "7", "--out", tmp_path / "out",
+        )
+        assert code == 0, err
+        assert len((tmp_path / "skills.jsonl").read_text().splitlines()) == 40
+        assert {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.SHA256
+        } == self.SHA256
 
 
 class TestWriteAtomic:

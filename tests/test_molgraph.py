@@ -1,6 +1,5 @@
 import heapq
 import random
-import re
 import sys
 import time
 from pathlib import Path
@@ -24,7 +23,6 @@ from leadopt.molgraph import (
     UnmatchedRingError,
     UnsupportedAtomError,
     ValenceError,
-    load_valence_table,
     mutate,
     parse,
     scaffold_of,
@@ -289,29 +287,8 @@ class TestMutate:
 
 class TestValenceTable:
     def test_shipped_table(self):
-        table = load_valence_table()
-        assert table == molgraph._VALENCE_MAX
+        table = molgraph._VALENCE_MAX
         assert (table["C"], table["N"], table["Cl"]) == (4, 5, 1)
-
-    @pytest.mark.parametrize(
-        "line, error",
-        [
-            ("C\t4\t5", "too many values to unpack"),
-            ("C", "not enough values to unpack"),
-            ("C 4", "not enough values to unpack"),
-            ("C\tx", "invalid literal for int()"),
-        ],
-    )
-    def test_malformed_line_in_a_file_raises(self, tmp_path, line, error):
-        path = tmp_path / "valence.tsv"
-        path.write_text(f"# max valence\nN\t3\n{line}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(error)):
-            load_valence_table(str(path))
-
-    def test_file_skips_comments_and_blanks_and_strips_lines(self, tmp_path):
-        path = tmp_path / "valence.tsv"
-        path.write_text("# header\n\n  C\t4  \n\tN\t3\r\n  # indented\n", encoding="utf-8")
-        assert load_valence_table(str(path)) == {"C": 4, "N": 3}
 
 
 class TestMoleculeInvariants:
@@ -441,7 +418,7 @@ class TestSymmetricGraphs:
         # (tetra-tert-butylmethane's with the budget lifted)
         rng = random.Random(len(smiles))
         began = time.perf_counter()
-        mol = parse(smiles, valence_table=load_valence_table())
+        mol = molgraph._parse_text(smiles)
         strings = {mol.canonical}
         for _ in range(3):
             perm = list(range(len(mol.atoms)))
@@ -499,32 +476,20 @@ class TestParseCache:
             with pytest.raises(SmilesSyntaxError):
                 parse("C²")
 
-    def test_valence_table_bypasses_cache(self):
-        cached = parse("CC=O")
-        hits = molgraph._parse_interned.cache_info().hits
-        table = load_valence_table()
-        fresh = parse("CC=O", valence_table=table)
-        assert fresh is not cached and fresh == cached
-        assert molgraph._parse_interned.cache_info().hits == hits
-        tight = dict(table, C=3)
-        with pytest.raises(ValenceError):
-            parse("CC=O", valence_table=tight)
-        assert parse("CC=O") is cached
-
     def test_fingerprint_of_cached_molecule_matches_fresh(self):
         text = "CC(=O)Nc1ccc(O)cc1"
         cached = parse(text)
         first = morgan_fp(cached)
         assert parse(text) is cached
         assert morgan_fp(parse(text)) == first
-        fresh = parse(text, valence_table=load_valence_table())
+        fresh = molgraph._parse_text(text)
         assert morgan_fp(fresh) == first
         assert morgan_fp(cached, 3, 1024) == morgan_fp(fresh, 3, 1024)
 
 
 def parsed_equal(twin: Molecule, text: str) -> bool:
     """Whether `twin` is, field for field, what parsing `text` builds."""
-    fresh = molgraph._parse_text(text, None)
+    fresh = molgraph._parse_text(text)
     return (
         twin.atoms == fresh.atoms
         and twin.bonds == fresh.bonds
@@ -562,7 +527,7 @@ class TestWriteOrderTwin:
         for source, op, seed, want in rows:
             if want.startswith("!"):
                 continue
-            mol = molgraph._parse_text(source, None)
+            mol = molgraph._parse_text(source)
             if op != "parse":
                 mol = mutate(mol, op, int(seed))
             perm = list(range(len(mol.atoms)))
@@ -583,7 +548,7 @@ class TestWriteOrderTwin:
     def test_equals_parse_along_mutate_chains(self, source, edits):
         # a fresh parent: the one parse() caches may hand back a child named
         # long ago, whose string is no longer remembered as its own write
-        mol = molgraph._parse_text(source, None)
+        mol = molgraph._parse_text(source)
         for op, seed in edits:
             try:
                 mol = mutate(mol, op, seed)
@@ -618,7 +583,7 @@ class TestWriteOrderTwin:
             source, op, seed, want = line.split("\t")
             if want.startswith("!"):
                 continue
-            mol = molgraph._parse_text(source, None)
+            mol = molgraph._parse_text(source)
             if op != "parse":
                 mol = mutate(mol, op, int(seed))
             tied += any(canon.mol is mol for canon in visits)
@@ -652,19 +617,6 @@ class TestWriteOrderTwin:
         assert "cc" not in molgraph._WRITTEN
         with pytest.raises(SmilesSyntaxError):
             parse("cc")
-
-    def test_custom_valence_table_is_not_remembered(self):
-        loose = dict(load_valence_table(), C=5)
-        text = parse("C(C)(C)(C)(C)C", valence_table=loose).canonical
-        built = Molecule(
-            [Atom("C")] + [Atom("C", hcount=3)] * 5,
-            [Bond(0, k) for k in range(1, 6)],
-            valence_table=loose,
-        )
-        assert built.canonical == text
-        assert text not in molgraph._WRITTEN
-        with pytest.raises(ValenceError):
-            parse(text)
 
     def test_budget_trip_survives_an_earlier_write(self, request):
         # methyls tie, so the search needs leaves
@@ -735,26 +687,17 @@ class TestEditChildren:
         # a chain of deferred children, each checked only where it was
         # edited, against a full validation and an eager construction; a
         # fresh parent, since parse() may hand back one with named children
-        mol = molgraph._parse_text(source, None)
+        mol = molgraph._parse_text(source)
         for op, seed in edits:
             try:
                 child = molgraph._edit(mol, op, seed)
             except NoApplicableSiteError:
                 continue
             assert child._canonical is None
-            child._validate(molgraph._VALENCE_MAX)
+            child._validate()
             assert child.canonical == Molecule(child.atoms, child.bonds).canonical
             assert parse(child.canonical) == child
             mol = child
-
-    def test_child_of_a_custom_table_parent_is_validated_in_full(self):
-        # the pentavalent centre is never an edit site, so only a full
-        # validation of the child finds it
-        loose = dict(load_valence_table(), C=5)
-        parent = parse("C(C)(C)(C)(C)C", valence_table=loose)
-        for seed in range(10):
-            with pytest.raises(ValenceError, match="atom 0 "):
-                molgraph._edit(parent, "append_terminal_atom", seed)
 
     def test_child_of_an_unvalidated_parent_is_validated_in_full(self):
         # an aromatic atom outside a ring, with no hydrogen to append to
@@ -794,7 +737,7 @@ class TestEditMemo:
             if line.startswith("#") or op == "parse":
                 continue
             if source not in parents:
-                parents[source] = molgraph._parse_text(source, None)
+                parents[source] = molgraph._parse_text(source)
             parent = parents[source]
             outcomes = []
             for _ in range(2):
@@ -808,7 +751,7 @@ class TestEditMemo:
                     mismatches.append((source, op, seed, first, second))
                 continue
             assert second is first, (source, op, seed)
-            fresh = molgraph._edit(molgraph._parse_text(source, None), op, int(seed))
+            fresh = molgraph._edit(molgraph._parse_text(source), op, int(seed))
             rebuilt = Molecule(first.atoms, first.bonds)
             if not (
                 structure(first) == structure(fresh) == structure(rebuilt)
@@ -839,12 +782,12 @@ class TestEditMemo:
         # what is kept in use stays, and an edit rebuilt after it went equals
         # the one kept before
         source = "CC(C)Cc1ccc(cc1)C(C)C(=O)O"
-        cold_parent, warm_parent = (molgraph._parse_text(source, None) for _ in range(2))
+        cold_parent, warm_parent = (molgraph._parse_text(source) for _ in range(2))
         cold = molgraph._edit(cold_parent, "substitute_atom", 0)
         warm = molgraph._edit(warm_parent, "substitute_atom", 0)
         for _ in range(molgraph._EDIT_MEMO_MAX):
             # another parent object, so another entry
-            molgraph._edit(molgraph._parse_text(source, None), "substitute_atom", 0)
+            molgraph._edit(molgraph._parse_text(source), "substitute_atom", 0)
             assert molgraph._edit(warm_parent, "substitute_atom", 0) is warm
         assert len(molgraph._EDIT_MEMO) == molgraph._EDIT_MEMO_MAX
         again = molgraph._edit(cold_parent, "substitute_atom", 0)
@@ -852,7 +795,7 @@ class TestEditMemo:
         assert molgraph._edit(cold_parent, "substitute_atom", 0) is again
 
     def test_deferred_children_keep_no_children(self):
-        parent = molgraph._parse_text("CCOc1ccccc1", None)
+        parent = molgraph._parse_text("CCOc1ccccc1")
         child = molgraph._edit(parent, "append_terminal_atom", 5)
         grandchild = molgraph._edit(child, "append_terminal_atom", 5)
         assert not child._keeps_edits
@@ -874,7 +817,7 @@ class TestEditMemo:
         text = child.canonical
         assert molgraph._WRITTEN[text][0] is child
         for n in range(1, molgraph._PARSE_CACHE_SIZE + 2):
-            molgraph._parse_text("C" * n, None)
+            molgraph._parse_text("C" * n)
         assert text not in molgraph._WRITTEN
         assert molgraph._edit(parent, "substitute_atom", 11) is child
         reparsed = parse(text)
@@ -1223,7 +1166,7 @@ def reference_atom_token(mol: Molecule, idx: int) -> str:
 
 
 def reference_write_order_twin(text: str, canon: ReferenceCanonicalizer) -> Molecule:
-    """What ``_parse_text(text, None)`` returns, built from the molecule whose
+    """What ``_parse_text(text)`` returns, built from the molecule whose
     search wrote `text`: its atoms in the order the string writes them, its
     bonds in the order and orientation the parser adds them, its ring flags
     permuted, all read off the trace of the write. A canonical string names
@@ -1326,7 +1269,7 @@ class TestCanonicalSearchMatchesReference:
         "C1C2CC3CC1CC(C2)C3",  # adamantane
     ], ids=[row[0] for row in SYMMETRIC] + ["adamantane"])
     def test_symmetric_graphs_and_relabellings(self, smiles):
-        mol = parse(smiles, valence_table=load_valence_table())
+        mol = molgraph._parse_text(smiles)
         rng = random.Random(len(smiles))
         for graph in [unnamed(mol.atoms, mol.bonds)] + [
             relabelled(mol, rng) for _ in range(2)
@@ -1355,7 +1298,7 @@ class TestCanonicalSearchMatchesReference:
             search_matches_reference(relabelled(mol, rng))
 
     def test_the_leaf_budget_trips_on_the_same_graphs(self, monkeypatch):
-        mol = parse(SYMMETRIC[0][1], valence_table=load_valence_table())
+        mol = molgraph._parse_text(SYMMETRIC[0][1])
         graph = unnamed(mol.atoms, mol.bonds)
         ref = ReferenceCanonicalizer(graph)
         ref.run()

@@ -206,6 +206,14 @@ class TestTableAndExternal:
         oracle = table_oracle(table, name="act", default=0.0)
         assert oracle(parse("CCCC")) == 0.0
 
+    def test_table_skips_comments_and_blanks_and_strips_lines(self, tmp_path, caplog):
+        table = tmp_path / "act.tsv"
+        table.write_text("# header\n\n  CCO\t0.42  \n\tCCN\t0.5\r\n  # indented\n")
+        with caplog.at_level("WARNING", logger="leadopt.oracles"):
+            oracle = table_oracle(table, name="act")
+        assert (oracle(parse("OCC")), oracle(parse("NCC"))) == (0.42, 0.5)
+        assert caplog.records == []
+
     @pytest.mark.parametrize("row", ["smiles\tvalue", "C1CC\t0.5", "CCN"])
     def test_table_skips_bad_row(self, tmp_path, caplog, row):
         # a header line, an unparseable SMILES, a row with no value
@@ -373,6 +381,33 @@ class TestObjectiveConfig:
         )
         obj = load_objective(cfg)
         assert obj.terms[0].oracle(parse("CCO")) == 0.9
+
+    @pytest.mark.parametrize("default, expected", [("0", 0.0), ("'0.25'", 0.25)])
+    def test_table_default_is_a_float(self, tmp_path, default, expected):
+        (tmp_path / "drd2.tsv").write_text("CCO\t0.9\n")
+        cfg = tmp_path / "obj.yaml"
+        cfg.write_text(
+            "oracles:\n"
+            f"  - {{name: drd2, kind: table, path: drd2.tsv, default: {default}}}\n"
+            "terms:\n"
+            "  - oracle: drd2\n"
+            "    success: {comparator: '>=', threshold: 0.8}\n"
+        )
+        got = load_objective(cfg).terms[0].oracle(parse("CCN"))
+        assert type(got) is float and got == expected
+
+    def test_non_numeric_table_default_fails_at_load(self, tmp_path):
+        (tmp_path / "drd2.tsv").write_text("CCO\t0.9\n")
+        cfg = tmp_path / "obj.yaml"
+        cfg.write_text(
+            "oracles:\n"
+            "  - {name: drd2, kind: table, path: drd2.tsv, default: 'n/a'}\n"
+            "terms:\n"
+            "  - oracle: drd2\n"
+            "    success: {comparator: '>=', threshold: 0.8}\n"
+        )
+        with pytest.raises(ValueError, match="n/a"):
+            load_objective(cfg)
 
     def test_property_description(self):
         assert load_objective("qed").property_description() == \

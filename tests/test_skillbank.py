@@ -7,6 +7,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -426,6 +427,23 @@ class TestBankInsert:
         bank.insert(skills)
         assert [(s.key, s.delta_r) for s in bank.cards("qed")] == snapshot
 
+    def test_insert_leaves_the_earlier_store_whole(self):
+        # a reader holding the store from before an insert (merges, new
+        # cards, evictions) sees it unchanged
+        bank = SkillBank(capacity=4)
+        bank.insert([synthetic_skill(i, 0.1 * (i + 1), i + 1, ("amine",)) for i in range(4)])
+        old = bank._tasks["qed"]
+        snapshot = (dict(old.items), list(old.rows), old.fps.words.copy(),
+                    old.fps.pops.copy(), old.fg.copy(), old.delta.copy())
+        report = bank.insert([synthetic_skill(0, 0.9, 7, ("halogen",)),
+                              synthetic_skill(9, 0.8, 9, ())])
+        assert report.evicted_keys == ("SYN00001A>>SYN00001B",)
+        assert bank._tasks["qed"] is not old
+        assert (old.items, old.rows) == snapshot[:2]
+        for array, before in zip((old.fps.words, old.fps.pops, old.fg, old.delta),
+                                 snapshot[2:]):
+            assert np.array_equal(array, before)
+
     def test_mixed_task_batch_rejected(self):
         a = synthetic_skill(0, 0.5, 1, (), task="qed")
         b = synthetic_skill(1, 0.5, 2, (), task="drd2")
@@ -557,7 +575,7 @@ def assert_matches_loop(bank, queries, task="qed"):
         )
 
 
-def real_skill(smiles, idx, delta_r):
+def real_skill(smiles, idx, delta_r, task="qed"):
     """A template-summarized card whose keys come from a real molecule."""
     before = parse(smiles).canonical
     card = EditCard(
@@ -569,7 +587,7 @@ def real_skill(smiles, idx, delta_r):
         deltas=DescriptorDelta(0.0, 0, 0, 0, 0.0, 0),
         score_before=0.0, score_after=delta_r,
     )
-    return make_skill_card(card, "qed")
+    return make_skill_card(card, task)
 
 
 class SortingBank:
@@ -630,6 +648,45 @@ class TestBankInsertDifferential:
             assert [(s.key, s.delta_r) for s in bank.cards("qed")] == [
                 (s.key, s.delta_r) for s in ref.cards()
             ]
+
+    @given(
+        st.integers(1, 8),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["qed", "drd2"]),
+                st.lists(
+                    st.tuples(st.integers(0, 19), st.sampled_from([0.1, 0.25, 0.5, 0.75])),
+                    min_size=1, max_size=6,
+                ),
+            ),
+            min_size=1, max_size=12,
+        ),
+        st.integers(0, 12),
+        st.lists(QUERY, min_size=1, max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_two_tasks_match_their_own_references(self, capacity, batches, reload_at,
+                                                  queries):
+        # batches for two tasks interleave, with the same keys in both: each
+        # task's store merges, evicts, reloads and retrieves as if alone
+        sources = QUERY_SMILES + ["c1ccccc1CC(=O)N", "CCCCO"]
+        bank = SkillBank(capacity)
+        refs = {"qed": SortingBank(capacity), "drd2": SortingBank(capacity)}
+        for step, (task, batch) in enumerate(batches):
+            if step == reload_at:
+                with tempfile.TemporaryDirectory() as tmp:
+                    bank = load_skills(save_skills(bank, Path(tmp) / "s.jsonl"), capacity)
+                for name, ref in list(refs.items()):
+                    refs[name] = SortingBank(capacity)
+                    refs[name].insert(ref.cards())
+            skills = [real_skill(sources[k % len(sources)], k, d, task) for k, d in batch]
+            assert bank.insert(skills).evicted_keys == refs[task].insert(skills)
+            assert bank.tasks() == sorted(name for name, ref in refs.items() if ref.store)
+            for name, ref in refs.items():
+                assert [(s.key, s.delta_r) for s in bank.cards(name)] == [
+                    (s.key, s.delta_r) for s in ref.cards()
+                ]
+                assert_matches_loop(bank, queries, name)
 
 
 class TestIndexedRetrievalDifferential:
