@@ -9,8 +9,11 @@ Molecules a search visits are one or two edits apart, so almost every
 environment was hashed before; the hash is a pure function of the
 environment, so fingerprints are bit-identical with or without the memo.
 
+Every fingerprint has one shape: `WIDTH` (2,048) bits from atom
+environments of radius up to `RADIUS` (2), so any two compare.
+
 Two bulk Tanimoto kernels return the same `int / int` float64 values as
-`tanimoto`. `FingerprintIndex` keeps rows of packed uint64 words and their
+`tanimoto`. `FingerprintIndex` keeps rows of 32 uint64 words and their
 popcounts, scanned with `np.bitwise_count`; rows can be inserted and
 deleted, and each write binds new arrays, so a shallow copy is edited apart
 from its original. The skill bank's per-task stores, never changed once
@@ -49,25 +52,19 @@ __all__ = [
     "FunctionalGroupSet",
     "DescriptorVector",
     "DescriptorDelta",
-    "WidthMismatchError",
     "morgan_fp",
     "tanimoto",
     "detect_functional_groups",
     "jaccard",
     "descriptors",
     "catalog_tags",
-    "fingerprint_from_words",
 ]
 
-DEFAULT_RADIUS = 2
-DEFAULT_WIDTH = 2048
+# the one fingerprint shape: bits per fingerprint, and the environment radius
+WIDTH = 2048
+RADIUS = 2
 
 _M64 = (1 << 64) - 1
-
-
-class WidthMismatchError(ValueError):
-    """Fingerprints with different width or radius were compared."""
-
 
 _MASSES = {key: float(value) for key, value, *_ in table_rows(data_text("atomic_masses.tsv"))}
 _PSA = {key: float(value) for key, value, *_ in table_rows(data_text("psa_contrib.tsv"))}
@@ -80,34 +77,17 @@ _PSA = {key: float(value) for key, value, *_ in table_rows(data_text("psa_contri
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Fixed-width bit vector from hashed circular atom environments."""
+    """`WIDTH`-bit vector from hashed circular atom environments."""
 
     bits: int
-    width: int = DEFAULT_WIDTH
-    radius: int = DEFAULT_RADIUS
     popcount: int = field(init=False)
 
     def __post_init__(self):
-        if self.width <= 0 or self.width & (self.width - 1):
-            raise ValueError("fingerprint width must be a power of two")
         object.__setattr__(self, "popcount", self.bits.bit_count())
 
     def to_words(self) -> np.ndarray:
-        """Little-endian uint64 words, the last one zero-padded when the
-        width is below 64 bits."""
-        raw = self.bits.to_bytes(_word_count(self.width) * 8, "little")
-        return np.frombuffer(raw, dtype="<u8")
-
-
-def _word_count(width: int) -> int:
-    return -(-width // 64)
-
-
-def fingerprint_from_words(
-    words: np.ndarray, width: int = DEFAULT_WIDTH, radius: int = DEFAULT_RADIUS
-) -> Fingerprint:
-    bits = int.from_bytes(words.astype("<u8").tobytes(), "little")
-    return Fingerprint(bits, width, radius)
+        """The bits as `WIDTH // 64` little-endian uint64 words."""
+        return np.frombuffer(self.bits.to_bytes(WIDTH // 8, "little"), dtype="<u8")
 
 
 def _mix64(x: int) -> int:
@@ -146,18 +126,13 @@ def _env_hash(env: tuple) -> int:
     return h
 
 
-def morgan_fp(
-    m: Molecule, radius: int = DEFAULT_RADIUS, width: int = DEFAULT_WIDTH
-) -> Fingerprint:
-    """Hash every atom environment at iterations 0..radius into `width` bits.
+def morgan_fp(m: Molecule) -> Fingerprint:
+    """Hash every atom environment at iterations 0..RADIUS into WIDTH bits.
 
     Depends only on the molecular graph, never on input atom order. Each
     environment's hash is looked up in a bounded memo first.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    key = ("fp", radius, width)
-    cached = m._fp_cache.get(key)
+    cached = m._fp_cache.get("fp")
     if cached is not None:
         return cached
 
@@ -176,12 +151,12 @@ def morgan_fp(
         current.append(_env_hash(env) if h is None else h)
     bits = 0
     for h in current:
-        bits |= 1 << (h % width)
+        bits |= 1 << (h % WIDTH)
     nbrs = [
         [(_ORDER_SORT[order], j) for j, order in m.neighbors(idx)]
         for idx in range(len(m.atoms))
     ]
-    for iteration in range(1, radius + 1):
+    for iteration in range(1, RADIUS + 1):
         refreshed = []
         for idx, pairs in enumerate(nbrs):
             env = (iteration, current[idx], *sorted([(o, current[j]) for o, j in pairs]))
@@ -189,22 +164,14 @@ def morgan_fp(
             refreshed.append(_env_hash(env) if h is None else h)
         current = refreshed
         for h in current:
-            bits |= 1 << (h % width)
-    fp = Fingerprint(bits, width, radius)
-    m._fp_cache[key] = fp
+            bits |= 1 << (h % WIDTH)
+    fp = Fingerprint(bits)
+    m._fp_cache["fp"] = fp
     return fp
-
-
-def _check_compatible(width: int, radius: int, fp: Fingerprint) -> None:
-    if fp.width != width or fp.radius != radius:
-        raise WidthMismatchError(
-            f"incompatible fingerprints: {width}/{radius} vs {fp.width}/{fp.radius}"
-        )
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """|a AND b| / |a OR b|; 1.0 when both vectors are all-zero."""
-    _check_compatible(a.width, a.radius, b)
     inter = (a.bits & b.bits).bit_count()
     union = a.popcount + b.popcount - inter
     if union == 0:
@@ -212,16 +179,11 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return inter / union
 
 
-def _pack_rows(
-    fps: Sequence[Fingerprint], width: int, radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The fingerprints as rows of little-endian bytes, each padded to whole
-    uint64 words, and their popcounts."""
-    for fp in fps:
-        _check_compatible(width, radius, fp)
-    size = _word_count(width) * 8
-    raw = b"".join(fp.bits.to_bytes(size, "little") for fp in fps)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(fps), size)
+def _pack_rows(fps: Sequence[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
+    """The fingerprints as rows of `WIDTH // 8` little-endian bytes, and
+    their popcounts."""
+    raw = b"".join(fp.bits.to_bytes(WIDTH // 8, "little") for fp in fps)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(fps), WIDTH // 8)
     pops = np.fromiter((fp.popcount for fp in fps), np.int64, len(fps))
     return rows, pops
 
@@ -232,26 +194,19 @@ def _set_bits(fp: Fingerprint) -> np.ndarray:
 
 
 class FingerprintIndex:
-    """Fingerprints of one width and radius as rows of packed uint64 words.
+    """Fingerprints as rows of packed uint64 words.
 
-    Each row is padded to whole words, so every power-of-two width works.
     `similarities` scores a query against all rows in one popcount scan;
     each value is the `int / int` float64 that `tanimoto` returns, 1.0 where
     both vectors are all-zero.
     """
 
-    def __init__(
-        self,
-        fps: Iterable[Fingerprint] = (),
-        width: int = DEFAULT_WIDTH,
-        radius: int = DEFAULT_RADIUS,
-    ):
-        self.width = width
-        self.radius = radius
+    def __init__(self, fps: Iterable[Fingerprint] = ()):
         self.words, self.pops = self._pack(list(fps))
 
-    def _pack(self, fps: list[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
-        words, pops = _pack_rows(fps, self.width, self.radius)
+    @staticmethod
+    def _pack(fps: list[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
+        words, pops = _pack_rows(fps)
         return words.view("<u8"), pops
 
     def insert(self, positions: Sequence[int], fps: Sequence[Fingerprint]) -> None:
@@ -268,7 +223,6 @@ class FingerprintIndex:
 
     def similarities(self, query: Fingerprint) -> np.ndarray:
         """Tanimoto of the query against every row."""
-        _check_compatible(self.width, self.radius, query)
         if query.popcount == 0:
             # the union is empty only where the row is all-zero as well
             return (self.pops == 0).astype(np.float64)
@@ -277,47 +231,37 @@ class FingerprintIndex:
 
 
 # rows packed into planes per step of a `FingerprintPlanes` build: the
-# unpacked step is width x rows bytes, 1 MB at 2,048 bits
+# unpacked step is WIDTH x rows bytes, 1 MB
 _PLANE_CHUNK = 512
 
 
 class FingerprintPlanes:
-    """A static set of fingerprints of one width and radius as bit planes.
+    """A static set of fingerprints as bit planes.
 
     `planes[b]` packs bit `b` of every row, eight rows per byte (row `r` is
     bit `r % 8` of byte `r // 8`). `similarities` unpacks and sums only the
     planes of the query's set bits, so its cost grows with the query's
-    popcount rather than the width; each value is the `int / int` float64
+    popcount rather than `WIDTH`; each value is the `int / int` float64
     that `tanimoto` and `FingerprintIndex.similarities` return, 1.0 where
     both vectors are all-zero. The planes are built `_PLANE_CHUNK` rows at a
     time, so the build never holds the whole set unpacked.
     """
 
-    def __init__(
-        self,
-        fps: Sequence[Fingerprint],
-        width: int = DEFAULT_WIDTH,
-        radius: int = DEFAULT_RADIUS,
-    ):
-        self.width = width
-        self.radius = radius
+    def __init__(self, fps: Sequence[Fingerprint]):
         self.count = len(fps)
-        self.planes = np.zeros((width, -(-self.count // 8)), dtype=np.uint8)
+        self.planes = np.zeros((WIDTH, -(-self.count // 8)), dtype=np.uint8)
         for start in range(0, self.count, _PLANE_CHUNK):
-            rows, _ = _pack_rows(fps[start : start + _PLANE_CHUNK], width, radius)
-            bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+            rows, _ = _pack_rows(fps[start : start + _PLANE_CHUNK])
+            bits = np.unpackbits(rows, axis=1, bitorder="little")
             packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
             self.planes[:, start // 8 : start // 8 + packed.shape[1]] = packed
         self.pops = np.fromiter((fp.popcount for fp in fps), np.int64, self.count)
-        # an intersection is at most the width, so a narrow sum is exact
-        self._sum_dtype = np.uint16 if width < 1 << 16 else np.int64
 
     def similarities(
         self, query: Fingerprint, rows: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Tanimoto of the query against every row, or against `rows` (an
         integer array)."""
-        _check_compatible(self.width, self.radius, query)
         pops = self.pops if rows is None else self.pops[rows]
         if query.popcount == 0:
             return (pops == 0).astype(np.float64)
@@ -326,7 +270,8 @@ class FingerprintPlanes:
             hits = np.unpackbits(planes, axis=1, count=self.count, bitorder="little")
         else:
             hits = (planes[:, rows >> 3] >> (rows & 7).astype(np.uint8)) & 1
-        inter = hits.sum(axis=0, dtype=self._sum_dtype).astype(np.int64)
+        # an intersection is at most WIDTH bits, so a uint16 sum is exact
+        inter = hits.sum(axis=0, dtype=np.uint16).astype(np.int64)
         return inter / (pops + (query.popcount - inter))
 
 

@@ -206,12 +206,14 @@ def cmd_run(args) -> int:
         load_objective(args.objective),
         _resolve(args.gamma_sim, config, "gamma_sim", None),
     )
-    # an option given on the command line wins over the config file; what
-    # neither sets keeps its SearchConfig default
+    # an option given on the command line wins over the config file, and
+    # the budget of either over the objective's; what none sets keeps its
+    # SearchConfig default
     settings = {field: config[key] for key, field in _SEARCH_FIELDS.items() if key in config}
     for key, field in _SEARCH_FIELDS.items():
         if getattr(args, key) is not None:
             settings[field] = getattr(args, key)
+    settings.setdefault("budget", obj.budget)
     cfg = SearchConfig(
         **settings,
         warm_start_incumbent=bool(args.warm_start_incumbent),
@@ -356,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="YAML run config merged under CLI overrides")
     p.add_argument("--budget", type=int, default=None,
-                   help="oracle-call budget per lead (default: 500)")
+                   help="oracle-call budget per lead (default: the run config's, "
+                        "else the objective's, which is 500 unless it sets one)")
     p.add_argument("--budget-unit", default=None,
                    choices=["per_candidate", "per_term"],
                    help="budget accounting unit (default: per_candidate)")

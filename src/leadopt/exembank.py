@@ -8,6 +8,12 @@ canonical-string order, and per objective a float64 score column with a mask
 of the records that have every term property. Recall is one plane scan, a
 partition and a lexsort; ranking gathers the pool's lead similarities from
 the same planes and lexsorts the rows that pass the threshold.
+
+A bank on disk is a JSONL file of records and a fingerprint sidecar: a
+header (magic, version, width, radius, count), then one `WIDTH // 8`-byte
+little-endian block per record. Loading checks the sidecar against the one
+fingerprint shape and the record count, and names the file when it does not
+match.
 """
 
 from __future__ import annotations
@@ -23,14 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .chemfeat import (
-    DEFAULT_RADIUS,
-    DEFAULT_WIDTH,
-    Fingerprint,
-    FingerprintPlanes,
-    morgan_fp,
-    tanimoto,
-)
+from .chemfeat import RADIUS, WIDTH, Fingerprint, FingerprintPlanes, morgan_fp, tanimoto
 from .files import write_atomic, write_jsonl
 from .molgraph import Molecule, SmilesError, parse
 from .oracles import Objective, Oracle
@@ -55,6 +54,8 @@ EXEMPLAR_FOOTER = "Learn from structural patterns, but do not copy directly."
 
 _FP_MAGIC = b"LOFP"
 _FP_VERSION = 1
+# magic, version, width, radius, record count
+_FP_HEADER = struct.Struct("<4sHIHQ")
 
 
 class EmptyBankError(RuntimeError):
@@ -76,24 +77,15 @@ class ExemplarRecord:
 class ExemplarBank:
     """Deduplicated exemplar records plus the arrays retrieval reads."""
 
-    def __init__(
-        self,
-        records: Sequence[ExemplarRecord],
-        width: int = DEFAULT_WIDTH,
-        radius: int = DEFAULT_RADIUS,
-    ):
+    def __init__(self, records: Sequence[ExemplarRecord]):
         seen: set[str] = set()
         unique: list[ExemplarRecord] = []
         for record in records:
-            if record.fp.width != width or record.fp.radius != radius:
-                raise ValueError("record fingerprint does not match bank parameters")
             if record.canonical in seen:
                 continue
             seen.add(record.canonical)
             unique.append(record)
         self.records: tuple[ExemplarRecord, ...] = tuple(unique)
-        self.width = width
-        self.radius = radius
         self._planes: Optional[FingerprintPlanes] = None
         self._canon_rank: Optional[np.ndarray] = None
         self._scores: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -105,9 +97,7 @@ class ExemplarBank:
     def planes(self) -> FingerprintPlanes:
         """The records' fingerprints in record order, built on first use."""
         if self._planes is None:
-            self._planes = FingerprintPlanes(
-                [r.fp for r in self.records], self.width, self.radius
-            )
+            self._planes = FingerprintPlanes([r.fp for r in self.records])
         return self._planes
 
     @property
@@ -141,8 +131,6 @@ class ExemplarBank:
 def build_bank(
     source: str | Path | Iterable[str],
     oracles: Sequence[Oracle] = (),
-    width: int = DEFAULT_WIDTH,
-    radius: int = DEFAULT_RADIUS,
 ) -> ExemplarBank:
     """Ingest a corpus into a deduplicated, fingerprinted bank.
 
@@ -183,14 +171,10 @@ def build_bank(
             log.warning("skipping corpus row %d: %s", lineno, problem)
             continue
         seen.add(molecule.canonical)
-        records.append(
-            ExemplarRecord(
-                molecule.canonical, morgan_fp(molecule, radius, width), props
-            )
-        )
+        records.append(ExemplarRecord(molecule.canonical, morgan_fp(molecule), props))
     if skipped:
         log.warning("bank build skipped %d bad rows", skipped)
-    return ExemplarBank(records, width=width, radius=radius)
+    return ExemplarBank(records)
 
 
 def _parse_row(line: str) -> tuple[str, dict[str, float]]:
@@ -223,7 +207,7 @@ def _recall_rows(bank: ExemplarBank, query: Molecule, pool_size: int) -> np.ndar
         raise ValueError("pool_size must be >= 1")
     if len(bank) == 0:
         raise EmptyBankError("exemplar bank is empty")
-    sims = bank.planes.similarities(morgan_fp(query, bank.radius, bank.width))
+    sims = bank.planes.similarities(morgan_fp(query))
     k = min(pool_size, len(sims))
     boundary = np.partition(sims, len(sims) - k)[len(sims) - k]
     ids = np.flatnonzero(sims >= boundary)
@@ -266,7 +250,7 @@ def retrieve_exemplars(
     if not (0.0 <= threshold <= 1.0):
         raise ValueError("gamma_ex must lie in [0, 1]")
     rows = _recall_rows(bank, current, pool_size)
-    lead_sims = bank.planes.similarities(morgan_fp(lead, bank.radius, bank.width), rows)
+    lead_sims = bank.planes.similarities(morgan_fp(lead), rows)
     scores, known = bank.scores(obj)
     passed = lead_sims >= threshold
     records = bank.records
@@ -288,7 +272,7 @@ def render_exemplar_block(
     """The reference block injected into the agent's working memory."""
     if not exemplars:
         raise ValueError("cannot render an empty exemplar block")
-    lead_fp = morgan_fp(lead, exemplars[0].fp.radius, exemplars[0].fp.width)
+    lead_fp = morgan_fp(lead)
     lines = [
         EXEMPLAR_HEADER,
         f"Here are {len(exemplars)} similar molecules with high target scores"
@@ -306,11 +290,6 @@ def render_exemplar_block(
     return "\n".join(lines) + "\n"
 
 
-def _fp_bytes(width: int) -> int:
-    """Sidecar bytes per fingerprint: whole bytes, so widths below 8 fit."""
-    return -(-width // 8)
-
-
 def _bank_paths(base: str | Path) -> tuple[Path, Path]:
     """The records file and the fingerprint sidecar of a bank at `base`."""
     base = Path(base)
@@ -326,30 +305,38 @@ def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
 
     write_jsonl(jsonl_path, ({"smiles": r.canonical, "props": r.props} for r in bank.records))
 
-    blob = [
-        struct.pack(
-            "<4sHIHQ", _FP_MAGIC, _FP_VERSION, bank.width, bank.radius, len(bank)
-        )
-    ]
-    block = _fp_bytes(bank.width)
+    blob = [_FP_HEADER.pack(_FP_MAGIC, _FP_VERSION, WIDTH, RADIUS, len(bank))]
     for record in bank.records:
-        blob.append(record.fp.bits.to_bytes(block, "little"))
+        blob.append(record.fp.bits.to_bytes(WIDTH // 8, "little"))
     write_atomic(fp_path, b"".join(blob))
     return jsonl_path, fp_path
 
 
 def load_bank(base: str | Path) -> ExemplarBank:
+    """Read a `save_bank` pair. A sidecar with a short header, another
+    magic, version, width or radius, or a body that is not `count` whole
+    blocks raises ValueError naming the file."""
     jsonl_path, fp_path = _bank_paths(base)
 
-    with open(fp_path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sHIHQ"))
-        magic, version, width, radius, count = struct.unpack("<4sHIHQ", header)
-        if magic != _FP_MAGIC:
-            raise ValueError(f"{fp_path} is not a fingerprint sidecar")
-        if version != _FP_VERSION:
-            raise ValueError(f"unsupported sidecar version {version}")
-        block = _fp_bytes(width)
-        blob = fh.read(count * block)
+    blob = fp_path.read_bytes()
+    if len(blob) < _FP_HEADER.size:
+        raise ValueError(f"{fp_path} is too short for a fingerprint sidecar header")
+    magic, version, width, radius, count = _FP_HEADER.unpack_from(blob)
+    if magic != _FP_MAGIC:
+        raise ValueError(f"{fp_path} is not a fingerprint sidecar")
+    if version != _FP_VERSION:
+        raise ValueError(f"{fp_path} has unsupported sidecar version {version}")
+    if (width, radius) != (WIDTH, RADIUS):
+        raise ValueError(
+            f"{fp_path} holds fingerprints of width {width} and radius {radius},"
+            f" not {WIDTH} and {RADIUS}"
+        )
+    block = WIDTH // 8
+    if len(blob) != _FP_HEADER.size + count * block:
+        raise ValueError(
+            f"{fp_path} holds {len(blob) - _FP_HEADER.size} fingerprint bytes,"
+            f" not {count} blocks of {block}"
+        )
 
     records: list[ExemplarRecord] = []
     lines = 0
@@ -364,10 +351,9 @@ def load_bank(base: str | Path) -> ExemplarBank:
             if problem:
                 log.warning("skipping corpus row %d: %s", idx + 1, problem)
                 continue
-            bits = int.from_bytes(blob[idx * block : (idx + 1) * block], "little")
-            records.append(
-                ExemplarRecord(payload["smiles"], Fingerprint(bits, width, radius), props)
-            )
+            start = _FP_HEADER.size + idx * block
+            bits = int.from_bytes(blob[start : start + block], "little")
+            records.append(ExemplarRecord(payload["smiles"], Fingerprint(bits), props))
     if lines != count:
         raise ValueError("fingerprint sidecar count does not match records")
-    return ExemplarBank(records, width=width, radius=radius)
+    return ExemplarBank(records)

@@ -12,9 +12,12 @@ capacity order (the largest improvement first, the newer card first among
 ties), beside a `chemfeat.FingerprintIndex` of their fingerprints and arrays
 of their functional-group bitmasks and improvements, row for row; a key ->
 card map serves merging and the listing order. An insert cuts the rows at
-capacity and updates the arrays by the rows that left and came in.
-Retrieval scores both channels over all rows with a few numpy operations
-and sorts in Python only the threshold passers that can reach the top k.
+capacity and updates the arrays by the rows that left and came in; every
+fingerprint has the one `chemfeat.WIDTH`/`RADIUS` shape, so any card fits
+any store's index. A card's retrieval keys are computed in one place,
+whether it was just harvested or read from a skill-bank file. Retrieval
+scores both channels over all rows with a few numpy operations and sorts
+in Python only the threshold passers that can reach the top k.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .chemfeat import (
     Fingerprint,
     FingerprintIndex,
     FunctionalGroupSet,
-    WidthMismatchError,
     descriptors,
     detect_functional_groups,
     morgan_fp,
@@ -717,6 +719,12 @@ def make_skill_card(
         text = summarize_external(card, task, endpoint, timeout)
     else:
         text = summarize_template(card, task)
+    return _skill_card(text, card, task)
+
+
+def _skill_card(text: str, card: EditCard, task: str) -> SkillCard:
+    """The skill of a sentence and its card, keyed by the fingerprint and
+    functional groups of the card's `before` molecule."""
     source = parse(card.before)
     return SkillCard(
         text=text,
@@ -747,12 +755,11 @@ class _TaskStore:
     """One task's cards. `items` maps key -> item in `SkillBank.cards`
     order; `rows` holds the same items in capacity order, and `fps`, `fg`
     and `delta` hold their fingerprints, functional-group bitmasks and
-    improvements row for row. `fps` is None while the cards disagree on
-    fingerprint width or radius. A store is never changed once built."""
+    improvements row for row. A store is never changed once built."""
 
     items: dict[str, _Item]
     rows: list[_Item]
-    fps: Optional[FingerprintIndex]
+    fps: FingerprintIndex
     fg: np.ndarray
     delta: np.ndarray
 
@@ -760,10 +767,7 @@ class _TaskStore:
     def of(cls, items: dict[str, _Item], rows: list[_Item]) -> "_TaskStore":
         """A store with its arrays built from `rows`."""
         skills = [item[3] for item in rows]
-        shapes = {(s.fp_key.width, s.fp_key.radius) for s in skills}
-        fps = None
-        if len(shapes) == 1:
-            fps = FingerprintIndex([s.fp_key for s in skills], *shapes.pop())
+        fps = FingerprintIndex([s.fp_key for s in skills])
         fg = np.array([s.fg_tags.mask for s in skills], dtype=np.uint64)
         return cls(items, rows, fps, fg, np.array([s.delta_r for s in skills]))
 
@@ -772,15 +776,9 @@ class _TaskStore:
         """The store of `items` and `rows`, which are this store's less the
         `gone` items plus the `new` ones: its arrays are this store's with
         those rows deleted and inserted."""
-        fps = self.fps
-        if fps is None or any(
-            (item[3].fp_key.width, item[3].fp_key.radius) != (fps.width, fps.radius)
-            for item in new
-        ):
-            return _TaskStore.of(items, rows)
         # insert and delete bind new arrays, so editing the copy leaves this
         # store's index as it is
-        fps = copy.copy(fps)
+        fps = copy.copy(self.fps)
         fg, delta = self.fg, self.delta
         if gone:
             dropped = sorted(bisect_left(self.rows, item) for item in gone)
@@ -911,8 +909,7 @@ def retrieve_skills(
 
     Each channel keeps threshold passers ranked by improvement (ties by
     channel similarity, then key); the union preserves fp-channel order
-    first and drops duplicates. Raises WidthMismatchError when the task's
-    cards disagree on fingerprint width or radius.
+    first and drops duplicates.
     """
     for threshold in (gamma_fp, gamma_fg):
         if not (0.0 <= threshold <= 1.0):
@@ -922,11 +919,7 @@ def retrieve_skills(
     store = bank._tasks.get(task)
     if store is None:
         return []
-    if store.fps is None:
-        raise WidthMismatchError(
-            f"skill cards of task {task!r} disagree on fingerprint width or radius"
-        )
-    query_fp = morgan_fp(current, store.fps.radius, store.fps.width)
+    query_fp = morgan_fp(current)
     query_fg = detect_functional_groups(current)
 
     fp_top = store.top(store.fps.similarities(query_fp), gamma_fp, k_fp)
@@ -1001,15 +994,7 @@ def _skill_from_json(line: str) -> SkillCard:
     })
     if payload["delta_r"] != card.delta_r:
         raise ValueError("delta_r is not score_after - score_before")
-    source = parse(card.before)
-    return SkillCard(
-        text=payload["text"],
-        card=card,
-        delta_r=card.delta_r,
-        fp_key=morgan_fp(source),
-        fg_tags=detect_functional_groups(source),
-        task=payload["task"],
-    )
+    return _skill_card(payload["text"], card, payload["task"])
 
 
 def load_skills(path: str | Path, capacity: int = DEFAULT_CAPACITY) -> SkillBank:

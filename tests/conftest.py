@@ -1,6 +1,7 @@
 import pytest
 
 from leadopt import molgraph
+from leadopt.chemfeat import WIDTH
 
 
 @pytest.fixture
@@ -19,3 +20,36 @@ def no_canon_leaves(monkeypatch):
 def forget_texts():
     molgraph._parse_interned.cache_clear()
     molgraph._WRITTEN.clear()
+
+
+def near_positions(near: int, span: int) -> list[int]:
+    """`span` fingerprint bit positions: the set bits of `near`, then the
+    lowest positions `near` leaves clear."""
+    set_bits = [p for p in range(WIDTH) if near >> p & 1]
+    clear_bits = [p for p in range(WIDTH) if not near >> p & 1]
+    return (set_bits + clear_bits)[:span]
+
+
+def scatter(draw: int, positions: list[int]) -> int:
+    """Fingerprint bits with `positions[i]` set for each set bit `i` of
+    `draw`. A random `span`-bit draw over `near_positions(q, span)` meets
+    the molecule whose fingerprint bits are `q` as often as a draw at a
+    `span`-bit width would, so its similarities to it spread the same way
+    rather than sit near zero."""
+    bits = 0
+    while draw:
+        low = draw & -draw
+        bits |= 1 << positions[low.bit_length() - 1]
+        draw ^= low
+    return bits
+
+
+def fold(bits: int, width: int) -> int:
+    """`bits` with each set bit `b` moved to position `b % width`, as a
+    fingerprint of `width` bits folds its hashes."""
+    mask = (1 << width) - 1
+    out = 0
+    while bits:
+        out |= bits & mask
+        bits >>= width
+    return out

@@ -58,6 +58,8 @@ from leadopt.skillbank import (
 from leadopt.skillbank import EditCard, SkillCard
 from leadopt.chemfeat import DescriptorDelta
 
+from conftest import near_positions, scatter
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -239,7 +241,7 @@ def _brute_retrieve(records, query_fp, lead_fp, gamma_ex, k, pool_size, agg):
     return [r.canonical for r in kept[:k]]
 
 
-def _synth_skill(idx, delta_r, bits, tags, width):
+def _synth_skill(idx, delta_r, bits, tags):
     card = EditCard(
         before=f"SYN{idx:05d}A", after=f"SYN{idx:05d}B",
         modification_type="addition", removed_fragment="", added_fragment="F",
@@ -252,7 +254,7 @@ def _synth_skill(idx, delta_r, bits, tags, width):
     return SkillCard(
         text="Add fluorine (-F) to improve the target score.",
         card=card, delta_r=delta_r,
-        fp_key=Fingerprint(bits, width=width),
+        fp_key=Fingerprint(bits),
         fg_tags=FunctionalGroupSet(frozenset(tags)), task="qed",
     )
 
@@ -260,23 +262,26 @@ def _synth_skill(idx, delta_r, bits, tags, width):
 def test_criterion_03_retrieval_oracle_equivalence():
     started = time.perf_counter()
     rng = random.Random(1234)
-    width = 128
+    # each row is a random 128-bit draw over the bits of the bank's query
+    # fingerprints and other bits, so similarities spread from 0 upward
+    span = 128
     obj = table_objective({"C": 0.0}, threshold=0.9, name="act")
     queries = [parse(s) for s in load_corpus(40) if len(parse(s).atoms) >= 5][:10]
 
     for bank_idx in range(50):
         size = rng.randint(50, 2000)
+        current = queries[bank_idx % len(queries)]
+        lead = queries[(bank_idx + 3) % len(queries)]
+        positions = near_positions(morgan_fp(current).bits | morgan_fp(lead).bits, span)
         records = [
             ExemplarRecord(
                 f"M{bank_idx:02d}_{i:04d}",
-                Fingerprint(rng.getrandbits(width), width=width),
+                Fingerprint(scatter(rng.getrandbits(span), positions)),
                 {"act": round(rng.random(), 6)},
             )
             for i in range(size)
         ]
-        bank = ExemplarBank(records, width=width)
-        current = queries[bank_idx % len(queries)]
-        lead = queries[(bank_idx + 3) % len(queries)]
+        bank = ExemplarBank(records)
         k = rng.randint(1, 6)
         pool = rng.randint(10, 300)
         gamma_ex = rng.choice([0.0, 0.1, 0.2, 0.3])
@@ -286,10 +291,8 @@ def test_criterion_03_retrieval_oracle_equivalence():
                                         gamma_ex=gamma_ex, pool_size=pool)
         ]
         want = _brute_retrieve(
-            records,
-            morgan_fp(current, bank.radius, width),
-            morgan_fp(lead, bank.radius, width),
-            gamma_ex, k, pool, obj.aggregate,
+            records, morgan_fp(current), morgan_fp(lead), gamma_ex, k, pool,
+            obj.aggregate,
         )
         assert got == want, f"bank {bank_idx}: {got} != {want}"
 
@@ -297,25 +300,25 @@ def test_criterion_03_retrieval_oracle_equivalence():
                 "nitro", "ester"]
     for bank_idx in range(50):
         size = rng.randint(20, 300)
+        current = queries[bank_idx % len(queries)]
+        positions = near_positions(morgan_fp(current).bits, span)
         skills = [
             _synth_skill(
                 bank_idx * 1000 + i,
                 round(rng.random(), 6),
-                rng.getrandbits(width),
+                scatter(rng.getrandbits(span), positions),
                 tuple(rng.sample(tag_pool, rng.randint(0, 4))),
-                width,
             )
             for i in range(size)
         ]
         bank = SkillBank(capacity=10_000)
         bank.insert(skills)
-        current = queries[bank_idx % len(queries)]
         k_fp, k_fg = rng.randint(1, 4), rng.randint(1, 4)
         g_fp = rng.choice([0.0, 0.1, 0.2])
         g_fg = rng.choice([0.0, 0.25, 0.5])
         got = [s.key for s in retrieve_skills(bank, current, "qed",
                                               k_fp, k_fg, g_fp, g_fg)]
-        query_fp = morgan_fp(current, 2, width)
+        query_fp = morgan_fp(current)
         query_fg = detect_functional_groups(current)
         fp_chan = [s for s in skills if brute_tanimoto(query_fp, s.fp_key) >= g_fp]
         fp_chan.sort(key=lambda s: (-s.delta_r,
@@ -346,7 +349,7 @@ def test_criterion_04_capacity_control():
     rng = random.Random(4)
     deltas = rng.sample(range(1, 100_000), 1500)
     skills = [
-        _synth_skill(i, d / 100_000.0, rng.getrandbits(64), (), 64)
+        _synth_skill(i, d / 100_000.0, rng.getrandbits(64), ())
         for i, d in enumerate(deltas)
     ]
     bank = SkillBank(capacity=1000)

@@ -53,13 +53,18 @@ def runs(*digests: dict, first_seed: int = 41) -> dict:
     return {"runs": [{"seed": first_seed + k, "digests": d} for k, d in enumerate(digests)]}
 
 
+# the fixture's hashed files: the exemplar bank, then the run's outputs
+FIXTURE_SHA = {"bank.bank.jsonl": "j", "bank.fp.bin": "f", "report.json": "r",
+               "trajectories.jsonl": "t", "skills.jsonl": "s"}
+
+
 def trees(tree_workloads: dict, base_workloads: dict, *, tree_sha=None, base_sha=None,
           tree_lines: int = 100, base_lines: int = 100) -> dict:
-    sha = {"report.json": "r", "trajectories.jsonl": "t", "skills.jsonl": "s"}
     return {
-        "tree": {"workloads": tree_workloads, "fixture": {"sha256": tree_sha or sha},
+        "tree": {"workloads": tree_workloads, "fixture": {"sha256": tree_sha or FIXTURE_SHA},
                  "environment": {"src_lines": tree_lines}},
-        "baseline": {"workloads": base_workloads, "fixture": {"sha256": base_sha or sha},
+        "baseline": {"workloads": base_workloads,
+                     "fixture": {"sha256": base_sha or FIXTURE_SHA},
                      "environment": {"src_lines": base_lines}},
     }
 
@@ -104,7 +109,7 @@ class TestAgreement:
     def test_one_seed_and_the_fixture_differ(self, bench_file):
         base = runs({"bank": "b", "stream": "s"}, {"bank": "b", "stream": "t"})
         tree = runs({"bank": "b", "stream": "s"}, {"bank": "b", "stream": "changed"})
-        sha = {"report.json": "r", "trajectories.jsonl": "t", "skills.jsonl": "other"}
+        sha = dict(FIXTURE_SHA, **{"skills.jsonl": "other"})
         got = bench_file._agreement(trees({"memory-serve": tree}, {"memory-serve": base},
                                           tree_sha=sha, tree_lines=112))
         assert got["digests_equal"] == {"memory-serve": {"41": True, "42": False}}

@@ -14,16 +14,14 @@ from leadopt.chemfeat import (
     FingerprintIndex,
     FingerprintPlanes,
     FunctionalGroupSet,
-    WidthMismatchError,
     catalog_tags,
     descriptors,
     detect_functional_groups,
-    fingerprint_from_words,
     jaccard,
     morgan_fp,
     tanimoto,
 )
-from leadopt.chemfeat import _CATALOG, _mix_stream, _pattern_matches
+from leadopt.chemfeat import RADIUS, WIDTH, _CATALOG, _mix_stream, _pattern_matches
 from leadopt.molgraph import (
     _ELEMENT_INDEX,
     _ORDER_SORT,
@@ -33,6 +31,8 @@ from leadopt.molgraph import (
     mutate,
     parse,
 )
+
+from conftest import fold
 
 MASS_H, MASS_C, MASS_O = 1.008, 12.011, 15.999
 FG_GOLDEN = Path(__file__).parent / "golden" / "fg_tags.tsv"
@@ -46,20 +46,16 @@ def relabel(mol, perm):
     return Molecule(atoms, bonds)
 
 
-def fp_from_bits(on_bits, width=2048):
+def fp_from_bits(on_bits):
     bits = 0
     for b in on_bits:
         bits |= 1 << b
-    return Fingerprint(bits, width=width)
+    return Fingerprint(bits)
 
 
 class TestMorgan:
     def test_input_order_invariance(self):
         assert morgan_fp(parse("CCO")).bits == morgan_fp(parse("OCC")).bits
-
-    def test_radius_zero_two_distinct_atoms(self):
-        fp = morgan_fp(parse("CO"), radius=0)
-        assert fp.popcount <= 2
 
     def test_different_heteroatom_differs(self):
         # hand oracle: O and N atom invariants differ at every radius
@@ -69,21 +65,11 @@ class TestMorgan:
         fp = morgan_fp(parse("c1ccccc1C(=O)O"))
         assert fp.popcount == bin(fp.bits).count("1")
 
-    def test_width_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            Fingerprint(0, width=1000)
-
-    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
-    def test_words_pad_to_whole_words(self, width):
-        fp = morgan_fp(parse("CC(C)Cc1ccc(cc1)C(C)C(=O)O"), width=width)
-        words = fp.to_words()
-        assert len(words) == -(-width // 64)
-        assert fingerprint_from_words(words, width, fp.radius) == fp
-
     def test_words_round_trip(self):
         fp = morgan_fp(parse("CC(C)Cc1ccc(cc1)C(C)C(=O)O"))
-        again = fingerprint_from_words(fp.to_words(), fp.width, fp.radius)
-        assert again == fp
+        words = fp.to_words()
+        assert len(words) == WIDTH // 64
+        assert Fingerprint(int.from_bytes(words.tobytes(), "little")) == fp
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -97,18 +83,20 @@ class TestMorgan:
 
 @functools.lru_cache(maxsize=1)
 def morgan_golden():
-    """(molecule, hex bits at 2048/2, hex bits at 64/3) per golden row: the
+    """(molecule, hex bits at width 2048 and radius 2) per golden row: the
     inputs of canonical_strings.tsv that do not raise, with the bits the
-    fingerprint loop gave before its environment memo existed."""
+    fingerprint loop gave before its environment memo existed. The file's
+    last column, bits at width 64 and radius 3, is from when the shape
+    could vary; no fingerprint has that shape now."""
     out = []
     for line in MORGAN_GOLDEN.read_text().splitlines():
         if line.startswith("#"):
             continue
-        source, op, seed, default_bits, small_bits = line.split("\t")
+        source, op, seed, bits, _ = line.split("\t")
         mol = parse(source)
         if op != "parse":
             mol = mutate(mol, op, int(seed))
-        out.append((mol, default_bits, small_bits))
+        out.append((mol, bits))
     return out
 
 
@@ -142,20 +130,17 @@ def reference_hashes(m, radius):
     return layers
 
 
-def reference_bits(layers, width):
+def reference_bits(layers):
     bits = 0
     for layer in layers:
         for h in layer:
-            bits |= 1 << (h % width)
+            bits |= 1 << (h % WIDTH)
     return bits
 
 
-def fresh_fp(m, radius, width):
+def fresh_fp(m):
     m._fp_cache.clear()  # compute again, not from the molecule's cache
-    return morgan_fp(m, radius, width)
-
-
-WIDTHS = [1 << k for k in range(3, 13)]  # 8 .. 4096
+    return morgan_fp(m)
 
 
 class TestMorganMemo:
@@ -163,9 +148,8 @@ class TestMorganMemo:
         chemfeat._ENV_HASHES.clear()
         mismatches = [
             mol.canonical
-            for mol, default_bits, small_bits in morgan_golden()
-            if f"{fresh_fp(mol, 2, 2048).bits:x}" != default_bits
-            or f"{fresh_fp(mol, 3, 64).bits:x}" != small_bits
+            for mol, bits in morgan_golden()
+            if f"{fresh_fp(mol).bits:x}" != bits
         ]
         assert len(morgan_golden()) == 2374
         assert mismatches == []
@@ -173,33 +157,30 @@ class TestMorganMemo:
     @pytest.mark.parametrize("state", ["empty", "warm", "just_cleared"])
     def test_matches_unmemoized_loop(self, state):
         memo = chemfeat._ENV_HASHES
-        mols = [mol for mol, _, _ in morgan_golden()[::24]]
+        mols = [mol for mol, _ in morgan_golden()[::8]]
         if state == "warm":
             for mol in mols:
-                fresh_fp(mol, 3, 2048)
+                fresh_fp(mol)
         mismatches = []
         for mol in mols:
-            for radius in range(4):
-                layers = reference_hashes(mol, radius)
-                if state == "just_cleared":
-                    # full with keys no molecule has: the first miss clears it
-                    memo.clear()
-                    memo.update(((-1, k), 0) for k in range(chemfeat._ENV_HASHES_MAX))
-                for width in WIDTHS:
-                    if state == "empty":
-                        memo.clear()
-                    if fresh_fp(mol, radius, width).bits != reference_bits(layers, width):
-                        mismatches.append((mol.canonical, radius, width))
-                if state == "just_cleared":
-                    assert (-1, 0) not in memo
+            if state == "empty":
+                memo.clear()
+            elif state == "just_cleared":
+                # full with keys no molecule has: the first miss clears it
+                memo.clear()
+                memo.update(((-1, k), 0) for k in range(chemfeat._ENV_HASHES_MAX))
+            if fresh_fp(mol).bits != reference_bits(reference_hashes(mol, RADIUS)):
+                mismatches.append(mol.canonical)
+            if state == "just_cleared":
+                assert (-1, 0) not in memo
         assert mismatches == []
 
     def test_memo_never_exceeds_its_bound(self):
         memo = chemfeat._ENV_HASHES
         memo.clear()
         sizes = []
-        for mol, _, _ in morgan_golden():
-            fresh_fp(mol, 3, 2048)
+        for mol, _ in morgan_golden():
+            fresh_fp(mol)
             sizes.append(len(memo))
         assert max(sizes) <= chemfeat._ENV_HASHES_MAX
         # the golden set has more environments than the bound: it was cleared
@@ -209,19 +190,15 @@ class TestMorganMemo:
         monkeypatch.setattr(chemfeat, "_ENV_HASHES_MAX", 16)
         chemfeat._ENV_HASHES.clear()
         m = parse("CC(C)Cc1ccc(cc1)C(C)C(=O)OCCN(CC)CCOc1ncccc1Cl")
-        for radius in range(4):
-            assert fresh_fp(m, radius, 1024).bits == reference_bits(
-                reference_hashes(m, radius), 1024
-            )
-            assert len(chemfeat._ENV_HASHES) <= 16
+        assert fresh_fp(m).bits == reference_bits(reference_hashes(m, RADIUS))
+        assert len(chemfeat._ENV_HASHES) <= 16
 
     def test_second_call_returns_the_cached_object(self):
         m = parse("CC(=O)Nc1ccc(O)cc1")
-        for radius, width in ((2, 2048), (3, 64), (0, 8)):
-            first = morgan_fp(m, radius, width)
-            chemfeat._ENV_HASHES.clear()
-            assert morgan_fp(m, radius, width) is first
-            assert m._fp_cache[("fp", radius, width)] is first
+        first = morgan_fp(m)
+        chemfeat._ENV_HASHES.clear()
+        assert morgan_fp(m) is first
+        assert m._fp_cache["fp"] is first
 
 
 class TestTanimoto:
@@ -238,17 +215,13 @@ class TestTanimoto:
     def test_both_empty_convention(self):
         assert tanimoto(fp_from_bits([]), fp_from_bits([])) == 1.0
 
-    def test_width_mismatch(self):
-        with pytest.raises(WidthMismatchError):
-            tanimoto(fp_from_bits([1], width=2048), fp_from_bits([1], width=1024))
-
     @given(
         st.sets(st.integers(min_value=0, max_value=255), max_size=40),
         st.sets(st.integers(min_value=0, max_value=255), max_size=40),
     )
     @settings(max_examples=100, deadline=None)
     def test_symmetric_unit_interval(self, xs, ys):
-        a, b = fp_from_bits(sorted(xs), 256), fp_from_bits(sorted(ys), 256)
+        a, b = fp_from_bits(sorted(xs)), fp_from_bits(sorted(ys))
         s = tanimoto(a, b)
         assert s == tanimoto(b, a)
         assert 0.0 <= s <= 1.0
@@ -266,22 +239,30 @@ class TestFingerprintIndex:
     @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 512, 2048, 4096])
     def test_matches_brute_force_at_every_width(self, width):
         rng = random.Random(width)
-        # all-zero and all-one rows, sparse and dense rows
-        fps = [Fingerprint(0, width), Fingerprint((1 << width) - 1, width)]
+        # all-zero and all-one rows, rows drawn at `width` bits and folded
+        # onto the fingerprint (a narrow draw leaves the high words zero, a
+        # draw wider than WIDTH gives denser rows), and sparse rows near a
+        # molecule's fingerprint
+        near = morgan_fp(parse("CC(C)Cc1ccc(cc1)C(C)C(=O)O")).bits
+        fps = [Fingerprint(0), Fingerprint((1 << WIDTH) - 1), Fingerprint(near)]
         fps += [
-            Fingerprint(rng.getrandbits(width) & rng.getrandbits(width), width)
-            for _ in range(60)
+            Fingerprint(fold(rng.getrandbits(width) & rng.getrandbits(width), WIDTH))
+            for _ in range(30)
         ]
-        index = FingerprintIndex(fps, width)
-        for query in fps[:4] + [Fingerprint(1, width)]:
+        fps += [
+            Fingerprint(near & rng.getrandbits(WIDTH) | 1 << rng.randrange(WIDTH))
+            for _ in range(30)
+        ]
+        index = FingerprintIndex(fps)
+        for query in fps[:4] + fps[-2:] + [Fingerprint(1)]:
             assert index.similarities(query).tolist() == [
                 brute_tanimoto(query, fp) for fp in fps
             ]
 
     def test_insert_and_delete_keep_rows_in_step(self):
         rng = random.Random(5)
-        fps = [Fingerprint(rng.getrandbits(32), 32) for _ in range(12)]
-        index = FingerprintIndex(fps[:6], 32)
+        fps = [Fingerprint(rng.getrandbits(WIDTH)) for _ in range(12)]
+        index = FingerprintIndex(fps[:6])
         index.delete([0, 3])
         index.insert([0, 2, 2, 4], fps[6:10])
         expected = [fps[6], fps[1], fps[2], fps[7], fps[8], fps[4], fps[5], fps[9]]
@@ -292,47 +273,41 @@ class TestFingerprintIndex:
         ]
 
     def test_empty_index(self):
-        index = FingerprintIndex((), 64)
-        assert index.similarities(Fingerprint(3, 64)).tolist() == []
-
-    def test_mismatch_rejected(self):
-        index = FingerprintIndex([Fingerprint(1, 64)], 64)
-        with pytest.raises(WidthMismatchError):
-            index.similarities(Fingerprint(1, 128))
-        with pytest.raises(WidthMismatchError):
-            index.similarities(Fingerprint(1, 64, radius=3))
-        with pytest.raises(WidthMismatchError):
-            FingerprintIndex([Fingerprint(1, 32)], 64)
+        index = FingerprintIndex(())
+        assert index.similarities(Fingerprint(3)).tolist() == []
 
 
 @st.composite
 def fingerprint_sets(draw):
-    """A width, rows of that width (a count that need not be a multiple of
-    8, spanning more than one build step, with all-zero rows and repeats)
-    and queries."""
-    width = draw(st.sampled_from([1, 8, 32, 64, 2048]))
+    """Rows (a count that need not be a multiple of 8, spanning more than
+    one build step, with all-zero rows and repeats) and queries, the set
+    bits of each row drawn from a span of the width."""
     count = draw(st.one_of(st.integers(0, 20), st.integers(500, 1100)))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = random.Random(seed)
-    density = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    # few positions give many equal similarities, and a popcount of the
+    # whole span gives identical dense rows
+    span = draw(st.sampled_from([8, 64, WIDTH]))
+    positions = rng.sample(range(WIDTH), span)
+    popcount = draw(st.sampled_from([0, 1, span // 4, span]))
     def random_bits():
-        return sum(1 << b for b in range(width) if rng.random() < density)
-    fps = [Fingerprint(random_bits(), width) for _ in range(count)]
+        return sum(1 << b for b in rng.sample(positions, popcount))
+    fps = [Fingerprint(random_bits()) for _ in range(count)]
     if count:
-        fps[rng.randrange(count)] = Fingerprint(0, width)
+        fps[rng.randrange(count)] = Fingerprint(0)
         fps[rng.randrange(count)] = fps[0]
-    queries = [Fingerprint(0, width), Fingerprint(random_bits(), width)]
+    queries = [Fingerprint(0), Fingerprint(random_bits())]
     queries += fps[:1]
-    return width, fps, queries
+    return fps, queries
 
 
 class TestFingerprintPlanes:
     @given(fingerprint_sets())
     @settings(max_examples=40, deadline=None)
     def test_equals_dense_index(self, case):
-        width, fps, queries = case
-        planes = FingerprintPlanes(fps, width)
-        index = FingerprintIndex(fps, width)
+        fps, queries = case
+        planes = FingerprintPlanes(fps)
+        index = FingerprintIndex(fps)
         rng = random.Random(len(fps))
         rows = np.array([rng.randrange(len(fps)) for _ in range(9) if fps], dtype=np.int64)
         for query in queries:
@@ -342,18 +317,13 @@ class TestFingerprintPlanes:
             )
 
     def test_planes_hold_one_bit_per_row(self):
-        fps = [Fingerprint(0b101, 8), Fingerprint(0b100, 8), Fingerprint(0, 8)]
-        planes = FingerprintPlanes(fps, 8)
-        assert planes.planes.shape == (8, 1)
+        fps = [Fingerprint(0b101), Fingerprint(0b100), Fingerprint(1 << WIDTH - 1)]
+        planes = FingerprintPlanes(fps)
+        assert planes.planes.shape == (WIDTH, 1)
         assert planes.planes[:3, 0].tolist() == [0b001, 0, 0b011]
-        assert planes.pops.tolist() == [2, 1, 0]
-
-    def test_mismatch_rejected(self):
-        planes = FingerprintPlanes([Fingerprint(1, 64)], 64)
-        with pytest.raises(WidthMismatchError):
-            planes.similarities(Fingerprint(1, 128))
-        with pytest.raises(WidthMismatchError):
-            FingerprintPlanes([Fingerprint(1, 32)], 64)
+        assert planes.planes[WIDTH - 1, 0] == 0b100
+        assert not planes.planes[3 : WIDTH - 1].any()
+        assert planes.pops.tolist() == [2, 1, 1]
 
 
 class TestPatternRoots:

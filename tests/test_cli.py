@@ -113,6 +113,31 @@ class TestRunEvalSkills:
             assert (workspace / "a" / name).read_bytes() == \
                 (workspace / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("config,flags,budget", [
+        ("", [], 20),
+        ("budget: 30\n", [], 30),
+        ("budget: 30\n", ["--budget", "25"], 25),
+    ])
+    def test_budget_from_flag_then_config_then_objective(
+        self, workspace, capsys, config, flags, budget
+    ):
+        # an unreachable threshold, so a lead spends all it may unless its
+        # search runs out of new molecules first
+        objective = workspace / "act.yaml"
+        objective.write_text(objective.read_text().replace("budget: 60", "budget: 20")
+                             .replace("threshold: 0.9", "threshold: 2.0"))
+        (workspace / "run.yaml").write_text(config or "{}\n")
+        code, _, err = run_cli(
+            capsys, "run", "--leads", workspace / "leads.smi", "--objective", objective,
+            "--config", workspace / "run.yaml", "--out", workspace / "out",
+            "--policy", "random", "--generations", "6", "--rollouts", "16",
+            "--seed", "7", *flags,
+        )
+        assert code == 0, err
+        report = json.loads((workspace / "out" / "report.json").read_text())
+        calls = [lead["calls_used"] for lead in report["leads"]]
+        assert max(calls) == budget, calls
+
     def test_eval_recomputes_aggregates(self, workspace, capsys):
         self.run_once(workspace, capsys)
         code, out, err = run_cli(capsys, "eval", "--report", workspace / "out")
@@ -221,10 +246,15 @@ class TestRunEvalSkills:
 
 class TestEvictingRunPin:
     """A harvesting run whose skill bank overflows its capacity: the bytes
-    the eviction path writes stay pinned (86 cards harvested, 40 kept)."""
+    the eviction path writes stay pinned (86 cards harvested, 40 kept), and
+    so do the exemplar bank files it reads."""
 
     CORPUS = Path(__file__).parent / "fixtures" / "corpus_500.smi"
     SHA256 = {
+        "bank.bank.jsonl":
+            "d91e7f4c9e061e96352bb212220eb004fb6506808a97835addb9af0cc7ba669d",
+        "bank.fp.bin":
+            "119cc312f213fae84a31c9b37412041f81209ebd269c0bf8565abc82db3c7c10",
         "out/report.json":
             "8d36d50ef803e767984badd97a1972e415b17c6ab8cd744db06c90d493c00cda",
         "out/trajectories.jsonl":

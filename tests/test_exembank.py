@@ -2,12 +2,13 @@ import json
 import logging
 import math
 import random
+import re
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leadopt.chemfeat import Fingerprint, morgan_fp, tanimoto
+from leadopt.chemfeat import WIDTH, Fingerprint, morgan_fp, tanimoto
 from leadopt.exembank import (
     EXEMPLAR_FOOTER,
     EXEMPLAR_HEADER,
@@ -31,9 +32,20 @@ from leadopt.oracles import (
     builtin_oracle,
 )
 
+from conftest import fold, near_positions, scatter
 
-def fake_record(name: str, bits: int, score: float, width=64) -> ExemplarRecord:
-    return ExemplarRecord(name, Fingerprint(bits, width=width), {"act": score})
+
+def fake_record(name: str, bits: int, score: float) -> ExemplarRecord:
+    return ExemplarRecord(name, Fingerprint(bits), {"act": score})
+
+
+def near(*smiles: str) -> list[int]:
+    """64 bit positions for random rows, the bits of the molecules'
+    fingerprints first."""
+    bits = 0
+    for text in smiles:
+        bits |= morgan_fp(parse(text)).bits
+    return near_positions(bits, 64)
 
 
 def act_objective(gamma=0.4):
@@ -117,13 +129,14 @@ class TestCandidateRecall:
 
     def test_matches_brute_force_scan(self):
         rng = random.Random(11)
+        positions = near("CCCCO")
         records = [
-            fake_record(f"M{i:04d}", rng.getrandbits(64), rng.random())
+            fake_record(f"M{i:04d}", scatter(rng.getrandbits(64), positions), rng.random())
             for i in range(1000)
         ]
-        bank = ExemplarBank(records, width=64)
+        bank = ExemplarBank(records)
         query = parse("CCCCO")
-        query_fp = morgan_fp(query, bank.radius, bank.width)
+        query_fp = morgan_fp(query)
         got = candidate_recall(bank, query, 50)
         expected = sorted(
             records, key=lambda r: (-brute_tanimoto(query_fp, r.fp), r.canonical)
@@ -134,10 +147,10 @@ class TestCandidateRecall:
 class TestRetrieveExemplars:
     def test_single_filter_survivor(self):
         lead = parse("CCCCO")
-        lead_fp = morgan_fp(lead, width=64)
-        near = fake_record("NEAR", lead_fp.bits, 0.1)
+        lead_fp = morgan_fp(lead)
+        close = fake_record("NEAR", lead_fp.bits, 0.1)
         far = fake_record("FAR", 1 << 63, 0.99)
-        bank = ExemplarBank([near, far], width=64)
+        bank = ExemplarBank([close, far])
         got = retrieve_exemplars(bank, lead, lead, act_objective(), k=2, gamma_ex=0.9)
         assert [r.canonical for r in got] == ["NEAR"]
 
@@ -147,7 +160,7 @@ class TestRetrieveExemplars:
             fake_record(f"M{i:03d}", rng.getrandbits(64), round(rng.random(), 6))
             for i in range(50)
         ]
-        bank = ExemplarBank(records, width=64)
+        bank = ExemplarBank(records)
         got = retrieve_exemplars(
             bank, parse("CCCCO"), parse("CCCCO"), act_objective(), k=5,
             gamma_ex=0.0, pool_size=100,
@@ -157,33 +170,34 @@ class TestRetrieveExemplars:
 
     def test_every_result_passes_lead_filter(self):
         rng = random.Random(9)
+        positions = near("CCO", "CCCCO")
         records = [
-            fake_record(f"M{i:03d}", rng.getrandbits(64), rng.random())
+            fake_record(f"M{i:03d}", scatter(rng.getrandbits(64), positions), rng.random())
             for i in range(200)
         ]
-        bank = ExemplarBank(records, width=64)
+        bank = ExemplarBank(records)
         lead = parse("CCCCO")
-        lead_fp = morgan_fp(lead, bank.radius, bank.width)
+        lead_fp = morgan_fp(lead)
         got = retrieve_exemplars(bank, parse("CCO"), lead, act_objective(),
                                  k=10, gamma_ex=0.2, pool_size=200)
+        assert got
         for record in got:
             assert brute_tanimoto(record.fp, lead_fp) >= 0.2
 
     def test_matches_brute_force_pipeline(self):
         rng = random.Random(13)
+        positions = near("CCO", "CCCCO")
         records = [
-            fake_record(f"M{i:03d}", rng.getrandbits(64), round(rng.random(), 6))
+            fake_record(f"M{i:03d}", scatter(rng.getrandbits(64), positions),
+                        round(rng.random(), 6))
             for i in range(100)
         ]
-        bank = ExemplarBank(records, width=64)
+        bank = ExemplarBank(records)
         current, lead = parse("CCO"), parse("CCCCO")
         got = retrieve_exemplars(bank, current, lead, act_objective(), k=4,
                                  gamma_ex=0.1, pool_size=40)
         expected = brute_retrieve(
-            records,
-            morgan_fp(current, bank.radius, bank.width),
-            morgan_fp(lead, bank.radius, bank.width),
-            0.1, 4, 40,
+            records, morgan_fp(current), morgan_fp(lead), 0.1, 4, 40
         )
         assert [r.canonical for r in got] == [r.canonical for r in expected]
 
@@ -193,7 +207,7 @@ class TestRetrieveExemplars:
             fake_record(f"M{i:03d}", rng.getrandbits(64), rng.random())
             for i in range(80)
         ]
-        bank = ExemplarBank(records, width=64)
+        bank = ExemplarBank(records)
         got = retrieve_exemplars(bank, parse("CCO"), parse("CCO"),
                                  act_objective(), k=8, gamma_ex=0.0, pool_size=80)
         scores = [r.props["act"] for r in got]
@@ -220,26 +234,25 @@ def banks(draw):
     """A bank whose rows share bits with the query molecules' fingerprints,
     with tied fingerprints, all-zero rows, tied scores and records that
     lack a property, at a row count that need not be a multiple of 8."""
-    width = draw(st.sampled_from([32, 64, 2048]))
     count = draw(st.one_of(st.integers(1, 40), st.integers(505, 530)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    seen_bits = [morgan_fp(parse(s), 2, width).bits for s in DIFF_MOLECULES]
-    shapes = [0] + seen_bits + [rng.getrandbits(width) & rng.getrandbits(width)
+    seen_bits = [morgan_fp(parse(s)).bits for s in DIFF_MOLECULES]
+    shapes = [0] + seen_bits + [rng.getrandbits(WIDTH) & rng.getrandbits(WIDTH)
                                 for _ in range(4)]
     records = []
     for i in range(count):
         bits = rng.choice(shapes)
         if rng.random() < 0.5:
-            bits = (bits & rng.getrandbits(width)) | rng.choice(shapes)
+            bits = (bits & rng.getrandbits(WIDTH)) | rng.choice(shapes)
         props = {}
         if rng.random() < 0.9:
             props["act"] = rng.choice([0.1, 0.5, 0.5, 0.9, rng.random()])
         if rng.random() < 0.8:
             props["tox"] = rng.choice([0.0, 0.2, rng.random()])
         name = f"R{rng.randrange(10**6):06d}.{i}"
-        records.append(ExemplarRecord(name, Fingerprint(bits, width), props))
+        records.append(ExemplarRecord(name, Fingerprint(bits), props))
     obj = draw(st.sampled_from(["act", "act_tox"]))
-    return ExemplarBank(records, width=width), obj
+    return ExemplarBank(records), obj
 
 
 class _Lines(logging.Handler):
@@ -254,8 +267,8 @@ class _Lines(logging.Handler):
 def reference_retrieve(bank, current, lead, obj, k, threshold, pool_size):
     """`tanimoto` and Python sorts with the documented tie-breaks, and the
     names of the pool records logged as lacking a property, in pool order."""
-    query_fp = morgan_fp(current, bank.radius, bank.width)
-    lead_fp = morgan_fp(lead, bank.radius, bank.width)
+    query_fp = morgan_fp(current)
+    lead_fp = morgan_fp(lead)
     pool = sorted(
         bank.records, key=lambda r: (-tanimoto(query_fp, r.fp), r.canonical)
     )[:pool_size]
@@ -305,13 +318,12 @@ class TestDifferential:
 
     def test_missing_property_logged_on_every_retrieval(self, caplog):
         lead = parse("CCCCO")
-        bits = morgan_fp(lead, width=64).bits
+        bits = morgan_fp(lead).bits
         bank = ExemplarBank(
             [
-                ExemplarRecord("A", Fingerprint(bits, 64), {"act": 0.3}),
-                ExemplarRecord("B", Fingerprint(bits, 64), {"other": 0.9}),
-            ],
-            width=64,
+                ExemplarRecord("A", Fingerprint(bits), {"act": 0.3}),
+                ExemplarRecord("B", Fingerprint(bits), {"other": 0.9}),
+            ]
         )
         for _ in range(2):
             got = retrieve_exemplars(bank, lead, lead, act_objective(), gamma_ex=0.5)
@@ -372,19 +384,32 @@ class TestNonFiniteProperties:
 class TestWidths:
     @pytest.mark.parametrize("width", [8, 16, 32, 64, 256, 2048, 4096])
     def test_built_bank_matches_brute_force(self, width):
-        # widths below 64 bits pad each index row to one whole word
+        # below WIDTH the built records' bits are folded onto `width`
+        # positions near the queries' bits, as a `width`-bit fingerprint
+        # once folded them: few positions give many equal similarities for
+        # the canonical tie-break to settle
         rng = random.Random(width)
         pool = ["CCO", "CCCO", "CCCCO", "CCN", "CCCN", "CCOC", "CC(C)O", "CCS",
                 "c1ccccc1", "Cc1ccccc1", "Oc1ccccc1", "Nc1ccccc1", "CC(=O)O",
                 "CC(=O)N", "FCCO", "ClCCN"]
-        bank = build_bank(
-            [f"{s}\tact={round(rng.random(), 6)}" for s in pool], width=width
-        )
+        cases = [("CCCO", "CCO"), ("Cc1ccccc1", "Oc1ccccc1"), ("CC(=O)N", "CCN")]
+        bank = build_bank([f"{s}\tact={round(rng.random(), 6)}" for s in pool])
+        if width < WIDTH:
+            near = 0
+            for query, lead in cases:
+                near |= morgan_fp(parse(query)).bits | morgan_fp(parse(lead)).bits
+            positions = near_positions(near, width)
+            bank = ExemplarBank([
+                ExemplarRecord(
+                    r.canonical, Fingerprint(scatter(fold(r.fp.bits, width), positions)),
+                    r.props,
+                )
+                for r in bank.records
+            ])
         records = list(bank.records)
-        for query, lead in [("CCCO", "CCO"), ("Cc1ccccc1", "Oc1ccccc1"),
-                            ("CC(=O)N", "CCN")]:
-            query_fp = morgan_fp(parse(query), bank.radius, width)
-            lead_fp = morgan_fp(parse(lead), bank.radius, width)
+        for query, lead in cases:
+            query_fp = morgan_fp(parse(query))
+            lead_fp = morgan_fp(parse(lead))
             got = candidate_recall(bank, parse(query), 6)
             want = sorted(
                 records, key=lambda r: (-brute_tanimoto(query_fp, r.fp), r.canonical)
@@ -398,7 +423,7 @@ class TestWidths:
 
 class TestRenderBlock:
     def test_header_and_footer_verbatim(self):
-        record = fake_record("CCO", 0b1011, 0.8915, width=64)
+        record = fake_record("CCO", 0b1011, 0.8915)
         block = render_exemplar_block([record], act_objective(), parse("CCCCO"))
         lines = block.splitlines()
         assert lines[0] == "=== SIMILAR HIGH-SCORING MOLECULES FOR REFERENCE ==="
@@ -406,12 +431,12 @@ class TestRenderBlock:
         assert EXEMPLAR_HEADER in block and EXEMPLAR_FOOTER in block
 
     def test_round_half_up(self):
-        record = fake_record("CCO", 0b1011, 0.8915, width=64)
+        record = fake_record("CCO", 0b1011, 0.8915)
         block = render_exemplar_block([record], act_objective(), parse("CCCCO"))
         assert "target score: 0.892" in block
 
     def test_numbering(self):
-        records = [fake_record("CCO", 0b1, 0.5, 64), fake_record("CCN", 0b10, 0.4, 64)]
+        records = [fake_record("CCO", 0b1, 0.5), fake_record("CCN", 0b10, 0.4)]
         block = render_exemplar_block(records, act_objective(), parse("CCCCO"))
         assert "1. SMILES: CCO" in block
         assert "2. SMILES: CCN" in block
@@ -420,6 +445,9 @@ class TestRenderBlock:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             render_exemplar_block([], act_objective(), parse("CCO"))
+
+
+HEADER = struct.calcsize("<4sHIHQ")
 
 
 class TestPersistence:
@@ -454,17 +482,38 @@ class TestPersistence:
             assert orig.fp == back.fp
             assert orig.props == back.props
 
-
-    @pytest.mark.parametrize("width", [1, 2, 4])
-    def test_round_trip_below_one_byte(self, tmp_path, width):
-        # a fingerprint narrower than a byte still takes one sidecar byte
-        bank = build_bank(["CCO\tact=1", "CCN\tact=2", "c1ccccc1\tact=3"], width=width)
+    def test_sidecar_layout(self, tmp_path):
+        bank = build_bank(["CCO\tact=1", "CCN\tact=2", "c1ccccc1\tact=3"])
         _, fp_path = save_bank(bank, tmp_path / "b")
-        assert fp_path.stat().st_size == struct.calcsize("<4sHIHQ") + len(bank)
-        loaded = load_bank(tmp_path / "b")
-        assert loaded.width == width
-        assert [r.fp for r in loaded.records] == [r.fp for r in bank.records]
-        assert [r.canonical for r in loaded.records] == [r.canonical for r in bank.records]
+        blob = fp_path.read_bytes()
+        assert struct.unpack_from("<4sHIHQ", blob) == (b"LOFP", 1, WIDTH, 2, 3)
+        block = WIDTH // 8
+        assert len(blob) == HEADER + 3 * block
+        for i, record in enumerate(bank.records):
+            start = HEADER + i * block
+            assert int.from_bytes(blob[start : start + block], "little") == record.fp.bits
+
+    @pytest.mark.parametrize("change", ["truncated", "one_extra_byte", "short_header"])
+    def test_sidecar_of_the_wrong_length_rejected(self, tmp_path, change):
+        bank = build_bank(["CCO\tact=1", "CCN\tact=2", "c1ccccc1\tact=3"])
+        _, fp_path = save_bank(bank, tmp_path / "b")
+        blob = fp_path.read_bytes()
+        cut = {"truncated": blob[: HEADER + WIDTH // 8 + 5],
+               "one_extra_byte": blob + b"\0",
+               "short_header": blob[: HEADER - 1]}[change]
+        fp_path.write_bytes(cut)
+        with pytest.raises(ValueError, match=re.escape(str(fp_path))):
+            load_bank(tmp_path / "b")
+
+    @pytest.mark.parametrize("width,radius", [(1024, 2), (2048, 3), (64, 3)])
+    def test_sidecar_of_another_shape_rejected(self, tmp_path, width, radius):
+        bank = build_bank(["CCO\tact=1", "CCN\tact=2"])
+        _, fp_path = save_bank(bank, tmp_path / "b")
+        blob = bytearray(fp_path.read_bytes())
+        struct.pack_into("<4sHIHQ", blob, 0, b"LOFP", 1, width, radius, 2)
+        fp_path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(str(fp_path))):
+            load_bank(tmp_path / "b")
 
 
 class TestFormatScore:

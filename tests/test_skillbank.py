@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import logging
@@ -15,7 +16,6 @@ from leadopt.chemfeat import (
     DescriptorDelta,
     Fingerprint,
     FunctionalGroupSet,
-    WidthMismatchError,
     detect_functional_groups,
     jaccard,
     morgan_fp,
@@ -49,6 +49,8 @@ from leadopt.skillbank import (
     summarize_external,
     summarize_template,
 )
+
+from conftest import near_positions, scatter
 
 
 # -- lightweight trajectory stand-in (duck-typed like env.Trajectory) --------
@@ -109,7 +111,7 @@ def card_from(before, after, s0, s1):
     return build_edit_card(parse(before), parse(after), s0, s1)
 
 
-def synthetic_skill(key_idx, delta_r, bits, tags, task="qed", width=64):
+def synthetic_skill(key_idx, delta_r, bits, tags, task="qed"):
     """Skill card with synthetic retrieval keys for bank-logic tests."""
     before = f"SYN{key_idx:05d}A"
     after = f"SYN{key_idx:05d}B"
@@ -132,7 +134,7 @@ def synthetic_skill(key_idx, delta_r, bits, tags, task="qed", width=64):
         text="Add fluorine (-F) to improve the target score.",
         card=card,
         delta_r=delta_r,
-        fp_key=Fingerprint(bits, width=width),
+        fp_key=Fingerprint(bits),
         fg_tags=FunctionalGroupSet(frozenset(tags)),
         task=task,
     )
@@ -454,7 +456,7 @@ class TestBankInsert:
 class TestRetrieveSkills:
     def test_exact_source_hits_fp_channel(self):
         mol = parse("CCCCO")
-        fp = morgan_fp(mol, 2, 64)
+        fp = morgan_fp(mol)
         skill = synthetic_skill(0, 0.5, fp.bits, ("hydroxyl",))
         bank = SkillBank()
         bank.insert([skill])
@@ -471,23 +473,24 @@ class TestRetrieveSkills:
     def test_matches_brute_force_two_channel(self):
         rng = random.Random(42)
         tags = ["hydroxyl", "amine", "halogen", "amide", "ether", "ketone"]
+        mol = parse("CCCCO")
+        positions = near_positions(morgan_fp(mol).bits, 64)
         skills = [
             synthetic_skill(
                 i,
                 round(rng.random(), 6),
-                rng.getrandbits(64),
+                scatter(rng.getrandbits(64), positions),
                 tuple(rng.sample(tags, rng.randint(0, 3))),
             )
             for i in range(50)
         ]
         bank = SkillBank()
         bank.insert(skills)
-        mol = parse("CCCCO")
         k_fp, k_fg, g_fp, g_fg = 3, 3, 0.2, 0.3
         got = retrieve_skills(bank, mol, "qed", k_fp, k_fg, g_fp, g_fg)
 
         # brute force per the two-channel rule
-        query_fp = morgan_fp(mol, 2, 64)
+        query_fp = morgan_fp(mol)
         query_fg = detect_functional_groups(mol)
         fp_chan = [
             s for s in skills if tanimoto(query_fp, s.fp_key) >= g_fp
@@ -524,7 +527,7 @@ def loop_retrieve(bank, current, task, k_fp=3, k_fg=3, gamma_fp=0.4, gamma_fg=0.
     cards = bank.cards(task)
     if not cards:
         return []
-    query_fp = morgan_fp(current, cards[0].fp_key.radius, cards[0].fp_key.width)
+    query_fp = morgan_fp(current)
     query_tags = detect_functional_groups(current).tags
     fp_pass, fg_pass = [], []
     for skill in cards:
@@ -549,13 +552,16 @@ def loop_retrieve(bank, current, task, k_fp=3, k_fg=3, gamma_fp=0.4, gamma_fg=0.
 QUERY_SMILES = ["C", "CC", "CCO", "CCN", "CC(=O)N", "Oc1ccccc1", "CC(=O)O", "FCCCl"]
 QUERY_TAGS = ["hydroxyl", "amine", "amide", "aromatic_ring", "carboxylic_acid",
               "halogen"]
-# few keys, few deltas (ties at the k-th place, 0.0 beside -0.0), narrow
-# fingerprints (equal similarities, all-zero rows)
+# few keys, few deltas (ties at the k-th place, 0.0 beside -0.0), bits on
+# few positions (equal similarities, all-zero rows)
 SYNTH_CARD = st.tuples(
     st.integers(0, 15),
     st.sampled_from([-0.0, 0.0, 0.125, 0.25, 0.5]),
     st.integers(0, (1 << 64) - 1),
     st.frozensets(st.sampled_from(QUERY_TAGS), max_size=3),
+)
+QUERY_POSITIONS = near_positions(
+    functools.reduce(int.__or__, (morgan_fp(parse(s)).bits for s in QUERY_SMILES)), 64
 )
 QUERY = st.tuples(
     st.sampled_from(QUERY_SMILES),
@@ -698,13 +704,15 @@ class TestIndexedRetrievalDifferential:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_loop_through_inserts_merges_evictions(
-        self, width, capacity, batches, queries
+        self, span, capacity, batches, queries
     ):
+        # card bits on `span` positions, the queries' fingerprint bits first
+        positions = QUERY_POSITIONS[:span]
         bank = SkillBank(capacity)
         for batch in batches:
             bank.insert([
-                synthetic_skill(idx, delta, bits & ((1 << width) - 1), tags,
-                                width=width)
+                synthetic_skill(idx, delta, scatter(bits & ((1 << span) - 1), positions),
+                                tags)
                 for idx, delta, bits, tags in batch
             ])
             assert_matches_loop(bank, queries)
@@ -736,27 +744,6 @@ class TestIndexedRetrievalDifferential:
             current = parse(smiles)
             assert retrieve_skills(loaded, current, "qed", k_fp, k_fg, g_fp, g_fg) == \
                 retrieve_skills(bank, current, "qed", k_fp, k_fg, g_fp, g_fg)
-
-    @pytest.mark.parametrize("odd", [{"width": 128}, {"radius": 3}])
-    def test_disagreeing_cards_raise_until_evicted(self, odd):
-        mol = parse("CCCCO")
-        bank = SkillBank(capacity=3)
-        odd_card = synthetic_skill(0, 0.1, 5, ())
-        odd_card = SkillCard(odd_card.text, odd_card.card, odd_card.delta_r,
-                             Fingerprint(5, **{"width": 64, **odd}), odd_card.fg_tags,
-                             "qed")
-        bank.insert([synthetic_skill(1, 0.5, 3, ("hydroxyl",))])
-        bank.insert([odd_card])
-        with pytest.raises(WidthMismatchError):
-            retrieve_skills(bank, mol, "qed")
-        bank.insert([synthetic_skill(5, 0.05, 6, ())])
-        with pytest.raises(WidthMismatchError):
-            retrieve_skills(bank, mol, "qed")
-        # three larger improvements push the odd card out
-        bank.insert([synthetic_skill(i, 0.6, i, ("hydroxyl",)) for i in (2, 3, 4)])
-        assert odd_card.key not in {s.key for s in bank.cards("qed")}
-        assert [s.key for s in retrieve_skills(bank, mol, "qed", gamma_fp=0.0)] == \
-            loop_retrieve(bank, mol, "qed", gamma_fp=0.0)
 
     def test_negative_k_rejected(self):
         bank = SkillBank()

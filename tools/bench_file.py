@@ -12,8 +12,8 @@ once: ``leadopt build-bank`` on tests/fixtures/corpus_500.smi, then
 ``leadopt run`` on its first 8 molecules (greedy policy, exemplar bank,
 skill harvest, budget 500, 20 generations of 32 rollouts, seed 7), timed as
 one subprocess, its peak resident set size read from the kernel's resource
-usage of that subprocess, and its outputs hashed. The file is written to
-the current directory.
+usage of that subprocess, and its outputs and the bank files hashed. The
+file is written to the current directory.
 
 The file holds, per tree, the git rev and whether the tree had uncommitted
 changes (``git status --porcelain`` lists anything; both null outside a git
@@ -27,7 +27,8 @@ the baseline on, and under ``agreement`` whether the two trees' outputs are
 equal: per workload and seed, whether the output digests match (a bank and
 a stream where the workload has them; of the search invocations, those
 both runs made, since a faster tree makes more in the same time), whether
-the fixture's three sha256 values match, and the tree's src/ line count
+the fixture's five sha256 values match (the exemplar bank's two files and
+the run's three outputs), and the tree's src/ line count
 minus the baseline's.
 """
 
@@ -125,6 +126,8 @@ def _fixture(tree: Path) -> dict:
             "wall_s": round(wall, 3),
             "peak_rss_mb": round(rss, 2),
             "sha256": {
+                "bank.bank.jsonl": sha(work / "bank.bank.jsonl"),
+                "bank.fp.bin": sha(work / "bank.fp.bin"),
                 "report.json": sha(work / "out" / "report.json"),
                 "trajectories.jsonl": sha(work / "out" / "trajectories.jsonl"),
                 "skills.jsonl": sha(work / "skills.jsonl"),
