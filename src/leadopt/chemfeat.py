@@ -13,24 +13,22 @@ Every fingerprint has one shape: `WIDTH` (2,048) bits from atom
 environments of radius up to `RADIUS` (2), so any two compare.
 
 Two bulk Tanimoto kernels return the same `int / int` float64 values as
-`tanimoto`. `FingerprintIndex` keeps rows of 32 uint64 words and their
-popcounts, scanned with `np.bitwise_count`; rows can be inserted and
-deleted, and each write binds new arrays, so a shallow copy is edited apart
-from its original. The skill bank's per-task stores, never changed once
-built, hold one each, and a write edits a copy for the new store.
-`FingerprintPlanes` is a bit-plane view of a static set, one packed bitset
-over the rows per bit position: a scan unpacks and sums only the planes of
-the query's set bits, which for sparse fingerprints (about 32 of 2,048 bits
-set) reads a few percent of what a dense scan reads. The exemplar bank uses
-it for recall and lead similarity. A `FunctionalGroupSet` carries its tags as a bitmask, one
-bit per catalog tag, so a set-overlap (Jaccard) scan is a popcount too.
+`tanimoto`. `tanimoto_rows` scans fingerprints that `pack_rows` packed as
+rows of 32 uint64 words beside their popcounts, with `np.bitwise_count`;
+the skill bank keeps such rows for its cards. `FingerprintPlanes` is a
+bit-plane view of a static set, one packed bitset over the rows per bit
+position: a scan unpacks and sums only the planes of the query's set bits,
+which for sparse fingerprints (about 32 of 2,048 bits set) reads a few
+percent of what a dense scan reads. The exemplar bank uses it for recall
+and lead similarity. A `FunctionalGroupSet` carries its tags as a bitmask,
+one bit per catalog tag, so a set-overlap (Jaccard) scan is a popcount too.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,13 +45,14 @@ from .molgraph import (
 
 __all__ = [
     "Fingerprint",
-    "FingerprintIndex",
     "FingerprintPlanes",
     "FunctionalGroupSet",
     "DescriptorVector",
     "DescriptorDelta",
     "morgan_fp",
     "tanimoto",
+    "pack_rows",
+    "tanimoto_rows",
     "detect_functional_groups",
     "jaccard",
     "descriptors",
@@ -179,13 +178,13 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return inter / union
 
 
-def _pack_rows(fps: Sequence[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
-    """The fingerprints as rows of `WIDTH // 8` little-endian bytes, and
-    their popcounts."""
+def pack_rows(fps: Sequence[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
+    """The fingerprints as rows of `WIDTH // 64` little-endian uint64 words,
+    and their popcounts."""
     raw = b"".join(fp.bits.to_bytes(WIDTH // 8, "little") for fp in fps)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(fps), WIDTH // 8)
+    words = np.frombuffer(raw, dtype="<u8").reshape(len(fps), WIDTH // 64)
     pops = np.fromiter((fp.popcount for fp in fps), np.int64, len(fps))
-    return rows, pops
+    return words, pops
 
 
 def _set_bits(fp: Fingerprint) -> np.ndarray:
@@ -193,41 +192,14 @@ def _set_bits(fp: Fingerprint) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(fp.to_words().view(np.uint8), bitorder="little"))
 
 
-class FingerprintIndex:
-    """Fingerprints as rows of packed uint64 words.
-
-    `similarities` scores a query against all rows in one popcount scan;
-    each value is the `int / int` float64 that `tanimoto` returns, 1.0 where
-    both vectors are all-zero.
-    """
-
-    def __init__(self, fps: Iterable[Fingerprint] = ()):
-        self.words, self.pops = self._pack(list(fps))
-
-    @staticmethod
-    def _pack(fps: list[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
-        words, pops = _pack_rows(fps)
-        return words.view("<u8"), pops
-
-    def insert(self, positions: Sequence[int], fps: Sequence[Fingerprint]) -> None:
-        """Put each fingerprint before the row now at its position
-        (non-decreasing positions, as `np.insert` takes them). Like
-        `delete`, it binds new arrays and never writes the old ones."""
-        words, pops = self._pack(list(fps))
-        self.words = np.insert(self.words, positions, words, axis=0)
-        self.pops = np.insert(self.pops, positions, pops)
-
-    def delete(self, rows: Sequence[int]) -> None:
-        self.words = np.delete(self.words, rows, axis=0)
-        self.pops = np.delete(self.pops, rows)
-
-    def similarities(self, query: Fingerprint) -> np.ndarray:
-        """Tanimoto of the query against every row."""
-        if query.popcount == 0:
-            # the union is empty only where the row is all-zero as well
-            return (self.pops == 0).astype(np.float64)
-        inter = np.bitwise_count(self.words & query.to_words()).sum(axis=1, dtype=np.int64)
-        return inter / (self.pops + (query.popcount - inter))
+def tanimoto_rows(words: np.ndarray, pops: np.ndarray, query: Fingerprint) -> np.ndarray:
+    """Tanimoto of the query against every row of `pack_rows` output, in
+    one popcount scan."""
+    if query.popcount == 0:
+        # the union is empty only where the row is all-zero as well
+        return (pops == 0).astype(np.float64)
+    inter = np.bitwise_count(words & query.to_words()).sum(axis=1, dtype=np.int64)
+    return inter / (pops + (query.popcount - inter))
 
 
 # rows packed into planes per step of a `FingerprintPlanes` build: the
@@ -242,17 +214,17 @@ class FingerprintPlanes:
     bit `r % 8` of byte `r // 8`). `similarities` unpacks and sums only the
     planes of the query's set bits, so its cost grows with the query's
     popcount rather than `WIDTH`; each value is the `int / int` float64
-    that `tanimoto` and `FingerprintIndex.similarities` return, 1.0 where
-    both vectors are all-zero. The planes are built `_PLANE_CHUNK` rows at a
-    time, so the build never holds the whole set unpacked.
+    that `tanimoto` and `tanimoto_rows` return, 1.0 where both vectors are
+    all-zero. The planes are built `_PLANE_CHUNK` rows at a time, so the
+    build never holds the whole set unpacked.
     """
 
     def __init__(self, fps: Sequence[Fingerprint]):
         self.count = len(fps)
         self.planes = np.zeros((WIDTH, -(-self.count // 8)), dtype=np.uint8)
         for start in range(0, self.count, _PLANE_CHUNK):
-            rows, _ = _pack_rows(fps[start : start + _PLANE_CHUNK])
-            bits = np.unpackbits(rows, axis=1, bitorder="little")
+            words, _ = pack_rows(fps[start : start + _PLANE_CHUNK])
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
             packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
             self.planes[:, start // 8 : start // 8 + packed.shape[1]] = packed
         self.pops = np.fromiter((fp.popcount for fp in fps), np.int64, self.count)

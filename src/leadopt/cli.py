@@ -140,14 +140,16 @@ def cmd_skills(args) -> int:
         cards = []
         for trajectory in trajectories:
             cards.extend(skillbank.harvest(trajectory, obj, args.delta))
-        summarizer, endpoint = "template", None
-        if args.summarizer and args.summarizer.startswith("external:"):
-            summarizer = "external"
-            endpoint = args.summarizer[len("external:"):]
-        skills = [
-            skillbank.make_skill_card(card, obj.name, summarizer, endpoint)
-            for card in cards
-        ]
+        # one summarizer connection serves every card of the command
+        transport = None
+        if cards and args.summarizer.startswith("external:"):
+            transport = skillbank.open_summarizer(args.summarizer[len("external:"):])
+        try:
+            skills = [skillbank.make_skill_card(card, obj.name, transport)
+                      for card in cards]
+        finally:
+            if transport is not None:
+                transport.close()
         report = bank.insert(skills)
         skillbank.save_skills(bank, args.bank)
         _print_json({

@@ -32,6 +32,9 @@ class ProtocolTimeout(ProtocolError):
 
 class LineTransport:
     _buffer = b""  # bytes received past the last reply line
+    # a request timed out: its reply may still arrive and would be read as
+    # the answer to the next request, so the connection takes no more
+    _timed_out = False
 
     def request(self, line: str) -> str:
         raise NotImplementedError
@@ -44,6 +47,10 @@ class LineTransport:
 
     def __exit__(self, *exc):
         self.close()
+
+    def _check_usable(self) -> None:
+        if self._timed_out:
+            raise ProtocolError("an earlier request on this connection timed out")
 
     def _take_line(self) -> str:
         """The first buffered line, decoded; the rest stays buffered. A
@@ -67,6 +74,7 @@ class _ProcTransport(LineTransport):
 
     def request(self, line: str) -> str:
         with self._lock:
+            self._check_usable()
             if self._proc.poll() is not None:
                 raise ProtocolError("child process has exited")
             assert self._proc.stdin is not None and self._proc.stdout is not None
@@ -79,6 +87,7 @@ class _ProcTransport(LineTransport):
             while b"\n" not in self._buffer:
                 ready, _, _ = select.select([fd], [], [], self._timeout)
                 if not ready:
+                    self._timed_out = True
                     raise ProtocolTimeout(f"no response within {self._timeout}s")
                 chunk = os.read(fd, 65536)
                 if not chunk:
@@ -111,6 +120,7 @@ class _TcpTransport(LineTransport):
 
     def request(self, line: str) -> str:
         with self._lock:
+            self._check_usable()
             try:
                 self._sock.sendall(line.encode("utf-8") + b"\n")
                 while b"\n" not in self._buffer:
@@ -119,6 +129,7 @@ class _TcpTransport(LineTransport):
                         raise ProtocolError("server closed the connection")
                     self._buffer += chunk
             except socket.timeout as exc:
+                self._timed_out = True
                 raise ProtocolTimeout(str(exc)) from exc
             except OSError as exc:
                 raise ProtocolError(str(exc)) from exc

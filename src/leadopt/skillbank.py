@@ -3,26 +3,25 @@ strategy-sentence rendering, and a capacity-controlled per-task skill bank
 with dual (fingerprint / functional-group) retrieval.
 
 An edit card's atom mapping is the maximum common connected substructure of
-its pair, found by an exact branch and bound over atom bitsets that stops
-after a fixed number of search nodes, never at a clock: a card depends only
-on its two molecules.
+its pair, found by one exact branch and bound over atom bitsets for pairs of
+any size. The search stops after a fixed number of search nodes, never at a
+clock, and then keeps the best mapping it found and flags the card
+approximate: a card depends only on its two molecules.
 
 The bank keeps one store per task. Its cards are kept once, as rows in
 capacity order (the largest improvement first, the newer card first among
-ties), beside a `chemfeat.FingerprintIndex` of their fingerprints and arrays
-of their functional-group bitmasks and improvements, row for row; a key ->
-card map serves merging and the listing order. An insert cuts the rows at
-capacity and updates the arrays by the rows that left and came in; every
-fingerprint has the one `chemfeat.WIDTH`/`RADIUS` shape, so any card fits
-any store's index. A card's retrieval keys are computed in one place,
-whether it was just harvested or read from a skill-bank file. Retrieval
-scores both channels over all rows with a few numpy operations and sorts
-in Python only the threshold passers that can reach the top k.
+ties), beside arrays of their packed fingerprints, popcounts,
+functional-group bitmasks and improvements, row for row; a key -> card map,
+oldest card first, serves merging and the listing order. An insert cuts the
+rows at capacity and updates the arrays by the rows that left and came in.
+A card's retrieval keys are computed in one place, whether it was just
+harvested or read from a skill-bank file. Retrieval scores both channels
+over all rows with a few numpy operations and sorts in Python only the
+threshold passers that can reach the top k.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 from bisect import bisect_left, insort
@@ -36,17 +35,17 @@ from . import lineproto
 from .chemfeat import (
     DescriptorDelta,
     Fingerprint,
-    FingerprintIndex,
     FunctionalGroupSet,
     descriptors,
     detect_functional_groups,
     morgan_fp,
+    pack_rows,
+    tanimoto_rows,
 )
 from .files import data_text, write_jsonl
 from .molgraph import (
     Molecule,
     induced_subgraph,
-    neighbor_maps,
     parse,
     scaffold_atoms,
     scaffold_of,
@@ -63,6 +62,7 @@ __all__ = [
     "harvest",
     "summarize_template",
     "summarize_external",
+    "open_summarizer",
     "render_summarizer_prompt",
     "make_skill_card",
     "render_skill_block",
@@ -84,11 +84,10 @@ SCAFFOLD_TYPES = (
     "scaffold_hop",
 )
 
-_EXACT_MCS_ATOM_LIMIT = 40
-# nodes an exact MCS search may visit before it stops; mcs_decompose then
-# keeps the larger of the greedy and the partial mapping. At most 517 on the
-# benchmark's harvests, where a 40-atom search pays about 14 us a node
-_MCS_NODE_BUDGET = 20_000
+# nodes an MCS search may visit before it stops with the best mapping found
+# so far: the one bound on its worst case. At most 517 on the benchmark's
+# harvests; a pair above 40 atoms pays about 20 us a node
+_MCS_NODE_BUDGET = 5_000
 DEFAULT_HARVEST_DELTA = 0.05
 DEFAULT_CAPACITY = 1000
 
@@ -100,7 +99,8 @@ DEFAULT_CAPACITY = 1000
 
 @dataclass(frozen=True)
 class McsResult:
-    """Atom mapping (before index -> after index) plus complement fragments."""
+    """Atom mapping (before index -> after index) plus complement fragments;
+    `approximate` when the search spent its node budget."""
 
     mapping: tuple[tuple[int, int], ...]
     removed_fragment: str
@@ -259,49 +259,6 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
     return best, nodes <= _MCS_NODE_BUDGET, nodes
 
 
-def _greedy_mcs(g: Molecule, h: Molecule) -> list[tuple[int, int]]:
-    """Anchor-grown common-substructure mapping; fast but not maximal."""
-    g_adj = neighbor_maps(g)
-    h_adj = neighbor_maps(h)
-    seeds = [
-        (i, j)
-        for i in range(len(g.atoms))
-        for j in range(len(h.atoms))
-        if _atom_label(g, i) == _atom_label(h, j)
-    ]
-    seeds.sort(key=lambda p: (-(len(g_adj[p[0]]) + len(h_adj[p[1]])), p))
-    best: list[tuple[int, int]] = []
-    for seed in seeds[:10]:
-        mapping = {seed[0]: seed[1]}
-        used = {seed[1]}
-        while True:
-            candidates = []
-            for u in list(mapping):
-                for x in g_adj[u]:
-                    if x in mapping:
-                        continue
-                    for y in h_adj[mapping[u]]:
-                        if y in used or _atom_label(g, x) != _atom_label(h, y):
-                            continue
-                        consistent = all(
-                            g_adj[x].get(gm) == h_adj[y].get(hm)
-                            for gm, hm in mapping.items()
-                        )
-                        if consistent:
-                            matched = sum(
-                                1 for gm in g_adj[x] if gm in mapping
-                            )
-                            candidates.append((-matched, x, y))
-            if not candidates:
-                break
-            _, x, y = min(candidates)
-            mapping[x] = y
-            used.add(y)
-        if len(mapping) > len(best):
-            best = sorted(mapping.items())
-    return best
-
-
 def _fragment_string(mol: Molecule, outside: set[int]) -> str:
     """Canonical string of the atoms outside the mapping, components joined.
 
@@ -329,36 +286,24 @@ def _fragment_string(mol: Molecule, outside: set[int]) -> str:
 def mcs_decompose(before: Molecule, after: Molecule) -> McsResult:
     """Maximum common connected substructure split into kept/removed/added.
 
-    Exact branch and bound up to 40 heavy atoms within a budget of search
-    nodes, so the result depends only on the pair; larger instances, and
-    searches that spend the budget, fall back to the larger of the greedy
-    and the partial mapping and are flagged approximate. The pair is
+    One exact branch and bound within a budget of search nodes, so the
+    result depends only on the pair; a search that spends the budget keeps
+    the best mapping it found and is flagged approximate. The pair is
     ordered internally by canonical string, so swapping the arguments
     exactly swaps the removed/added fragments.
     """
     swapped = after.canonical < before.canonical
     g, h = (after, before) if swapped else (before, after)
-
-    approximate = False
-    if max(len(g.atoms), len(h.atoms)) > _EXACT_MCS_ATOM_LIMIT:
-        pairs = _greedy_mcs(g, h)
-        approximate = True
-    else:
-        pairs, completed, _ = _exact_mcs(g, h)
-        if not completed:
-            greedy = _greedy_mcs(g, h)
-            if len(greedy) > len(pairs):
-                pairs = greedy
-            approximate = True
+    pairs, completed, _ = _exact_mcs(g, h)
 
     if swapped:
-        pairs = sorted((b, a) for a, b in pairs)
+        pairs = [(b, a) for a, b in pairs]
     mapping = tuple(sorted(pairs))
     mapped_before = {a for a, _ in mapping}
     mapped_after = {b for _, b in mapping}
     removed = _fragment_string(before, set(range(len(before.atoms))) - mapped_before)
     added = _fragment_string(after, set(range(len(after.atoms))) - mapped_after)
-    return McsResult(mapping, removed, added, approximate)
+    return McsResult(mapping, removed, added, not completed)
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +580,11 @@ def render_summarizer_prompt(card: EditCard, task: str) -> str:
 
 
 def summarize_external(
-    card: EditCard,
-    task: str,
-    endpoint: str,
-    timeout: float = 10.0,
-    transport: Optional[lineproto.LineTransport] = None,
+    card: EditCard, task: str, transport: lineproto.LineTransport
 ) -> str:
-    """Ask an external summarizer for the sentence; falls back to the
-    template on any transport or protocol failure (a sentence is always
-    returned). Multi-sentence replies are cut at the first period.
+    """Ask the external summarizer on `transport` for the sentence; falls
+    back to the template on any transport or protocol failure (a sentence
+    is always returned). Multi-sentence replies are cut at the first period.
     """
     payload = json.dumps(
         {
@@ -656,14 +597,7 @@ def summarize_external(
         sort_keys=True,
     )
     try:
-        own_transport = transport is None
-        if own_transport:
-            transport = lineproto.open_transport(endpoint, timeout)
-        try:
-            reply = transport.request(f"SUMMARIZE {payload}")
-        finally:
-            if own_transport:
-                transport.close()
+        reply = transport.request(f"SUMMARIZE {payload}")
         if not reply.startswith("OK "):
             raise lineproto.ProtocolError(f"malformed summarizer reply {reply!r}")
         sentence = reply[3:].strip()
@@ -677,6 +611,17 @@ def summarize_external(
     except (lineproto.ProtocolError, ValueError, OSError) as exc:
         log.warning("external summarizer failed (%s); using template", exc)
         return summarize_template(card, task)
+
+
+def open_summarizer(endpoint: str) -> Optional[lineproto.LineTransport]:
+    """One connection to the external summarizer at `endpoint`, for all the
+    cards of a harvest; None, so that every card gets the template sentence,
+    when it cannot be opened. The caller closes it."""
+    try:
+        return lineproto.open_transport(endpoint)
+    except (ValueError, OSError) as exc:
+        log.warning("external summarizer unavailable (%s); using template", exc)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +654,14 @@ class SkillCard:
 def make_skill_card(
     card: EditCard,
     task: str,
-    summarizer: str = "template",
-    endpoint: Optional[str] = None,
-    timeout: float = 10.0,
+    transport: Optional[lineproto.LineTransport] = None,
 ) -> SkillCard:
-    if summarizer == "external":
-        if not endpoint:
-            raise ValueError("external summarizer needs an endpoint")
-        text = summarize_external(card, task, endpoint, timeout)
-    else:
+    """The skill of a card: its sentence comes from the external summarizer
+    on `transport` when one is given, else from the template."""
+    if transport is None:
         text = summarize_template(card, task)
+    else:
+        text = summarize_external(card, task, transport)
     return _skill_card(text, card, task)
 
 
@@ -750,49 +693,49 @@ class EvictionReport:
 _Item = tuple[float, int, str, SkillCard]
 
 
+def _columns(items: Sequence[_Item]) -> tuple[np.ndarray, ...]:
+    """The fingerprint words, popcounts, functional-group bitmasks and
+    improvements of the items' cards, row for row."""
+    skills = [item[3] for item in items]
+    return (
+        *pack_rows([s.fp_key for s in skills]),
+        np.array([s.fg_tags.mask for s in skills], dtype=np.uint64),
+        np.array([s.delta_r for s in skills], dtype=np.float64),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class _TaskStore:
-    """One task's cards. `items` maps key -> item in `SkillBank.cards`
-    order; `rows` holds the same items in capacity order, and `fps`, `fg`
-    and `delta` hold their fingerprints, functional-group bitmasks and
-    improvements row for row. A store is never changed once built."""
+    """One task's cards. `items` maps key -> item, oldest first (the
+    `SkillBank.cards` order); `rows` holds the same items in capacity order,
+    and `words`/`pops` (their fingerprints as `chemfeat.pack_rows` packs
+    them), `fg` (functional-group bitmasks) and `delta` (improvements) are
+    arrays row for row. A store is never changed once built."""
 
     items: dict[str, _Item]
     rows: list[_Item]
-    fps: FingerprintIndex
+    words: np.ndarray
+    pops: np.ndarray
     fg: np.ndarray
     delta: np.ndarray
-
-    @classmethod
-    def of(cls, items: dict[str, _Item], rows: list[_Item]) -> "_TaskStore":
-        """A store with its arrays built from `rows`."""
-        skills = [item[3] for item in rows]
-        fps = FingerprintIndex([s.fp_key for s in skills])
-        fg = np.array([s.fg_tags.mask for s in skills], dtype=np.uint64)
-        return cls(items, rows, fps, fg, np.array([s.delta_r for s in skills]))
 
     def updated(self, items: dict[str, _Item], rows: list[_Item],
                 gone: list[_Item], new: list[_Item]) -> "_TaskStore":
         """The store of `items` and `rows`, which are this store's less the
         `gone` items plus the `new` ones: its arrays are this store's with
-        those rows deleted and inserted."""
-        # insert and delete bind new arrays, so editing the copy leaves this
-        # store's index as it is
-        fps = copy.copy(self.fps)
-        fg, delta = self.fg, self.delta
+        those rows deleted and inserted (new arrays; these stay as they
+        are)."""
+        columns = (self.words, self.pops, self.fg, self.delta)
         if gone:
             dropped = sorted(bisect_left(self.rows, item) for item in gone)
-            fps.delete(dropped)
-            fg = np.delete(fg, dropped)
-            delta = np.delete(delta, dropped)
+            columns = [np.delete(column, dropped, axis=0) for column in columns]
         if new:
             new = sorted(new)
             # the i-th new row's place among the rows kept, as np.insert takes it
             positions = [bisect_left(rows, item) - i for i, item in enumerate(new)]
-            fps.insert(positions, [item[3].fp_key for item in new])
-            fg = np.insert(fg, positions, [item[3].fg_tags.mask for item in new])
-            delta = np.insert(delta, positions, [item[3].delta_r for item in new])
-        return _TaskStore(items, rows, fps, fg, delta)
+            columns = [np.insert(column, positions, values, axis=0)
+                       for column, values in zip(columns, _columns(new))]
+        return _TaskStore(items, rows, *columns)
 
     def fg_similarities(self, query: FunctionalGroupSet) -> np.ndarray:
         """`chemfeat.jaccard` of the query against every row."""
@@ -848,10 +791,11 @@ class SkillBank:
 
         Duplicates (same before/after pair) keep the larger improvement;
         when over capacity the smallest-delta cards go, newer cards win
-        ties. A new card joins the end of `cards`, a merged one keeps its
-        place, and an eviction leaves the cards in capacity order. A reader
-        sees the task's old store or its new one, never a mix: the new one
-        is built aside and replaces the old in one assignment.
+        ties. `cards` lists a task's cards oldest first: a new or merged
+        card joins the end and an evicted one leaves, so a bank saved and
+        reloaded gives its cards the same ages. A reader sees the task's
+        old store or its new one, never a mix: the new one is built aside
+        and replaces the old in one assignment.
         """
         if not skills:
             return EvictionReport(0, 0, (), 0)
@@ -859,7 +803,7 @@ class SkillBank:
         if len(task_names) > 1:
             raise ValueError("one insert batch must target a single task")
         task = task_names.pop()
-        old = self._tasks.get(task) or _TaskStore.of({}, [])
+        old = self._tasks.get(task) or _TaskStore({}, [], *_columns([]))
         items = dict(old.items)
 
         inserted = 0
@@ -870,6 +814,7 @@ class SkillBank:
                 inserted += 1
             elif skill.delta_r > existing[3].delta_r:
                 merged += 1
+                del items[skill.key]  # it joins the end as the newest card
             else:
                 continue
             self._seq += 1
@@ -888,8 +833,9 @@ class SkillBank:
         if len(rows) > self.capacity:
             cut = rows[self.capacity:]
             del rows[self.capacity:]
+            for item in cut:
+                del items[item[2]]
             evicted = tuple(sorted(item[2] for item in cut))
-            items = {item[2]: item for item in rows}
             gone += [item for item in cut if old.items.get(item[2]) is item]
             new = [item for item in new if items.get(item[2]) is item]
         self._tasks[task] = old.updated(items, rows, gone, new)
@@ -922,7 +868,7 @@ def retrieve_skills(
     query_fp = morgan_fp(current)
     query_fg = detect_functional_groups(current)
 
-    fp_top = store.top(store.fps.similarities(query_fp), gamma_fp, k_fp)
+    fp_top = store.top(tanimoto_rows(store.words, store.pops, query_fp), gamma_fp, k_fp)
     fg_top = store.top(store.fg_similarities(query_fg), gamma_fg, k_fg)
     result: list[SkillCard] = []
     seen: set[str] = set()

@@ -11,7 +11,6 @@ from leadopt import chemfeat
 from leadopt.chemfeat import (
     DescriptorVector,
     Fingerprint,
-    FingerprintIndex,
     FingerprintPlanes,
     FunctionalGroupSet,
     catalog_tags,
@@ -19,7 +18,9 @@ from leadopt.chemfeat import (
     detect_functional_groups,
     jaccard,
     morgan_fp,
+    pack_rows,
     tanimoto,
+    tanimoto_rows,
 )
 from leadopt.chemfeat import RADIUS, WIDTH, _CATALOG, _mix_stream, _pattern_matches
 from leadopt.molgraph import (
@@ -236,6 +237,8 @@ def brute_tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 
 
 class TestFingerprintIndex:
+    """The dense scan: rows packed by `pack_rows`, scored by `tanimoto_rows`."""
+
     @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 512, 2048, 4096])
     def test_matches_brute_force_at_every_width(self, width):
         rng = random.Random(width)
@@ -253,28 +256,31 @@ class TestFingerprintIndex:
             Fingerprint(near & rng.getrandbits(WIDTH) | 1 << rng.randrange(WIDTH))
             for _ in range(30)
         ]
-        index = FingerprintIndex(fps)
+        words, pops = pack_rows(fps)
         for query in fps[:4] + fps[-2:] + [Fingerprint(1)]:
-            assert index.similarities(query).tolist() == [
+            assert tanimoto_rows(words, pops, query).tolist() == [
                 brute_tanimoto(query, fp) for fp in fps
             ]
 
     def test_insert_and_delete_keep_rows_in_step(self):
+        # rows packed apart splice with np.delete and np.insert on axis 0,
+        # as the skill bank's stores update them
         rng = random.Random(5)
         fps = [Fingerprint(rng.getrandbits(WIDTH)) for _ in range(12)]
-        index = FingerprintIndex(fps[:6])
-        index.delete([0, 3])
-        index.insert([0, 2, 2, 4], fps[6:10])
+        columns = pack_rows(fps[:6])
+        columns = [np.delete(column, [0, 3], axis=0) for column in columns]
+        columns = [np.insert(column, [0, 2, 2, 4], values, axis=0)
+                   for column, values in zip(columns, pack_rows(fps[6:10]))]
         expected = [fps[6], fps[1], fps[2], fps[7], fps[8], fps[4], fps[5], fps[9]]
         query = fps[11]
-        assert len(index.pops) == len(expected)
-        assert index.similarities(query).tolist() == [
+        assert len(columns[1]) == len(expected)
+        assert tanimoto_rows(*columns, query).tolist() == [
             tanimoto(query, fp) for fp in expected
         ]
 
     def test_empty_index(self):
-        index = FingerprintIndex(())
-        assert index.similarities(Fingerprint(3)).tolist() == []
+        assert tanimoto_rows(*pack_rows(()), Fingerprint(3)).tolist() == []
+        assert tanimoto_rows(*pack_rows(()), Fingerprint(0)).tolist() == []
 
 
 @st.composite
@@ -307,14 +313,13 @@ class TestFingerprintPlanes:
     def test_equals_dense_index(self, case):
         fps, queries = case
         planes = FingerprintPlanes(fps)
-        index = FingerprintIndex(fps)
+        words, pops = pack_rows(fps)
         rng = random.Random(len(fps))
         rows = np.array([rng.randrange(len(fps)) for _ in range(9) if fps], dtype=np.int64)
         for query in queries:
-            assert np.array_equal(planes.similarities(query), index.similarities(query))
-            assert np.array_equal(
-                planes.similarities(query, rows), index.similarities(query)[rows]
-            )
+            dense = tanimoto_rows(words, pops, query)
+            assert np.array_equal(planes.similarities(query), dense)
+            assert np.array_equal(planes.similarities(query, rows), dense[rows])
 
     def test_planes_hold_one_bit_per_row(self):
         fps = [Fingerprint(0b101), Fingerprint(0b100), Fingerprint(1 << WIDTH - 1)]

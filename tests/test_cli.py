@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,10 +246,81 @@ class TestRunEvalSkills:
         assert [json.loads(line)["task"] for line in out.splitlines()] == ["act"]
 
 
+SUMMARIZER_STUB = """\
+import os, sys
+with open(sys.argv[1], "a") as log:
+    log.write(f"{os.getpid()}\\n")
+for n, line in enumerate(sys.stdin):
+    if n == int(sys.argv[2]):
+        break
+    sys.stdout.write("OK Swap the tail group.\\n")
+    sys.stdout.flush()
+"""
+
+
+class TestExternalSummarizer:
+    """`skills harvest --summarizer external:proc:...` against a stub that
+    logs its PID when it starts and answers its first `answers` requests."""
+
+    def harvest(self, workspace, capsys, answers):
+        lead = parse("CCCCCCO").canonical
+        rows = [
+            {"trajectory": t, "lead": lead, "lead_score": 0.5, "turn": 1,
+             "action": action, "reward": 1.0, "score": 0.7, "valid": True,
+             "injected_source": None, "terminal_reason": "max_turns"}
+            for t, action in enumerate(["CCCCCCF", "CCCCCCN", "CCCCCCCO", "CCCCCCS"])
+        ]
+        trajs = workspace / "trajs.jsonl"
+        trajs.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        stub, pids = workspace / "stub.py", workspace / "pids.log"
+        stub.write_text(SUMMARIZER_STUB)
+        bank = workspace / "skills.jsonl"
+        code, out, err = run_cli(
+            capsys, "skills", "harvest", "--trajectories", trajs,
+            "--objective", workspace / "act.yaml", "--bank", bank,
+            "--summarizer", f"external:proc:{sys.executable} {stub} {pids} {answers}",
+        )
+        assert code == 0, err
+        assert json.loads(out)["cards"] == 4
+        texts = [json.loads(line)["text"] for line in bank.read_text().splitlines()]
+        return texts, [int(pid) for pid in pids.read_text().split()]
+
+    def test_one_child_serves_every_card(self, workspace, capsys):
+        texts, pids = self.harvest(workspace, capsys, answers=99)
+        assert texts == ["Swap the tail group."] * 4
+        assert len(pids) == 1
+        with pytest.raises(ProcessLookupError):  # closed when the command ends
+            os.kill(pids[0], 0)
+
+    def test_a_failed_request_falls_back_for_its_card(self, workspace, capsys):
+        texts, pids = self.harvest(workspace, capsys, answers=2)
+        assert texts[:2] == ["Swap the tail group."] * 2
+        assert not any(text.startswith("Swap") for text in texts[2:])
+        assert all(text.endswith(" to improve the target score.") for text in texts[2:])
+        assert len(pids) == 1
+
+    def test_a_failed_open_falls_back_for_every_card(self, workspace, capsys):
+        lead = parse("CCCCCCO").canonical
+        trajs = workspace / "trajs.jsonl"
+        trajs.write_text(json.dumps(
+            {"trajectory": 0, "lead": lead, "lead_score": 0.5, "turn": 1,
+             "action": "CCCCCCF", "reward": 1.0, "score": 0.7, "valid": True,
+             "injected_source": None, "terminal_reason": "max_turns"}) + "\n")
+        bank = workspace / "skills.jsonl"
+        code, out, err = run_cli(
+            capsys, "skills", "harvest", "--trajectories", trajs,
+            "--objective", workspace / "act.yaml", "--bank", bank,
+            "--summarizer", f"external:proc:{workspace / 'no-such-summarizer'}",
+        )
+        assert code == 0, err
+        text = json.loads(bank.read_text())["text"]
+        assert text.endswith(" to improve the target score.")
+
+
 class TestEvictingRunPin:
     """A harvesting run whose skill bank overflows its capacity: the bytes
-    the eviction path writes stay pinned (86 cards harvested, 40 kept), and
-    so do the exemplar bank files it reads."""
+    the eviction path writes stay pinned (86 cards harvested, 40 kept,
+    listed oldest first), and so do the exemplar bank files it reads."""
 
     CORPUS = Path(__file__).parent / "fixtures" / "corpus_500.smi"
     SHA256 = {
@@ -260,7 +333,7 @@ class TestEvictingRunPin:
         "out/trajectories.jsonl":
             "9718fb2dab228b8a06c6f7c85175763980567ad2c065f0b6bb16d4b427f75282",
         "skills.jsonl":
-            "8764897aa393fb718690c732d9b6def56fce588d9b86e440ac50815334bdbd4a",
+            "4d7822ba5c45b43a04dd1339c2a8451dece21c6e334a2db6ab11365aeda0676e",
     }
 
     def test_outputs_match_pinned_digests(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import gc
 import sys
+import time
 import warnings
 
 import pytest
 
-from leadopt.lineproto import open_transport
+from leadopt.lineproto import ProtocolError, ProtocolTimeout, open_transport
 
 ECHO = (
     "import sys\n"
@@ -49,3 +50,28 @@ class TestProcTransportClose:
             gc.collect()
         assert [str(w.message) for w in caught] == []
         assert [repr(u.exc_value) for u in unraisable] == []
+
+
+SLOW_FIRST = (
+    "import sys, time\n"
+    "for n, line in enumerate(sys.stdin):\n"
+    "    if n == 0:\n"
+    "        time.sleep(0.6)\n"
+    "    sys.stdout.write(f'OK reply {n}\\n')\n"
+    "    sys.stdout.flush()\n"
+)
+
+
+class TestTimedOutConnection:
+    def test_a_late_reply_never_answers_the_next_request(self, tmp_path):
+        # the first reply arrives after its request timed out: read as the
+        # reply to the second request, it would answer the wrong question
+        stub = tmp_path / "stub.py"
+        stub.write_text(SLOW_FIRST)
+        with open_transport(f"proc:{sys.executable} {stub}", timeout=0.2) as transport:
+            with pytest.raises(ProtocolTimeout):
+                transport.request("first")
+            time.sleep(0.6)
+            with pytest.raises(ProtocolError, match="timed out"):
+                transport.request("second")
+

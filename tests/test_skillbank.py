@@ -42,6 +42,7 @@ from leadopt.skillbank import (
     load_skills,
     make_skill_card,
     mcs_decompose,
+    open_summarizer,
     render_skill_block,
     render_summarizer_prompt,
     retrieve_skills,
@@ -189,11 +190,14 @@ class TestMcs:
         assert not res.approximate
         assert len(res.mapping) == exhaustive_mccs_size(ma, mb)
 
-    def test_large_pair_uses_greedy(self):
-        chain = "C" * 45
-        res = mcs_decompose(parse(chain), parse(chain[:-1] + "O"))
-        assert res.approximate
-        assert len(res.mapping) >= 40
+    def test_large_pair_is_mapped_exactly(self):
+        # no atom limit: a 45-atom pair runs the one exact search
+        before, after = parse("C" * 45), parse("C" * 44 + "O")
+        mapping, completed, nodes = skillbank._exact_mcs(*mcs_order(before, after))
+        assert (len(mapping), completed, nodes) == (44, True, 132)
+        res = mcs_decompose(before, after)
+        assert not res.approximate and len(res.mapping) == 44
+        assert (res.removed_fragment, res.added_fragment) == ("C", "O")
 
     def test_mapping_preserves_bonds(self):
         a, b = parse("CCc1ccccc1O"), parse("CCc1ccccc1N")
@@ -370,8 +374,9 @@ class TestSummarizerPrompt:
 
     def test_external_fallback_on_unreachable(self):
         card = card_from("CCCCC", "CCCCCF", 0.5, 0.62)
-        text = summarize_external(card, "qed", "tcp:127.0.0.1:1")
-        assert text == summarize_template(card, "qed")
+        transport = open_summarizer("tcp:127.0.0.1:1")
+        assert transport is None
+        assert make_skill_card(card, "qed", transport).text == summarize_template(card, "qed")
 
     def test_external_stub_sentence(self, tmp_path):
         stub = tmp_path / "stub.py"
@@ -382,8 +387,8 @@ class TestSummarizerPrompt:
             "    sys.stdout.flush()\n"
         )
         card = card_from("CCCCC", "CCCCCF", 0.5, 0.62)
-        text = summarize_external(card, "qed", f"proc:python3 {stub}")
-        assert text == "Swap the tail group."
+        with open_summarizer(f"proc:python3 {stub}") as transport:
+            assert summarize_external(card, "qed", transport) == "Swap the tail group."
 
 
 class TestBankInsert:
@@ -435,14 +440,14 @@ class TestBankInsert:
         bank = SkillBank(capacity=4)
         bank.insert([synthetic_skill(i, 0.1 * (i + 1), i + 1, ("amine",)) for i in range(4)])
         old = bank._tasks["qed"]
-        snapshot = (dict(old.items), list(old.rows), old.fps.words.copy(),
-                    old.fps.pops.copy(), old.fg.copy(), old.delta.copy())
+        snapshot = (dict(old.items), list(old.rows), old.words.copy(),
+                    old.pops.copy(), old.fg.copy(), old.delta.copy())
         report = bank.insert([synthetic_skill(0, 0.9, 7, ("halogen",)),
                               synthetic_skill(9, 0.8, 9, ())])
         assert report.evicted_keys == ("SYN00001A>>SYN00001B",)
         assert bank._tasks["qed"] is not old
         assert (old.items, old.rows) == snapshot[:2]
-        for array, before in zip((old.fps.words, old.fps.pops, old.fg, old.delta),
+        for array, before in zip((old.words, old.pops, old.fg, old.delta),
                                  snapshot[2:]):
             assert np.array_equal(array, before)
 
@@ -621,7 +626,8 @@ class SortingBank:
         return evicted
 
     def cards(self):
-        return [skill for _, skill in self.store.values()]
+        """Oldest first: a merged card is as old as its merge."""
+        return [skill for _, skill in sorted(self.store.values(), key=lambda v: v[0])]
 
 
 class TestBankInsertDifferential:
@@ -693,6 +699,35 @@ class TestBankInsertDifferential:
                     (s.key, s.delta_r) for s in ref.cards()
                 ]
                 assert_matches_loop(bank, queries, name)
+
+
+class TestBankResume:
+    @given(
+        st.integers(1, 8),
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 15), st.sampled_from([0.25, 0.5])),
+                min_size=1, max_size=6,
+            ),
+            min_size=2, max_size=8,
+        ),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_save_load_continue_matches_the_live_bank(self, capacity, batches, save_at):
+        # few keys and two improvements: merges and evictions tie on delta_r,
+        # so the cards' ages decide which go; a reloaded bank must know them
+        live = SkillBank(capacity)
+        skills = [[real_skill(QUERY_SMILES[k % 8], k, d) for k, d in batch]
+                  for batch in batches]
+        for batch in skills[:save_at]:
+            live.insert(batch)
+        with tempfile.TemporaryDirectory() as tmp:
+            resumed = load_skills(save_skills(live, Path(tmp) / "s.jsonl"), capacity)
+        for batch in skills[save_at:]:
+            assert resumed.insert(batch).evicted_keys == live.insert(batch).evicted_keys
+            assert [s.key for s in resumed.cards("qed")] == [
+                s.key for s in live.cards("qed")]
 
 
 class TestIndexedRetrievalDifferential:
@@ -1004,6 +1039,32 @@ def labelled_graphs(draw, max_atoms=9):
     )
 
 
+# harvested pairs of 29-45 atoms from runs on tests/fixtures/drug_leads.smi
+# whose reference search completes: each lead against a child, and children
+# of imatinib, atorvastatin, gefitinib and sunitinib further out; the search
+# takes 41-3,564 nodes on them
+DRUG_PAIRS = [
+    ("CC(C)c1c(C(Nc2c(ccc(c2)F)N)=O)c(c2c(ccc(C)c2)N)c(c2ccc(cc2)F)n1CCC(CC(CC(=O)O)O)O",
+     "CC(C)c1c(C(Nc2cc(ccc2)F)=O)c(c2c(ccc(C)c2)N)c(c2ccc(cc2)F)n1CCC(CC(CCO)O)O"),
+    ("CC(C)c1c(C(Nc2ccccc2)=O)c(c(c2ccc(cc2)F)n1CC=C(CC(CC(=O)O)OO)O)c1cc(coc1)F",
+     "CC(C)c1c(C(Nc2ccccc2)=O)c(c(c2ccc(cc2)F)n1CC=C(CC(CC(=O)O)OC)O)c1cc(coc1)F"),
+    ("CC(C)c1c(C(Nc2ccccc2)=O)c(c(c2ccc(cc2)F)n1CCC(CC(CC(=O)O)O)O)c1ccccc1",
+     "CC(C)c1c(C(Nc2ccccc2)=O)c(c(c2ccc(cc2)F)n1CCCCC(CC(=O)O)O)c1ccccc1"),
+    ("Cc1c(c2cccnc2)nc(Nc2c(C)c(cc(c2)NC(c2ccc(CN3CC(N(C=P3)C)N)cc2)=O)F)nc1Cl",
+     "Cc1c(c2cccnc2)nc(Nc2c(C)c(cc(c2)NC(c2ccc(CN3CCN(C=P3)C)cc2)=O)F)nc1Cl"),
+    ("CN1BCN(C#C1)Cc1ccc(C(Nc2cc(c(CN)cc2)Nc2nc(c3c(ccnc3)Cl)ccn2)=O)cc1",
+     "Cc1c(cc(cc1)NCc1ccc(CN2C#CN(BC2)C)cc1)Nc1nc(c2c(ccnc2)Cl)ccn1"),
+    ("Cc1c(cc(cc1)NC(c1ccc(CN2CCN(CC2)C)cc1)=O)Nc1nc(c2cccnc2)ccn1",
+     "Cc1c(cc(cc1)SCc1ccc(CN2CCN(CC2)C)cc1)Nc1nc(c2cccnc2)ccn1"),
+    ("COc1c(cc2c(Nc3cc(c(cc3)F)Cl)ncnc2c1)OCCCN1CCOCC1",
+     "Fc1c(cc(cc1)Nc1c2c(ccc(c2)OCCCN2CCOCC2)ncn1)Cl"),
+    ("CCN(CCNC(c1c(C)c(C=C2C(Nc3c2cc(cc3)F)=O)[nH]c1C)=O)CC",
+     "CCN(CCNC(c1c(C)c(C=C2C(Nc3c2cc(cc3)F)=O)[n](C)c1C)=O)C"),
+    ("CCCN(CCNC(c1c(C)[nH]c(C=C2C(Nc3c2cc(cc3)P)=O)c1)=O)CC",
+     "CCCN(CC=NCc1c(C)[nH]c(C=C2C(Nc3c2cc(cc3)P)=O)c1)CC"),
+]
+
+
 class TestExactMcsBitsets:
     def test_golden_pairs_match_the_reference_search(self):
         # the same mapping, tie-break included, on every exact pair of
@@ -1017,8 +1078,6 @@ class TestExactMcsBitsets:
                 continue
             source, child = line.split("\t")[:2]
             g, h = mcs_order(parse(source), parse(child))
-            if max(len(g.atoms), len(h.atoms)) > skillbank._EXACT_MCS_ATOM_LIMIT:
-                continue
             mapping, completed, nodes = skillbank._exact_mcs(g, h)
             want, want_completed, reference_nodes = reference_exact_mcs(g, h)
             if (mapping, completed) != (want, want_completed):
@@ -1027,6 +1086,14 @@ class TestExactMcsBitsets:
             total += nodes
         assert mismatches == []
         assert total <= 60_000
+
+    @pytest.mark.parametrize("source,child", DRUG_PAIRS)
+    def test_drug_sized_pairs_match_the_reference_search(self, source, child):
+        g, h = mcs_order(parse(source), parse(child))
+        mapping, completed, nodes = skillbank._exact_mcs(g, h)
+        want, want_completed, reference_nodes = reference_exact_mcs(g, h)
+        assert (mapping, completed) == (want, want_completed)
+        assert nodes <= reference_nodes <= 30_000
 
     @given(labelled_graphs(), labelled_graphs())
     @settings(max_examples=300, deadline=None)
@@ -1066,7 +1133,6 @@ BUDGET_PAIRS = [
     ("CC(C)Cc1ccc(cc1)C(C)C(=O)O", "CC(C)Cc1ccc(cc1)C(C)C(=O)N"),
     ("c1ccc2ccccc2c1", "c1ccccc1CC"),
     ("CCn1c(=O)n(CC(=O)NCC(C)C)c2ccccc21", "CCn1c(=O)n(CC(=O)NCC)c2ccccc21"),
-    # the greedy mapping is one atom short of the exact one (9 of 10)
     ("Oc1cc2c(cc1)cccc2", "Oc1ccc2c(cccc2)n1"),
 ]
 
@@ -1080,25 +1146,30 @@ class TestMcsDeterminism:
         assert got == want
         assert not any(res.approximate for res in got)
 
-    def test_a_spent_budget_keeps_the_larger_mapping(self, monkeypatch):
-        # every pair needs more than 13 nodes to complete
-        kept = set()
-        for budget in (1, 2, 3, 5, 8, 13):
-            monkeypatch.setattr(skillbank, "_MCS_NODE_BUDGET", budget)
-            for a, b in BUDGET_PAIRS:
-                before, after = parse(a), parse(b)
-                g, h = mcs_order(before, after)
+    def test_a_spent_budget_keeps_the_best_partial_mapping(self, monkeypatch):
+        # every pair needs more than 13 nodes to complete; a spent search
+        # hands back the largest mapping it found, which only grows with the
+        # budget and is a common substructure of the pair
+        for a, b in BUDGET_PAIRS:
+            before, after = parse(a), parse(b)
+            g, h = mcs_order(before, after)
+            g_adj, h_adj = neighbor_maps(g), neighbor_maps(h)
+            sizes = []
+            for budget in (1, 2, 3, 5, 8, 13):
+                monkeypatch.setattr(skillbank, "_MCS_NODE_BUDGET", budget)
                 partial, completed, nodes = skillbank._exact_mcs(g, h)
                 assert not completed and nodes == budget + 1
-                greedy = skillbank._greedy_mcs(g, h)
-                pairs = greedy if len(greedy) > len(partial) else partial
-                kept.add("greedy" if pairs is greedy else "partial")
+                for (u, v), (x, y) in itertools.combinations(partial, 2):
+                    assert g_adj[u].get(x) == h_adj[v].get(y)
+                assert all(skillbank._atom_label(g, u) == skillbank._atom_label(h, v)
+                           for u, v in partial)
+                sizes.append(len(partial))
                 if g is after:
-                    pairs = [(y, x) for x, y in pairs]
+                    partial = [(y, x) for x, y in partial]
                 res = mcs_decompose(before, after)
                 assert res.approximate
-                assert res.mapping == tuple(sorted(pairs))
-        assert kept == {"greedy", "partial"}
+                assert res.mapping == tuple(sorted(partial))
+            assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
 
     def test_a_spent_budget_still_builds_a_card(self, monkeypatch):
         monkeypatch.setattr(skillbank, "_MCS_NODE_BUDGET", 2)
@@ -1109,3 +1180,26 @@ class TestMcsDeterminism:
             assert (card.removed_fragment, card.added_fragment) == (
                 res.removed_fragment, res.added_fragment)
             assert make_skill_card(card, "qed").card is card
+
+
+class TestDrugSizedHarvest:
+    LEADS = Path(__file__).parent / "fixtures" / "drug_leads.smi"
+
+    def test_pairs_above_forty_atoms_get_exact_cards(self, tmp_path):
+        # a short harvesting run on imatinib, atorvastatin (41 atoms),
+        # gefitinib and sunitinib: atorvastatin's children give pairs above
+        # 40 atoms, which the one search maps within its budget
+        from leadopt.cli import main
+
+        skills = tmp_path / "skills.jsonl"
+        assert main([
+            "run", "--leads", str(self.LEADS), "--objective", "qed",
+            "--policy", "random", "--skill-bank", str(skills), "--harvest-skills",
+            "--budget", "40", "--generations", "2", "--rollouts", "8",
+            "--seed", "1", "--out", str(tmp_path / "out"),
+        ]) == 0
+        cards = [json.loads(line) for line in skills.read_text().splitlines()]
+        sizes = [max(len(parse(c["before"]).atoms), len(parse(c["after"]).atoms))
+                 for c in cards]
+        assert max(sizes) > 40
+        assert not any(c["approximate_mcs"] for c in cards)
