@@ -10,12 +10,15 @@ environment was hashed before; the hash is a pure function of the
 environment, so fingerprints are bit-identical with or without the memo.
 
 Every fingerprint has one shape: `WIDTH` (2,048) bits from atom
-environments of radius up to `RADIUS` (2), so any two compare.
+environments of radius up to `RADIUS` (2), so any two compare. Only
+`Fingerprint.to_bytes` and `from_bytes` turn its bits into their packed
+form, `WIDTH // 8` little-endian bytes, or back: words, rows, the skill
+bank's records and the exemplar sidecar are all built from that form.
 
 Two bulk Tanimoto kernels return the same `int / int` float64 values as
 `tanimoto`. `tanimoto_rows` scans fingerprints that `pack_rows` packed as
 rows of 32 uint64 words beside their popcounts, with `np.bitwise_count`;
-the skill bank keeps such rows for its cards. `FingerprintPlanes` is a
+the skill bank's records hold such rows. `FingerprintPlanes` is a
 bit-plane view of a static set, one packed bitset over the rows per bit
 position: a scan unpacks and sums only the planes of the query's set bits,
 which for sparse fingerprints (about 32 of 2,048 bits set) reads a few
@@ -84,9 +87,18 @@ class Fingerprint:
     def __post_init__(self):
         object.__setattr__(self, "popcount", self.bits.bit_count())
 
+    def to_bytes(self) -> bytes:
+        """The packed form: the bits as `WIDTH // 8` little-endian bytes."""
+        return self.bits.to_bytes(WIDTH // 8, "little")
+
+    @classmethod
+    def from_bytes(cls, packed: bytes) -> "Fingerprint":
+        """The fingerprint of a `to_bytes` packed form."""
+        return cls(int.from_bytes(packed, "little"))
+
     def to_words(self) -> np.ndarray:
-        """The bits as `WIDTH // 64` little-endian uint64 words."""
-        return np.frombuffer(self.bits.to_bytes(WIDTH // 8, "little"), dtype="<u8")
+        """The packed form as `WIDTH // 64` little-endian uint64 words."""
+        return np.frombuffer(self.to_bytes(), dtype="<u8")
 
 
 def _mix64(x: int) -> int:
@@ -181,10 +193,9 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 def pack_rows(fps: Sequence[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
     """The fingerprints as rows of `WIDTH // 64` little-endian uint64 words,
     and their popcounts."""
-    raw = b"".join(fp.bits.to_bytes(WIDTH // 8, "little") for fp in fps)
-    words = np.frombuffer(raw, dtype="<u8").reshape(len(fps), WIDTH // 64)
+    words = np.frombuffer(b"".join(fp.to_bytes() for fp in fps), dtype="<u8")
     pops = np.fromiter((fp.popcount for fp in fps), np.int64, len(fps))
-    return words, pops
+    return words.reshape(len(fps), WIDTH // 64), pops
 
 
 def _set_bits(fp: Fingerprint) -> np.ndarray:

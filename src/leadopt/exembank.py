@@ -10,10 +10,10 @@ partition and a lexsort; ranking gathers the pool's lead similarities from
 the same planes and lexsorts the rows that pass the threshold.
 
 A bank on disk is a JSONL file of records and a fingerprint sidecar: a
-header (magic, version, width, radius, count), then one `WIDTH // 8`-byte
-little-endian block per record. Loading checks the sidecar against the one
-fingerprint shape and the record count, and names the file when it does not
-match.
+header (magic, version, width, radius, count), then per record the
+`Fingerprint.to_bytes` packed form of its fingerprint. Loading checks the
+sidecar against the one fingerprint shape and the record count, and names
+the file when it does not match.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
 
     blob = [_FP_HEADER.pack(_FP_MAGIC, _FP_VERSION, WIDTH, RADIUS, len(bank))]
     for record in bank.records:
-        blob.append(record.fp.bits.to_bytes(WIDTH // 8, "little"))
+        blob.append(record.fp.to_bytes())
     write_atomic(fp_path, b"".join(blob))
     return jsonl_path, fp_path
 
@@ -352,8 +352,8 @@ def load_bank(base: str | Path) -> ExemplarBank:
                 log.warning("skipping corpus row %d: %s", idx + 1, problem)
                 continue
             start = _FP_HEADER.size + idx * block
-            bits = int.from_bytes(blob[start : start + block], "little")
-            records.append(ExemplarRecord(payload["smiles"], Fingerprint(bits), props))
+            fp = Fingerprint.from_bytes(blob[start : start + block])
+            records.append(ExemplarRecord(payload["smiles"], fp, props))
     if lines != count:
         raise ValueError("fingerprint sidecar count does not match records")
     return ExemplarBank(records)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .chemfeat import _mix_stream, morgan_fp, tanimoto
 from .env import EnvConfig, MolEnv, Trajectory
 from .exembank import ExemplarBank
-from .lineproto import ProtocolError, open_transport
+from .lineproto import LineTransport, ProtocolError, open_transport
 from .molgraph import (
     EDIT_OPERATORS,
     CanonicalizationBudgetError,
@@ -183,20 +183,24 @@ def policy_retrieval_greedy(
 
 def policy_wire(endpoint: str, timeout: float = 10.0) -> Policy:
     """External policy over `ACT <json>` -> `OK <smiles>`; any transport
-    failure or malformed reply becomes an invalid proposal (empty string)."""
-    transport_holder: list = [None]
+    failure or malformed reply becomes an invalid proposal (empty string).
+    A failed connection is closed, so the next proposal opens a fresh one."""
+    transport: Optional[LineTransport] = None
 
     def act(observation: str, view: PolicyView, temp: float,
             rng: random.Random) -> str:
+        nonlocal transport
         payload = json.dumps(
             {"observation": observation, "temperature": temp}, sort_keys=True
         )
         try:
-            if transport_holder[0] is None:
-                transport_holder[0] = open_transport(endpoint, timeout)
-            reply = transport_holder[0].request(f"ACT {payload}")
+            transport = transport or open_transport(endpoint, timeout)
+            reply = transport.request(f"ACT {payload}")
         except (ProtocolError, OSError) as exc:
             log.warning("wire policy failed (%s); treating as invalid", exc)
+            if transport is not None:
+                transport.close()
+                transport = None
             return ""
         if not reply.startswith("OK "):
             return ""

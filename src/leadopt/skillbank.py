@@ -10,14 +10,14 @@ approximate: a card depends only on its two molecules.
 
 The bank keeps one store per task. Its cards are kept once, as rows in
 capacity order (the largest improvement first, the newer card first among
-ties), beside arrays of their packed fingerprints, popcounts,
-functional-group bitmasks and improvements, row for row; a key -> card map,
-oldest card first, serves merging and the listing order. An insert cuts the
-rows at capacity and updates the arrays by the rows that left and came in.
-A card's retrieval keys are computed in one place, whether it was just
-harvested or read from a skill-bank file. Retrieval scores both channels
-over all rows with a few numpy operations and sorts in Python only the
-threshold passers that can reach the top k.
+ties); a key -> card map, oldest card first, serves merging and the listing
+order. A card entering a store packs its retrieval columns (fingerprint
+words, popcount, functional-group bitmask, improvement) into one fixed
+record, and every insert builds the store's arrays in one pass over the
+joined records of its rows. A card's retrieval keys are computed in one
+place, whether it was just harvested or read from a skill-bank file.
+Retrieval scores both channels over all rows with a few numpy operations and
+sorts in Python only the threshold passers that can reach the top k.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ import numpy as np
 
 from . import lineproto
 from .chemfeat import (
+    WIDTH,
     DescriptorDelta,
     Fingerprint,
     FunctionalGroupSet,
     descriptors,
     detect_functional_groups,
     morgan_fp,
-    pack_rows,
     tanimoto_rows,
 )
 from .files import data_text, write_jsonl
@@ -687,55 +687,34 @@ class EvictionReport:
     retained: int
 
 
-# A stored card is its rank item (-delta_r, -seq, key, skill). Items sort in
-# capacity order: the largest improvement first, the newer card first among
-# ties. `seq` is unique, so no two items compare beyond it.
-_Item = tuple[float, int, str, SkillCard]
+# A stored card is its rank item (-delta_r, -seq, key, skill, record); items
+# sort in capacity order, and `seq` is unique, so no two items compare beyond
+# it. `record` is the card's _RECORD row, packed once.
+_Item = tuple[float, int, str, SkillCard, bytes]
+
+_RECORD = np.dtype([("words", "<u8", (WIDTH // 64,)), ("pops", "<i8"), ("fg", "<u8"),
+                    ("delta", "<f8")])
 
 
-def _columns(items: Sequence[_Item]) -> tuple[np.ndarray, ...]:
-    """The fingerprint words, popcounts, functional-group bitmasks and
-    improvements of the items' cards, row for row."""
-    skills = [item[3] for item in items]
-    return (
-        *pack_rows([s.fp_key for s in skills]),
-        np.array([s.fg_tags.mask for s in skills], dtype=np.uint64),
-        np.array([s.delta_r for s in skills], dtype=np.float64),
-    )
+def _record(skill: SkillCard) -> bytes:
+    """The skill's fingerprint words, popcount, FG bitmask and delta_r."""
+    fp = skill.fp_key
+    row = (fp.to_words(), fp.popcount, skill.fg_tags.mask, skill.delta_r)
+    return np.array(row, dtype=_RECORD).tobytes()
 
 
-@dataclass(frozen=True, eq=False)
 class _TaskStore:
-    """One task's cards. `items` maps key -> item, oldest first (the
-    `SkillBank.cards` order); `rows` holds the same items in capacity order,
-    and `words`/`pops` (their fingerprints as `chemfeat.pack_rows` packs
-    them), `fg` (functional-group bitmasks) and `delta` (improvements) are
-    arrays row for row. A store is never changed once built."""
+    """One task's cards: `items` maps key -> item, oldest first (the
+    `SkillBank.cards` order), and `rows` holds the same items in capacity
+    order. `words` and `pops` (as `chemfeat.pack_rows` packs them), `fg` and
+    `delta` are the fields of one read-only array of the rows' records. A
+    store is never changed once built."""
 
-    items: dict[str, _Item]
-    rows: list[_Item]
-    words: np.ndarray
-    pops: np.ndarray
-    fg: np.ndarray
-    delta: np.ndarray
-
-    def updated(self, items: dict[str, _Item], rows: list[_Item],
-                gone: list[_Item], new: list[_Item]) -> "_TaskStore":
-        """The store of `items` and `rows`, which are this store's less the
-        `gone` items plus the `new` ones: its arrays are this store's with
-        those rows deleted and inserted (new arrays; these stay as they
-        are)."""
-        columns = (self.words, self.pops, self.fg, self.delta)
-        if gone:
-            dropped = sorted(bisect_left(self.rows, item) for item in gone)
-            columns = [np.delete(column, dropped, axis=0) for column in columns]
-        if new:
-            new = sorted(new)
-            # the i-th new row's place among the rows kept, as np.insert takes it
-            positions = [bisect_left(rows, item) - i for i, item in enumerate(new)]
-            columns = [np.insert(column, positions, values, axis=0)
-                       for column, values in zip(columns, _columns(new))]
-        return _TaskStore(items, rows, *columns)
+    def __init__(self, items: dict[str, _Item], rows: list[_Item]):
+        self.items = items
+        self.rows = rows
+        table = np.frombuffer(b"".join(item[4] for item in rows), dtype=_RECORD)
+        self.words, self.pops, self.fg, self.delta = (table[name] for name in _RECORD.names)
 
     def fg_similarities(self, query: FunctionalGroupSet) -> np.ndarray:
         """`chemfeat.jaccard` of the query against every row."""
@@ -765,6 +744,9 @@ class _TaskStore:
         return [rows[row][3] for *_, row in ranked[:k]]
 
 
+_EMPTY = _TaskStore({}, [])
+
+
 class SkillBank:
     """Per-task skill store capped at `capacity` by improvement magnitude."""
 
@@ -779,12 +761,10 @@ class SkillBank:
         return sorted(self._tasks)
 
     def cards(self, task: str) -> list[SkillCard]:
-        store = self._tasks.get(task)
-        return [item[3] for item in store.items.values()] if store else []
+        return [item[3] for item in self._tasks.get(task, _EMPTY).items.values()]
 
     def size(self, task: str) -> int:
-        store = self._tasks.get(task)
-        return len(store.items) if store else 0
+        return len(self._tasks.get(task, _EMPTY).items)
 
     def insert(self, skills: Sequence[SkillCard]) -> EvictionReport:
         """Dedup-merge a batch for one task, then enforce capacity.
@@ -803,43 +783,33 @@ class SkillBank:
         if len(task_names) > 1:
             raise ValueError("one insert batch must target a single task")
         task = task_names.pop()
-        old = self._tasks.get(task) or _TaskStore({}, [], *_columns([]))
-        items = dict(old.items)
+        old = self._tasks.get(task, _EMPTY)
+        items, rows = dict(old.items), list(old.rows)
 
-        inserted = 0
-        merged = 0
+        inserted = merged = 0
         for skill in skills:
             existing = items.get(skill.key)
             if existing is None:
                 inserted += 1
             elif skill.delta_r > existing[3].delta_r:
                 merged += 1
-                del items[skill.key]  # it joins the end as the newest card
+                # it joins the end as the newest card, in its new row
+                del items[skill.key]
+                del rows[bisect_left(rows, existing)]
             else:
                 continue
             self._seq += 1
-            items[skill.key] = (-skill.delta_r, -self._seq, skill.key, skill)
-
-        # the batch's new items, and the items they replaced
-        new = [items[key] for key in dict.fromkeys(skill.key for skill in skills)
-               if items[key] is not old.items.get(key)]
-        gone = [old.items[item[2]] for item in new if item[2] in old.items]
-        rows = list(old.rows)
-        for item in gone:
-            del rows[bisect_left(rows, item)]
-        for item in new:
+            item = (-skill.delta_r, -self._seq, skill.key, skill, _record(skill))
+            items[skill.key] = item
             insort(rows, item)
-        evicted: tuple[str, ...] = ()
-        if len(rows) > self.capacity:
-            cut = rows[self.capacity:]
-            del rows[self.capacity:]
-            for item in cut:
-                del items[item[2]]
-            evicted = tuple(sorted(item[2] for item in cut))
-            gone += [item for item in cut if old.items.get(item[2]) is item]
-            new = [item for item in new if items.get(item[2]) is item]
-        self._tasks[task] = old.updated(items, rows, gone, new)
-        return EvictionReport(inserted, merged, evicted, len(items))
+
+        cut = rows[self.capacity:]
+        del rows[self.capacity:]
+        for item in cut:
+            del items[item[2]]
+        self._tasks[task] = _TaskStore(items, rows)
+        return EvictionReport(inserted, merged, tuple(sorted(item[2] for item in cut)),
+                              len(items))
 
 
 def retrieve_skills(
@@ -870,13 +840,8 @@ def retrieve_skills(
 
     fp_top = store.top(tanimoto_rows(store.words, store.pops, query_fp), gamma_fp, k_fp)
     fg_top = store.top(store.fg_similarities(query_fg), gamma_fg, k_fg)
-    result: list[SkillCard] = []
-    seen: set[str] = set()
-    for skill in fp_top + fg_top:
-        if skill.key not in seen:
-            seen.add(skill.key)
-            result.append(skill)
-    return result
+    # a key names one card of the store, so a repeat is the same card
+    return list({skill.key: skill for skill in fp_top + fg_top}.values())
 
 
 def render_skill_block(skills: Sequence[SkillCard], task: str) -> str:

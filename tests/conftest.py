@@ -1,7 +1,19 @@
 import pytest
+from hypothesis import strategies as st
 
 from leadopt import molgraph
 from leadopt.chemfeat import WIDTH
+
+
+SMILES_ALPHABET = list("CNOSPFIBcnops()[]=#-+:/\\%@H.*0123456789lr") + [
+    "²", "١", "٣", "૪", "Ⅻ", "ß", "é",
+]
+# any text up to 40 characters, and strings over the SMILES alphabet (with
+# non-ASCII digits and letters), which reach far more of the grammar
+ANY_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(SMILES_ALPHABET), max_size=40).map("".join),
+)
 
 
 @pytest.fixture

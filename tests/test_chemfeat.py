@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +68,16 @@ class TestMorgan:
         assert fp.popcount == bin(fp.bits).count("1")
 
     def test_words_round_trip(self):
+        # the packed form is the bits as little-endian bytes, and its
+        # inverse and the words give the fingerprint back
         fp = morgan_fp(parse("CC(C)Cc1ccc(cc1)C(C)C(=O)O"))
-        words = fp.to_words()
-        assert len(words) == WIDTH // 64
-        assert Fingerprint(int.from_bytes(words.tobytes(), "little")) == fp
+        for bits in (0, 1, 1 << WIDTH - 1, (1 << WIDTH) - 1, fp.bits):
+            packed = Fingerprint(bits).to_bytes()
+            assert packed == bits.to_bytes(WIDTH // 8, "little")
+            assert Fingerprint.from_bytes(packed) == Fingerprint(bits)
+            words = Fingerprint(bits).to_words()
+            assert len(words) == WIDTH // 64
+            assert words.tobytes() == packed
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -262,21 +269,25 @@ class TestFingerprintIndex:
                 brute_tanimoto(query, fp) for fp in fps
             ]
 
-    def test_insert_and_delete_keep_rows_in_step(self):
-        # rows packed apart splice with np.delete and np.insert on axis 0,
-        # as the skill bank's stores update them
+    def test_rows_inside_wider_records_scan_alike(self):
+        # rows that are one field of wider records, as the skill bank's
+        # stores hold them, scan as the rows `pack_rows` packs alone
         rng = random.Random(5)
-        fps = [Fingerprint(rng.getrandbits(WIDTH)) for _ in range(12)]
-        columns = pack_rows(fps[:6])
-        columns = [np.delete(column, [0, 3], axis=0) for column in columns]
-        columns = [np.insert(column, [0, 2, 2, 4], values, axis=0)
-                   for column, values in zip(columns, pack_rows(fps[6:10]))]
-        expected = [fps[6], fps[1], fps[2], fps[7], fps[8], fps[4], fps[5], fps[9]]
-        query = fps[11]
-        assert len(columns[1]) == len(expected)
-        assert tanimoto_rows(*columns, query).tolist() == [
-            tanimoto(query, fp) for fp in expected
-        ]
+        fps = [Fingerprint(rng.getrandbits(WIDTH) & rng.getrandbits(WIDTH))
+               for _ in range(12)]
+        record = np.dtype([("words", "<u8", (WIDTH // 64,)), ("pops", "<i8"),
+                           ("tail", "<u8")])
+        table = np.frombuffer(
+            b"".join(fp.to_bytes() + struct.pack("<qQ", fp.popcount, i)
+                     for i, fp in enumerate(fps)),
+            dtype=record,
+        )
+        words, pops = pack_rows(fps)
+        assert np.array_equal(table["words"], words)
+        for query in fps[:3] + [Fingerprint(0), Fingerprint(1)]:
+            assert tanimoto_rows(table["words"], table["pops"], query).tolist() == [
+                tanimoto(query, fp) for fp in fps
+            ]
 
     def test_empty_index(self):
         assert tanimoto_rows(*pack_rows(()), Fingerprint(3)).tolist() == []

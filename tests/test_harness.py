@@ -251,6 +251,24 @@ class TestPolicies:
         policy = policy_wire(f"proc:python3 {stub}")
         assert policy("obs", self.view(), 0.9, random.Random(0)) == ""
 
+    def test_wire_policy_reopens_after_a_timeout(self, tmp_path):
+        # the first child stalls past the timeout on its first request, so
+        # that connection is retired; the next proposals reach a fresh child
+        stub = tmp_path / "policy.py"
+        marker = tmp_path / "stalled"
+        stub.write_text(
+            "import os, sys, time\n"
+            "for line in sys.stdin:\n"
+            f"    if not os.path.exists({str(marker)!r}):\n"
+            f"        open({str(marker)!r}, 'w').close()\n"
+            "        time.sleep(0.6)\n"
+            "    sys.stdout.write('OK CCO\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        policy = policy_wire(f"proc:python3 {stub}", timeout=0.2)
+        out = [policy("obs", self.view(), 0.9, random.Random(0)) for _ in range(4)]
+        assert out == ["", "CCO", "CCO", "CCO"]
+
     def test_wire_policy_unreachable_is_invalid(self):
         policy = policy_wire("tcp:127.0.0.1:1", timeout=0.2)
         assert policy("obs", self.view(), 0.9, random.Random(0)) == ""

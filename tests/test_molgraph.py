@@ -28,6 +28,8 @@ from leadopt.molgraph import (
     scaffold_of,
 )
 
+from conftest import ANY_TEXT
+
 GOLDEN = Path(__file__).parent / "golden" / "canonical_strings.tsv"
 
 
@@ -641,11 +643,6 @@ class TestWriteOrderTwin:
         assert "CC" not in molgraph._WRITTEN
 
 
-SMILES_ALPHABET = list("CNOSPFIBcnops()[]=#-+:/\\%@H.*0123456789lr") + [
-    "²", "١", "٣", "૪", "Ⅻ", "ß", "é",
-]
-
-
 class TestParseTotality:
     @pytest.mark.parametrize(
         "text", ["C²", "[²C]", "[CH²]", "C١CC١", "C%١٢CC%١٢", "[C+²]", "[C:²]"]
@@ -659,10 +656,7 @@ class TestParseTotality:
         with pytest.raises(SmilesSyntaxError):
             parse("[1" + "0" * 5000 + "C]")
 
-    @given(st.one_of(
-        st.text(max_size=40),
-        st.lists(st.sampled_from(SMILES_ALPHABET), max_size=40).map("".join),
-    ))
+    @given(ANY_TEXT)
     @settings(max_examples=400, deadline=None)
     def test_any_text_parses_or_raises_smiles_error(self, text):
         try:

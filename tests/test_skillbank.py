@@ -19,6 +19,7 @@ from leadopt.chemfeat import (
     detect_functional_groups,
     jaccard,
     morgan_fp,
+    pack_rows,
     tanimoto,
 )
 from leadopt import skillbank
@@ -586,6 +587,21 @@ def assert_matches_loop(bank, queries, task="qed"):
         )
 
 
+def assert_rows_packed(bank, task="qed"):
+    """The store's arrays hold its cards' fingerprints as `pack_rows` packs
+    them, popcounts, functional-group bitmasks and improvements, in the
+    order of its rows."""
+    store = bank._tasks.get(task)
+    if store is None:
+        return
+    skills = [item[3] for item in store.rows]
+    words, pops = pack_rows([s.fp_key for s in skills])
+    assert np.array_equal(store.words, words)
+    assert np.array_equal(store.pops, pops)
+    assert store.fg.tolist() == [s.fg_tags.mask for s in skills]
+    assert store.delta.tolist() == [s.delta_r for s in skills]
+
+
 def real_skill(smiles, idx, delta_r, task="qed"):
     """A template-summarized card whose keys come from a real molecule."""
     before = parse(smiles).canonical
@@ -660,6 +676,7 @@ class TestBankInsertDifferential:
             assert [(s.key, s.delta_r) for s in bank.cards("qed")] == [
                 (s.key, s.delta_r) for s in ref.cards()
             ]
+            assert_rows_packed(bank)
 
     @given(
         st.integers(1, 8),
@@ -699,6 +716,7 @@ class TestBankInsertDifferential:
                     (s.key, s.delta_r) for s in ref.cards()
                 ]
                 assert_matches_loop(bank, queries, name)
+                assert_rows_packed(bank, name)
 
 
 class TestBankResume:
