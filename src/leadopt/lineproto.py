@@ -17,6 +17,7 @@ import threading
 __all__ = [
     "ProtocolError",
     "ProtocolTimeout",
+    "MalformedReply",
     "LineTransport",
     "open_transport",
 ]
@@ -28,6 +29,11 @@ class ProtocolError(RuntimeError):
 
 class ProtocolTimeout(ProtocolError):
     """No complete response line arrived within the deadline."""
+
+
+class MalformedReply(ProtocolError):
+    """A whole reply line arrived but is not UTF-8; the connection stays in
+    step, so the next request reads its own reply."""
 
 
 class LineTransport:
@@ -59,7 +65,7 @@ class LineTransport:
         try:
             return response.decode("utf-8").rstrip("\r")
         except UnicodeDecodeError as exc:
-            raise ProtocolError(f"reply is not UTF-8: {exc}") from None
+            raise MalformedReply(f"reply is not UTF-8: {exc}") from None
 
 
 class _ProcTransport(LineTransport):

@@ -39,6 +39,17 @@ write-order twin lists its atoms in another order. A kept child may have
 been named long ago: once its string has left the remembered writes,
 parsing that string is a full parse, not a write-order twin.
 
+Harvesting skills builds the same scaffold cores and fragments again and
+again, so :func:`induced_molecule` keeps the last _SUBGRAPH_MEMO_MAX
+molecules built from induced subgraphs, least recently used first out,
+keyed by the exact (atoms, bonds) tuples of :func:`induced_subgraph` and
+whether the molecule is validated. Equal keys are equal graphs in the same
+atom order, so a kept molecule is the one a fresh build would make. A
+build that raises is never kept, and functools' cache is thread-safe. The
+memo covers only induced subgraphs: one in front of every parse or
+canonical search made memory-serve queries slower and their process
+larger.
+
 The canonical search sets up in one pass over the bonds and one over the
 atoms, refines by keying again only the cells next to a cell that split, and
 writes a leaf without sorting. It prunes automorphic branches, so highly
@@ -78,6 +89,7 @@ __all__ = [
     "scaffold_of",
     "scaffold_atoms",
     "induced_subgraph",
+    "induced_molecule",
     "neighbor_maps",
     "mutate",
     "EDIT_OPERATORS",
@@ -159,6 +171,9 @@ _MAX_CANON_LEAVES = 20_000
 
 # parse() keeps this many recent results.
 _PARSE_CACHE_SIZE = 64
+
+# induced_molecule() keeps this many recent subgraph molecules.
+_SUBGRAPH_MEMO_MAX = 512
 
 _VALENCE_MAX = {element: int(value) for element, value in table_rows(data_text("valence.tsv"))}
 
@@ -1178,7 +1193,7 @@ def scaffold_atoms(m: Molecule) -> set[int]:
 
 def induced_subgraph(
     m: Molecule, keep: set[int]
-) -> tuple[list[Atom], list[Bond]]:
+) -> tuple[tuple[Atom, ...], tuple[Bond, ...]]:
     """The atoms in `keep` (in index order, renumbered from 0) and the bonds
     among them; hydrogens refill the valence of every bond cut."""
     remap = {old: new for new, old in enumerate(sorted(keep))}
@@ -1188,22 +1203,38 @@ def induced_subgraph(
             _ORDER_ELECTRONS[order] for nbr, order in m.neighbors(old) if nbr not in keep
         )
         atoms.append(m.atoms[old].with_hcount(m.atoms[old].hcount + cut))
-    bonds = [
+    bonds = tuple(
         Bond(remap[b.a], remap[b.b], b.order)
         for b in m.bonds
         if b.a in keep and b.b in keep
-    ]
-    return atoms, bonds
+    )
+    return tuple(atoms), bonds
+
+
+def induced_molecule(m: Molecule, keep: set[int], validate: bool = True) -> Molecule:
+    """The :class:`Molecule` on :func:`induced_subgraph`, built once while
+    the subgraph memo holds it (see the module docstring)."""
+    return _subgraph_molecule(*induced_subgraph(m, keep), validate)
+
+
+@functools.lru_cache(maxsize=_SUBGRAPH_MEMO_MAX)
+def _subgraph_molecule(
+    atoms: tuple[Atom, ...], bonds: tuple[Bond, ...], validate: bool
+) -> Molecule:
+    return Molecule(atoms, bonds, validate=validate)
 
 
 def scaffold_of(m: Molecule) -> Scaffold:
     """The validated molecule on :func:`scaffold_atoms`; empty for acyclic
     molecules. Computed once per molecule and kept in its `_fp_cache`, so a
     write-order twin may hold a core in its writer's atom order: read only
-    the core's string and the ring count."""
+    the core's string and the ring count. The core comes from
+    :func:`induced_molecule`, so molecules with the same core graph in the
+    same atom order share one core; each molecule still gets its own
+    :class:`Scaffold`, and a core whose build raises is never kept."""
     scaffold = m._fp_cache.get("scaffold")
     if scaffold is None:
-        core = Molecule(*induced_subgraph(m, scaffold_atoms(m)))
+        core = induced_molecule(m, scaffold_atoms(m))
         scaffold = m._fp_cache["scaffold"] = Scaffold(core, core.ring_count())
     return scaffold
 

@@ -219,16 +219,29 @@ def external_oracle(
     direction: int = 1,
     timeout: float = 10.0,
 ) -> Oracle:
-    """One `EVAL <name> <smiles>` request per molecule over a line stream."""
-    transport_holder: list[Optional[lineproto.LineTransport]] = [None]
+    """One `EVAL <name> <smiles>` request per molecule over a line stream.
+    A request the transport fails (a timeout, a closed stream, an I/O
+    error) closes the connection, so the next request opens a fresh one;
+    an `ERR` or malformed reply keeps it."""
+    transport: Optional[lineproto.LineTransport] = None
     lock = threading.Lock()
 
     def ask(m: Molecule) -> float:
+        nonlocal transport
         with lock:
-            if transport_holder[0] is None:
-                transport_holder[0] = lineproto.open_transport(endpoint, timeout)
-            transport = transport_holder[0]
-        reply = transport.request(f"EVAL {name} {m.canonical}")
+            if transport is None:
+                transport = lineproto.open_transport(endpoint, timeout)
+            current = transport
+        try:
+            reply = current.request(f"EVAL {name} {m.canonical}")
+        except lineproto.MalformedReply:
+            raise
+        except (lineproto.ProtocolError, OSError):
+            with lock:
+                if transport is current:
+                    transport = None
+            current.close()
+            raise
         if reply.startswith("OK "):
             try:
                 return float(reply[3:])

@@ -6,7 +6,10 @@ An edit card's atom mapping is the maximum common connected substructure of
 its pair, found by one exact branch and bound over atom bitsets for pairs of
 any size. The search stops after a fixed number of search nodes, never at a
 clock, and then keeps the best mapping it found and flags the card
-approximate: a card depends only on its two molecules.
+approximate: a card depends only on its two molecules. A card's scaffold
+cores and removed and added fragments are molecules on induced subgraphs,
+built through molgraph's subgraph memo (:func:`induced_molecule`), so a
+graph harvest has met lately is not searched again.
 
 The bank keeps one store per task. Its cards are kept once, as rows in
 capacity order (the largest improvement first, the newer card first among
@@ -27,7 +30,7 @@ import logging
 from bisect import bisect_left, insort
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .chemfeat import (
 from .files import data_text, write_jsonl
 from .molgraph import (
     Molecule,
-    induced_subgraph,
+    induced_molecule,
     parse,
     scaffold_atoms,
     scaffold_of,
@@ -125,20 +128,17 @@ def _neighbour_masks(
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Per atom, the bitmask of its neighbours by each bond order in
     `orders`, and the bitmask of all its neighbours."""
-    nbrs = [mol.neighbors(i) for i in range(len(mol.atoms))]
-    by_order = [
-        tuple(sum(1 << j for j, o in row if o == order) for order in orders)
-        for row in nbrs
-    ]
-    return by_order, [sum(1 << j for j, _ in row) for row in nbrs]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    by_order, every = [], []
+    for i in range(len(mol.atoms)):
+        masks = dict.fromkeys(orders, 0)
+        union = 0
+        for j, order in mol.neighbors(i):
+            union |= 1 << j
+            if order in masks:
+                masks[order] |= 1 << j
+        by_order.append(tuple(masks.values()))
+        every.append(union)
+    return by_order, every
 
 
 def _reachable(start: int, avail: int, nbrs: list[int]) -> int:
@@ -146,8 +146,10 @@ def _reachable(start: int, avail: int, nbrs: list[int]) -> int:
     reach = frontier = start & avail
     while frontier:
         grown = 0
-        for u in _bits(frontier):
-            grown |= nbrs[u]
+        while frontier:
+            low = frontier & -frontier
+            grown |= nbrs[low.bit_length() - 1]
+            frontier ^= low
         frontier = grown & avail & ~reach
         reach |= frontier
     return reach
@@ -158,14 +160,17 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
     induced subgraph with matching atom labels and bond orders (McCreesh,
     Prosser & Trimble, IJCAI 2017) on label classes of atom bitmasks.
 
-    Below the best mapping, a node also bounds by the atoms joined to the
-    mapping through atoms still in some class: only those can extend a
-    connected mapping. Returns (best mapping, completed, nodes visited);
-    completed is False once _MCS_NODE_BUDGET nodes are spent.
+    A class is (g atoms, h atoms, adjacent to the mapping, the smaller of
+    its two sides), its size counted once when the class is made. Below the
+    best mapping, a node also bounds by the atoms joined to the mapping
+    through atoms still in some class: only those can extend a connected
+    mapping. Returns (best mapping, completed, nodes visited); completed is
+    False once _MCS_NODE_BUDGET nodes are spent.
     """
     orders = sorted({b.order for b in g.bonds} & {b.order for b in h.bonds})
     g_by_order, g_every = _neighbour_masks(g, orders)
     h_by_order, h_every = _neighbour_masks(h, orders)
+    g_degree = [nbrs.bit_count() for nbrs in g_every]
     g_all = (1 << len(g.atoms)) - 1
     h_all = (1 << len(h.atoms)) - 1
     # atoms neither the branching atom nor one of its neighbours
@@ -178,31 +183,37 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
         labels.setdefault(_atom_label(g, i), [0, 0])[0] |= 1 << i
     for j in range(len(h.atoms)):
         labels.setdefault(_atom_label(h, j), [0, 0])[1] |= 1 << j
-    initial = [(gs, hs, False) for gs, hs in labels.values() if gs and hs]
+    initial = [
+        (gs, hs, False, min(gs.bit_count(), hs.bit_count()))
+        for gs, hs in labels.values()
+        if gs and hs
+    ]
 
     mapping: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
     nodes = 0
 
     def refine(
-        classes: list[tuple[int, int, bool]], v: int, w: int
-    ) -> list[tuple[int, int, bool]]:
+        classes: list[tuple[int, int, bool, int]], v: int, w: int
+    ) -> list[tuple[int, int, bool, int]]:
         g_off, h_off = g_other[v], h_other[w]
         bonded = [
             (gm, hm) for gm, hm in zip(g_by_order[v], h_by_order[w]) if gm and hm
         ]
         out = []
-        for gs, hs, adj in classes:
+        for gs, hs, adj, _ in classes:
             sub_g, sub_h = gs & g_off, hs & h_off
             if sub_g and sub_h:
-                out.append((sub_g, sub_h, adj))
+                out.append((sub_g, sub_h, adj, min(sub_g.bit_count(), sub_h.bit_count())))
             for gm, hm in bonded:
                 sub_g, sub_h = gs & gm, hs & hm
                 if sub_g and sub_h:
-                    out.append((sub_g, sub_h, True))
+                    out.append(
+                        (sub_g, sub_h, True, min(sub_g.bit_count(), sub_h.bit_count()))
+                    )
         return out
 
-    def search(classes: list[tuple[int, int, bool]]) -> None:
+    def search(classes: list[tuple[int, int, bool, int]]) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > _MCS_NODE_BUDGET:
@@ -212,21 +223,25 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
             best = list(mapping)
             if depth == target:
                 raise _SearchStop  # cannot do better; the search is complete
-        sizes = [min(gs.bit_count(), hs.bit_count()) for gs, hs, _ in classes]
-        if depth + sum(sizes) <= len(best):
+        bound = depth
+        for c in classes:
+            bound += c[3]
+        if bound <= len(best):
             return
         # branch on the usable class of largest min side, then on its atom
         # of highest degree; ties go to the lowest g index, so the tree and
         # the mapping found do not depend on the order of the classes
-        pick, key = -1, None
-        for k, ((gs, _, adj), size) in enumerate(zip(classes, sizes)):
-            if (adj or not depth) and (key is None or (size, -(gs & -gs)) > key):
-                pick, key = k, (size, -(gs & -gs))
+        pick, pick_size, pick_low = -1, -1, 0
+        for k, (gs, _, adj, size) in enumerate(classes):
+            if (adj or not depth) and (
+                size > pick_size or size == pick_size and gs & -gs < pick_low
+            ):
+                pick, pick_size, pick_low = k, size, gs & -gs
         if pick < 0:
             return
         if depth and len(best) > depth:
             avail_g = avail_h = start_g = start_h = 0
-            for gs, hs, adj in classes:
+            for gs, hs, adj, _ in classes:
                 avail_g |= gs
                 avail_h |= hs
                 if adj:
@@ -234,22 +249,33 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
                     start_h |= hs
             reach_g = _reachable(start_g, avail_g, g_every)
             reach_h = _reachable(start_h, avail_h, h_every)
-            bound = depth + sum(
-                min((gs & reach_g).bit_count(), (hs & reach_h).bit_count())
-                for gs, hs, _ in classes
-            )
+            bound = depth
+            for gs, hs, _, _ in classes:
+                bound += min((gs & reach_g).bit_count(), (hs & reach_h).bit_count())
             if bound <= len(best):
                 return
-        gs, hs, adj = classes[pick]
-        v = max(_bits(gs), key=lambda u: (g_every[u].bit_count(), -u))
-        for w in _bits(hs):
+        gs, hs, adj, _ = classes[pick]
+        # the atom of highest degree, the lowest index among ties
+        v, v_degree, rest = -1, -1, gs
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if g_degree[u] > v_degree:
+                v, v_degree = u, g_degree[u]
+            rest ^= low
+        rest = hs
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
             mapping.append((v, w))
             search(refine(classes, v, w))
             mapping.pop()
+            rest ^= low
         # branch with v left unmatched
         left = classes[:pick] + classes[pick + 1:]
-        if gs & ~(1 << v):
-            left.append((gs & ~(1 << v), hs, adj))
+        gs &= ~(1 << v)
+        if gs:
+            left.append((gs, hs, adj, min(gs.bit_count(), hs.bit_count())))
         search(left)
 
     try:
@@ -262,7 +288,7 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
 def _fragment_string(mol: Molecule, outside: set[int]) -> str:
     """Canonical string of the atoms outside the mapping, components joined.
 
-    Each component is an unvalidated :func:`induced_subgraph`: the string is
+    Each component is an unvalidated :func:`induced_molecule`: the string is
     descriptive (fragments torn from rings need not re-parse as molecules).
     """
     unvisited = set(outside)
@@ -278,8 +304,7 @@ def _fragment_string(mol: Molecule, outside: set[int]) -> str:
                     comp.add(nbr)
                     queue.append(nbr)
         unvisited -= comp
-        atoms, bonds = induced_subgraph(mol, comp)
-        fragments.append(Molecule(atoms, bonds, validate=False).canonical)
+        fragments.append(induced_molecule(mol, comp, validate=False).canonical)
     return ".".join(sorted(fragments))
 
 
@@ -439,7 +464,9 @@ def harvest(
     The trajectory supplies the evaluated chain: `lead`/`lead_score` plus
     steps with `action`, `score`, and `valid` fields (only valid, scored
     steps advance the chain). Duplicate (before, after) cards merge keeping
-    the larger improvement.
+    the larger improvement. `obj` is accepted for callers that pass an
+    objective, by position too, and never read: a card depends only on the
+    trajectory's molecules and scores.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")

@@ -22,8 +22,9 @@ def no_canon_leaves(monkeypatch):
     whose refined ranks tie raises CanonicalizationBudgetError. Molecules
     needed intact must be built before the fixture runs."""
     monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
-    # a text parsed earlier would come back from the cache, and a text
-    # written earlier as a write-order twin, without a search
+    # a text parsed earlier would come back from the cache, a text written
+    # earlier as a write-order twin, and a subgraph built earlier from the
+    # subgraph memo, without a search
     forget_texts()
     yield
     forget_texts()
@@ -32,6 +33,7 @@ def no_canon_leaves(monkeypatch):
 def forget_texts():
     molgraph._parse_interned.cache_clear()
     molgraph._WRITTEN.clear()
+    molgraph._subgraph_molecule.cache_clear()
 
 
 def near_positions(near: int, span: int) -> list[int]:

@@ -8,7 +8,7 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leadopt import molgraph
+from leadopt import molgraph, skillbank
 from leadopt.chemfeat import morgan_fp
 from leadopt.molgraph import (
     EDIT_OPERATORS,
@@ -514,6 +514,61 @@ CORPUS = [
     .read_text().splitlines()
     if line and not line.startswith("#")
 ]
+
+
+class TestSubgraphMemo:
+    def test_a_core_whose_search_trips_is_never_kept(self, monkeypatch):
+        mol = molgraph._parse_text("CCC1CCCCC1")  # no scaffold kept yet
+        molgraph._subgraph_molecule.cache_clear()
+        monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
+        for _ in range(3):
+            with pytest.raises(CanonicalizationBudgetError):
+                scaffold_of(mol)
+            assert molgraph._subgraph_molecule.cache_info().currsize == 0
+        assert "scaffold" not in mol._fp_cache
+        monkeypatch.undo()
+        assert scaffold_of(mol).core.canonical == "C1CCCCC1"
+        assert molgraph._subgraph_molecule.cache_info().currsize == 1
+
+    def test_stays_within_its_bound(self):
+        # more subgraphs than the memo keeps: whole corpus graphs, unvalidated,
+        # and their cores; the one used last is still kept
+        info = molgraph._subgraph_molecule.cache_info()
+        assert info.maxsize == molgraph._SUBGRAPH_MEMO_MAX == 512
+        for source in CORPUS:
+            mol = parse(source)
+            whole = molgraph.induced_molecule(mol, set(range(len(mol.atoms))), False)
+            assert whole.canonical == mol.canonical and not whole._checked
+            scaffold_of(mol)
+            assert molgraph._subgraph_molecule.cache_info().currsize <= 512
+        assert molgraph._subgraph_molecule.cache_info().currsize == 512
+        last = parse(CORPUS[-1])
+        core = scaffold_of(last).core
+        assert molgraph.induced_molecule(last, molgraph.scaffold_atoms(last)) is core
+
+    @given(st.sampled_from(CORPUS), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_strings_do_not_depend_on_atom_order(self, source, rng, cold):
+        # a relabelled copy names the same core and fragments, whether the
+        # memo is cleared first or already holds its subgraphs
+        mol = parse(source)
+        n = len(mol.atoms)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inv = {old: new for new, old in enumerate(perm)}
+        outside = {i for i in range(n) if rng.random() < 0.4}
+        want = (scaffold_of(mol).core.canonical,
+                skillbank._fragment_string(mol, outside))
+        for _ in range(2):  # warm, the second copy finds the first's subgraphs
+            if cold:
+                molgraph._subgraph_molecule.cache_clear()
+            other = relabel(mol, perm)
+            got = (scaffold_of(other).core.canonical,
+                   skillbank._fragment_string(other, {inv[i] for i in outside}))
+            assert got == want, (source, perm, sorted(outside))
+        if not cold:
+            again = relabel(mol, perm)
+            assert scaffold_of(again).core is scaffold_of(other).core
 
 
 class TestWriteOrderTwin:

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from leadopt.chemfeat import morgan_fp, tanimoto
-from leadopt.lineproto import ProtocolError
+from leadopt.lineproto import ProtocolError, ProtocolTimeout
 from leadopt.molgraph import parse
 from leadopt.oracles import (
     BudgetExhaustedError,
@@ -265,6 +265,42 @@ class TestTableAndExternal:
         oracle = external_oracle(f"proc:python3 {stub}", name="bad", timeout=10.0)
         with pytest.raises(ProtocolError):
             oracle(parse("CCO"))
+
+    def test_external_reopens_after_a_timeout(self, tmp_path):
+        # the first child stalls past the timeout on its first request, so
+        # that connection is retired; the next requests reach a fresh child
+        stub = tmp_path / "stub.py"
+        marker = tmp_path / "stalled"
+        stub.write_text(
+            "import os, sys, time\n"
+            "for line in sys.stdin:\n"
+            f"    if not os.path.exists({str(marker)!r}):\n"
+            f"        open({str(marker)!r}, 'w').close()\n"
+            "        time.sleep(0.6)\n"
+            "    sys.stdout.write('OK 0.25\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        oracle = external_oracle(f"proc:python3 {stub}", name="slow", timeout=0.2)
+        with pytest.raises(ProtocolTimeout):
+            oracle(parse("CCO"))
+        assert [oracle(parse(s)) for s in ("CCO", "CCN", "CCC")] == [0.25] * 3
+
+    def test_external_keeps_the_connection_on_bad_replies(self, tmp_path):
+        # the child numbers its requests: the third answer comes from the
+        # child that sent the ERR and the malformed reply
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys\n"
+            "replies = ['ERR no model', 'garbage']\n"
+            "for n, line in enumerate(sys.stdin, 1):\n"
+            "    sys.stdout.write((replies[n - 1] if n <= 2 else f'OK {n}') + '\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        oracle = external_oracle(f"proc:python3 {stub}", name="bad", timeout=10.0)
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                oracle(parse("CCO"))
+        assert oracle(parse("CCO")) == 3.0
 
 
 class TestCheckSuccess:
