@@ -20,6 +20,7 @@ from .env import read_trajectories, write_trajectories
 from .files import write_atomic
 from .harness import (
     SearchConfig,
+    aggregate_records,
     get_policy,
     metrics,
     optimize_lead,
@@ -256,21 +257,11 @@ def cmd_eval(args) -> int:
     with open(report_path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     leads = payload.get("leads", [])
-    if not leads:
-        raise ValueError("no leads in report")
-    n = len(leads)
-    aggregates = {
-        "SR": sum(1 for r in leads if r["success"]) / n,
-        "Sim": sum(r["sim"] for r in leads) / n,
-        "RI": sum(r["ri"] for r in leads) / n,
-    }
+    aggregates = aggregate_records(leads)
     stored = payload.get("aggregates", {})
-    drift = {
-        key: abs(aggregates[key] - stored.get(key, aggregates[key]))
-        for key in aggregates
-    }
+    drift = {key: abs(value - stored.get(key, value)) for key, value in aggregates.items()}
     _print_json({"task": payload.get("task", ""), "aggregates": aggregates,
-                 "recomputation_drift": drift, "leads": n})
+                 "recomputation_drift": drift, "leads": len(leads)})
     return 0
 
 

@@ -255,7 +255,10 @@ class MolEnv:
 
     def step(self, state: EnvState, action: str) -> tuple[EnvState, StepResult]:
         """Advance one turn. Invalid and similarity-violating proposals are
-        recorded in history but consume no budget."""
+        recorded in history but consume no budget. A step that meets the
+        success criterion ends its rollout with done_reason "success", so
+        only a rollout's last step can be a success; the search loop
+        relies on this."""
         if state.done:
             raise RuntimeError("rollout already terminated")
         source = state.injected.source if state.injected else None

@@ -156,7 +156,7 @@ def build_bank(
         try:
             smiles, props = _parse_row(line)
             molecule = parse(smiles)
-        except (SmilesError, ValueError, KeyError) as exc:
+        except (SmilesError, ValueError, KeyError, OverflowError) as exc:
             skipped += 1
             log.warning("skipping corpus row %d: %s", lineno, exc)
             continue
@@ -177,10 +177,25 @@ def build_bank(
     return ExemplarBank(records)
 
 
+def _json_row(line: str) -> tuple[str, dict[str, float]]:
+    """The SMILES and properties of a JSON row; ValueError unless it is an
+    object with a string `smiles` and a `props` object (or none) of numbers,
+    OverflowError for an integer past the float range."""
+    row = json.loads(line)
+    if not isinstance(row, dict) or not isinstance(row.get("smiles"), str):
+        raise ValueError("row has no 'smiles' string")
+    props = {} if row.get("props") is None else row["props"]
+    if not isinstance(props, dict):
+        raise ValueError(f"'props' is a {type(props).__name__}, not an object")
+    bad = sorted(name for name, v in props.items() if type(v) not in (int, float))
+    if bad:
+        raise ValueError(f"property {', '.join(bad)} is not a number")
+    return row["smiles"], {name: float(value) for name, value in props.items()}
+
+
 def _parse_row(line: str) -> tuple[str, dict[str, float]]:
     if line.startswith("{"):
-        obj = json.loads(line)
-        return obj["smiles"], {k: float(v) for k, v in (obj.get("props") or {}).items()}
+        return _json_row(line)
     parts = line.split("\t")
     smiles = parts[0]
     props: dict[str, float] = {}
@@ -315,7 +330,9 @@ def save_bank(bank: ExemplarBank, base: str | Path) -> tuple[Path, Path]:
 def load_bank(base: str | Path) -> ExemplarBank:
     """Read a `save_bank` pair. A sidecar with a short header, another
     magic, version, width or radius, or a body that is not `count` whole
-    blocks raises ValueError naming the file."""
+    blocks raises ValueError naming the file; so does a records line that
+    is not a JSON row of a SMILES string and numeric properties, with its
+    line number."""
     jsonl_path, fp_path = _bank_paths(base)
 
     blob = fp_path.read_bytes()
@@ -345,15 +362,17 @@ def load_bank(base: str | Path) -> ExemplarBank:
             if idx >= count:
                 raise ValueError("more records than fingerprints in sidecar")
             lines += 1
-            payload = json.loads(line)
-            props = {k: float(v) for k, v in payload["props"].items()}
+            try:
+                smiles, props = _json_row(line)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{jsonl_path} line {idx + 1}: {exc}") from None
             problem = _non_finite(props)
             if problem:
                 log.warning("skipping corpus row %d: %s", idx + 1, problem)
                 continue
             start = _FP_HEADER.size + idx * block
             fp = Fingerprint.from_bytes(blob[start : start + block])
-            records.append(ExemplarRecord(payload["smiles"], fp, props))
+            records.append(ExemplarRecord(smiles, fp, props))
     if lines != count:
         raise ValueError("fingerprint sidecar count does not match records")
     return ExemplarBank(records)

@@ -1,8 +1,8 @@
 """Inference-time search loop, built-in policies, and evaluation metrics.
 
 A search runs G generations of N rollouts under one budget ledger per
-lead, with a rising temperature schedule; the best feasible molecule seen
-anywhere is the incumbent. Metrics follow the standard conventions:
+lead, with a rising temperature schedule; the best-scoring evaluated
+molecule is the incumbent. Metrics follow the standard conventions:
 failures contribute similarity 1.0 (the lead itself) and improvement 0.
 """
 
@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .chemfeat import _mix_stream, morgan_fp, tanimoto
 from .env import EnvConfig, MolEnv, Trajectory
 from .exembank import ExemplarBank
-from .lineproto import LineTransport, ProtocolError, open_transport
+from .lineproto import LineTransport, ProtocolError, endpoint_opener
 from .molgraph import (
     EDIT_OPERATORS,
     CanonicalizationBudgetError,
@@ -30,7 +30,7 @@ from .molgraph import (
     mutate,
     parse,
 )
-from .oracles import BudgetExhaustedError, BudgetLedger, Objective, check_success
+from .oracles import BudgetLedger, Objective, check_success
 from .skillbank import SkillBank, harvest, make_skill_card
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "EvalReport",
     "temperature",
     "optimize_lead",
+    "aggregate_records",
     "metrics",
     "policy_random_edit",
     "policy_retrieval_greedy",
@@ -184,7 +185,9 @@ def policy_retrieval_greedy(
 def policy_wire(endpoint: str, timeout: float = 10.0) -> Policy:
     """External policy over `ACT <json>` -> `OK <smiles>`; any transport
     failure or malformed reply becomes an invalid proposal (empty string).
-    A failed connection is closed, so the next proposal opens a fresh one."""
+    A failed connection is closed, so the next proposal opens a fresh one.
+    A malformed endpoint raises ValueError here, before any proposal."""
+    connect = endpoint_opener(endpoint)
     transport: Optional[LineTransport] = None
 
     def act(observation: str, view: PolicyView, temp: float,
@@ -194,7 +197,7 @@ def policy_wire(endpoint: str, timeout: float = 10.0) -> Policy:
             {"observation": observation, "temperature": temp}, sort_keys=True
         )
         try:
-            transport = transport or open_transport(endpoint, timeout)
+            transport = transport or connect(timeout)
             reply = transport.request(f"ACT {payload}")
         except (ProtocolError, OSError) as exc:
             log.warning("wire policy failed (%s); treating as invalid", exc)
@@ -254,6 +257,11 @@ def optimize_lead(
     Every rollout restarts from the lead unless `warm_start_incumbent` is
     set, in which case rollouts start from the current incumbent while the
     similarity anchor stays on the lead.
+
+    The env judges every step: the incumbent is the best `score` among the
+    rollouts' valid records, and the winner the best last record of a
+    rollout that ended in "success" (the smaller canonical string wins a
+    tie), or the lead if it meets the criterion and nothing beats it.
     """
     if cfg.harvest_skills and skill_bank is None:
         skill_bank = SkillBank()  # harvested skills still feed this search
@@ -271,90 +279,54 @@ def optimize_lead(
     )
 
     lead_values = ledger.evaluate(lead, objective)
-    lead_score = objective.aggregate(lead_values)
-    molecules: dict[str, Molecule] = {lead.canonical: lead}
-
-    incumbent = lead.canonical
-    incumbent_score = lead_score
-    winner: Optional[str] = None
-    winner_score = -math.inf
+    incumbent, incumbent_score = lead.canonical, objective.aggregate(lead_values)
+    winner: Optional[tuple[float, str]] = None  # (-score, canonical): least wins
+    if check_success(lead, lead, objective, lead_values, lead_values):
+        winner = (-incumbent_score, lead.canonical)
     trajectories: list[Trajectory] = []
 
-    def consider(canonical: str) -> None:
-        nonlocal incumbent, incumbent_score, winner, winner_score
-        values = ledger.peek(canonical)
-        if values is None:
-            return
-        molecule = molecules.get(canonical)
-        if molecule is None:
-            molecule = parse(canonical)
-            molecules[canonical] = molecule
-        score = objective.aggregate(values)
-        if score > incumbent_score:
-            incumbent, incumbent_score = canonical, score
-        if check_success(lead, molecule, objective, values, lead_values):
-            if score > winner_score or (
-                score == winner_score and winner is not None and canonical < winner
-            ):
-                winner, winner_score = canonical, score
-
-    consider(lead.canonical)
-
-    stop = False
     for g in range(cfg.generations):
-        if stop:
-            break
         temp = temperature(g, cfg)
         generation_trajs: list[Trajectory] = []
         for n in range(cfg.rollouts_per_gen):
             if ledger.exhausted:
-                stop = True
                 break
+            # the lead and every incumbent are in the ledger's cache, so a
+            # reset spends no budget
             start = None
             if cfg.warm_start_incumbent and incumbent != lead.canonical:
-                start = molecules[incumbent]
-            try:
-                state = env.reset(
-                    lead, seed=_derive_seed(cfg.seed, g, n, 0), start=start
-                )
-            except BudgetExhaustedError:
-                stop = True
-                break
+                start = parse(incumbent)
+            state = env.reset(lead, seed=_derive_seed(cfg.seed, g, n, 0), start=start)
             policy_rng = random.Random(_derive_seed(cfg.seed, g, n, 1))
             while not state.done:
-                observation = env.observation(state)
+                injected = state.injected
                 view = PolicyView(
-                    lead=state.lead,
-                    current=state.current,
-                    injected_source=(
-                        state.injected.source if state.injected else None
-                    ),
-                    injected_exemplars=(
-                        state.injected.exemplar_canonicals
-                        if state.injected
-                        else ()
-                    ),
-                    turn=state.turn,
+                    state.lead, state.current,
+                    injected.source if injected else None,
+                    injected.exemplar_canonicals if injected else (),
+                    state.turn,
                 )
-                action = policy(observation, view, temp, policy_rng)
+                action = policy(env.observation(state), view, temp, policy_rng)
                 state, _result = env.step(state, action)
-            trajectory = env.to_trajectory(state)
-            generation_trajs.append(trajectory)
+            generation_trajs.append(env.to_trajectory(state))
             for record in state.history:
-                if record.valid and record.canonical is not None:
-                    consider(record.canonical)
+                if record.valid and record.score > incumbent_score:
+                    incumbent, incumbent_score = record.canonical, record.score
+            if state.done_reason == "success":
+                last = state.history[-1]
+                key = (-last.score, last.canonical)
+                winner = key if winner is None else min(winner, key)
         trajectories.extend(generation_trajs)
-        if cfg.harvest_skills and skill_bank is not None and generation_trajs:
-            cards = []
-            for trajectory in generation_trajs:
-                cards.extend(harvest(trajectory, objective, cfg.harvest_delta))
+        if cfg.harvest_skills:
+            cards = [card for trajectory in generation_trajs
+                     for card in harvest(trajectory, objective, cfg.harvest_delta)]
             if cards:
-                skill_bank.insert(
-                    [make_skill_card(card, objective.name) for card in cards]
-                )
+                skill_bank.insert([make_skill_card(c, objective.name) for c in cards])
+        if ledger.exhausted:
+            break
 
-    best = winner if winner is not None else lead.canonical
-    best_molecule = molecules.get(best) or parse(best)
+    best = lead.canonical if winner is None else winner[1]
+    best_molecule = lead if best == lead.canonical else parse(best)
     result = LeadResult(
         lead=lead.canonical,
         best=best,
@@ -407,38 +379,34 @@ def relative_improvement(
     return total / n
 
 
+def aggregate_records(records: Sequence[dict]) -> dict[str, float]:
+    """SR / Sim / RI: the means of the per-lead `success`, `sim` and `ri`
+    fields, whose failure conventions are already applied."""
+    if not records:
+        raise ValueError("no leads to evaluate")
+    n = len(records)
+    return {
+        "SR": sum(1 for r in records if r["success"]) / n,
+        "Sim": sum(r["sim"] for r in records) / n,
+        "RI": sum(r["ri"] for r in records) / n,
+    }
+
+
 def metrics(results: Sequence[LeadResult], objective: Objective) -> EvalReport:
     """SR / Sim / RI across leads with the failure conventions applied."""
-    if not results:
-        raise ValueError("no leads to evaluate")
-    records = []
-    successes = 0
-    sim_total = 0.0
-    ri_total = 0.0
-    for result in results:
-        ri = relative_improvement(result, objective)
-        sim = result.sim if result.success else 1.0
-        successes += int(result.success)
-        sim_total += sim
-        ri_total += ri
-        records.append(
-            {
-                "lead": result.lead,
-                "best_molecule": result.best,
-                "success": result.success,
-                "sim": sim,
-                "ri": ri,
-                "calls_used": result.calls_used,
-            }
-        )
-    n = len(results)
-    return EvalReport(
-        records=records,
-        sr=successes / n,
-        sim=sim_total / n,
-        ri=ri_total / n,
-        task=objective.name,
-    )
+    records = [
+        {
+            "lead": result.lead,
+            "best_molecule": result.best,
+            "success": result.success,
+            "sim": result.sim if result.success else 1.0,
+            "ri": relative_improvement(result, objective),
+            "calls_used": result.calls_used,
+        }
+        for result in results
+    ]
+    means = aggregate_records(records)
+    return EvalReport(records, means["SR"], means["Sim"], means["RI"], objective.name)
 
 
 def report_to_json(report: EvalReport) -> str:

@@ -13,12 +13,14 @@ import shlex
 import socket
 import subprocess
 import threading
+from typing import Callable
 
 __all__ = [
     "ProtocolError",
     "ProtocolTimeout",
     "MalformedReply",
     "LineTransport",
+    "endpoint_opener",
     "open_transport",
 ]
 
@@ -69,11 +71,11 @@ class LineTransport:
 
 
 class _ProcTransport(LineTransport):
-    def __init__(self, command: str, timeout: float):
+    def __init__(self, argv: list[str], timeout: float):
         self._timeout = timeout
         self._lock = threading.Lock()
         self._proc = subprocess.Popen(
-            shlex.split(command),
+            argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
         )
@@ -148,13 +150,23 @@ class _TcpTransport(LineTransport):
             pass
 
 
-def open_transport(endpoint: str, timeout: float = 10.0) -> LineTransport:
-    """`proc:<command>` spawns a child process; `tcp:<host>:<port>` connects."""
+def endpoint_opener(endpoint: str) -> Callable[[float], LineTransport]:
+    """What opens a connection to `endpoint` for a given timeout. The syntax
+    is checked here, before anything is spawned or connected: `proc:` needs
+    a command line, `tcp:` a host and a numeric port; else ValueError."""
     if endpoint.startswith("proc:"):
-        return _ProcTransport(endpoint[len("proc:"):], timeout)
+        argv = shlex.split(endpoint[len("proc:"):])
+        if not argv:
+            raise ValueError(f"no command in proc endpoint {endpoint!r}")
+        return lambda timeout: _ProcTransport(argv, timeout)
     if endpoint.startswith("tcp:"):
         host, _, port = endpoint[len("tcp:"):].rpartition(":")
         if not host or not port.isdigit():
             raise ValueError(f"bad tcp endpoint {endpoint!r}")
-        return _TcpTransport(host, int(port), timeout)
+        return lambda timeout: _TcpTransport(host, int(port), timeout)
     raise ValueError(f"unknown endpoint scheme {endpoint!r}")
+
+
+def open_transport(endpoint: str, timeout: float = 10.0) -> LineTransport:
+    """`proc:<command>` spawns a child process; `tcp:<host>:<port>` connects."""
+    return endpoint_opener(endpoint)(timeout)

@@ -222,7 +222,9 @@ def external_oracle(
     """One `EVAL <name> <smiles>` request per molecule over a line stream.
     A request the transport fails (a timeout, a closed stream, an I/O
     error) closes the connection, so the next request opens a fresh one;
-    an `ERR` or malformed reply keeps it."""
+    an `ERR` or malformed reply keeps it. A malformed endpoint raises
+    ValueError at once."""
+    connect = lineproto.endpoint_opener(endpoint)
     transport: Optional[lineproto.LineTransport] = None
     lock = threading.Lock()
 
@@ -230,7 +232,7 @@ def external_oracle(
         nonlocal transport
         with lock:
             if transport is None:
-                transport = lineproto.open_transport(endpoint, timeout)
+                transport = connect(timeout)
             current = transport
         try:
             reply = current.request(f"EVAL {name} {m.canonical}")

@@ -148,6 +148,25 @@ class TestRunEvalSkills:
         assert payload["leads"] == len(LEADS)
         assert all(v == 0.0 for v in payload["recomputation_drift"].values())
 
+    def test_malformed_wire_endpoint_fails_before_any_lead(
+        self, workspace, capsys, monkeypatch
+    ):
+        from leadopt import cli
+
+        searched = []
+        monkeypatch.setattr(cli, "optimize_lead",
+                            lambda *args, **kwargs: searched.append(args))
+        code, out, err = run_cli(
+            capsys, "run", "--leads", workspace / "leads.smi",
+            "--objective", workspace / "act.yaml", "--out", workspace / "out",
+            "--policy", "wire:foo",
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "unknown endpoint scheme 'foo'",
+        }
+        assert searched == [] and not (workspace / "out").exists()
+
     def test_eval_empty_report_fails(self, workspace, capsys):
         bad = workspace / "empty.json"
         bad.write_text(json.dumps({"leads": [], "aggregates": {}}))

@@ -361,6 +361,33 @@ class TestNonFiniteProperties:
         assert [r.canonical for r in bank.records] == ["CCO"]
         assert "skipping corpus row 2" in caplog.text
 
+    @pytest.mark.parametrize("row", [
+        '{"smiles": "CCN", "props": [1]}',
+        '{"smiles": "CCN", "props": "x"}',
+        '{"smiles": "CCN", "props": {"act": null}}',
+        '{"smiles": "CCN", "props": {"act": "0.5"}}',
+        '{"smiles": "CCN", "props": {"act": true}}',
+        '{"smiles": "CCN", "props": {"act": 1%s}}' % ("0" * 400),
+        '{"smiles": 5, "props": {"act": 0.5}}',
+        '{"props": {"act": 0.5}}',
+    ])
+    def test_malformed_json_rows_skipped_and_loading_them_names_the_line(
+        self, row, tmp_path, caplog
+    ):
+        bank = build_bank(['{"smiles": "CCO", "props": {"act": 0.5}}', row,
+                           "CCCO\tact=0.7"])
+        assert [r.canonical for r in bank.records] == ["CCO", "CCCO"]
+        assert "skipping corpus row 2" in caplog.text
+        assert "bank build skipped 1 bad rows" in caplog.text
+
+        jsonl_path, _ = save_bank(build_bank(["CCO\tact=0.5", "CCN\tact=0.6"]),
+                                  tmp_path / "b")
+        lines = jsonl_path.read_text().splitlines()
+        lines[1] = row
+        jsonl_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{jsonl_path} line 2: ")):
+            load_bank(tmp_path / "b")
+
     def test_oracle_filled_nan_skipped(self):
         bank = build_bank(["CCO", "CCN\tact=0.2"],
                           oracles=[Oracle("act", lambda m: float("nan"))])

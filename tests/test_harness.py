@@ -11,6 +11,7 @@ from leadopt.harness import (
     LeadResult,
     PolicyView,
     SearchConfig,
+    aggregate_records,
     get_policy,
     metrics,
     optimize_lead,
@@ -149,6 +150,18 @@ class TestMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             metrics([], scripted_objective())
+        with pytest.raises(ValueError, match="no leads"):
+            aggregate_records([])
+
+    def test_report_aggregates_are_the_records_means(self):
+        obj = scripted_objective()
+        results = [
+            make_result("L1", "B1", True, 0.42, {"act": 0.5}, {"act": 0.9}),
+            make_result("L2", "L2", False, 0.8, {"act": 0.5}, {"act": 0.5}),
+            make_result("L3", "B3", True, 0.61, {"act": 0.4}, {"act": 0.95}),
+        ]
+        report = metrics(results, obj)
+        assert aggregate_records(report.records) == report.aggregates()
 
 
 class TestPolicies:
@@ -279,6 +292,14 @@ class TestPolicies:
         assert callable(get_policy("wire:tcp:127.0.0.1:1"))
         with pytest.raises(ValueError):
             get_policy("alphafold")
+
+    @pytest.mark.parametrize("endpoint", [
+        "foo", "foo:bar", "tcp:127.0.0.1", "tcp::80", "tcp:host:port", "proc:",
+        "proc:  ", "proc:python3 'unclosed",
+    ])
+    def test_wire_policy_rejects_a_malformed_endpoint_when_made(self, endpoint):
+        with pytest.raises(ValueError):
+            get_policy(f"wire:{endpoint}")
 
 
 CORPUS = [

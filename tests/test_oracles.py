@@ -228,6 +228,11 @@ class TestTableAndExternal:
         assert any(repr(row) in message for message in messages)
         assert any("skipped 1 bad rows" in message for message in messages)
 
+    @pytest.mark.parametrize("endpoint", ["foo:bar", "tcp:nohost", "proc:"])
+    def test_external_malformed_endpoint_rejected_when_made(self, endpoint):
+        with pytest.raises(ValueError):
+            external_oracle(endpoint, name="act")
+
     def test_external_undecodable_reply_raises(self, tmp_path):
         stub = tmp_path / "stub.py"
         stub.write_text(
