@@ -162,6 +162,7 @@ def reward_outcome(
     the oracle branch."""
     try:
         candidate = parse(proposal)
+        candidate.canonical  # a search that trips is an invalid proposal
     except SmilesError as exc:
         return RewardOutcome(
             REWARD_INVALID, "invalid", None, None, None, None,
@@ -223,6 +224,12 @@ class MolEnv:
         # bank's records are a tuple and the objective is fixed, so a block
         # depends only on the pair
         self._exemplar_blocks: dict[tuple[str, str], Optional[InjectedMemory]] = {}
+        # (skill store, current canonical string -> skill block or None):
+        # the thresholds and the task are fixed, so a block depends only on
+        # the store that answered it and the current molecule. A reader
+        # racing an insert may keep a block of the newer store; any later
+        # reader sees the newer store and starts afresh
+        self._skill_blocks: tuple[object, dict[str, Optional[InjectedMemory]]] = (None, {})
 
     # -- rollout lifecycle --------------------------------------------------
 
@@ -342,7 +349,9 @@ class MolEnv:
         `plateau_patience` turns; both sources eligible -> seeded coin flip
         (exemplars win below MEMORY_SELECT_P). Below patience the slot is
         cleared. The exemplar block is retrieved once per (current, lead)
-        pair, so a record that lacks a property is logged once per pair."""
+        pair, so a record that lacks a property is logged once per pair; the
+        skill block once per current molecule while the task's skill store
+        stays the same."""
         if state.stall_count < self.config.plateau_patience:
             state.injected = None
             return
@@ -354,21 +363,15 @@ class MolEnv:
             exemplar_block = self._exemplar_blocks[key]
         skill_block = None
         if self.skill_bank is not None:
-            skills = retrieve_skills(
-                self.skill_bank,
-                state.current,
-                self.objective.name,
-                k_fp=SKILL_K,
-                k_fg=SKILL_K,
-                gamma_fp=self.config.gamma_fp,
-                gamma_fg=self.config.gamma_fg,
-            )
-            if skills:
-                skill_block = InjectedMemory(
-                    "skill",
-                    render_skill_block(skills, self.objective.name),
-                    (),
-                )
+            store = self.skill_bank.store(self.objective.name)
+            held, blocks = self._skill_blocks
+            if held is not store:
+                blocks = {}
+                self._skill_blocks = (store, blocks)
+            key = state.current.canonical
+            if key not in blocks:
+                blocks[key] = self._skill_block(state)
+            skill_block = blocks[key]
         if exemplar_block and skill_block:
             pick_exemplar = state.rng.random() < MEMORY_SELECT_P
             state.injected = exemplar_block if pick_exemplar else skill_block
@@ -397,6 +400,20 @@ class MolEnv:
             render_exemplar_block(exemplars, self.objective, state.lead),
             tuple(record.canonical for record in exemplars),
         )
+
+    def _skill_block(self, state: EnvState) -> Optional[InjectedMemory]:
+        skills = retrieve_skills(
+            self.skill_bank,
+            state.current,
+            self.objective.name,
+            k_fp=SKILL_K,
+            k_fg=SKILL_K,
+            gamma_fp=self.config.gamma_fp,
+            gamma_fg=self.config.gamma_fg,
+        )
+        if not skills:
+            return None
+        return InjectedMemory("skill", render_skill_block(skills, self.objective.name), ())
 
     # -- observation ----------------------------------------------------------
 

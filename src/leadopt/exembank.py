@@ -156,6 +156,7 @@ def build_bank(
         try:
             smiles, props = _parse_row(line)
             molecule = parse(smiles)
+            molecule.canonical  # a search that trips skips the row
         except (SmilesError, ValueError, KeyError, OverflowError) as exc:
             skipped += 1
             log.warning("skipping corpus row %d: %s", lineno, exc)

@@ -155,6 +155,7 @@ def policy_retrieval_greedy(
         return policy_random_edit(observation, view, temp, rng)
     try:
         base = parse(view.injected_exemplars[0])
+        base.canonical  # a base whose search trips is no base
     except SmilesError:
         return policy_random_edit(observation, view, temp, rng)
     lead_fp, base_fp = morgan_fp(view.lead), morgan_fp(base)

@@ -1,23 +1,28 @@
 """SMILES parsing, validation, canonicalization, scaffolds, and local edits.
 
-Molecules are immutable once constructed. :func:`parse`, the
-:class:`Molecule` constructor, :func:`scaffold_of` and :func:`mutate`
-validate the graph and compute the canonical string eagerly. The private
-:func:`_edit` behind :func:`mutate` leaves the string to its first read, so a
-scripted policy that edits a molecule several times and keeps one result
-pays for one canonical search. :func:`parse` interns its last 64 results,
-so re-parsing a recent text returns the same object.
+Molecules are immutable once constructed. One rule names them: every
+construction path validates the graph when it builds the molecule, and the
+canonical search runs on the first read of ``.canonical``, the one place a
+search starts. A molecule whose name is never read (a memory query's query
+and lead: retrieval reads fingerprints and functional groups) never pays
+for a search, and a scripted policy that edits a molecule several times and
+keeps one result pays for one. :func:`mutate` and :func:`scaffold_of` read
+the name, so they raise a search that trips (a
+:class:`CanonicalizationBudgetError`); a caller that turns outside text
+into a molecule and treats a trip as a :class:`SmilesError` reads the name
+inside its handler. :func:`parse` interns its last 64 results, so
+re-parsing a recent text returns the same object.
 
 A canonical string names its graph, so parsing one the program has just
 written need not search again. The canonical strings of the last 64
-validated molecules are remembered with the molecule, the trace of the
-search's best write and the search's atom pair -> bond index map. On a miss
-in its cache, :func:`parse` turns such a string into the writer's
-*write-order twin*: the source's atoms in the order the string writes them,
-its bonds in the order and orientation the parser adds them, its ring flags
-permuted and its fingerprints kept, which is the molecule parsing would
-build, minus tokenizing, validation, the ring search, the canonical search
-and a second write. Unvalidated molecules (skill fragments) are never
+validated molecules to be named are remembered with the molecule, the
+trace of the search's best write and the search's atom pair -> bond index
+map. On a miss in its cache, :func:`parse` turns such a string into the
+writer's *write-order twin*: the source's atoms in the order the string
+writes them, its bonds in the order and orientation the parser adds them,
+its ring flags permuted and its fingerprints kept, which is the molecule
+parsing would build, minus tokenizing, validation and the ring search, and
+already named. Unvalidated molecules (skill fragments) are never
 remembered.
 
 An edit hands the parent's ring-bond flags to the edited molecule (no edit
@@ -27,8 +32,8 @@ child of a validated parent checks only the atoms its edit touched; an
 unvalidated parent's child is validated in full.
 
 Search keeps returning to the same molecules, so an edit memo keeps the
-last _EDIT_MEMO_MAX pieces of edit work on molecules named when they were
-built (parsed, constructed or a twin), least recently used first out: an
+last _EDIT_MEMO_MAX pieces of edit work on molecules not made by an edit
+(parsed, constructed or a twin), least recently used first out: an
 operator's sorted site list, and the child of a resolved edit (the
 operator plus the site, element or bond order the seed drew). A repeated
 edit makes the same draws and hands back the child built before, already
@@ -42,13 +47,14 @@ parsing that string is a full parse, not a write-order twin.
 Harvesting skills builds the same scaffold cores and fragments again and
 again, so :func:`induced_molecule` keeps the last _SUBGRAPH_MEMO_MAX
 molecules built from induced subgraphs, least recently used first out,
-keyed by the exact (atoms, bonds) tuples of :func:`induced_subgraph` and
-whether the molecule is validated. Equal keys are equal graphs in the same
-atom order, so a kept molecule is the one a fresh build would make. A
-build that raises is never kept, and functools' cache is thread-safe. The
-memo covers only induced subgraphs: one in front of every parse or
-canonical search made memory-serve queries slower and their process
-larger.
+keyed by plain tuples of the subgraph's atom and bond fields and whether
+the molecule is validated; the :class:`Atom` and :class:`Bond` objects are
+made only on a miss. Equal keys are equal graphs in the same atom order,
+so a kept molecule is the one a fresh build would make. A build is named
+before it is kept, so one that raises or trips is never kept, and
+functools' cache is thread-safe. The memo covers only induced subgraphs:
+one in front of every parse or canonical search made memory-serve queries
+slower and their process larger.
 
 The canonical search sets up in one pass over the bonds and one over the
 atoms, refines by keying again only the cells next to a cell that split, and
@@ -88,7 +94,6 @@ __all__ = [
     "parse",
     "scaffold_of",
     "scaffold_atoms",
-    "induced_subgraph",
     "induced_molecule",
     "neighbor_maps",
     "mutate",
@@ -205,10 +210,10 @@ class Bond:
 class Molecule:
     """Immutable molecular graph named by its canonical SMILES string.
 
-    Every construction path validates the graph and computes the string at
-    once, except edit children (:func:`_edit`), which search for it on its
-    first read; that read raises :class:`CanonicalizationBudgetError` when
-    the search trips.
+    Every construction path validates the graph when it builds the molecule
+    (the constructor only with `validate`); the canonical search runs on the
+    first read of ``.canonical``, which raises
+    :class:`CanonicalizationBudgetError` when the search trips.
     """
 
     __slots__ = (
@@ -231,7 +236,9 @@ class Molecule:
         validate: bool = True,
     ):
         self._build(tuple(atoms), tuple(bonds), None)
-        self._validate_and_name(validate)
+        if validate:
+            self._validate()
+        self._checked = validate
 
     @classmethod
     def _assemble(
@@ -242,16 +249,16 @@ class Molecule:
         *,
         canonical: Optional[str] = None,
     ) -> "Molecule":
-        """Construction with the bonds' ring flags already known. Given a
-        `canonical` string (a write-order twin), validation and the
-        canonical search are skipped."""
+        """A validated molecule whose bonds' ring flags are already known,
+        named on the first read of ``.canonical``. Given a `canonical`
+        string (a write-order twin), validation is skipped and the string
+        is its name."""
         mol = cls.__new__(cls)
         mol._build(atoms, bonds, ring_bonds)
         if canonical is None:
-            mol._validate_and_name(True)
-        else:
-            mol._checked = True
-            mol._canonical = canonical
+            mol._validate()
+        mol._checked = True
+        mol._canonical = canonical
         return mol
 
     def _build(
@@ -285,19 +292,13 @@ class Molecule:
         # not on a deferred edit child
         self._keeps_edits = True
 
-    def _validate_and_name(self, validate: bool) -> None:
-        """Eager validation, then the canonical search."""
-        if validate:
-            self._validate()
-        self._checked = validate
-        self._canonical = _canonical_string(self, self._checked)
-
     # -- derived structure ------------------------------------------------
 
     @property
     def canonical(self) -> str:
-        # only edit children reach the search here; it is pure, so two
-        # threads racing on a first read store the same string
+        # the one place a canonical search starts; it is pure, so two
+        # threads racing on a first read store the same string, and a
+        # search that trips stores nothing and trips again on the next read
         if self._canonical is None:
             self._canonical = _canonical_string(self, self._checked)
         return self._canonical
@@ -585,16 +586,18 @@ def _parse_organic(token: str) -> Atom:
 
 
 def parse(smiles: str) -> Molecule:
-    """Parse a SMILES string into a validated :class:`Molecule`.
+    """Parse a SMILES string into a validated :class:`Molecule`, named on
+    the first read of ``.canonical``.
 
     The last few texts parsed map to the same (immutable) Molecule object; a
     text that fails is parsed again. A canonical string written for one of
     the last few validated molecules is not parsed at all: its write-order
-    twin is built from the molecule that wrote it.
+    twin is built from the molecule that wrote it, already named.
 
     Raises :class:`SmilesSyntaxError`, :class:`UnmatchedRingError`,
-    :class:`ValenceError`, :class:`MultiFragmentError`,
-    :class:`UnsupportedAtomError`, or :class:`CanonicalizationBudgetError`.
+    :class:`ValenceError`, :class:`MultiFragmentError` or
+    :class:`UnsupportedAtomError`; a search that trips raises
+    :class:`CanonicalizationBudgetError` on the first read of the name.
     """
     if not isinstance(smiles, str) or not smiles.strip():
         raise SmilesSyntaxError("empty SMILES string")
@@ -1191,47 +1194,51 @@ def scaffold_atoms(m: Molecule) -> set[int]:
         keep.difference_update(removable)
 
 
-def induced_subgraph(
+def _induced_fields(
     m: Molecule, keep: set[int]
-) -> tuple[tuple[Atom, ...], tuple[Bond, ...]]:
-    """The atoms in `keep` (in index order, renumbered from 0) and the bonds
-    among them; hydrogens refill the valence of every bond cut."""
+) -> tuple[tuple[tuple, ...], tuple[tuple[int, int, str], ...]]:
+    """The atoms in `keep` (in index order, renumbered from 0) as (element,
+    aromatic, formal charge, hydrogen count, isotope) and the bonds among
+    them as (a, b, order): the fields of their :class:`Atom` and
+    :class:`Bond`. Hydrogens refill the valence of every bond cut."""
     remap = {old: new for new, old in enumerate(sorted(keep))}
     atoms = []
     for old in remap:
-        cut = sum(
-            _ORDER_ELECTRONS[order] for nbr, order in m.neighbors(old) if nbr not in keep
-        )
-        atoms.append(m.atoms[old].with_hcount(m.atoms[old].hcount + cut))
+        atom = m.atoms[old]
+        cut = sum(_ORDER_ELECTRONS[order] for nbr, order in m._adj[old] if nbr not in remap)
+        atoms.append((atom.element, atom.aromatic, atom.formal_charge,
+                      atom.hcount + cut, atom.isotope))
     bonds = tuple(
-        Bond(remap[b.a], remap[b.b], b.order)
-        for b in m.bonds
-        if b.a in keep and b.b in keep
+        (remap[b.a], remap[b.b], b.order) for b in m.bonds if b.a in remap and b.b in remap
     )
     return tuple(atoms), bonds
 
 
 def induced_molecule(m: Molecule, keep: set[int], validate: bool = True) -> Molecule:
-    """The :class:`Molecule` on :func:`induced_subgraph`, built once while
-    the subgraph memo holds it (see the module docstring)."""
-    return _subgraph_molecule(*induced_subgraph(m, keep), validate)
+    """The named :class:`Molecule` on the atoms in `keep` and the bonds
+    among them, hydrogens refilling the valence of every bond cut; built
+    once while the subgraph memo holds it (see the module docstring)."""
+    return _subgraph_molecule(*_induced_fields(m, keep), validate)
 
 
 @functools.lru_cache(maxsize=_SUBGRAPH_MEMO_MAX)
 def _subgraph_molecule(
-    atoms: tuple[Atom, ...], bonds: tuple[Bond, ...], validate: bool
+    atoms: tuple[tuple, ...], bonds: tuple[tuple[int, int, str], ...], validate: bool
 ) -> Molecule:
-    return Molecule(atoms, bonds, validate=validate)
+    mol = Molecule([Atom(*f) for f in atoms], [Bond(*f) for f in bonds], validate=validate)
+    mol.canonical  # the search runs now, so a core whose search trips is never kept
+    return mol
 
 
 def scaffold_of(m: Molecule) -> Scaffold:
-    """The validated molecule on :func:`scaffold_atoms`; empty for acyclic
-    molecules. Computed once per molecule and kept in its `_fp_cache`, so a
+    """The validated molecule on :func:`scaffold_atoms`, already named;
+    empty for acyclic molecules. Computed once per molecule and kept in its `_fp_cache`, so a
     write-order twin may hold a core in its writer's atom order: read only
     the core's string and the ring count. The core comes from
     :func:`induced_molecule`, so molecules with the same core graph in the
     same atom order share one core; each molecule still gets its own
-    :class:`Scaffold`, and a core whose build raises is never kept."""
+    :class:`Scaffold`, and a core whose build raises or whose search trips
+    is never kept."""
     scaffold = m._fp_cache.get("scaffold")
     if scaffold is None:
         core = induced_molecule(m, scaffold_atoms(m))
@@ -1248,8 +1255,8 @@ _APPEND_POOL = ("C", "N", "O", "F", "Cl", "S")
 _SUBSTITUTE_POOL = ("C", "N", "O", "S", "P", "F", "Cl", "B")
 _SUBSTITUTE_AROMATIC_POOL = ("C", "N", "O", "S")
 
-# the last _EDIT_MEMO_MAX pieces of edit work on molecules named when they
-# were built, least recently used first: (id of the molecule, op) -> (the
+# the last _EDIT_MEMO_MAX pieces of edit work on molecules not made by an
+# edit, least recently used first: (id of the molecule, op) -> (the
 # molecule, its sites in draw order), and (id of the molecule, op, site[,
 # element]) -> (the molecule, the child). An entry holds its molecule, so no
 # other molecule can take that id while the entry lives.

@@ -793,6 +793,12 @@ class SkillBank:
     def size(self, task: str) -> int:
         return len(self._tasks.get(task, _EMPTY).items)
 
+    def store(self, task: str) -> object:
+        """The task's store, for holding only: a store never changes, and
+        every insert into the task replaces it, so while this is the same
+        object every retrieval for the task gives the same answer."""
+        return self._tasks.get(task, _EMPTY)
+
     def insert(self, skills: Sequence[SkillCard]) -> EvictionReport:
         """Dedup-merge a batch for one task, then enforce capacity.
 

@@ -329,6 +329,79 @@ class TestInjection:
         assert state.history[-1].valid is False
 
 
+def stalled_blocks(env, actions=("CCCCCC", "C1CC", "C1CC")):
+    """The injected block after each step of one rollout from the lead."""
+    state = env.reset(parse(LEAD))
+    blocks = []
+    for action in actions:
+        env.step(state, action)
+        blocks.append(state.injected.block if state.injected else None)
+    return blocks
+
+
+class TestSkillBlocks:
+    def skills(self, *pairs):
+        bank = SkillBank()
+        for before, after, s0, s1 in pairs:
+            card = build_edit_card(parse(before), parse(after), s0, s1)
+            bank.insert([make_skill_card(card, "act")])
+        return bank
+
+    def counted(self, monkeypatch):
+        from leadopt import env as env_module
+
+        calls = []
+        real = env_module.retrieve_skills
+
+        def counted(bank, current, *args, **kwargs):
+            calls.append(current.canonical)
+            return real(bank, current, *args, **kwargs)
+
+        monkeypatch.setattr(env_module, "retrieve_skills", counted)
+        return calls
+
+    def test_retrieved_once_per_store_and_molecule(self, monkeypatch):
+        skills = self.skills(("CCCCCCN", "CCCCCCCN", 0.60, 0.65))
+        calls = self.counted(monkeypatch)
+        env, _ = make_env(skill_bank=skills)
+        # "CCCCCC" is evaluated and becomes the current molecule, then two
+        # invalid steps inject at it; a second rollout meets it again
+        first = stalled_blocks(env)
+        assert stalled_blocks(env) == first
+        assert first[0] is None and first[1] is not None and first[1] == first[2]
+        assert calls == ["CCCCCC"]
+        # the blocks a fresh env retrieves anew
+        monkeypatch.undo()
+        assert stalled_blocks(make_env(skill_bank=skills)[0]) == first
+
+    def test_an_insert_starts_afresh(self, monkeypatch):
+        skills = self.skills(("CCCCCCN", "CCCCCCCN", 0.60, 0.65))
+        calls = self.counted(monkeypatch)
+        env, _ = make_env(skill_bank=skills)
+        before = stalled_blocks(env)
+        store = skills.store("act")
+        skills.insert([make_skill_card(
+            build_edit_card(parse("CCCCCC"), parse("CCCCCCO"), 0.30, 0.50), "act")])
+        assert skills.store("act") is not store
+        after = stalled_blocks(env)
+        assert calls == ["CCCCCC", "CCCCCC"]
+        assert after != before
+        monkeypatch.undo()
+        assert stalled_blocks(make_env(skill_bank=skills)[0]) == after
+
+    def test_store_is_the_same_until_an_insert(self):
+        skills = SkillBank()
+        empty = skills.store("act")
+        assert skills.store("act") is empty and skills.store("other") is empty
+        card = build_edit_card(parse("CCCCCCN"), parse("CCCCCCCN"), 0.60, 0.65)
+        skills.insert([make_skill_card(card, "act")])
+        store = skills.store("act")
+        assert store is not empty and skills.store("act") is store
+        assert skills.store("other") is empty
+        skills.insert([])
+        assert skills.store("act") is store
+
+
 class TestObservation:
     def test_fresh_state_prompt_only(self):
         env, _ = make_env()
@@ -400,17 +473,19 @@ class TestTrajectoryLog:
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import ANY_TEXT
+from conftest import ANY_TEXT, forget_texts
+
+# proposals that reach each branch, then any text
+PROPOSALS = st.one_of(st.sampled_from([
+    "C1CC", "((", "", "CCCCCCO", "OCCCCCC", "CCCC", "c1ccccc1",
+    "CCCCCCN", "CCCCCC", "CCCCCCCO", "CC(C)O", "CCO", "CCCCCCF",
+    "OCCCCCCO", "CCCCCCS", "not smiles", "CCCCCCOC",
+]), ANY_TEXT)
 
 
 class TestRewardProperties:
-    # proposals that reach each branch, then any text: whatever a policy
-    # sends lands in exactly one branch and raises nothing
-    @given(st.one_of(st.sampled_from([
-        "C1CC", "((", "", "CCCCCCO", "OCCCCCC", "CCCC", "c1ccccc1",
-        "CCCCCCN", "CCCCCC", "CCCCCCCO", "CC(C)O", "CCO", "CCCCCCF",
-        "OCCCCCCO", "CCCCCCS", "not smiles", "CCCCCCOC",
-    ]), ANY_TEXT))
+    # whatever a policy sends lands in exactly one branch and raises nothing
+    @given(PROPOSALS)
     @settings(max_examples=300, deadline=None)
     def test_exactly_one_branch_and_precedence(self, proposal):
         obj = objective()
@@ -437,6 +512,52 @@ class TestRewardProperties:
         else:
             expected = "evaluated"
         assert outcome.branch == expected
+
+    @given(PROPOSALS, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_exactly_one_branch_when_every_search_trips(self, proposal, spare):
+        # with no leaf to spend, every proposal whose refined ranks tie trips
+        # its canonical search, and a trip is an invalid proposal. With no
+        # spare unit, the oracle branch raises budget exhaustion, and
+        # nothing else may raise. The budget is patched here, since
+        # hypothesis rejects function-scoped fixtures.
+        from unittest import mock
+
+        from leadopt import molgraph
+        from leadopt.molgraph import SmilesError
+        from leadopt.oracles import BudgetExhaustedError
+
+        obj = objective()
+        lead = parse(LEAD)
+        ledger = BudgetLedger(1 + spare)
+        ledger.evaluate(lead, obj)
+        injected = frozenset({parse("CCCCCCF").canonical})
+        with mock.patch.object(molgraph, "_MAX_CANON_LEAVES", 0):
+            forget_texts()  # no text comes back named from a cache
+            try:
+                try:
+                    branch = reward_outcome(lead, proposal, lead, obj, 0.4,
+                                            injected, ledger).branch
+                except BudgetExhaustedError:
+                    branch = "exhausted"
+                try:
+                    cand = parse(proposal)
+                    cand.canonical
+                except SmilesError:
+                    cand = None
+            finally:
+                forget_texts()
+        if cand is None:
+            expected = "invalid"
+        elif cand.canonical == lead.canonical:
+            expected = "no_op"
+        elif cand.canonical in injected:
+            expected = "copy"
+        elif tanimoto(morgan_fp(lead), morgan_fp(cand)) < 0.4:
+            expected = "similarity"
+        else:
+            expected = "evaluated" if spare else "exhausted"
+        assert branch == expected
 
     @given(st.sampled_from(["CCCC", "c1ccccc1", "CC(C)O", "CCO", "CCCCCCOC",
                             "CCCN", "CO", "C", "CCCCOC"]))

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from leadopt.exembank import (
     retrieve_exemplars,
     save_bank,
 )
+from leadopt import molgraph
 from leadopt.molgraph import parse
 from leadopt.oracles import (
     Objective,
@@ -32,7 +34,15 @@ from leadopt.oracles import (
     builtin_oracle,
 )
 
-from conftest import fold, near_positions, scatter
+from leadopt.skillbank import (
+    SkillBank,
+    build_edit_card,
+    make_skill_card,
+    render_skill_block,
+    retrieve_skills,
+)
+
+from conftest import fold, forget_texts, near_positions, scatter
 
 
 def fake_record(name: str, bits: int, score: float) -> ExemplarRecord:
@@ -568,3 +578,51 @@ class TestLargeBuild:
         # index buildable and queryable
         top = candidate_recall(bank, parse("CCCCCCCC"), 10)
         assert len(top) == 10
+
+
+GOLDEN_PARSES = [
+    (source, canonical)
+    for source, op, _, canonical in (
+        line.split("\t")
+        for line in (Path(__file__).parent / "golden" / "canonical_strings.tsv")
+        .read_text().splitlines()
+        if not line.startswith("#")
+    )
+    if op == "parse" and not canonical.startswith("!")
+]
+
+
+class TestTextQuery:
+    def test_serving_a_query_names_nothing(self, monkeypatch):
+        # a query request parses the query and the lead, then retrieves and
+        # renders both memories; retrieval reads only fingerprints and
+        # functional groups, so no canonical search runs until a name is read
+        rows = [f"{source}\tact={i / 100}" for i, (source, _) in enumerate(GOLDEN_PARSES[2:42])]
+        bank = build_bank(rows)
+        skills = SkillBank()
+        for (before, _), (after, _) in zip(GOLDEN_PARSES[2:12], GOLDEN_PARSES[3:13]):
+            card = build_edit_card(parse(before), parse(after), 0.1, 0.5)
+            skills.insert([make_skill_card(card, "act")])
+        obj = act_objective(gamma=0.0)
+        (query_text, query_name), (lead_text, lead_name) = GOLDEN_PARSES[:2]
+        forget_texts()
+        searches = []
+        real = molgraph._canonical_string
+
+        def counted(*args):
+            searches.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(molgraph, "_canonical_string", counted)
+        query, lead = parse(query_text), parse(lead_text)
+        exemplars = retrieve_exemplars(bank, query, lead, obj, gamma_ex=0.0)
+        exemplar_block = render_exemplar_block(exemplars, obj, lead)
+        cards = retrieve_skills(skills, query, "act", gamma_fp=0.0, gamma_fg=0.0)
+        skill_block = render_skill_block(cards, "act")
+        assert exemplars and cards and exemplar_block and skill_block
+        assert searches == []
+        assert (query.canonical, lead.canonical) == (query_name, lead_name)
+        assert [m is want for m, want in zip(searches, (query, lead))] == [True, True]
+        # later reads return the stored names
+        assert (query.canonical, lead.canonical) == (query_name, lead_name)
+        assert len(searches) == 2

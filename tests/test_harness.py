@@ -318,6 +318,7 @@ def eager_greedy(observation, view, temp, rng, trips):
         return policy_random_edit(observation, view, temp, rng)
     try:
         base = parse(view.injected_exemplars[0])
+        base.canonical
     except SmilesError:
         return policy_random_edit(observation, view, temp, rng)
     lead_fp = morgan_fp(view.lead)
@@ -344,10 +345,14 @@ def eager_greedy(observation, view, temp, rng, trips):
 
 def corpus_views(count):
     """(view, seed) pairs: corpus exemplars edited toward other corpus leads.
-    The molecules are parsed here, before any leaf-budget fixture runs."""
+    The molecules are parsed and named here, before any leaf-budget fixture
+    runs: the leads first, then the exemplars, so the exemplar strings are
+    the latest writes and parse back as named write-order twins."""
+    leads = [parse(CORPUS[(7 * i + 3) % len(CORPUS)]) for i in range(count)]
+    for lead in leads:
+        lead.canonical
     views = []
-    for i in range(count):
-        lead = parse(CORPUS[(7 * i + 3) % len(CORPUS)])
+    for i, lead in enumerate(leads):
         exemplar = parse(CORPUS[i % len(CORPUS)]).canonical
         views.append((PolicyView(lead, lead, "exemplar", (exemplar,), 0), i))
     return views
