@@ -1232,9 +1232,9 @@ def _subgraph_molecule(
 
 def scaffold_of(m: Molecule) -> Scaffold:
     """The validated molecule on :func:`scaffold_atoms`, already named;
-    empty for acyclic molecules. Computed once per molecule and kept in its `_fp_cache`, so a
-    write-order twin may hold a core in its writer's atom order: read only
-    the core's string and the ring count. The core comes from
+    empty for acyclic molecules. Computed once per molecule and kept in its
+    `_fp_cache`, so a write-order twin may hold a core in its writer's atom
+    order: read only the core's string and the ring count. The core comes from
     :func:`induced_molecule`, so molecules with the same core graph in the
     same atom order share one core; each molecule still gets its own
     :class:`Scaffold`, and a core whose build raises or whose search trips

@@ -597,7 +597,8 @@ class TestTextQuery:
         # a query request parses the query and the lead, then retrieves and
         # renders both memories; retrieval reads only fingerprints and
         # functional groups, so no canonical search runs until a name is read
-        rows = [f"{source}\tact={i / 100}" for i, (source, _) in enumerate(GOLDEN_PARSES[2:42])]
+        rows = [f"{source}\tact={i / 100}"
+                for i, (source, _) in enumerate(GOLDEN_PARSES[2:42])]
         bank = build_bank(rows)
         skills = SkillBank()
         for (before, _), (after, _) in zip(GOLDEN_PARSES[2:12], GOLDEN_PARSES[3:13]):
