@@ -6,6 +6,7 @@ leave a machine-readable JSON object on stderr and a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -14,7 +15,7 @@ from typing import Optional
 
 import yaml
 
-from . import exembank, skillbank
+from . import exembank, lineproto, skillbank
 from .credit import AdvantageInput, gae
 from .env import read_trajectories, write_trajectories
 from .files import write_atomic
@@ -96,6 +97,16 @@ def _skill_bank(path: str, capacity: int) -> skillbank.SkillBank:
     return skillbank.SkillBank(capacity)
 
 
+def _close_wires(oracles, policy=None) -> None:
+    """End the connections of a command's external oracles and wire policy;
+    the other oracles and policies hold none."""
+    for oracle in oracles:
+        if oracle.kind == "external":
+            oracle.fn.close()
+    if hasattr(policy, "close"):
+        policy.close()
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -109,7 +120,10 @@ def cmd_build_bank(args) -> int:
         oracles.extend(
             term.oracle for term in obj.terms if term.oracle.name not in known
         )
-    bank = exembank.build_bank(args.corpus, oracles=oracles)
+    try:
+        bank = exembank.build_bank(args.corpus, oracles=oracles)
+    finally:
+        _close_wires(oracles)
     jsonl_path, fp_path = exembank.save_bank(bank, args.out)
     _print_json({"records": len(bank), "files": [str(jsonl_path), str(fp_path)]})
     return 0
@@ -135,22 +149,18 @@ def cmd_retrieve(args) -> int:
 def cmd_skills(args) -> int:
     capacity = args.capacity
     if args.skills_command == "harvest":
+        summarizer = (lineproto.connect(args.summarizer[len("external:"):])
+                      if args.summarizer.startswith("external:")
+                      else contextlib.nullcontext())
         obj = load_objective(args.objective)
         bank = _skill_bank(args.bank, capacity)
         trajectories = read_trajectories(args.trajectories)
         cards = []
         for trajectory in trajectories:
             cards.extend(skillbank.harvest(trajectory, obj, args.delta))
-        # one summarizer connection serves every card of the command
-        transport = None
-        if cards and args.summarizer.startswith("external:"):
-            transport = skillbank.open_summarizer(args.summarizer[len("external:"):])
-        try:
+        with summarizer as transport:
             skills = [skillbank.make_skill_card(card, obj.name, transport)
                       for card in cards]
-        finally:
-            if transport is not None:
-                transport.close()
         report = bank.insert(skills)
         skillbank.save_skills(bank, args.bank)
         _print_json({
@@ -231,14 +241,17 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     results = []
     all_trajectories = []
-    for lead_smiles in _read_leads(args.leads):
-        lead = parse(lead_smiles)
-        result, trajectories = optimize_lead(
-            lead, cfg, policy, obj,
-            exemplar_bank=exemplar_bank, skill_bank=skill_bank,
-        )
-        results.append(result)
-        all_trajectories.extend(trajectories)
+    try:  # the transports open on first use, so nothing is open before the leads
+        for lead_smiles in _read_leads(args.leads):
+            lead = parse(lead_smiles)
+            result, trajectories = optimize_lead(
+                lead, cfg, policy, obj,
+                exemplar_bank=exemplar_bank, skill_bank=skill_bank,
+            )
+            results.append(result)
+            all_trajectories.extend(trajectories)
+    finally:
+        _close_wires([term.oracle for term in obj.terms], policy)
 
     report = metrics(results, obj)
     write_atomic(out_dir / "report.json", report_to_json(report))

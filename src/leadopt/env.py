@@ -11,10 +11,11 @@ Only branch 5 touches the oracle budget.
 
 Rollouts restart from the lead and keep returning to the same molecules, so
 an env remembers each exemplar block it retrieved, keyed by the current
-molecule's and the lead's canonical strings: one retrieval per pair, with
-the coin flip between the two memories still drawn on every injection.
-Skill blocks are retrieved anew each time, since harvesting grows the skill
-bank during a search.
+molecule's and the lead's canonical strings, and each skill block, keyed by
+the current molecule's canonical string for the task store that answered
+it: harvesting replaces the store on every insert, which starts the skill
+blocks afresh. The coin flip between the two memories is still drawn on
+every injection.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .chemfeat import _mix_stream, morgan_fp, tanimoto
 from .env import EnvConfig, MolEnv, Trajectory
 from .exembank import ExemplarBank
-from .lineproto import LineTransport, ProtocolError, endpoint_opener
+from .lineproto import ProtocolError, connect
 from .molgraph import (
     EDIT_OPERATORS,
     CanonicalizationBudgetError,
@@ -186,30 +186,25 @@ def policy_retrieval_greedy(
 def policy_wire(endpoint: str, timeout: float = 10.0) -> Policy:
     """External policy over `ACT <json>` -> `OK <smiles>`; any transport
     failure or malformed reply becomes an invalid proposal (empty string).
-    A failed connection is closed, so the next proposal opens a fresh one.
-    A malformed endpoint raises ValueError here, before any proposal."""
-    connect = endpoint_opener(endpoint)
-    transport: Optional[LineTransport] = None
+    A malformed endpoint raises ValueError here, before any proposal. The
+    policy's `close` ends its connection."""
+    transport = connect(endpoint, timeout)
 
     def act(observation: str, view: PolicyView, temp: float,
             rng: random.Random) -> str:
-        nonlocal transport
         payload = json.dumps(
             {"observation": observation, "temperature": temp}, sort_keys=True
         )
         try:
-            transport = transport or connect(timeout)
             reply = transport.request(f"ACT {payload}")
-        except (ProtocolError, OSError) as exc:
+        except ProtocolError as exc:
             log.warning("wire policy failed (%s); treating as invalid", exc)
-            if transport is not None:
-                transport.close()
-                transport = None
             return ""
         if not reply.startswith("OK "):
             return ""
         return reply[3:].strip()
 
+    act.close = transport.close
     return act
 
 

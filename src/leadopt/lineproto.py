@@ -3,6 +3,14 @@
 Protocol style: one request line out, one response line back, one request
 in flight per connection. Endpoints are written `proc:<command line>` or
 `tcp:<host>:<port>`.
+
+A transport owns its connection. `connect` checks the endpoint and opens
+nothing; the first request opens the link (spawns the child or connects
+the socket). A request the transport fails (a failed open, a timeout, a
+closed stream, an I/O error) drops the link and raises ProtocolError, so
+a late reply can never answer a later request, and the next request opens
+a fresh link. A reply that is not UTF-8 keeps the link. `close` ends the
+link; the command that made a transport closes it.
 """
 
 from __future__ import annotations
@@ -13,16 +21,8 @@ import shlex
 import socket
 import subprocess
 import threading
-from typing import Callable
 
-__all__ = [
-    "ProtocolError",
-    "ProtocolTimeout",
-    "MalformedReply",
-    "LineTransport",
-    "endpoint_opener",
-    "open_transport",
-]
+__all__ = ["ProtocolError", "ProtocolTimeout", "MalformedReply", "LineTransport", "connect"]
 
 
 class ProtocolError(RuntimeError):
@@ -39,16 +39,41 @@ class MalformedReply(ProtocolError):
 
 
 class LineTransport:
-    _buffer = b""  # bytes received past the last reply line
-    # a request timed out: its reply may still arrive and would be read as
-    # the answer to the next request, so the connection takes no more
-    _timed_out = False
+    """One request loop over a link that a subclass opens (`_connect`),
+    writes to (`_send`), reads the next chunk from (`_receive`, which raises
+    on a timeout or a closed stream) and ends (`_disconnect`)."""
+
+    def __init__(self, timeout: float):
+        self._timeout = timeout
+        self._lock = threading.Lock()
+        self._linked = False
+        self._buffer = b""  # bytes received past the last reply line
 
     def request(self, line: str) -> str:
-        raise NotImplementedError
+        with self._lock:
+            try:
+                if not self._linked:
+                    self._connect()
+                    self._linked = True
+                self._send(line.encode("utf-8") + b"\n")
+                while b"\n" not in self._buffer:
+                    self._buffer += self._receive()
+            except ProtocolError:
+                self._drop()
+                raise
+            except OSError as exc:  # a socket timeout is a TimeoutError
+                self._drop()
+                error = ProtocolTimeout if isinstance(exc, TimeoutError) else ProtocolError
+                raise error(str(exc)) from exc
+            response, self._buffer = self._buffer.split(b"\n", 1)
+        try:
+            return response.decode("utf-8").rstrip("\r")
+        except UnicodeDecodeError as exc:
+            raise MalformedReply(f"reply is not UTF-8: {exc}") from None
 
     def close(self) -> None:
-        raise NotImplementedError
+        with self._lock:
+            self._drop()
 
     def __enter__(self):
         return self
@@ -56,54 +81,39 @@ class LineTransport:
     def __exit__(self, *exc):
         self.close()
 
-    def _check_usable(self) -> None:
-        if self._timed_out:
-            raise ProtocolError("an earlier request on this connection timed out")
-
-    def _take_line(self) -> str:
-        """The first buffered line, decoded; the rest stays buffered. A
-        reply that is not UTF-8 is a ProtocolError like any malformed one."""
-        response, self._buffer = self._buffer.split(b"\n", 1)
-        try:
-            return response.decode("utf-8").rstrip("\r")
-        except UnicodeDecodeError as exc:
-            raise MalformedReply(f"reply is not UTF-8: {exc}") from None
+    def _drop(self) -> None:
+        self._buffer = b""
+        if self._linked:
+            self._linked = False
+            self._disconnect()
 
 
 class _ProcTransport(LineTransport):
     def __init__(self, argv: list[str], timeout: float):
-        self._timeout = timeout
-        self._lock = threading.Lock()
+        super().__init__(timeout)
+        self._argv = argv
+
+    def _connect(self) -> None:
         self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
+            self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
 
-    def request(self, line: str) -> str:
-        with self._lock:
-            self._check_usable()
-            if self._proc.poll() is not None:
-                raise ProtocolError("child process has exited")
-            assert self._proc.stdin is not None and self._proc.stdout is not None
-            try:
-                self._proc.stdin.write(line.encode("utf-8") + b"\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise ProtocolError(f"write failed: {exc}") from exc
-            fd = self._proc.stdout.fileno()
-            while b"\n" not in self._buffer:
-                ready, _, _ = select.select([fd], [], [], self._timeout)
-                if not ready:
-                    self._timed_out = True
-                    raise ProtocolTimeout(f"no response within {self._timeout}s")
-                chunk = os.read(fd, 65536)
-                if not chunk:
-                    raise ProtocolError("child closed the stream")
-                self._buffer += chunk
-            return self._take_line()
+    def _send(self, data: bytes) -> None:
+        if self._proc.poll() is not None:
+            raise ProtocolError("child process has exited")
+        self._proc.stdin.write(data)
+        self._proc.stdin.flush()
 
-    def close(self) -> None:
+    def _receive(self) -> bytes:
+        fd = self._proc.stdout.fileno()
+        if not select.select([fd], [], [], self._timeout)[0]:
+            raise ProtocolTimeout(f"no response within {self._timeout}s")
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            raise ProtocolError("child closed the stream")
+        return chunk
+
+    def _disconnect(self) -> None:
         """Stop the child if it still runs, then close both pipes."""
         proc = self._proc
         if proc.poll() is None:
@@ -122,51 +132,37 @@ class _ProcTransport(LineTransport):
 
 class _TcpTransport(LineTransport):
     def __init__(self, host: str, port: int, timeout: float):
-        self._lock = threading.Lock()
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.settimeout(timeout)
+        super().__init__(timeout)
+        self._address = (host, port)
 
-    def request(self, line: str) -> str:
-        with self._lock:
-            self._check_usable()
-            try:
-                self._sock.sendall(line.encode("utf-8") + b"\n")
-                while b"\n" not in self._buffer:
-                    chunk = self._sock.recv(65536)
-                    if not chunk:
-                        raise ProtocolError("server closed the connection")
-                    self._buffer += chunk
-            except socket.timeout as exc:
-                self._timed_out = True
-                raise ProtocolTimeout(str(exc)) from exc
-            except OSError as exc:
-                raise ProtocolError(str(exc)) from exc
-            return self._take_line()
+    def _connect(self) -> None:
+        self._sock = socket.create_connection(self._address, timeout=self._timeout)
 
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+    def _send(self, data: bytes) -> None:
+        self._sock.sendall(data)
+
+    def _receive(self) -> bytes:
+        chunk = self._sock.recv(65536)
+        if not chunk:
+            raise ProtocolError("server closed the connection")
+        return chunk
+
+    def _disconnect(self) -> None:
+        self._sock.close()
 
 
-def endpoint_opener(endpoint: str) -> Callable[[float], LineTransport]:
-    """What opens a connection to `endpoint` for a given timeout. The syntax
+def connect(endpoint: str, timeout: float = 10.0) -> LineTransport:
+    """The transport to `endpoint`, opened by its first request. The syntax
     is checked here, before anything is spawned or connected: `proc:` needs
     a command line, `tcp:` a host and a numeric port; else ValueError."""
     if endpoint.startswith("proc:"):
         argv = shlex.split(endpoint[len("proc:"):])
         if not argv:
             raise ValueError(f"no command in proc endpoint {endpoint!r}")
-        return lambda timeout: _ProcTransport(argv, timeout)
+        return _ProcTransport(argv, timeout)
     if endpoint.startswith("tcp:"):
         host, _, port = endpoint[len("tcp:"):].rpartition(":")
         if not host or not port.isdigit():
             raise ValueError(f"bad tcp endpoint {endpoint!r}")
-        return lambda timeout: _TcpTransport(host, int(port), timeout)
+        return _TcpTransport(host, int(port), timeout)
     raise ValueError(f"unknown endpoint scheme {endpoint!r}")
-
-
-def open_transport(endpoint: str, timeout: float = 10.0) -> LineTransport:
-    """`proc:<command>` spawns a child process; `tcp:<host>:<port>` connects."""
-    return endpoint_opener(endpoint)(timeout)

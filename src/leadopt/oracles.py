@@ -219,31 +219,15 @@ def external_oracle(
     direction: int = 1,
     timeout: float = 10.0,
 ) -> Oracle:
-    """One `EVAL <name> <smiles>` request per molecule over a line stream.
-    A request the transport fails (a timeout, a closed stream, an I/O
-    error) closes the connection, so the next request opens a fresh one;
-    an `ERR` or malformed reply keeps it. A malformed endpoint raises
-    ValueError at once."""
-    connect = lineproto.endpoint_opener(endpoint)
-    transport: Optional[lineproto.LineTransport] = None
-    lock = threading.Lock()
+    """One `EVAL <name> <smiles>` request per molecule over a line stream
+    (see `lineproto` for when the connection opens, drops and reopens); an
+    `ERR` or malformed reply raises ProtocolError and keeps the connection.
+    A malformed endpoint raises ValueError at once. The oracle's `fn.close`
+    ends its connection."""
+    transport = lineproto.connect(endpoint, timeout)
 
     def ask(m: Molecule) -> float:
-        nonlocal transport
-        with lock:
-            if transport is None:
-                transport = connect(timeout)
-            current = transport
-        try:
-            reply = current.request(f"EVAL {name} {m.canonical}")
-        except lineproto.MalformedReply:
-            raise
-        except (lineproto.ProtocolError, OSError):
-            with lock:
-                if transport is current:
-                    transport = None
-            current.close()
-            raise
+        reply = transport.request(f"EVAL {name} {m.canonical}")
         if reply.startswith("OK "):
             try:
                 return float(reply[3:])
@@ -253,6 +237,7 @@ def external_oracle(
             raise lineproto.ProtocolError(f"oracle error: {reply[4:]}")
         raise lineproto.ProtocolError(f"malformed reply {reply!r}")
 
+    ask.close = transport.close
     return Oracle(name, ask, direction, kind="external")
 
 

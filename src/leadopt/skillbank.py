@@ -65,7 +65,6 @@ __all__ = [
     "harvest",
     "summarize_template",
     "summarize_external",
-    "open_summarizer",
     "render_summarizer_prompt",
     "make_skill_card",
     "render_skill_block",
@@ -635,20 +634,9 @@ def summarize_external(
         if not sentence.endswith("."):
             sentence += "."
         return sentence
-    except (lineproto.ProtocolError, ValueError, OSError) as exc:
+    except lineproto.ProtocolError as exc:
         log.warning("external summarizer failed (%s); using template", exc)
         return summarize_template(card, task)
-
-
-def open_summarizer(endpoint: str) -> Optional[lineproto.LineTransport]:
-    """One connection to the external summarizer at `endpoint`, for all the
-    cards of a harvest; None, so that every card gets the template sentence,
-    when it cannot be opened. The caller closes it."""
-    try:
-        return lineproto.open_transport(endpoint)
-    except (ValueError, OSError) as exc:
-        log.warning("external summarizer unavailable (%s); using template", exc)
-        return None
 
 
 # ---------------------------------------------------------------------------

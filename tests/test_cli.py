@@ -312,11 +312,17 @@ class TestExternalSummarizer:
             os.kill(pids[0], 0)
 
     def test_a_failed_request_falls_back_for_its_card(self, workspace, capsys):
+        # the first child answers two cards and exits on the third request:
+        # card 3 falls back to the template, and card 4 reaches a fresh child
         texts, pids = self.harvest(workspace, capsys, answers=2)
         assert texts[:2] == ["Swap the tail group."] * 2
-        assert not any(text.startswith("Swap") for text in texts[2:])
-        assert all(text.endswith(" to improve the target score.") for text in texts[2:])
-        assert len(pids) == 1
+        assert not texts[2].startswith("Swap")
+        assert texts[2].endswith(" to improve the target score.")
+        assert texts[3] == "Swap the tail group."
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_a_failed_open_falls_back_for_every_card(self, workspace, capsys):
         lead = parse("CCCCCCO").canonical
@@ -334,6 +340,111 @@ class TestExternalSummarizer:
         assert code == 0, err
         text = json.loads(bank.read_text())["text"]
         assert text.endswith(" to improve the target score.")
+
+
+    def test_a_malformed_endpoint_fails_when_the_command_starts(self, workspace, capsys):
+        bank = workspace / "skills.jsonl"
+        code, out, err = run_cli(
+            capsys, "skills", "harvest", "--trajectories", workspace / "no-trajs.jsonl",
+            "--objective", workspace / "act.yaml", "--bank", bank,
+            "--summarizer", "external:foo",
+        )
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "unknown endpoint scheme 'foo'",
+        }
+        assert not bank.exists()
+
+
+# Both stubs log their PID when they start. The oracle answers `ERR model
+# down` from its `sys.argv[2]`-th request on; the policy proposes a longer
+# alcohol on every request, so that each proposal is a new molecule.
+ORACLE_STUB = """\
+import os, sys
+with open(sys.argv[1], "a") as log:
+    log.write(f"{os.getpid()}\\n")
+for n, line in enumerate(sys.stdin, 1):
+    reply = "ERR model down" if n >= int(sys.argv[2]) else "OK 0.1"
+    sys.stdout.write(reply + "\\n")
+    sys.stdout.flush()
+"""
+
+POLICY_STUB = """\
+import os, sys
+with open(sys.argv[1], "a") as log:
+    log.write(f"{os.getpid()}\\n")
+for n, line in enumerate(sys.stdin, 1):
+    sys.stdout.write("OK " + "C" * n + "O\\n")
+    sys.stdout.flush()
+"""
+
+
+class TestCommandsCloseTheirTransports:
+    """No child of an external oracle or a wire policy outlives the command
+    that spawned it, whether the command succeeds or fails."""
+
+    def objective(self, workspace, fail_from):
+        (workspace / "oracle.py").write_text(ORACLE_STUB)
+        endpoint = (f"proc:{sys.executable} {workspace / 'oracle.py'} "
+                    f"{workspace / 'oracle.pids'} {fail_from}")
+        objective = workspace / "wired.yaml"
+        objective.write_text(
+            "name: wired\n"
+            "gamma: 0.0\n"
+            "oracles:\n"
+            f"  - {{name: wired, kind: external, endpoint: {json.dumps(endpoint)}}}\n"
+            "terms:\n"
+            "  - oracle: wired\n"
+            "    success: {comparator: '>=', threshold: 99}\n"
+        )
+        return objective
+
+    def run(self, workspace, capsys, fail_from):
+        (workspace / "policy.py").write_text(POLICY_STUB)
+        policy = (f"wire:proc:{sys.executable} {workspace / 'policy.py'} "
+                  f"{workspace / 'policy.pids'}")
+        code, out, err = run_cli(
+            capsys, "run", "--leads", workspace / "leads.smi",
+            "--objective", self.objective(workspace, fail_from),
+            "--out", workspace / "out", "--policy", policy, "--budget", 30,
+        )
+        return code, err, [
+            int(pid)
+            for log in ("oracle.pids", "policy.pids")
+            for pid in (workspace / log).read_text().split()
+        ]
+
+    def assert_gone(self, pids):
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_a_run_that_succeeds(self, workspace, capsys):
+        code, err, pids = self.run(workspace, capsys, fail_from=10**6)
+        assert code == 0, err
+        assert len(pids) == 2
+        self.assert_gone(pids)
+
+    def test_a_run_that_fails(self, workspace, capsys):
+        code, err, pids = self.run(workspace, capsys, fail_from=20)
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ProtocolError", "message": "oracle error: model down",
+        }
+        assert len(pids) == 2
+        self.assert_gone(pids)
+        assert not (workspace / "out").exists()
+
+    def test_build_bank(self, workspace, capsys):
+        code, out, err = run_cli(
+            capsys, "build-bank", "--corpus", workspace / "corpus.smi",
+            "--out", workspace / "bank",
+            "--objective", self.objective(workspace, fail_from=10**6),
+        )
+        assert code == 0, err
+        pids = [int(pid) for pid in (workspace / "oracle.pids").read_text().split()]
+        assert len(pids) == 1
+        self.assert_gone(pids)
 
 
 class TestEvictingRunPin:

@@ -1,5 +1,6 @@
 import json
 import random
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -238,8 +239,8 @@ class TestPolicies:
             "    sys.stdout.write('OK CCCCCCN\\n')\n"
             "    sys.stdout.flush()\n"
         )
-        policy = policy_wire(f"proc:python3 {stub}")
-        out = policy("obs", self.view(), 0.9, random.Random(0))
+        with closing(policy_wire(f"proc:python3 {stub}")) as policy:
+            out = policy("obs", self.view(), 0.9, random.Random(0))
         assert out == "CCCCCCN"
 
     def test_wire_policy_malformed_reply_is_invalid(self, tmp_path):
@@ -250,8 +251,8 @@ class TestPolicies:
             "    sys.stdout.write('WHAT\\n')\n"
             "    sys.stdout.flush()\n"
         )
-        policy = policy_wire(f"proc:python3 {stub}")
-        assert policy("obs", self.view(), 0.9, random.Random(0)) == ""
+        with closing(policy_wire(f"proc:python3 {stub}")) as policy:
+            assert policy("obs", self.view(), 0.9, random.Random(0)) == ""
 
     def test_wire_policy_undecodable_reply_is_invalid(self, tmp_path):
         stub = tmp_path / "policy.py"
@@ -261,8 +262,8 @@ class TestPolicies:
             "    sys.stdout.buffer.write(b'OK C\\xff\\n')\n"
             "    sys.stdout.flush()\n"
         )
-        policy = policy_wire(f"proc:python3 {stub}")
-        assert policy("obs", self.view(), 0.9, random.Random(0)) == ""
+        with closing(policy_wire(f"proc:python3 {stub}")) as policy:
+            assert policy("obs", self.view(), 0.9, random.Random(0)) == ""
 
     def test_wire_policy_reopens_after_a_timeout(self, tmp_path):
         # the first child stalls past the timeout on its first request, so
@@ -278,8 +279,8 @@ class TestPolicies:
             "    sys.stdout.write('OK CCO\\n')\n"
             "    sys.stdout.flush()\n"
         )
-        policy = policy_wire(f"proc:python3 {stub}", timeout=0.2)
-        out = [policy("obs", self.view(), 0.9, random.Random(0)) for _ in range(4)]
+        with closing(policy_wire(f"proc:python3 {stub}", timeout=0.2)) as policy:
+            out = [policy("obs", self.view(), 0.9, random.Random(0)) for _ in range(4)]
         assert out == ["", "CCO", "CCO", "CCO"]
 
     def test_wire_policy_unreachable_is_invalid(self):
@@ -425,10 +426,14 @@ class TestDeferredPolicies:
 
     def test_greedy_names_one_candidate(self, monkeypatch):
         # a unique best candidate whose fingerprint differs from the
-        # exemplar's is proposed with a single canonical search
+        # exemplar's is proposed with a single canonical search. The base is
+        # named before the counted window (the policy's parse of the same
+        # text returns this molecule), so the count holds only searches on
+        # candidates, however long ago the exemplar string was written
         checked = 0
         for view, seed in corpus_views(40):
             base = parse(view.injected_exemplars[0])
+            base.canonical
             lead_fp, base_fp = morgan_fp(view.lead), morgan_fp(base)
             rng = random.Random(seed)
             scored = []

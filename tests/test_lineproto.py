@@ -1,11 +1,12 @@
 import gc
+import os
 import sys
 import time
 import warnings
 
 import pytest
 
-from leadopt.lineproto import ProtocolError, ProtocolTimeout, open_transport
+from leadopt.lineproto import ProtocolTimeout, connect
 
 ECHO = (
     "import sys\n"
@@ -39,7 +40,7 @@ class TestProcTransportClose:
         stub.write_text(script)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("error", ResourceWarning)
-            transport = open_transport(f"proc:{sys.executable} {stub}")
+            transport = connect(f"proc:{sys.executable} {stub}")
             assert transport.request("ping") == reply
             if script == ONE_REPLY:
                 transport._proc.wait(timeout=10)
@@ -52,26 +53,32 @@ class TestProcTransportClose:
         assert [repr(u.exc_value) for u in unraisable] == []
 
 
-SLOW_FIRST = (
-    "import sys, time\n"
-    "for n, line in enumerate(sys.stdin):\n"
-    "    if n == 0:\n"
+STALLS_ONCE = (
+    "import os, sys, time\n"
+    "for line in sys.stdin:\n"
+    "    if not os.path.exists(sys.argv[1]):\n"
+    "        open(sys.argv[1], 'w').close()\n"
     "        time.sleep(0.6)\n"
-    "    sys.stdout.write(f'OK reply {n}\\n')\n"
+    "    sys.stdout.write(f'OK {os.getpid()} {line}')\n"
     "    sys.stdout.flush()\n"
 )
 
 
 class TestTimedOutConnection:
     def test_a_late_reply_never_answers_the_next_request(self, tmp_path):
-        # the first reply arrives after its request timed out: read as the
-        # reply to the second request, it would answer the wrong question
+        # the first child answers its first request after that request timed
+        # out: read as the reply to the second request, it would answer the
+        # wrong question, so the timed-out link is dropped and the second
+        # request reaches a fresh child
         stub = tmp_path / "stub.py"
-        stub.write_text(SLOW_FIRST)
-        with open_transport(f"proc:{sys.executable} {stub}", timeout=0.2) as transport:
+        stub.write_text(STALLS_ONCE)
+        endpoint = f"proc:{sys.executable} {stub} {tmp_path / 'stalled'}"
+        with connect(endpoint, timeout=0.2) as transport:
             with pytest.raises(ProtocolTimeout):
                 transport.request("first")
+            first_pid = transport._proc.pid
             time.sleep(0.6)
-            with pytest.raises(ProtocolError, match="timed out"):
-                transport.request("second")
-
+            pid, question = transport.request("second").split()[1:]
+            assert question == "second" and int(pid) == transport._proc.pid != first_pid
+        with pytest.raises(ProcessLookupError):
+            os.kill(first_pid, 0)

@@ -1,5 +1,6 @@
 import math
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -243,10 +244,11 @@ class TestTableAndExternal:
             "    sys.stdout.flush()\n"
         )
         oracle = external_oracle(f"proc:python3 {stub}", name="bad", timeout=10.0)
-        with pytest.raises(ProtocolError):
-            oracle(parse("CCO"))
-        # the bad line is consumed: the next request reads its own reply
-        assert oracle(parse("CCN")) == 0.5
+        with closing(oracle.fn):
+            with pytest.raises(ProtocolError):
+                oracle(parse("CCO"))
+            # the bad line is consumed: the next request reads its own reply
+            assert oracle(parse("CCN")) == 0.5
 
     def test_external_echo_stub(self, tmp_path):
         stub = tmp_path / "stub.py"
@@ -257,7 +259,8 @@ class TestTableAndExternal:
             "    sys.stdout.flush()\n"
         )
         oracle = external_oracle(f"proc:python3 {stub}", name="zero", timeout=10.0)
-        assert oracle(parse("CCO")) == 0.0
+        with closing(oracle.fn):
+            assert oracle(parse("CCO")) == 0.0
 
     def test_external_error_reply(self, tmp_path):
         stub = tmp_path / "stub.py"
@@ -268,7 +271,7 @@ class TestTableAndExternal:
             "    sys.stdout.flush()\n"
         )
         oracle = external_oracle(f"proc:python3 {stub}", name="bad", timeout=10.0)
-        with pytest.raises(ProtocolError):
+        with closing(oracle.fn), pytest.raises(ProtocolError):
             oracle(parse("CCO"))
 
     def test_external_reopens_after_a_timeout(self, tmp_path):
@@ -286,9 +289,10 @@ class TestTableAndExternal:
             "    sys.stdout.flush()\n"
         )
         oracle = external_oracle(f"proc:python3 {stub}", name="slow", timeout=0.2)
-        with pytest.raises(ProtocolTimeout):
-            oracle(parse("CCO"))
-        assert [oracle(parse(s)) for s in ("CCO", "CCN", "CCC")] == [0.25] * 3
+        with closing(oracle.fn):
+            with pytest.raises(ProtocolTimeout):
+                oracle(parse("CCO"))
+            assert [oracle(parse(s)) for s in ("CCO", "CCN", "CCC")] == [0.25] * 3
 
     def test_external_keeps_the_connection_on_bad_replies(self, tmp_path):
         # the child numbers its requests: the third answer comes from the
@@ -302,10 +306,11 @@ class TestTableAndExternal:
             "    sys.stdout.flush()\n"
         )
         oracle = external_oracle(f"proc:python3 {stub}", name="bad", timeout=10.0)
-        for _ in range(2):
-            with pytest.raises(ProtocolError):
-                oracle(parse("CCO"))
-        assert oracle(parse("CCO")) == 3.0
+        with closing(oracle.fn):
+            for _ in range(2):
+                with pytest.raises(ProtocolError):
+                    oracle(parse("CCO"))
+            assert oracle(parse("CCO")) == 3.0
 
 
 class TestCheckSuccess:
@@ -485,8 +490,9 @@ class TestExternalTcp:
             host, port = server.server_address
             oracle = external_oracle(f"tcp:{host}:{port}", name="tcpact",
                                      timeout=5.0)
-            assert oracle(parse("CCO")) == 0.25
-            assert oracle(parse("CCN")) == 0.25
+            with closing(oracle.fn):
+                assert oracle(parse("CCO")) == 0.25
+                assert oracle(parse("CCN")) == 0.25
         finally:
             server.shutdown()
             server.server_close()

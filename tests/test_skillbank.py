@@ -25,6 +25,7 @@ from leadopt.chemfeat import (
     tanimoto,
 )
 from leadopt import molgraph, skillbank
+from leadopt.lineproto import connect
 from leadopt.molgraph import (
     AROMATIC,
     DOUBLE,
@@ -45,7 +46,6 @@ from leadopt.skillbank import (
     load_skills,
     make_skill_card,
     mcs_decompose,
-    open_summarizer,
     render_skill_block,
     render_summarizer_prompt,
     retrieve_skills,
@@ -411,9 +411,8 @@ class TestSummarizerPrompt:
 
     def test_external_fallback_on_unreachable(self):
         card = card_from("CCCCC", "CCCCCF", 0.5, 0.62)
-        transport = open_summarizer("tcp:127.0.0.1:1")
-        assert transport is None
-        assert make_skill_card(card, "qed", transport).text == summarize_template(card, "qed")
+        with connect("tcp:127.0.0.1:1", timeout=0.2) as transport:
+            assert make_skill_card(card, "qed", transport).text == summarize_template(card, "qed")
 
     def test_external_stub_sentence(self, tmp_path):
         stub = tmp_path / "stub.py"
@@ -424,7 +423,7 @@ class TestSummarizerPrompt:
             "    sys.stdout.flush()\n"
         )
         card = card_from("CCCCC", "CCCCCF", 0.5, 0.62)
-        with open_summarizer(f"proc:python3 {stub}") as transport:
+        with connect(f"proc:python3 {stub}") as transport:
             assert summarize_external(card, "qed", transport) == "Swap the tail group."
 
 
