@@ -8,6 +8,9 @@ most 4,096 environment hashes, cleared when full, shared by all molecules.
 Molecules a search visits are one or two edits apart, so almost every
 environment was hashed before; the hash is a pure function of the
 environment, so fingerprints are bit-identical with or without the memo.
+Search also keeps returning to the same molecules, so a fingerprint memo
+maps the canonical strings of the last 2,048 validated, named molecules
+fingerprinted to their set bit positions, packed into bytes.
 
 Every fingerprint has one shape: `WIDTH` (2,048) bits from atom
 environments of radius up to `RADIUS` (2), so any two compare. Only
@@ -29,6 +32,7 @@ one bit per catalog tag, so a set-overlap (Jaccard) scan is a popcount too.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -41,6 +45,7 @@ from .molgraph import (
     Molecule,
     _ELEMENT_INDEX,
     _ORDER_SORT,
+    _Memo,
     _parse_organic,
     _smiles_graph,
     neighbor_maps,
@@ -137,16 +142,48 @@ def _env_hash(env: tuple) -> int:
     return h
 
 
+# the fingerprint memo: canonical string -> the set bit positions of its
+# fingerprint, two bytes each, for the last _FP_MEMO_MAX validated molecules
+# fingerprinted once named. 4,096 entries raised its hits on the search
+# workloads from about 22 % to 32 % of lookups, but its share of the peak
+# resident memory from about 0.7 to 1.8 MB.
+_FP_MEMO_MAX = 2048
+_FP_MEMO = _Memo(_FP_MEMO_MAX)
+
+
 def morgan_fp(m: Molecule) -> Fingerprint:
     """Hash every atom environment at iterations 0..RADIUS into WIDTH bits.
 
     Depends only on the molecular graph, never on input atom order. Each
-    environment's hash is looked up in a bounded memo first.
+    environment's hash is looked up in a bounded memo first. A validated
+    molecule already named is first looked up by its string in the
+    fingerprint memo: such a string names its graph, so every molecule with
+    it has the same bits. An unvalidated one's may not (a single and an
+    aromatic bond outside a ring both write nothing), so it is never looked
+    up. The name is never read just for the memo, so a molecule not yet
+    named (a greedy policy's candidate) stays unnamed.
     """
     cached = m._fp_cache.get("fp")
     if cached is not None:
         return cached
+    name = m._canonical if m._checked else None
+    packed = None if name is None else _FP_MEMO.recall(name)
+    if packed is None:
+        positions = _bit_positions(m)
+        if name is not None:
+            _FP_MEMO.keep(name, array("H", positions).tobytes())
+    else:
+        positions = memoryview(packed).cast("H")
+    bits = 0
+    for position in positions:
+        bits |= 1 << position
+    fp = Fingerprint(bits)
+    m._fp_cache["fp"] = fp
+    return fp
 
+
+def _bit_positions(m: Molecule) -> set[int]:
+    """The positions `morgan_fp` sets: every environment's hash mod WIDTH."""
     memo = _ENV_HASHES
     current = []
     for idx, atom in enumerate(m.atoms):
@@ -160,9 +197,7 @@ def morgan_fp(m: Molecule) -> Fingerprint:
         )
         h = memo.get(env)
         current.append(_env_hash(env) if h is None else h)
-    bits = 0
-    for h in current:
-        bits |= 1 << (h % WIDTH)
+    positions = {h % WIDTH for h in current}
     nbrs = [
         [(_ORDER_SORT[order], j) for j, order in m.neighbors(idx)]
         for idx in range(len(m.atoms))
@@ -174,11 +209,8 @@ def morgan_fp(m: Molecule) -> Fingerprint:
             h = memo.get(env)
             refreshed.append(_env_hash(env) if h is None else h)
         current = refreshed
-        for h in current:
-            bits |= 1 << (h % WIDTH)
-    fp = Fingerprint(bits)
-    m._fp_cache["fp"] = fp
-    return fp
+        positions.update([h % WIDTH for h in current])
+    return positions
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:

@@ -214,6 +214,8 @@ def cmd_skills(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.skill_capacity < 1:  # checked without --skill-bank too
+        raise ValueError("--skill-capacity must be at least 1")
     config = _load_config(args.config)
     obj = _objective_with_gamma(
         load_objective(args.objective),
@@ -389,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exemplar-bank", default=None, help="bank base path")
     p.add_argument("--skill-bank", default=None, help="skill JSONL path")
     p.add_argument("--skill-capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
-                   help="skill bank capacity (default: 1000)")
+                   help="capacity of the skill bank given by --skill-bank "
+                        "(default: 1000)")
     p.add_argument("--warm-start-incumbent", action="store_true",
                    help="start rollouts from the incumbent instead of the lead")
     p.add_argument("--harvest-skills", action="store_true",

@@ -71,6 +71,11 @@ class SearchConfig:
     harvest_delta: float = 0.05
 
     def __post_init__(self):
+        # a NaN passes every comparison below, and an infinite step makes
+        # generation 0's temperature NaN (0 * inf)
+        for name in ("temp0", "temp_step", "temp_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.temp0 > self.temp_max:
             raise ValueError("temp0 must not exceed temp_max")
         if self.generations < 1 or self.rollouts_per_gen < 1:

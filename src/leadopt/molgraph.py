@@ -52,9 +52,19 @@ the molecule is validated; the :class:`Atom` and :class:`Bond` objects are
 made only on a miss. Equal keys are equal graphs in the same atom order,
 so a kept molecule is the one a fresh build would make. A build is named
 before it is kept, so one that raises or trips is never kept, and
-functools' cache is thread-safe. The memo covers only induced subgraphs:
-one in front of every parse or canonical search made memory-serve queries
-slower and their process larger.
+functools' cache is thread-safe. A hit skips the build as well as the
+name, so this memo still pays beside the name memo.
+
+The same graph keeps arriving as a new object (a rollout back at a
+molecule it built before, an edit repeated on a write-order twin), so a
+name memo keeps the canonical strings of the last _NAME_MEMO_MAX graphs
+named, least recently used first out. Its key is the graph exactly, in its
+atom order (see :class:`_Canonicalizer`); its value is the string and the
+trace of the string's write, packed into bytes. A hit runs only the
+search's setup, and a validated molecule it names is remembered for
+write-order twins as a searched one is. A search that trips keeps nothing.
+The memo holds bytes only, no molecule. A memory query's query and lead
+are never named, so they never reach it.
 
 The canonical search sets up in one pass over the bonds and one over the
 atoms, refines by keying again only the cells next to a cell that split, and
@@ -71,8 +81,10 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import random
 import threading
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -180,7 +192,37 @@ _PARSE_CACHE_SIZE = 64
 # induced_molecule() keeps this many recent subgraph molecules.
 _SUBGRAPH_MEMO_MAX = 512
 
+# _canonical_string() keeps the strings of this many recent graphs.
+_NAME_MEMO_MAX = 4096
+
 _VALENCE_MAX = {element: int(value) for element, value in table_rows(data_text("valence.tsv"))}
+
+
+class _Memo(dict):
+    """At most `size` entries, the least recently kept or recalled first
+    out; rollouts on threads share one, so both run under a lock."""
+
+    __slots__ = ("size", "_lock")
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self._lock = threading.Lock()
+
+    def recall(self, key):
+        """The value kept for `key`, now the most recently used, or None."""
+        with self._lock:
+            value = self.pop(key, None)
+            if value is not None:
+                self[key] = value
+        return value
+
+    def keep(self, key, value) -> None:
+        with self._lock:
+            self.pop(key, None)
+            self[key] = value
+            if len(self) > self.size:
+                del self[next(iter(self))]
 
 
 @dataclass(frozen=True)
@@ -839,16 +881,41 @@ def _individualize(ranks: list[int], atom: int) -> list[int]:
     ]
 
 
+# the name memo: the key of a graph (see _Canonicalizer) -> its canonical
+# string, a space, and the packed trace of the string's write, for the last
+# _NAME_MEMO_MAX graphs named
+_NAMES = _Memo(_NAME_MEMO_MAX)
+
+
 def _canonical_string(mol: Molecule, remember: bool = False) -> str:
     """Canonical SMILES; with `remember`, the search that wrote it is kept
-    so :func:`parse` can build the string's write-order twin."""
+    so :func:`parse` can build the string's write-order twin. A graph the
+    name memo holds is not searched again: only the setup runs."""
     if not mol.atoms:
         return ""
     canon = _Canonicalizer(mol)
-    text = canon.run()
+    named = _NAMES.recall(canon.key)
+    if named is None:
+        text = canon.run()  # a search that trips keeps nothing
+        trace = _packed(canon.best_trace, len(mol.atoms))
+        _NAMES.keep(canon.key, text.encode() + b" " + trace)
+    else:
+        encoded, _, trace = named.partition(b" ")  # no canonical string has a space
+        text = encoded.decode()
     if remember:
-        _remember(text, canon)
+        _WRITTEN.keep(text, (mol, trace, canon.bond_at))
     return text
+
+
+def _packed(values: list[int], n: int) -> bytes:
+    """Atom indices, partner counts and bond order keys of an `n`-atom
+    graph, one byte each below 256 atoms, else four."""
+    return bytes(values) if n < 256 else array("I", values).tobytes()
+
+
+def _unpacked(packed: bytes, n: int) -> Sequence[int]:
+    """The values :func:`_packed` packed."""
+    return packed if n < 256 else memoryview(packed).cast("I")
 
 
 class _Canonicalizer:
@@ -857,10 +924,14 @@ class _Canonicalizer:
 
     One pass over the bonds and one over the atoms build the neighbour rows,
     the bond characters, a lower atom * n + higher atom -> bond index map,
-    the atom tokens (only bracket atoms call :func:`_atom_token`) and the
-    initial invariants; the edges the certificates list are built once the
-    refined ranks tie. A node individualizes each atom of its first tied
-    cell in turn; a leaf (every atom ranked apart) writes SMILES in rank
+    the atom tokens (only bracket atoms call :func:`_atom_token`), the
+    initial invariants and the graph's name-memo key; the edges the
+    certificates list are built once the refined ranks tie. The key is the
+    graph exactly, in its atom order: the atom and bond counts, each bond's
+    (a, b, order) in bond order, then each atom's token. Tokens and bonds fix
+    every atom field, as the certificates rely on, so equal keys are equal
+    graphs, which the search names alike. A node individualizes each atom
+    of its first tied cell in turn; a leaf (every atom ranked apart) writes SMILES in rank
     order. A molecule whose refined ranks have no tie is its own single leaf.
     Two leaves with equal certificates (atom tokens in rank order plus the
     sorted rank-labelled edges) differ by an automorphism and write equal
@@ -882,9 +953,11 @@ class _Canonicalizer:
         self.bond_chars = bond_chars = []
         # lower atom * n + higher atom -> bond index
         self.bond_at = bond_at = {}
+        edges = []  # a, b, order sort key of each bond, for the key
         for b_idx, bond in enumerate(mol.bonds):
             a, b, order = bond.a, bond.b, bond.order
             sort_key = _ORDER_SORT[order]
+            edges += (a, b, sort_key)
             nbrs[a].append((sort_key, b))
             nbrs[b].append((sort_key, a))
             spent = _ORDER_ELECTRONS[order]
@@ -918,6 +991,8 @@ class _Canonicalizer:
                 _ELEMENT_INDEX[element], aromatic, charge, hcount,
                 len(nbrs[idx]), ring_atoms[idx], isotope or 0,
             ))
+        self.key = (b"%d %d|" % (n, len(mol.bonds)) + _packed(edges, n)
+                    + " ".join(tokens).encode())
         self.edges: list[tuple[int, int, int]] = []  # built once ranks tie
         # certificate -> (atom at each rank, path) of its first leaf
         self.leaves: dict[tuple, tuple[list[int], tuple[int, ...]]] = {}
@@ -925,7 +1000,7 @@ class _Canonicalizer:
         self.budget = _MAX_CANON_LEAVES
         self.best = ""
         # the best string's write trace (see _write), for _write_order_twin
-        self.best_trace: list[tuple[int, list[int]]] = []
+        self.best_trace: list[int] = []
 
     def run(self) -> str:
         ranks = _refine(self.nbrs, _dense_ranks(self.invariants))
@@ -975,7 +1050,7 @@ class _Canonicalizer:
         first = self.leaves.get(certificate)
         if first is None:
             self.leaves[certificate] = (order, path)
-            trace: list[tuple[int, list[int]]] = []
+            trace: list[int] = []
             smiles = self._write(ranks, trace)
             if not self.best or smiles < self.best:
                 self.best = smiles
@@ -1005,11 +1080,12 @@ class _Canonicalizer:
                     stack.append(g[idx])
         return not orbit.isdisjoint(explored)
 
-    def _write(self, ranks: list[int], trace: list[tuple[int, list[int]]]) -> str:
+    def _write(self, ranks: list[int], trace: list[int]) -> str:
         """SMILES with atoms taken in `ranks` order. The `trace` list receives,
-        for each atom in written order, the atom and the neighbours a parser
-        bonds it to on reading it: its tree parent, then the partners of the
-        ring bonds it closes, in digit order."""
+        for each atom in written order, the atom, the number of neighbours a
+        parser bonds it to on reading it, and those neighbours: its tree
+        parent, then the partners of the ring bonds it closes, in digit
+        order."""
         n = len(ranks)
         order = [0] * n
         for idx, rank in enumerate(ranks):
@@ -1088,7 +1164,7 @@ class _Canonicalizer:
                     open_digits[(idx, other)] = digit
                     pair = idx * n + other if idx < other else other * n + idx
                     emit(bond_chars[bond_at[pair]] + _digit_token(digit))
-            trace.append((idx, partners))
+            trace += (idx, len(partners), *partners)
             if closes[idx]:
                 emit(")" * closes[idx])
         return "".join(out)
@@ -1124,19 +1200,9 @@ def _digit_token(digit: int) -> str:
 # Write-order twins
 # ---------------------------------------------------------------------------
 
-# canonical string -> (molecule, best trace, bond map) of the search that
-# wrote it, for the last _PARSE_CACHE_SIZE validated molecules
-_WRITTEN: dict[str, tuple] = {}
-_WRITTEN_LOCK = threading.Lock()  # rollouts on threads share the entries
-
-
-def _remember(text: str, canon: _Canonicalizer) -> None:
-    written = (canon.mol, canon.best_trace, canon.bond_at)
-    with _WRITTEN_LOCK:
-        _WRITTEN.pop(text, None)
-        _WRITTEN[text] = written
-        if len(_WRITTEN) > _PARSE_CACHE_SIZE:
-            del _WRITTEN[next(iter(_WRITTEN))]
+# canonical string -> (molecule, packed best trace, bond map) of the search
+# that wrote it, for the last _PARSE_CACHE_SIZE validated molecules named
+_WRITTEN = _Memo(_PARSE_CACHE_SIZE)
 
 
 def _write_order_twin(text: str, written: tuple) -> Molecule:
@@ -1153,10 +1219,11 @@ def _write_order_twin(text: str, written: tuple) -> Molecule:
     atoms: list[Atom] = []
     bonds: list[Bond] = []
     ring_bonds: list[bool] = []
-    for idx, partners in trace:
+    walk = iter(_unpacked(trace, n))
+    for idx in walk:
         new[idx] = len(atoms)
         atoms.append(src.atoms[idx])
-        for other in partners:
+        for other in itertools.islice(walk, next(walk)):
             b_idx = bond_at[other * n + idx if other < idx else idx * n + other]
             bonds.append(Bond(new[other], new[idx], src.bonds[b_idx].order))
             ring_bonds.append(src._ring_bonds[b_idx])
@@ -1261,8 +1328,7 @@ _SUBSTITUTE_AROMATIC_POOL = ("C", "N", "O", "S")
 # element]) -> (the molecule, the child). An entry holds its molecule, so no
 # other molecule can take that id while the entry lives.
 _EDIT_MEMO_MAX = 128
-_EDIT_MEMO: dict[tuple, tuple[Molecule, object]] = {}
-_EDIT_MEMO_LOCK = threading.Lock()
+_EDIT_MEMO = _Memo(_EDIT_MEMO_MAX)
 
 
 def mutate(m: Molecule, op: str, seed: int) -> Molecule:
@@ -1305,16 +1371,11 @@ def _edit_work(m: Molecule, key: tuple, make: Callable[[], object]) -> object:
     if not m._keeps_edits:
         return make()
     key = (id(m),) + key
-    with _EDIT_MEMO_LOCK:
-        entry = _EDIT_MEMO.pop(key, None)
-        if entry is not None:
-            _EDIT_MEMO[key] = entry
-            return entry[1]
+    entry = _EDIT_MEMO.recall(key)
+    if entry is not None:
+        return entry[1]
     value = make()
-    with _EDIT_MEMO_LOCK:
-        _EDIT_MEMO[key] = (m, value)
-        if len(_EDIT_MEMO) > _EDIT_MEMO_MAX:
-            del _EDIT_MEMO[next(iter(_EDIT_MEMO))]
+    _EDIT_MEMO.keep(key, (m, value))
     return value
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from leadopt import molgraph
+from leadopt import chemfeat, molgraph
 from leadopt.chemfeat import WIDTH
 
 
@@ -23,8 +23,9 @@ def no_canon_leaves(monkeypatch):
     needed intact must be built before the fixture runs."""
     monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
     # a text parsed earlier would come back from the cache, a text written
-    # earlier as a write-order twin, and a subgraph built earlier from the
-    # subgraph memo, without a search
+    # earlier as a write-order twin, a subgraph built earlier from the
+    # subgraph memo, and a graph named earlier from the name memo, without
+    # a search
     forget_texts()
     yield
     forget_texts()
@@ -34,6 +35,8 @@ def forget_texts():
     molgraph._parse_interned.cache_clear()
     molgraph._WRITTEN.clear()
     molgraph._subgraph_molecule.cache_clear()
+    molgraph._NAMES.clear()
+    chemfeat._FP_MEMO.clear()
 
 
 def near_positions(near: int, span: int) -> list[int]:

@@ -1,14 +1,16 @@
 import dataclasses
 import functools
+import gc
 import random
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leadopt import chemfeat
+from leadopt import chemfeat, molgraph
 from leadopt.chemfeat import (
     DescriptorVector,
     Fingerprint,
@@ -27,6 +29,8 @@ from leadopt.chemfeat import RADIUS, WIDTH, _CATALOG, _mix_stream, _pattern_matc
 from leadopt.molgraph import (
     _ELEMENT_INDEX,
     _ORDER_SORT,
+    EDIT_OPERATORS,
+    Atom,
     Bond,
     Molecule,
     SmilesError,
@@ -34,11 +38,12 @@ from leadopt.molgraph import (
     parse,
 )
 
-from conftest import fold
+from conftest import fold, forget_texts
 
 MASS_H, MASS_C, MASS_O = 1.008, 12.011, 15.999
 FG_GOLDEN = Path(__file__).parent / "golden" / "fg_tags.tsv"
 MORGAN_GOLDEN = Path(__file__).parent / "golden" / "morgan_bits.tsv"
+CORPUS = Path(__file__).parent / "fixtures" / "corpus_500.smi"
 
 
 def relabel(mol, perm):
@@ -147,7 +152,9 @@ def reference_bits(layers):
 
 
 def fresh_fp(m):
-    m._fp_cache.clear()  # compute again, not from the molecule's cache
+    # compute again, not from the molecule's cache or the fingerprint memo
+    m._fp_cache.clear()
+    chemfeat._FP_MEMO.clear()
     return morgan_fp(m)
 
 
@@ -207,6 +214,100 @@ class TestMorganMemo:
         chemfeat._ENV_HASHES.clear()
         assert morgan_fp(m) is first
         assert m._fp_cache["fp"] is first
+
+
+class TestFingerprintMemo:
+    def test_a_named_copy_takes_the_golden_bits_from_the_memo(self, monkeypatch):
+        # each golden molecule fingerprinted once named, then a copy of its
+        # graph in another atom order, named: the copy's bits are looked up
+        computed = []
+        real = chemfeat._bit_positions
+        monkeypatch.setattr(chemfeat, "_bit_positions",
+                            lambda m: computed.append(m) or real(m))
+        rng = random.Random(4)
+        mismatches = []
+        for mol, bits in morgan_golden()[::3]:
+            mol.canonical
+            first = fresh_fp(mol)
+            assert computed[-1] is mol and chemfeat._FP_MEMO.recall(mol.canonical)
+            perm = list(range(len(mol.atoms)))
+            rng.shuffle(perm)
+            copy = relabel(mol, perm)
+            assert copy.canonical == mol.canonical
+            before = len(computed)
+            if not (morgan_fp(copy) == first and f"{first.bits:x}" == bits):
+                mismatches.append(mol.canonical)
+            assert len(computed) == before
+        assert mismatches == []
+
+    def test_an_unnamed_molecule_stays_unnamed(self):
+        child = molgraph._edit(parse("CC(=O)Nc1ccc(O)cc1"), "append_terminal_atom", 2)
+        chemfeat._FP_MEMO.clear()
+        fp = morgan_fp(child)
+        assert child._canonical is None and len(chemfeat._FP_MEMO) == 0
+        assert fp.bits == reference_bits(reference_hashes(child, RADIUS))
+
+    def test_unvalidated_molecules_bypass_the_memo(self):
+        # skill fragments out of their ring: a single and an aromatic bond
+        # both write "cc", but the fingerprints differ
+        frags = [
+            Molecule([Atom("C", aromatic=True, hcount=2)] * 2, [Bond(0, 1, order)],
+                     validate=False)
+            for order in ("single", "aromatic")
+        ]
+        assert frags[0].canonical == frags[1].canonical == "cc"
+        chemfeat._FP_MEMO.clear()
+        fps = [morgan_fp(frag) for frag in frags]
+        assert [fp.bits for fp in fps] == [
+            reference_bits(reference_hashes(frag, RADIUS)) for frag in frags]
+        assert fps[0] != fps[1] and len(chemfeat._FP_MEMO) == 0
+
+    def test_both_memos_stay_bounded_and_small(self):
+        # edit chains on the corpus name and fingerprint more distinct
+        # molecules than either memo keeps; at capacity the two hold only
+        # bytes and strings, at most 2.5 MB together
+        rows = [line for line in CORPUS.read_text().splitlines()
+                if line and not line.startswith("#")]
+        memos = (molgraph._NAMES, chemfeat._FP_MEMO)
+        sizes = [molgraph._NAME_MEMO_MAX, chemfeat._FP_MEMO_MAX]
+        assert sizes == [memo.size for memo in memos] == [4096, 2048]
+        forget_texts()
+        full = 0
+        for source in rows:
+            mol = molgraph._parse_text(source)
+            for seed in range(12):
+                try:
+                    mol = molgraph._edit(mol, EDIT_OPERATORS[seed % 4], seed)
+                    mol.canonical
+                except SmilesError:
+                    continue
+                morgan_fp(mol)
+                assert all(len(memo) <= size for memo, size in zip(memos, sizes))
+            full += [len(memo) for memo in memos] == sizes
+            if full > 20:
+                break
+        assert [len(memo) for memo in memos] == sizes
+        assert all(isinstance(key, bytes) and isinstance(value, bytes)
+                   for key, value in molgraph._NAMES.items())
+        assert all(isinstance(key, str) and isinstance(value, bytes)
+                   for key, value in chemfeat._FP_MEMO.items())
+        # the same entries kept again, byte for byte, under tracemalloc (the
+        # searches that made them run seven times slower traced)
+        entries = [list(memo.items()) for memo in memos]
+        for memo in memos:
+            memo.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for key, value in entries[0]:
+                molgraph._NAMES.keep(bytes(bytearray(key)), bytes(bytearray(value)))
+            for key, value in entries[1]:
+                chemfeat._FP_MEMO.keep(key.encode().decode(), bytes(bytearray(value)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [len(memo) for memo in memos] == sizes
+        assert 2**20 < held <= 2.5 * 2**20
 
 
 class TestTanimoto:

@@ -167,6 +167,32 @@ class TestRunEvalSkills:
         }
         assert searched == [] and not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--temp0", "nan"], "temp0 must be finite, not nan"),
+        (["--temp-step", "inf"], "temp_step must be finite, not inf"),
+        (["--harvest-skills", "--skill-capacity", "0"],
+         "--skill-capacity must be at least 1"),
+        (["--skill-bank", "skills.jsonl", "--skill-capacity", "0"],
+         "--skill-capacity must be at least 1"),
+    ])
+    def test_bad_setting_fails_before_any_lead(
+        self, workspace, capsys, monkeypatch, flags, message
+    ):
+        from leadopt import cli
+
+        searched = []
+        monkeypatch.setattr(cli, "optimize_lead",
+                            lambda *args, **kwargs: searched.append(args))
+        monkeypatch.chdir(workspace)
+        code, out, err = run_cli(
+            capsys, "run", "--leads", workspace / "leads.smi",
+            "--objective", workspace / "act.yaml", "--out", workspace / "out",
+            "--policy", "random", *flags,
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert searched == [] and not (workspace / "out").exists()
+
     def test_eval_empty_report_fails(self, workspace, capsys):
         bad = workspace / "empty.json"
         bad.write_text(json.dumps({"leads": [], "aggregates": {}}))

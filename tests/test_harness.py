@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from contextlib import closing
 from pathlib import Path
@@ -92,6 +93,14 @@ class TestTemperature:
     def test_invalid_generation(self):
         with pytest.raises(ValueError):
             temperature(-1, SearchConfig())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["temp0", "temp_step", "temp_max"])
+    def test_non_finite_temperatures_are_rejected(self, field, value):
+        # a NaN passes `temp0 > temp_max`, and an infinite step makes
+        # generation 0's temperature NaN
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SearchConfig(**{field: value})
 
 
 class TestMetrics:

@@ -1,6 +1,7 @@
 import heapq
 import random
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Iterator
@@ -520,6 +521,7 @@ class TestSubgraphMemo:
     def test_a_core_whose_search_trips_is_never_kept(self, monkeypatch):
         mol = molgraph._parse_text("CCC1CCCCC1")  # no scaffold kept yet
         molgraph._subgraph_molecule.cache_clear()
+        molgraph._NAMES.clear()  # the core's graph may have been named before
         monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
         for _ in range(3):
             with pytest.raises(CanonicalizationBudgetError):
@@ -873,6 +875,138 @@ class TestEditMemo:
         assert reparsed == child and reparsed is not child
         assert parsed_equal(reparsed, text)
 
+
+
+def golden_graphs() -> list[tuple[Molecule, str]]:
+    """Each golden row that builds a molecule, built from a fresh parse and
+    left unnamed, with its string."""
+    out = []
+    for line in GOLDEN.read_text().splitlines():
+        source, op, seed, want = line.split("\t")
+        if line.startswith("#") or want.startswith("!"):
+            continue
+        mol = molgraph._parse_text(source)
+        if op != "parse":
+            mol = molgraph._edit(mol, op, int(seed))
+        out.append((mol, want))
+    return out
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The molecules whose canonical search ran, in order."""
+    ran = []
+    real = molgraph._Canonicalizer.run
+
+    def counted(canon):
+        ran.append(canon.mol)
+        return real(canon)
+
+    monkeypatch.setattr(molgraph._Canonicalizer, "run", counted)
+    return ran
+
+
+class TestNameMemo:
+    def test_golden_strings_cold_warm_and_relabelled(self, searches):
+        rng = random.Random(3)
+        mismatches = []
+        graphs = golden_graphs()
+        assert len(graphs) > 2000
+        for mol, want in graphs:
+            molgraph._NAMES.clear()
+            cold = molgraph._canonical_string(mol)
+            assert searches[-1] is mol
+            warm = molgraph._canonical_string(mol)
+            assert searches[-1] is mol and len(searches) == 1
+            moved = relabelled(mol, rng)
+            # a new atom order is another key, and its search names it alike
+            if (cold, warm, molgraph._canonical_string(moved),
+                    molgraph._canonical_string(moved)) != (want,) * 4:
+                mismatches.append(want)
+            searches.clear()
+        assert mismatches == []
+
+    def test_a_hit_still_gives_parse_its_write_order_twin(self, searches):
+        for mol, want in golden_graphs()[::7]:
+            molgraph._NAMES.clear()
+            molgraph._canonical_string(mol)
+            again = Molecule(mol.atoms, mol.bonds)  # the same graph, validated
+            before = len(searches)
+            assert again.canonical == want and len(searches) == before
+            assert molgraph._WRITTEN[want][0] is again
+            molgraph._parse_interned.cache_clear()
+            twin = parse(want)
+            assert twin is not again and len(searches) == before
+            assert parsed_equal(twin, want), want
+
+    def test_keys_tell_every_field_apart(self):
+        # isopropanol's graph, then one field changed at a time
+        atoms = [Atom("C", hcount=3), Atom("C", hcount=1), Atom("C", hcount=3),
+                 Atom("O", hcount=1)]
+        bonds = [Bond(0, 1), Bond(1, 2), Bond(1, 3)]
+
+        def key(atoms, bonds):
+            return molgraph._Canonicalizer(unnamed(atoms, bonds)).key
+
+        def atom_with(idx, **fields):
+            changed = list(atoms)
+            changed[idx] = Atom(**{**vars(atoms[idx]), **fields})
+            return changed
+
+        variants = [
+            (atoms, bonds),
+            (atom_with(3, hcount=0), bonds),
+            (atom_with(3, formal_charge=1), bonds),
+            (atom_with(3, formal_charge=-1, hcount=0), bonds),
+            (atom_with(0, isotope=13), bonds),
+            (atom_with(0, isotope=14), bonds),
+            (atoms, [Bond(0, 1), Bond(1, 2), Bond(1, 3, "double")]),
+            (atoms, [Bond(0, 1), Bond(1, 2), Bond(2, 3)]),  # another bond end
+            (atoms, [Bond(0, 1), Bond(1, 2), Bond(3, 1)]),  # the end turned round
+            (atoms, [Bond(0, 1), Bond(1, 2), Bond(1, 3), Bond(0, 2)]),  # one more bond
+            (atoms + [Atom("C", hcount=3)], bonds),  # one more atom
+        ]
+        keys = [key(*variant) for variant in variants]
+        assert len(set(keys)) == len(variants)
+        assert key(*variants[0]) == keys[0]
+        assert all(isinstance(k, bytes) for k in keys)
+
+    def test_threads_share_a_memo(self):
+        # more threads than cores keeping and recalling overlapping keys past
+        # the bound: no eviction races another, the bound holds, and every
+        # value recalled is the one kept for its key
+        memo = molgraph._Memo(64)
+        errors = []
+
+        def work(offset):
+            try:
+                for k in range(2000):
+                    key = (offset + k) % 200
+                    memo.keep(key, key * 3)
+                    value = memo.recall((key + 7) % 200)
+                    assert value is None or value == (key + 7) % 200 * 3
+            except Exception as exc:  # reported below, with the thread's result
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i * 13,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(memo) == 64
+
+    def test_a_search_that_trips_keeps_nothing(self, no_canon_leaves):
+        mol = molgraph._parse_text("CC(C)C")  # the methyls tie
+        for _ in range(2):
+            with pytest.raises(CanonicalizationBudgetError):
+                mol.canonical
+            assert len(molgraph._NAMES) == 0 and len(molgraph._WRITTEN) == 0
 
 # ---------------------------------------------------------------------------
 # The canonical search as it was before its one-pass setup, touched-cell
@@ -1264,11 +1398,15 @@ def search_matches_reference(mol: Molecule) -> ReferenceCanonicalizer:
         text = canon.run()
     ref = ReferenceCanonicalizer(mol)
     assert text == ref.run()
-    assert canon.best_trace == ref.best_trace
+    # the search keeps its trace flat: each atom, its partner count, its partners
+    assert canon.best_trace == [
+        value for idx, partners in ref.best_trace for value in (idx, len(partners), *partners)
+    ]
     assert refines == ref.refines
     assert canon.budget == ref.budget  # the same number of leaves
     assert canon.automorphisms == ref.automorphisms
-    twin = molgraph._write_order_twin(text, (mol, canon.best_trace, canon.bond_at))
+    trace = molgraph._packed(canon.best_trace, len(mol.atoms))
+    twin = molgraph._write_order_twin(text, (mol, trace, canon.bond_at))
     want = reference_write_order_twin(text, ref)
     assert (twin.atoms, twin.bonds, twin._ring_bonds) == (
         want.atoms, want.bonds, want._ring_bonds)
