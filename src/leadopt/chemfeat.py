@@ -43,10 +43,10 @@ from .files import data_text, table_rows
 from .molgraph import (
     Atom,
     Molecule,
+    _BARE_ATOMS,
     _ELEMENT_INDEX,
     _ORDER_SORT,
     _Memo,
-    _parse_organic,
     _smiles_graph,
     neighbor_maps,
 )
@@ -330,8 +330,9 @@ def _parse_pattern(smiles: str) -> _Pattern:
     """Pattern SMILES in the molecule grammar, read by pattern rules: no
     implicit hydrogens, bracket H is a lower bound, and an unspecified bond
     is aromatic between two aromatic atoms, single otherwise."""
-    tokens, bonds = _smiles_graph(smiles)
-    atoms = [_parse_organic(t) if isinstance(t, str) else t for t in tokens]
+    tokens, bonds, _ = _smiles_graph(smiles)
+    # a bare atom's last interned form takes no hydrogen
+    atoms = [_BARE_ATOMS[t][-1] if isinstance(t, str) else t for t in tokens]
     adj: list[list[tuple[int, str]]] = [[] for _ in atoms]
     for a, b, order in bonds:
         if order is None:

@@ -13,6 +13,16 @@ into a molecule and treats a trip as a :class:`SmilesError` reads the name
 inside its handler. :func:`parse` interns its last 64 results, so
 re-parsing a recent text returns the same object.
 
+Reading a text is one pass from the grammar's output to a validated
+molecule. The grammar reports which bonds close rings, and each closure
+marks the tree path between its ends, so the ring flags need no ring
+search. One loop resolves the bond orders and sums the valence each atom's
+bonds spend, and each bare atom comes from a table built once, one
+:class:`Atom` per token and hydrogen count. The grammar already rules out
+a bond from an atom to itself, a repeated bond and a disconnected graph, so
+a parse checks only the explicit aromatic bonds and the atoms, in the order
+a full validation checks them, and raises the same error.
+
 A canonical string names its graph, so parsing one the program has just
 written need not search again. The canonical strings of the last 64
 validated molecules to be named are remembered with the molecule, the
@@ -21,9 +31,8 @@ map. On a miss in its cache, :func:`parse` turns such a string into the
 writer's *write-order twin*: the source's atoms in the order the string
 writes them, its bonds in the order and orientation the parser adds them,
 its ring flags permuted and its fingerprints kept, which is the molecule
-parsing would build, minus tokenizing, validation and the ring search, and
-already named. Unvalidated molecules (skill fragments) are never
-remembered.
+parsing would build, minus tokenizing and the checks, and already named.
+Unvalidated molecules (skill fragments) are never remembered.
 
 An edit hands the parent's ring-bond flags to the edited molecule (no edit
 changes which bonds lie on a ring). None of the four operators can
@@ -85,8 +94,9 @@ import itertools
 import random
 import threading
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .files import data_text, table_rows
 
@@ -198,9 +208,11 @@ _NAME_MEMO_MAX = 4096
 _VALENCE_MAX = {element: int(value) for element, value in table_rows(data_text("valence.tsv"))}
 
 
-class _Memo(dict):
+class _Memo(OrderedDict):
     """At most `size` entries, the least recently kept or recalled first
-    out; rollouts on threads share one, so both run under a lock."""
+    out; rollouts on threads share one, so both run under a lock. An
+    OrderedDict evicts its oldest entry in constant time, where a dict
+    would first scan the slots its earlier deletions left at the front."""
 
     __slots__ = ("size", "_lock")
 
@@ -212,17 +224,17 @@ class _Memo(dict):
     def recall(self, key):
         """The value kept for `key`, now the most recently used, or None."""
         with self._lock:
-            value = self.pop(key, None)
+            value = self.get(key)
             if value is not None:
-                self[key] = value
+                self.move_to_end(key)
         return value
 
     def keep(self, key, value) -> None:
         with self._lock:
-            self.pop(key, None)
             self[key] = value
+            self.move_to_end(key)
             if len(self) > self.size:
-                del self[next(iter(self))]
+                self.popitem(last=False)
 
 
 @dataclass(frozen=True)
@@ -239,8 +251,12 @@ class Atom:
         return Atom(self.element, self.aromatic, self.formal_charge, hcount, self.isotope)
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
+    """A bond from atom `a` to atom `b`, in the orientation it was read or
+    built. A named tuple, not a dataclass: molecules hold many bonds and
+    every build makes them anew, and a tuple builds in half the time and a
+    third of the memory, and unpacks as ``a, b, order``."""
+
     a: int
     b: int
     order: str = SINGLE
@@ -291,14 +307,11 @@ class Molecule:
         *,
         canonical: Optional[str] = None,
     ) -> "Molecule":
-        """A validated molecule whose bonds' ring flags are already known,
-        named on the first read of ``.canonical``. Given a `canonical`
-        string (a write-order twin), validation is skipped and the string
-        is its name."""
+        """A molecule whose bonds' ring flags are already known and whose
+        caller makes every check that can fail (a parse) or needs none (a
+        write-order twin, whose `canonical` string is its name)."""
         mol = cls.__new__(cls)
         mol._build(atoms, bonds, ring_bonds)
-        if canonical is None:
-            mol._validate()
         mol._checked = True
         mol._canonical = canonical
         return mol
@@ -314,13 +327,12 @@ class Molecule:
         self.bonds: tuple[Bond, ...] = bonds
         self._adj = _adjacency(len(atoms), bonds)
         if ring_bonds is None:
-            ring_bonds = _ring_bond_flags(len(atoms), [(b.a, b.b) for b in bonds])
+            ring_bonds = _ring_bond_flags(len(atoms), [(a, b) for a, b, _ in bonds])
         self._ring_bonds = ring_bonds
-        self._ring_atoms = [False] * len(atoms)
-        for b_idx, bond in enumerate(bonds):
-            if ring_bonds[b_idx]:
-                self._ring_atoms[bond.a] = True
-                self._ring_atoms[bond.b] = True
+        self._ring_atoms = ring_atoms = [False] * len(atoms)
+        for (a, b, _), in_ring in zip(bonds, ring_bonds):
+            if in_ring:
+                ring_atoms[a] = ring_atoms[b] = True
         # graph-only values (chemfeat's fingerprints and FG sets, the
         # scaffold), never depending on atom order, so a write-order twin
         # shares them
@@ -399,14 +411,19 @@ class Molecule:
         if _component_size(0, self._adj) != n:
             raise MultiFragmentError("molecule graph is disconnected")
 
-        for b_idx, bond in enumerate(self.bonds):
-            if bond.order == AROMATIC:
-                if not (self.atoms[bond.a].aromatic and self.atoms[bond.b].aromatic):
+        self._check_bonds(range(len(self.bonds)))
+        self._check_atoms(range(n))
+
+    def _check_bonds(self, indices: Iterable[int]) -> None:
+        """The aromatic rules of each bond in `indices`, in order: an
+        aromatic bond joins two aromatic atoms and lies on a ring."""
+        for b_idx in indices:
+            a, b, order = self.bonds[b_idx]
+            if order == AROMATIC:
+                if not (self.atoms[a].aromatic and self.atoms[b].aromatic):
                     raise SmilesSyntaxError("aromatic bond between non-aromatic atoms")
                 if not self._ring_bonds[b_idx]:
                     raise SmilesSyntaxError("aromatic bond outside a ring")
-
-        self._check_atoms(range(n))
 
     def _check_atoms(self, indices: Iterable[int]) -> None:
         """Element support, the aromatic rules, a non-negative hydrogen
@@ -444,9 +461,9 @@ def _bond_electrons(nbrs: list[tuple[int, str]]) -> int:
 
 def _adjacency(n: int, bonds: Sequence[Bond]) -> list[list[tuple[int, str]]]:
     adj: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    for bond in bonds:
-        adj[bond.a].append((bond.b, bond.order))
-        adj[bond.b].append((bond.a, bond.order))
+    for a, b, order in bonds:
+        adj[a].append((b, order))
+        adj[b].append((a, order))
     return adj
 
 
@@ -615,16 +632,25 @@ def _parse_bracket(token: str) -> Atom:
     return Atom(element, aromatic, charge, hcount, isotope)
 
 
-def _parse_organic(token: str) -> Atom:
-    """A bare (organic-subset) atom; its hydrogens are left to the caller."""
-    if token[0].islower():
-        element = token.capitalize()
-        if element not in _AROMATIC_OK:
-            raise UnsupportedAtomError(f"element {element!r} cannot be aromatic")
-        return Atom(element, aromatic=True)
-    if token not in _ELEMENT_INDEX:
-        raise UnsupportedAtomError(f"unsupported element {token!r}")
-    return Atom(token)
+def _bare_atoms() -> dict[str, tuple[Atom, ...]]:
+    """Every bare (organic-subset) atom, by token and then by the valence its
+    bonds spend, up to the valence from which on it takes no hydrogen. Each
+    (token, hydrogen count) is one :class:`Atom`, built once."""
+    interned: dict[tuple[str, int], Atom] = {}
+    table = {}
+    for token in SUPPORTED_ELEMENTS + tuple(sorted(el.lower() for el in _AROMATIC_OK)):
+        element, aromatic = token.capitalize(), token.islower()
+        row = []
+        for spent in range(max(_DEFAULT_VALENCES[element]) + 1):
+            hcount = _implicit_hydrogens(element, aromatic, spent)
+            row.append(interned.setdefault((token, hcount), Atom(element, aromatic, 0, hcount)))
+        table[token] = tuple(row)
+    return table
+
+
+# token -> its bare atoms by the valence the bonds spend; the last takes no
+# hydrogen, and so does any atom whose bonds spend more
+_BARE_ATOMS = _bare_atoms()
 
 
 def parse(smiles: str) -> Molecule:
@@ -656,34 +682,31 @@ def _parse_interned(smiles: str) -> Molecule:
 
 def _smiles_graph(
     smiles: str,
-) -> tuple[list[str | Atom], list[tuple[int, int, Optional[str]]]]:
+) -> tuple[list[str | Atom], list[tuple[int, int, Optional[str]]], list[int]]:
     """The SMILES grammar, read in one pass over the text: the atoms in text
-    order and the bonds between them.
+    order, the bonds between them and the indices of the ring-closure bonds.
 
     A bare atom stays its token, whose meaning the caller decides; a bracket
     atom is read by :func:`_parse_bracket` where it stands, so every error
     is raised at the first character that causes one. A bond is (a, b,
     order), the order None where the text leaves it unspecified; stereo
-    marks are dropped. Raises :class:`SmilesSyntaxError`,
+    marks are dropped. Every bond that is not a ring closure reaches a new
+    atom: `b` is that atom and `a`, an earlier one, its parent, so those
+    bonds form a spanning tree. The grammar rejects a bond from an atom to
+    itself, a second bond between two atoms and '.', so the graph is
+    connected and simple. Raises :class:`SmilesSyntaxError`,
     :class:`UnmatchedRingError`, :class:`MultiFragmentError` or
     :class:`UnsupportedAtomError`.
     """
     atoms: list[str | Atom] = []
     bonds: list[tuple[int, int, Optional[str]]] = []
+    closures: list[int] = []
+    # (lower atom, higher atom) of every bond; only a closure can repeat one
     bond_keys: set[tuple[int, int]] = set()
     anchor: Optional[int] = None
     pending: Optional[str] = None
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, Optional[str]]] = {}
-
-    def add_bond(a: int, b: int, order: Optional[str]) -> None:
-        key = (min(a, b), max(a, b))
-        if a == b:
-            raise SmilesSyntaxError(f"ring bond from atom {a} to itself")
-        if key in bond_keys:
-            raise SmilesSyntaxError(f"duplicate bond between atoms {key}")
-        bond_keys.add(key)
-        bonds.append((a, b, order))
 
     just_opened = False
     i, n = 0, len(smiles)
@@ -707,7 +730,8 @@ def _smiles_graph(
             else:
                 raise SmilesSyntaxError(f"unexpected character {ch!r} at {i}")
             if anchor is not None:
-                add_bond(anchor, len(atoms), pending)
+                bond_keys.add((anchor, len(atoms)))
+                bonds.append((anchor, len(atoms), pending))
             elif pending is not None:
                 raise SmilesSyntaxError("bond symbol before the first atom")
             anchor = len(atoms)
@@ -753,7 +777,14 @@ def _smiles_graph(
                 other, order_there = open_rings.pop(num)
                 if pending is not None and order_there is not None and pending != order_there:
                     raise SmilesSyntaxError(f"conflicting ring-bond orders for digit {num}")
-                add_bond(other, anchor, pending if pending is not None else order_there)
+                if other == anchor:
+                    raise SmilesSyntaxError(f"ring bond from atom {other} to itself")
+                key = (other, anchor) if other < anchor else (anchor, other)
+                if key in bond_keys:
+                    raise SmilesSyntaxError(f"duplicate bond between atoms {key}")
+                bond_keys.add(key)
+                closures.append(len(bonds))
+                bonds.append((other, anchor, pending if pending is not None else order_there))
             else:
                 open_rings[num] = (anchor, pending)
             pending = None
@@ -769,39 +800,86 @@ def _smiles_graph(
         raise UnmatchedRingError(f"unmatched ring digit(s): {digits}")
     if not atoms:
         raise SmilesSyntaxError("no atoms in SMILES string")
-    return atoms, bonds
+    return atoms, bonds, closures
+
+
+def _closure_ring_flags(
+    n: int, bonds: Sequence[tuple[int, int, Optional[str]]], closures: Sequence[int]
+) -> list[bool]:
+    """Ring flags of a graph read by :func:`_smiles_graph`, from its ring
+    closures: every closure lies on a ring, and a tree bond does exactly
+    when it lies on the tree path between the ends of some closure. Each
+    closure marks that path, climbing from the later of its two current
+    ends, since a parent comes before its child. A marked atom's skip
+    pointer jumps to its parent and each climb halves the pointers it
+    follows, so each bond is marked once and the cost stays about linear in
+    the atoms and bonds."""
+    flags = [False] * len(bonds)
+    if not closures:
+        return flags
+    for b_idx in closures:
+        flags[b_idx] = True
+    # per atom after the first: the index of the tree bond from its parent
+    via = [0] * n
+    for b_idx, (_, child, _) in enumerate(bonds):
+        if not flags[b_idx]:
+            via[child] = b_idx
+    skip = list(range(n))
+    for b_idx in closures:
+        a, b, _ = bonds[b_idx]
+        while True:
+            while skip[a] != a:
+                skip[a] = skip[skip[a]]
+                a = skip[a]
+            while skip[b] != b:
+                skip[b] = skip[skip[b]]
+                b = skip[b]
+            if a == b:
+                break
+            if a < b:
+                a, b = b, a
+            flags[via[a]] = True
+            skip[a] = bonds[via[a]][0]
+    return flags
 
 
 def _parse_text(smiles: str) -> Molecule:
-    tokens, graph = _smiles_graph(smiles)
-    atoms = [_parse_organic(t) if isinstance(t, str) else t for t in tokens]
+    """The validated molecule `smiles` writes, read in one pass from the
+    grammar's output: ring flags from the ring closures, then one loop that
+    resolves each bond's order and sums the valence each atom's bonds
+    spend, then each bare atom from the interned table by that valence.
 
-    # Resolve unspecified bond orders: aromatic between two aromatic atoms
-    # when the bond lies on a ring, single otherwise.
-    ring_flags = _ring_bond_flags(len(atoms), [(a, b) for a, b, _ in graph])
-    resolved: list[Bond] = []
-    for i, (a, b, order) in enumerate(graph):
+    An unspecified bond is aromatic between two aromatic atoms on a ring,
+    single otherwise. The grammar already rules out a bond from an atom to
+    itself, a second bond between two atoms and a disconnected graph, so
+    only the aromatic rules of the explicit ':' bonds and the atom checks
+    are left, in the order a full validation makes them."""
+    tokens, graph, closures = _smiles_graph(smiles)
+    n = len(tokens)
+    ring_flags = _closure_ring_flags(n, graph, closures)
+    aromatic = [t.islower() if t.__class__ is str else t.aromatic for t in tokens]
+    bonds: list[Bond] = []
+    explicit_aromatic: list[int] = []
+    spent = [0] * n
+    for b_idx, (a, b, order) in enumerate(graph):
         if order is None:
-            if atoms[a].aromatic and atoms[b].aromatic and ring_flags[i]:
-                order = AROMATIC
-            else:
-                order = SINGLE
-        resolved.append(Bond(a, b, order))
-
-    # Infer implicit hydrogens for bare atoms.
-    bond_electrons = [0] * len(atoms)
-    for bond in resolved:
-        bond_electrons[bond.a] += _ORDER_ELECTRONS[bond.order]
-        bond_electrons[bond.b] += _ORDER_ELECTRONS[bond.order]
-    final_atoms: list[Atom] = []
-    for idx, atom in enumerate(atoms):
-        if isinstance(tokens[idx], str):
-            atom = atom.with_hcount(
-                _implicit_hydrogens(atom.element, atom.aromatic, bond_electrons[idx])
-            )
-        final_atoms.append(atom)
-
-    return Molecule._assemble(tuple(final_atoms), tuple(resolved), ring_flags)
+            order = AROMATIC if aromatic[a] and aromatic[b] and ring_flags[b_idx] else SINGLE
+        elif order == AROMATIC:
+            explicit_aromatic.append(b_idx)
+        bonds.append(Bond(a, b, order))
+        electrons = _ORDER_ELECTRONS[order]
+        spent[a] += electrons
+        spent[b] += electrons
+    atoms = []
+    for token, electrons in zip(tokens, spent):
+        if token.__class__ is str:
+            row = _BARE_ATOMS[token]
+            token = row[electrons] if electrons < len(row) else row[-1]
+        atoms.append(token)
+    mol = Molecule._assemble(tuple(atoms), tuple(bonds), ring_flags)
+    mol._check_bonds(explicit_aromatic)
+    mol._check_atoms(range(n))
+    return mol
 
 
 # ---------------------------------------------------------------------------
@@ -1211,7 +1289,7 @@ def _write_order_twin(text: str, written: tuple) -> Molecule:
     bonds in the order and orientation the parser adds them, its ring flags
     permuted, all read off the trace of the write and the search's bond map.
     A canonical string names its graph, and the source was validated, so
-    tokenizing, validation, the ring search, the canonical search and a
+    tokenizing, the ring flags, the checks, the canonical search and a
     second write are all skipped."""
     src, trace, bond_at = written
     n = len(src.atoms)

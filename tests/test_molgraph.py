@@ -29,7 +29,7 @@ from leadopt.molgraph import (
     scaffold_of,
 )
 
-from conftest import ANY_TEXT
+from conftest import ANY_TEXT, SMILES_ALPHABET
 
 GOLDEN = Path(__file__).parent / "golden" / "canonical_strings.tsv"
 
@@ -725,6 +725,195 @@ class TestParseTotality:
         assert parse(mol.canonical) == mol
 
 
+# ---------------------------------------------------------------------------
+# The reader as it was before it read a text in one pass, kept as the
+# reference the reader must match: the grammar's output turned into a
+# molecule by the general constructor, with ring flags from a ring search
+# over the whole graph and every check a constructed molecule gets.
+# ---------------------------------------------------------------------------
+
+
+def reference_parse(text: str) -> Molecule:
+    tokens, graph, _ = molgraph._smiles_graph(text)
+    atoms = [Atom(t.capitalize(), t.islower()) if isinstance(t, str) else t for t in tokens]
+    flags = molgraph._ring_bond_flags(len(atoms), [(a, b) for a, b, _ in graph])
+    bonds = []
+    for in_ring, (a, b, order) in zip(flags, graph):
+        if order is None:
+            both = atoms[a].aromatic and atoms[b].aromatic
+            order = "aromatic" if both and in_ring else "single"
+        bonds.append(Bond(a, b, order))
+    spent = [0] * len(atoms)
+    for bond in bonds:
+        spent[bond.a] += molgraph._ORDER_ELECTRONS[bond.order]
+        spent[bond.b] += molgraph._ORDER_ELECTRONS[bond.order]
+    for idx, token in enumerate(tokens):
+        if isinstance(token, str):
+            atom = atoms[idx]
+            atoms[idx] = Atom(atom.element, atom.aromatic, hcount=molgraph._implicit_hydrogens(
+                atom.element, atom.aromatic, spent[idx]))
+    return Molecule(atoms, bonds)
+
+
+def read_outcome(read, text: str) -> tuple:
+    """The graph `read` makes of `text`, bond types and ring flags
+    included, or the class and message of the error it raises."""
+    try:
+        mol = read(text)
+    except SmilesError as exc:
+        return type(exc), str(exc)
+    return (mol.atoms, mol.bonds, [type(b) for b in mol.bonds], mol._ring_bonds,
+            mol._ring_atoms, mol._adj, mol._checked)
+
+
+def golden_texts() -> list[str]:
+    """Every SMILES string of the golden tables: each source, each
+    canonical string and each edit card's child."""
+    texts = set()
+    for name, columns in (("canonical_strings", (0, 3)), ("edit_cards", (0, 1)),
+                          ("fg_tags", (0,)), ("morgan_bits", (0,))):
+        for line in (Path(__file__).parent / "golden" / f"{name}.tsv").read_text().splitlines():
+            if not line.startswith("#"):
+                fields = line.split("\t")
+                texts.update(fields[k] for k in columns if not fields[k].startswith("!"))
+    return sorted(texts)
+
+
+GOLDEN_TEXTS = golden_texts()
+
+
+@st.composite
+def edited_rows(draw) -> str:
+    """A corpus row with one character replaced, inserted or deleted, which
+    reaches the checks after the grammar far more often than random text."""
+    text = list(draw(st.sampled_from(CORPUS)))
+    at = draw(st.integers(0, len(text) - 1))
+    how = draw(st.sampled_from(("replace", "insert", "delete")))
+    if how == "delete":
+        del text[at]
+    else:
+        text[at:at + (how == "replace")] = [draw(st.sampled_from(SMILES_ALPHABET))]
+    return "".join(text)
+
+
+def closure_text(parent: list[int], extra: list[tuple[int, int]]) -> str:
+    """SMILES text over 'C' for the tree where atom i > 0 hangs from
+    parent[i] < i, written depth first with every child but the last in a
+    branch, and the `extra` bonds written as ring closures, digits reused as
+    soon as they close. Valence is not checked: only the grammar reads it."""
+    n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for child in range(1, n):
+        children[parent[child]].append(child)
+    rings: list[list[int]] = [[] for _ in range(n)]
+    for a, b in extra:
+        rings[a].append(b)
+        rings[b].append(a)
+    position, stack = {}, [0]
+    while stack:
+        atom = stack.pop()
+        position[atom] = len(position)
+        stack.extend(reversed(children[atom]))
+    free, digits, out, stack = list(range(1, 100)), {}, [], [0]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append("C")
+        for other in sorted(rings[item], key=position.get):
+            if position[other] < position[item]:
+                digit = digits.pop((other, item))
+                heapq.heappush(free, digit)
+            else:
+                digit = digits[(item, other)] = heapq.heappop(free)
+            out.append(str(digit) if digit < 10 else f"%{digit:02d}")
+        kids = children[item]
+        if kids:
+            stack.append(kids[-1])
+            for child in reversed(kids[:-1]):
+                stack += [")", child, "("]
+    return "".join(out)
+
+
+@st.composite
+def closure_texts(draw, max_atoms: int = 80) -> str:
+    """Random trees, long paths favoured, with up to 40 ring closures that
+    often overlap."""
+    n = draw(st.integers(1, max_atoms))
+    parent = [0] + [draw(st.sampled_from((i - 1, draw(st.integers(0, i - 1)))))
+                    for i in range(1, n)]
+    tree = {(parent[i], i) for i in range(1, n)}
+    extra = {
+        (min(a, b), max(a, b))
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=40))
+        if a != b and (min(a, b), max(a, b)) not in tree
+    }
+    return closure_text(parent, sorted(extra))
+
+
+def assert_closure_flags_equal_a_ring_search(text: str) -> None:
+    tokens, graph, closures = molgraph._smiles_graph(text)
+    edges = [(a, b) for a, b, _ in graph]
+    assert molgraph._closure_ring_flags(len(tokens), graph, closures) == (
+        molgraph._ring_bond_flags(len(tokens), edges))
+
+
+class TestReaderMatchesReference:
+    def test_corpus_rows_and_golden_texts(self):
+        assert len(GOLDEN_TEXTS) > 1000
+        for text in CORPUS + GOLDEN_TEXTS:
+            assert read_outcome(molgraph._parse_text, text) == read_outcome(reference_parse, text)
+
+    @given(st.one_of(ANY_TEXT, edited_rows()))
+    @settings(max_examples=600, deadline=None)
+    def test_any_text(self, text):
+        assert read_outcome(molgraph._parse_text, text) == read_outcome(reference_parse, text)
+
+    def test_every_bare_atom_is_interned(self):
+        # one object per (token, hydrogen count), reused across reads
+        first, second = molgraph._parse_text("CCOc1ccccc1"), molgraph._parse_text("c1ccccc1OCC")
+        assert first.atoms[0] is second.atoms[-1] and first.atoms[4] is second.atoms[0]
+
+    @pytest.mark.parametrize("text", ["CC:C", "C1CC:1", "c1cccc:c1:c", "C1CCC[cH]:1"])
+    def test_an_explicit_aromatic_bond_is_still_checked(self, text):
+        want = read_outcome(reference_parse, text)
+        assert want[0] is SmilesSyntaxError
+        assert read_outcome(molgraph._parse_text, text) == want
+
+
+class TestClosureRingFlags:
+    def test_corpus_rows_and_golden_texts(self):
+        for text in CORPUS + GOLDEN_TEXTS:
+            assert_closure_flags_equal_a_ring_search(text)
+
+    @given(closure_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_random_trees_and_closures(self, text):
+        assert_closure_flags_equal_a_ring_search(text)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_overlapping_closures(self, seed):
+        # a 3,000-atom path with side chains, deeper than the recursion
+        # limit, and 45 closures whose paths overlap one another
+        rng = random.Random(seed)
+        n = 3000
+        parent = [0] + [i - 1 if rng.random() < 0.9 else rng.randrange(i) for i in range(1, n)]
+        tree = {(parent[i], i) for i in range(1, n)}
+        extra = set()
+        while len(extra) < 45:
+            a = rng.randrange(n - 200)
+            pair = (a, a + rng.randrange(2, 200))
+            if pair not in tree:
+                extra.add(pair)
+        text = closure_text(parent, sorted(extra))
+        assert_closure_flags_equal_a_ring_search(text)
+        tokens, graph, closures = molgraph._smiles_graph(text)
+        flags = molgraph._closure_ring_flags(len(tokens), graph, closures)
+        assert any(flags) and not all(flags)
+
+
 class TestEditChildren:
     @given(
         st.sampled_from(CORPUS),
@@ -1000,6 +1189,26 @@ class TestNameMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and len(memo) == 64
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 9), st.integers(1, 99)), max_size=120),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_memo_is_a_least_recently_used_cache(self, size, ops):
+        # against a list of (key, value) pairs, least recently used first
+        memo, reference = molgraph._Memo(size), []
+        for keep, key, value in ops:
+            held = [v for k, v in reference if k == key]
+            if keep:
+                held = [value]
+                memo.keep(key, value)
+            else:
+                assert memo.recall(key) == (held[0] if held else None)
+            if held:
+                reference = [(k, v) for k, v in reference if k != key] + [(key, held[0])]
+                reference = reference[-size:]
+            assert list(memo.items()) == reference and len(memo) <= size
 
     def test_a_search_that_trips_keeps_nothing(self, no_canon_leaves):
         mol = molgraph._parse_text("CC(C)C")  # the methyls tie
