@@ -21,7 +21,10 @@ bonds spend, and each bare atom comes from a table built once, one
 :class:`Atom` per token and hydrogen count. The grammar already rules out
 a bond from an atom to itself, a repeated bond and a disconnected graph, so
 a parse checks only the explicit aromatic bonds and the atoms, in the order
-a full validation checks them, and raises the same error.
+a full validation checks them, and raises the same error. The constructor
+marks rings the same way: it numbers the atoms in the order a search
+reaches them, so the bonds that reach new atoms run from lower numbers to
+higher ones as a parse's do, and every other bond is a closure.
 
 A canonical string names its graph, so parsing one the program has just
 written need not search again. The canonical strings of the last 64
@@ -53,14 +56,14 @@ write-order twin lists its atoms in another order. A kept child may have
 been named long ago: once its string has left the remembered writes,
 parsing that string is a full parse, not a write-order twin.
 
-Harvesting skills builds the same scaffold cores and fragments again and
-again, so :func:`induced_molecule` keeps the last _SUBGRAPH_MEMO_MAX
-molecules built from induced subgraphs, least recently used first out,
-keyed by plain tuples of the subgraph's atom and bond fields and whether
-the molecule is validated; the :class:`Atom` and :class:`Bond` objects are
-made only on a miss. Equal keys are equal graphs in the same atom order,
-so a kept molecule is the one a fresh build would make. A build is named
-before it is kept, so one that raises or trips is never kept, and
+Harvesting skills names the same scaffold cores and fragments again and
+again, so :func:`subgraph_name` keeps the canonical strings of the last
+_SUBGRAPH_MEMO_MAX induced subgraphs, least recently used first out, keyed
+by plain tuples of the subgraph's atom and bond fields and whether the
+molecule is validated; the :class:`Atom` and :class:`Bond` objects and the
+molecule are made only on a miss, and only the string is kept. Equal keys
+are equal graphs in the same atom order, so a kept string is the one a
+fresh build would write. A build that raises or trips is never kept, and
 functools' cache is thread-safe. A hit skips the build as well as the
 name, so this memo still pays beside the name memo.
 
@@ -104,7 +107,6 @@ __all__ = [
     "Atom",
     "Bond",
     "Molecule",
-    "Scaffold",
     "SmilesError",
     "SmilesSyntaxError",
     "UnmatchedRingError",
@@ -116,7 +118,7 @@ __all__ = [
     "parse",
     "scaffold_of",
     "scaffold_atoms",
-    "induced_molecule",
+    "subgraph_name",
     "neighbor_maps",
     "mutate",
     "EDIT_OPERATORS",
@@ -199,7 +201,7 @@ _MAX_CANON_LEAVES = 20_000
 # parse() keeps this many recent results.
 _PARSE_CACHE_SIZE = 64
 
-# induced_molecule() keeps this many recent subgraph molecules.
+# subgraph_name() keeps the strings of this many recent subgraphs.
 _SUBGRAPH_MEMO_MAX = 512
 
 # _canonical_string() keeps the strings of this many recent graphs.
@@ -293,7 +295,11 @@ class Molecule:
         *,
         validate: bool = True,
     ):
-        self._build(tuple(atoms), tuple(bonds), None)
+        atoms, bonds = tuple(atoms), tuple(bonds)
+        if validate:
+            # before the build, which indexes the atoms by the bond ends
+            _check_bond_ends(len(atoms), bonds)
+        self._build(atoms, bonds, _ring_bond_flags(len(atoms), bonds))
         if validate:
             self._validate()
         self._checked = validate
@@ -308,8 +314,8 @@ class Molecule:
         canonical: Optional[str] = None,
     ) -> "Molecule":
         """A molecule whose bonds' ring flags are already known and whose
-        caller makes every check that can fail (a parse) or needs none (a
-        write-order twin, whose `canonical` string is its name)."""
+        caller makes every check that can fail (a parse, an edit) or needs
+        none (a write-order twin, whose `canonical` string is its name)."""
         mol = cls.__new__(cls)
         mol._build(atoms, bonds, ring_bonds)
         mol._checked = True
@@ -320,14 +326,12 @@ class Molecule:
         self,
         atoms: tuple[Atom, ...],
         bonds: tuple[Bond, ...],
-        ring_bonds: Optional[list[bool]],
+        ring_bonds: list[bool],
     ) -> None:
         """The graph and its derived structure, unchecked and unnamed."""
         self.atoms: tuple[Atom, ...] = atoms
         self.bonds: tuple[Bond, ...] = bonds
         self._adj = _adjacency(len(atoms), bonds)
-        if ring_bonds is None:
-            ring_bonds = _ring_bond_flags(len(atoms), [(a, b) for a, b, _ in bonds])
         self._ring_bonds = ring_bonds
         self._ring_atoms = ring_atoms = [False] * len(atoms)
         for (a, b, _), in_ring in zip(bonds, ring_bonds):
@@ -395,22 +399,13 @@ class Molecule:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
+        """Every check after :func:`_check_bond_ends`, in order: one
+        component, the aromatic bonds, the atoms."""
         n = len(self.atoms)
         if n == 0:
             return
-        seen: set[tuple[int, int]] = set()
-        for bond in self.bonds:
-            if bond.a == bond.b:
-                raise SmilesSyntaxError("bond endpoints must be distinct")
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
-                raise SmilesSyntaxError("bond endpoint out of range")
-            if bond.key() in seen:
-                raise SmilesSyntaxError(f"duplicate bond between {bond.key()}")
-            seen.add(bond.key())
-
         if _component_size(0, self._adj) != n:
             raise MultiFragmentError("molecule graph is disconnected")
-
         self._check_bonds(range(len(self.bonds)))
         self._check_atoms(range(n))
 
@@ -453,6 +448,20 @@ class Molecule:
                 )
 
 
+def _check_bond_ends(n: int, bonds: Sequence[Bond]) -> None:
+    """Each bond, in order, joins two distinct atoms among the `n` and no
+    other bond joins the same two."""
+    seen: set[tuple[int, int]] = set()
+    for bond in bonds:
+        if bond.a == bond.b:
+            raise SmilesSyntaxError("bond endpoints must be distinct")
+        if not (0 <= bond.a < n and 0 <= bond.b < n):
+            raise SmilesSyntaxError("bond endpoint out of range")
+        if bond.key() in seen:
+            raise SmilesSyntaxError(f"duplicate bond between {bond.key()}")
+        seen.add(bond.key())
+
+
 def _bond_electrons(nbrs: list[tuple[int, str]]) -> int:
     """Valence one atom spends on its bonds, from its (neighbour, order)
     pairs."""
@@ -486,49 +495,34 @@ def _component_size(start: int, adj: list[list[tuple[int, str]]]) -> int:
     return len(seen)
 
 
-def _ring_bond_flags(n: int, edges: Sequence[tuple[int, int]]) -> list[bool]:
-    """True for every bond on a cycle, given each bond's (a, b) pair;
-    bridges are the only non-ring bonds."""
-    if n == 0 or not edges:
-        return [False] * len(edges)
-    # per atom: (neighbour, bond index)
+def _ring_bond_flags(n: int, bonds: Sequence[tuple[int, int, object]]) -> list[bool]:
+    """True for every bond on a cycle, given each bond as (a, b, order), in a
+    graph connected or not. The atoms are numbered in the order a search
+    reaches them, so each bond that reaches a new atom runs from a lower
+    number to a higher one, as a parse's tree bonds do, and the other bonds
+    go to :func:`_closure_ring_flags` as its ring closures."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for b_idx, (a, b) in enumerate(edges):
+    for b_idx, (a, b, _) in enumerate(bonds):
         adj[a].append((b, b_idx))
         adj[b].append((a, b_idx))
-    # back edges always close a cycle; tree edges checked with low-links
-    flags = [True] * len(edges)
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
+    number, tree, counter = [-1] * n, set(), itertools.count()
     for root in range(n):
-        if disc[root] != -1:
+        if number[root] != -1:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        # (atom, the tree bond it was reached by, its unread neighbours)
-        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
-            (root, -1, iter(adj[root]))
-        ]
+        number[root] = next(counter)
+        stack = [root]
         while stack:
-            node, via, it = stack[-1]
-            for nbr, b_idx in it:
-                if b_idx == via:
-                    continue
-                if disc[nbr] == -1:
-                    disc[nbr] = low[nbr] = timer
-                    timer += 1
-                    stack.append((nbr, b_idx, iter(adj[nbr])))
-                    break
-                low[node] = min(low[node], disc[nbr])
-            else:
-                stack.pop()
-                if stack:
-                    up = stack[-1][0]
-                    low[up] = min(low[up], low[node])
-                    if low[node] > disc[up]:
-                        flags[via] = False
-    return flags
+            for nbr, b_idx in adj[stack.pop()]:
+                if number[nbr] == -1:
+                    number[nbr] = next(counter)
+                    tree.add(b_idx)
+                    stack.append(nbr)
+    numbered = []
+    for a, b, _ in bonds:
+        a, b = sorted((number[a], number[b]))
+        numbered.append((a, b, None))
+    closures = [b_idx for b_idx in range(len(bonds)) if b_idx not in tree]
+    return _closure_ring_flags(n, numbered, closures)
 
 
 def _implicit_hydrogens(element: str, aromatic: bool, bond_electrons: int) -> int:
@@ -1315,14 +1309,6 @@ def _write_order_twin(text: str, written: tuple) -> Molecule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scaffold:
-    """Ring systems plus linkers; empty for acyclic molecules."""
-
-    core: Molecule
-    ring_count: int
-
-
 def scaffold_atoms(m: Molecule) -> set[int]:
     """The atoms left after pruning terminal non-ring atoms until none is
     left: ring systems plus the linkers between them."""
@@ -1359,35 +1345,33 @@ def _induced_fields(
     return tuple(atoms), bonds
 
 
-def induced_molecule(m: Molecule, keep: set[int], validate: bool = True) -> Molecule:
-    """The named :class:`Molecule` on the atoms in `keep` and the bonds
-    among them, hydrogens refilling the valence of every bond cut; built
-    once while the subgraph memo holds it (see the module docstring)."""
-    return _subgraph_molecule(*_induced_fields(m, keep), validate)
+def subgraph_name(m: Molecule, keep: set[int], validate: bool = True) -> str:
+    """The canonical string of the molecule on the atoms in `keep` and the
+    bonds among them, hydrogens refilling the valence of every bond cut;
+    searched once while the subgraph memo holds it (see the module
+    docstring)."""
+    return _subgraph_name(*_induced_fields(m, keep), validate)
 
 
 @functools.lru_cache(maxsize=_SUBGRAPH_MEMO_MAX)
-def _subgraph_molecule(
+def _subgraph_name(
     atoms: tuple[tuple, ...], bonds: tuple[tuple[int, int, str], ...], validate: bool
-) -> Molecule:
-    mol = Molecule([Atom(*f) for f in atoms], [Bond(*f) for f in bonds], validate=validate)
-    mol.canonical  # the search runs now, so a core whose search trips is never kept
-    return mol
+) -> str:
+    return Molecule(
+        [Atom(*f) for f in atoms], [Bond(*f) for f in bonds], validate=validate
+    ).canonical
 
 
-def scaffold_of(m: Molecule) -> Scaffold:
-    """The validated molecule on :func:`scaffold_atoms`, already named;
-    empty for acyclic molecules. Computed once per molecule and kept in its
-    `_fp_cache`, so a write-order twin may hold a core in its writer's atom
-    order: read only the core's string and the ring count. The core comes from
-    :func:`induced_molecule`, so molecules with the same core graph in the
-    same atom order share one core; each molecule still gets its own
-    :class:`Scaffold`, and a core whose build raises or whose search trips
-    is never kept."""
+def scaffold_of(m: Molecule) -> str:
+    """The canonical string of the validated molecule on
+    :func:`scaffold_atoms`, "" for an acyclic molecule; its ring count is
+    ``m.ring_count()``, since pruning a terminal atom drops one atom and one
+    bond. Computed once per molecule and kept in its `_fp_cache`, which a
+    write-order twin shares. The string comes from :func:`subgraph_name`,
+    so a core whose build raises or whose search trips is never kept."""
     scaffold = m._fp_cache.get("scaffold")
     if scaffold is None:
-        core = induced_molecule(m, scaffold_atoms(m))
-        scaffold = m._fp_cache["scaffold"] = Scaffold(core, core.ring_count())
+        scaffold = m._fp_cache["scaffold"] = subgraph_name(m, scaffold_atoms(m))
     return scaffold
 
 
@@ -1467,14 +1451,13 @@ def _edit_child(
     """An edit's child, its canonical string deferred. Under a validated
     parent only the `edited` atoms can break a rule (see the module
     docstring); an unvalidated parent's child is validated in full."""
-    child = Molecule.__new__(Molecule)
-    child._build(tuple(atoms), bonds, ring_bonds)
+    child = Molecule._assemble(tuple(atoms), bonds, ring_bonds)
     if m._checked:
         # index order: the first error is the one a full validation raises
         child._check_atoms(sorted(edited))
     else:
+        _check_bond_ends(len(atoms), bonds)
         child._validate()
-    child._checked = True
     child._keeps_edits = False
     return child
 

@@ -104,8 +104,13 @@ def builtin_qed_lite(m: Molecule) -> float:
     }
     log_sum = 0.0
     for field, (center, steepness) in _QED_PARAMS.items():
-        d = 1.0 / (1.0 + math.exp(steepness * (values[field] - center)))
-        log_sum += math.log(d)
+        x = steepness * (values[field] - center)
+        try:
+            log_sum += math.log(1.0 / (1.0 + math.exp(x)))
+        except OverflowError:
+            # exp(x) past the largest float: log(1 / (1 + e^x)) is -x less
+            # log(1 + e^-x), which vanishes
+            log_sum -= x
     return math.exp(log_sum / len(_QED_PARAMS))
 
 

@@ -7,9 +7,9 @@ its pair, found by one exact branch and bound over atom bitsets for pairs of
 any size. The search stops after a fixed number of search nodes, never at a
 clock, and then keeps the best mapping it found and flags the card
 approximate: a card depends only on its two molecules. A card's scaffold
-cores and removed and added fragments are molecules on induced subgraphs,
-built through molgraph's subgraph memo (:func:`induced_molecule`), so a
-graph harvest has met lately is not searched again.
+cores and removed and added fragments are strings named through molgraph's
+subgraph memo (:func:`subgraph_name`), so a graph harvest has met lately
+is neither built nor searched again; a core's ring count is its molecule's.
 
 The bank keeps one store per task. Its cards are kept once, as rows in
 capacity order (the largest improvement first, the newer card first among
@@ -48,10 +48,10 @@ from .chemfeat import (
 from .files import data_text, write_jsonl
 from .molgraph import (
     Molecule,
-    induced_molecule,
     parse,
     scaffold_atoms,
     scaffold_of,
+    subgraph_name,
 )
 
 __all__ = [
@@ -287,8 +287,9 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
 def _fragment_string(mol: Molecule, outside: set[int]) -> str:
     """Canonical string of the atoms outside the mapping, components joined.
 
-    Each component is an unvalidated :func:`induced_molecule`: the string is
-    descriptive (fragments torn from rings need not re-parse as molecules).
+    Each component is named by an unvalidated :func:`subgraph_name`: the
+    string is descriptive (fragments torn from rings need not re-parse as
+    molecules).
     """
     unvisited = set(outside)
     fragments = []
@@ -303,7 +304,7 @@ def _fragment_string(mol: Molecule, outside: set[int]) -> str:
                     comp.add(nbr)
                     queue.append(nbr)
         unvisited -= comp
-        fragments.append(induced_molecule(mol, comp, validate=False).canonical)
+        fragments.append(subgraph_name(mol, comp, validate=False))
     return ".".join(sorted(fragments))
 
 
@@ -401,13 +402,13 @@ def build_edit_card(
     mcs = mcs_decompose(before, after)
     mapping = mcs.mapping_dict()
 
-    sc_before = scaffold_of(before)
-    sc_after = scaffold_of(after)
-    if sc_before.core.canonical == sc_after.core.canonical:
+    scaffold_before = scaffold_of(before)
+    scaffold_after = scaffold_of(after)
+    if scaffold_before == scaffold_after:
         scaffold_type = "unchanged"
-    elif sc_after.ring_count < sc_before.ring_count:
+    elif after.ring_count() < before.ring_count():
         scaffold_type = "ring_removal"
-    elif sc_after.ring_count > sc_before.ring_count:
+    elif after.ring_count() > before.ring_count():
         scaffold_type = "ring_addition"
     elif not scaffold_atoms(before) <= set(mapping):
         scaffold_type = "scaffold_hop"
@@ -440,8 +441,8 @@ def build_edit_card(
         modification_type=modification_type,
         removed_fragment=mcs.removed_fragment,
         added_fragment=mcs.added_fragment,
-        scaffold_before=sc_before.core.canonical,
-        scaffold_after=sc_after.core.canonical,
+        scaffold_before=scaffold_before,
+        scaffold_after=scaffold_after,
         scaffold_type=scaffold_type,
         fg_removed=fg_removed,
         fg_added=fg_added,

@@ -23,7 +23,7 @@ def no_canon_leaves(monkeypatch):
     needed intact must be built before the fixture runs."""
     monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
     # a text parsed earlier would come back from the cache, a text written
-    # earlier as a write-order twin, a subgraph built earlier from the
+    # earlier as a write-order twin, a subgraph named earlier from the
     # subgraph memo, and a graph named earlier from the name memo, without
     # a search
     forget_texts()
@@ -34,7 +34,7 @@ def no_canon_leaves(monkeypatch):
 def forget_texts():
     molgraph._parse_interned.cache_clear()
     molgraph._WRITTEN.clear()
-    molgraph._subgraph_molecule.cache_clear()
+    molgraph._subgraph_name.cache_clear()
     molgraph._NAMES.clear()
     chemfeat._FP_MEMO.clear()
 

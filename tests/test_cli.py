@@ -61,6 +61,21 @@ class TestBuildBankAndRetrieve:
         assert (workspace / "bank.bank.jsonl").exists()
         assert (workspace / "bank.fp.bin").exists()
 
+    def test_aromatic_phosphorus_and_boron_rows_under_plogp(self, workspace, capsys):
+        corpus = workspace / "aromatic.smi"
+        corpus.write_text("c1ccpc1\tact=0.5\nc1ccbc1\tact=0.4\nCCO\tact=0.3\n")
+        code, out, err = run_cli(capsys, "build-bank", "--corpus", corpus,
+                                 "--out", workspace / "bank", "--objective", "plogp")
+        assert code == 0, err
+        assert json.loads(out)["records"] == 3
+        leads = workspace / "aromatic_leads.smi"
+        leads.write_text("c1ccpc1\n")
+        code, _, err = run_cli(capsys, "run", "--leads", leads, "--objective", "plogp",
+                               "--policy", "random", "--budget", "10", "--generations", "1",
+                               "--rollouts", "2", "--turns", "2", "--seed", "3",
+                               "--out", workspace / "out")
+        assert code == 0, err
+
     def test_retrieve_prints_hint_block(self, workspace, capsys):
         run_cli(capsys, "build-bank", "--corpus", workspace / "corpus.smi",
                 "--out", workspace / "bank")

@@ -1,10 +1,11 @@
+import gc
 import heapq
 import random
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,38 +181,35 @@ class TestCanonical:
 class TestScaffold:
     def test_side_chain_pruned(self):
         sc = scaffold_of(parse("CCc1ccccc1"))
-        assert sc.core.canonical == parse("c1ccccc1").canonical
-        assert sc.ring_count == 1
+        assert sc == parse("c1ccccc1").canonical
+        assert parse(sc).ring_count() == 1
 
     def test_acyclic_empty(self):
-        sc = scaffold_of(parse("CCCCCC"))
-        assert sc.core.heavy_atom_count() == 0
-        assert sc.ring_count == 0
-        assert sc.core.canonical == ""
+        assert scaffold_of(parse("CCCCCC")) == ""
+        assert scaffold_of(parse("C")) == ""
 
     def test_linker_retained(self):
         # hand fixed point: both rings plus the 2-carbon linker survive
         sc = scaffold_of(parse("c1ccccc1CCc1ccccc1"))
-        assert sc.core.heavy_atom_count() == 14
-        assert sc.ring_count == 2
-        assert sc.core.canonical == parse("c1ccccc1CCc1ccccc1").canonical
+        assert parse(sc).heavy_atom_count() == 14
+        assert parse(sc).ring_count() == 2
+        assert sc == parse("c1ccccc1CCc1ccccc1").canonical
 
     def test_fixed_point(self):
         for s in ["CCc1ccccc1", "c1ccccc1CCc1ccccc1", "CC(C)Cc1ccc(cc1)C(C)C(=O)O",
                   "CN1CCCC1c1cccnc1"]:
             sc = scaffold_of(parse(s))
-            again = scaffold_of(sc.core)
-            assert again.core.canonical == sc.core.canonical
-            assert again.ring_count == sc.ring_count
+            assert scaffold_of(parse(sc)) == sc
+            assert parse(sc).ring_count() == parse(s).ring_count()
 
     def test_exocyclic_double_bond_pruned(self):
         sc = scaffold_of(parse("O=C1CCCC1"))
-        assert sc.core.canonical == parse("C1CCCC1").canonical
+        assert sc == parse("C1CCCC1").canonical
 
     def test_write_order_twins_share_their_writers_scaffold(self):
         # computed once per molecule: a twin made after its writer's scaffold
         # holds the writer's, one made before computes its own from its own
-        # atom order, and both read the writer's string and ring count
+        # atom order, and both hold the writer's string
         rng = random.Random(11)
         for source in CORPUS[:40]:
             perm = list(range(len(parse(source).atoms)))
@@ -222,13 +220,11 @@ class TestScaffold:
             # ring system), so the writer's search is kept from before
             written = molgraph._WRITTEN[writer.canonical]
             sc = scaffold_of(writer)
-            assert scaffold_of(writer) is sc
+            assert writer._fp_cache["scaffold"] is sc
             late = molgraph._write_order_twin(writer.canonical, written)
-            assert scaffold_of(late) is sc
-            own = scaffold_of(early)
-            assert own is not sc
-            assert (own.core.canonical, own.ring_count) == (
-                sc.core.canonical, sc.ring_count), source
+            assert late._fp_cache["scaffold"] is sc
+            assert "scaffold" not in early._fp_cache
+            assert scaffold_of(early) == sc, source
 
 
 class TestMutate:
@@ -280,7 +276,7 @@ class TestMutate:
             if line.startswith("#") or op == "parse" or want.startswith("!"):
                 continue
             child = mutate(parse(source), op, int(seed))
-            fresh = molgraph._ring_bond_flags(
+            fresh = reference_ring_bond_flags(
                 len(child.atoms), [(b.a, b.b) for b in child.bonds]
             )
             if child._ring_bonds != fresh:
@@ -309,6 +305,17 @@ class TestMoleculeInvariants:
     def test_self_bond_rejected(self):
         with pytest.raises(SmilesSyntaxError):
             Molecule([Atom("C", hcount=4)], [Bond(0, 0, "single")])
+
+    @pytest.mark.parametrize("bonds", [[Bond(0, 5)], [Bond(0, 1), Bond(2, 1)],
+                                       [Bond(-1, 0)], [Bond(7, 0)]])
+    def test_bond_end_out_of_range_rejected(self, bonds):
+        # checked before the build indexes the atoms by the ends
+        with pytest.raises(SmilesSyntaxError, match="bond endpoint out of range"):
+            Molecule([Atom("C", hcount=3)] * 2, bonds)
+
+    def test_bond_without_atoms_rejected(self):
+        with pytest.raises(SmilesSyntaxError, match="bond endpoint out of range"):
+            Molecule([], [Bond(0, 1)])
 
     def test_equality_by_canonical(self):
         assert parse("OCC") == parse("CCO")
@@ -515,38 +522,55 @@ CORPUS = [
     .read_text().splitlines()
     if line and not line.startswith("#")
 ]
+DRUG_LEADS = (Path(__file__).parent / "fixtures" / "drug_leads.smi").read_text().split()
 
 
 class TestSubgraphMemo:
     def test_a_core_whose_search_trips_is_never_kept(self, monkeypatch):
         mol = molgraph._parse_text("CCC1CCCCC1")  # no scaffold kept yet
-        molgraph._subgraph_molecule.cache_clear()
+        molgraph._subgraph_name.cache_clear()
         molgraph._NAMES.clear()  # the core's graph may have been named before
         monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
         for _ in range(3):
             with pytest.raises(CanonicalizationBudgetError):
                 scaffold_of(mol)
-            assert molgraph._subgraph_molecule.cache_info().currsize == 0
+            assert molgraph._subgraph_name.cache_info().currsize == 0
         assert "scaffold" not in mol._fp_cache
         monkeypatch.undo()
-        assert scaffold_of(mol).core.canonical == "C1CCCCC1"
-        assert molgraph._subgraph_molecule.cache_info().currsize == 1
+        assert scaffold_of(mol) == "C1CCCCC1"
+        assert molgraph._subgraph_name.cache_info().currsize == 1
 
     def test_stays_within_its_bound(self):
         # more subgraphs than the memo keeps: whole corpus graphs, unvalidated,
         # and their cores; the one used last is still kept
-        info = molgraph._subgraph_molecule.cache_info()
+        info = molgraph._subgraph_name.cache_info()
         assert info.maxsize == molgraph._SUBGRAPH_MEMO_MAX == 512
         for source in CORPUS:
             mol = parse(source)
-            whole = molgraph.induced_molecule(mol, set(range(len(mol.atoms))), False)
-            assert whole.canonical == mol.canonical and not whole._checked
+            whole = molgraph.subgraph_name(mol, set(range(len(mol.atoms))), False)
+            assert whole == mol.canonical
             scaffold_of(mol)
-            assert molgraph._subgraph_molecule.cache_info().currsize <= 512
-        assert molgraph._subgraph_molecule.cache_info().currsize == 512
+            assert molgraph._subgraph_name.cache_info().currsize <= 512
+        assert molgraph._subgraph_name.cache_info().currsize == 512
         last = parse(CORPUS[-1])
-        core = scaffold_of(last).core
-        assert molgraph.induced_molecule(last, molgraph.scaffold_atoms(last)) is core
+        core = scaffold_of(last)
+        assert molgraph.subgraph_name(last, molgraph.scaffold_atoms(last)) is core
+
+    def test_holds_strings_only(self):
+        # functools' cache reports each entry's key and then its value to
+        # the garbage collector: every value is a string, no molecule
+        molgraph._subgraph_name.cache_clear()
+        for source in CORPUS[:100] + DRUG_LEADS:
+            mol = molgraph._parse_text(source)
+            scaffold_of(mol)
+            skillbank._fragment_string(mol, set(range(0, len(mol.atoms), 3)))
+            molgraph.subgraph_name(mol, set(range(len(mol.atoms))), validate=False)
+        held = gc.get_referents(molgraph._subgraph_name)
+        values = [held[i + 1] for i, item in enumerate(held)
+                  if type(item) is tuple and len(item) == 3 and type(item[2]) is bool]
+        assert len(values) == molgraph._subgraph_name.cache_info().currsize > 100
+        assert {type(value) for value in values} == {str}
+        assert not any(isinstance(item, Molecule) for item in held)
 
     @given(st.sampled_from(CORPUS), st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -559,18 +583,48 @@ class TestSubgraphMemo:
         rng.shuffle(perm)
         inv = {old: new for new, old in enumerate(perm)}
         outside = {i for i in range(n) if rng.random() < 0.4}
-        want = (scaffold_of(mol).core.canonical,
-                skillbank._fragment_string(mol, outside))
+        want = (scaffold_of(mol), skillbank._fragment_string(mol, outside))
         for _ in range(2):  # warm, the second copy finds the first's subgraphs
             if cold:
-                molgraph._subgraph_molecule.cache_clear()
+                molgraph._subgraph_name.cache_clear()
             other = relabel(mol, perm)
-            got = (scaffold_of(other).core.canonical,
+            got = (scaffold_of(other),
                    skillbank._fragment_string(other, {inv[i] for i in outside}))
             assert got == want, (source, perm, sorted(outside))
         if not cold:
             again = relabel(mol, perm)
-            assert scaffold_of(again).core is scaffold_of(other).core
+            assert scaffold_of(again) is scaffold_of(other)
+
+
+@st.composite
+def edited_molecules(draw) -> Molecule:
+    """A corpus row or drug-sized lead, then up to six random edits."""
+    mol = parse(draw(st.sampled_from(CORPUS + DRUG_LEADS)))
+    for op, seed in draw(st.lists(st.tuples(st.sampled_from(EDIT_OPERATORS),
+                                            st.integers(0, 10**6)), max_size=6)):
+        try:
+            mol = mutate(mol, op, seed)
+        except (NoApplicableSiteError, ValenceError):
+            pass
+    return mol
+
+
+class TestScaffoldRingCount:
+    def test_every_corpus_row_and_drug_lead(self):
+        for source in CORPUS + DRUG_LEADS:
+            assert_has_its_cores_ring_count(parse(source))
+
+    @given(edited_molecules())
+    @settings(max_examples=200, deadline=None)
+    def test_edited_molecules(self, mol):
+        assert_has_its_cores_ring_count(mol)
+
+
+def assert_has_its_cores_ring_count(mol: Molecule) -> None:
+    # pruning a terminal non-ring atom drops one atom and one bond, so an
+    # edit card may compare the whole molecules' ring counts
+    core = scaffold_of(mol)
+    assert (parse(core).ring_count() if core else 0) == mol.ring_count(), mol.canonical
 
 
 class TestWriteOrderTwin:
@@ -729,14 +783,61 @@ class TestParseTotality:
 # The reader as it was before it read a text in one pass, kept as the
 # reference the reader must match: the grammar's output turned into a
 # molecule by the general constructor, with ring flags from a ring search
-# over the whole graph and every check a constructed molecule gets.
+# over the whole graph (Tarjan's low-link bridge search, also the reference
+# for the constructor's ring flags) and every check a constructed molecule
+# gets.
 # ---------------------------------------------------------------------------
+
+
+def reference_ring_bond_flags(n: int, edges: Sequence[tuple[int, int]]) -> list[bool]:
+    """True for every bond on a cycle, given each bond's (a, b) pair;
+    bridges are the only non-ring bonds."""
+    if n == 0 or not edges:
+        return [False] * len(edges)
+    # per atom: (neighbour, bond index)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for b_idx, (a, b) in enumerate(edges):
+        adj[a].append((b, b_idx))
+        adj[b].append((a, b_idx))
+    # back edges always close a cycle; tree edges checked with low-links
+    flags = [True] * len(edges)
+    disc = [-1] * n
+    low = [0] * n
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        # (atom, the tree bond it was reached by, its unread neighbours)
+        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = [
+            (root, -1, iter(adj[root]))
+        ]
+        while stack:
+            node, via, it = stack[-1]
+            for nbr, b_idx in it:
+                if b_idx == via:
+                    continue
+                if disc[nbr] == -1:
+                    disc[nbr] = low[nbr] = timer
+                    timer += 1
+                    stack.append((nbr, b_idx, iter(adj[nbr])))
+                    break
+                low[node] = min(low[node], disc[nbr])
+            else:
+                stack.pop()
+                if stack:
+                    up = stack[-1][0]
+                    low[up] = min(low[up], low[node])
+                    if low[node] > disc[up]:
+                        flags[via] = False
+    return flags
 
 
 def reference_parse(text: str) -> Molecule:
     tokens, graph, _ = molgraph._smiles_graph(text)
     atoms = [Atom(t.capitalize(), t.islower()) if isinstance(t, str) else t for t in tokens]
-    flags = molgraph._ring_bond_flags(len(atoms), [(a, b) for a, b, _ in graph])
+    flags = reference_ring_bond_flags(len(atoms), [(a, b) for a, b, _ in graph])
     bonds = []
     for in_ring, (a, b, order) in zip(flags, graph):
         if order is None:
@@ -857,7 +958,7 @@ def assert_closure_flags_equal_a_ring_search(text: str) -> None:
     tokens, graph, closures = molgraph._smiles_graph(text)
     edges = [(a, b) for a, b, _ in graph]
     assert molgraph._closure_ring_flags(len(tokens), graph, closures) == (
-        molgraph._ring_bond_flags(len(tokens), edges))
+        reference_ring_bond_flags(len(tokens), edges))
 
 
 class TestReaderMatchesReference:
@@ -912,6 +1013,54 @@ class TestClosureRingFlags:
         tokens, graph, closures = molgraph._smiles_graph(text)
         flags = molgraph._closure_ring_flags(len(tokens), graph, closures)
         assert any(flags) and not all(flags)
+
+
+@st.composite
+def any_graphs(draw, max_atoms: int = 40) -> tuple[int, list[tuple[int, int]]]:
+    """Any simple graph on up to `max_atoms` atoms, connected or not: a
+    random forest (each atom hangs from an earlier one or starts a tree)
+    plus up to 20 more bonds, its atoms then numbered in a random order,
+    each bond turned either way and the bonds listed in a random order."""
+    n = draw(st.integers(0, max_atoms))
+    pairs = set()
+    for i in range(1, n):
+        parent = draw(st.integers(-1, i - 1))
+        if parent >= 0:
+            pairs.add((parent, i))
+    if n:
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=20)):
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+    number = draw(st.permutations(range(n)))
+    edges = [(number[a], number[b]) if draw(st.booleans()) else (number[b], number[a])
+             for a, b in sorted(pairs)]
+    return n, draw(st.permutations(edges))
+
+
+class TestRingBondFlags:
+    @given(any_graphs())
+    @settings(max_examples=500, deadline=None)
+    def test_equal_the_low_link_search(self, graph):
+        n, edges = graph
+        assert molgraph._ring_bond_flags(n, [Bond(a, b) for a, b in edges]) == (
+            reference_ring_bond_flags(n, edges))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_long_graphs_in_any_order(self, seed):
+        # a 3,000-atom path with side chains and 45 closures, its atoms
+        # shuffled: deeper than the recursion limit
+        rng = random.Random(seed)
+        n = 3000
+        edges = [(i - 1 if rng.random() < 0.9 else rng.randrange(i), i) for i in range(1, n)]
+        edges += [(a, a + rng.randrange(2, 200)) for a in rng.sample(range(n - 200), 45)]
+        edges = list(dict.fromkeys(edges))
+        number = list(range(n))
+        rng.shuffle(number)
+        edges = [(number[a], number[b]) for a, b in edges]
+        want = reference_ring_bond_flags(n, edges)
+        assert any(want) and not all(want)
+        assert molgraph._ring_bond_flags(n, [Bond(a, b) for a, b in edges]) == want
 
 
 class TestEditChildren:
@@ -1586,7 +1735,7 @@ def reference_write_order_twin(text: str, canon: ReferenceCanonicalizer) -> Mole
 def unnamed(atoms, bonds) -> Molecule:
     """A graph built without validation or a canonical search."""
     mol = Molecule.__new__(Molecule)
-    mol._build(tuple(atoms), tuple(bonds), None)
+    mol._build(tuple(atoms), tuple(bonds), molgraph._ring_bond_flags(len(atoms), bonds))
     return mol
 
 

@@ -4,7 +4,8 @@ from contextlib import closing
 
 import pytest
 
-from leadopt.chemfeat import morgan_fp, tanimoto
+from leadopt import molgraph
+from leadopt.chemfeat import descriptors, morgan_fp, tanimoto
 from leadopt.lineproto import ProtocolError, ProtocolTimeout
 from leadopt.molgraph import parse
 from leadopt.oracles import (
@@ -28,6 +29,7 @@ from leadopt.oracles import (
     load_objective,
     table_oracle,
 )
+from leadopt.oracles import _LOGP, _QED_PARAMS
 
 MASS_H, MASS_C = 1.008, 12.011
 
@@ -65,11 +67,33 @@ class TestBuiltins:
     def test_logp_oxygen_below_carbon(self):
         assert builtin_logp_lite(parse("CCO")) < builtin_logp_lite(parse("CCC"))
 
+    def test_logp_has_a_row_for_every_atom_the_parser_accepts(self):
+        # a bare atom's token, or a bracket atom's element, lowercase when
+        # aromatic
+        accepted = set(molgraph._BARE_ATOMS)
+        assert accepted == set(molgraph.SUPPORTED_ELEMENTS) | {
+            element.lower() for element in molgraph._AROMATIC_OK}
+        assert accepted <= set(_LOGP)
+        assert builtin_logp_lite(parse("c1ccpc1")) == pytest.approx(4 * 0.29 - 0.30)
+        assert builtin_logp_lite(parse("c1ccbc1")) == pytest.approx(4 * 0.29 - 0.10)
+
+    def test_qed_of_a_chain_past_the_exponents_range(self):
+        # 1,197 rotatable bonds: exp(0.6 * (1197 - 7.6)) is past the largest
+        # float, so that log-desirability is read as -x
+        m = parse("C" * 1200)
+        vec = descriptors(m)
+        assert vec.rotatable_bonds == 1197
+        values = {"mw": vec.mw, "ring_count": vec.ring_count, "hbd": vec.hbd,
+                  "hba": vec.hba, "psa_lite": vec.psa_lite,
+                  "rotatable_bonds": vec.rotatable_bonds}
+        # log(1 / (1 + e^x)) without overflow at any x
+        logs = [-(max(x, 0.0) + math.log1p(math.exp(-abs(x))))
+                for x in (k * (values[f] - c) for f, (c, k) in _QED_PARAMS.items())]
+        expected = math.exp(sum(logs) / len(logs))
+        assert 0.0 < builtin_oracle("qed_lite")(m) == pytest.approx(expected, rel=1e-12)
+
     def test_qed_direct_evaluation(self):
         # independent oracle: direct evaluation of the shipped parameters
-        from leadopt.oracles import _QED_PARAMS
-        from leadopt.chemfeat import descriptors
-
         m = parse("CC(=O)Oc1ccccc1C(=O)O")
         vec = descriptors(m)
         values = {

@@ -357,7 +357,7 @@ class TestHarvest:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            molgraph._subgraph_molecule.cache_clear()
+            molgraph._subgraph_name.cache_clear()
             threads = [threading.Thread(target=work, args=(out,)) for out in results]
             for thread in threads:
                 thread.start()
@@ -366,7 +366,7 @@ class TestHarvest:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        molgraph._subgraph_molecule.cache_clear()
+        molgraph._subgraph_name.cache_clear()
         want = [harvest(t) for t in trajectories]
         assert all(len(cards) == 1 for cards in want)
         assert results == [want, want]
