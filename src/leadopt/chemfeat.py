@@ -9,8 +9,8 @@ Molecules a search visits are one or two edits apart, so almost every
 environment was hashed before; the hash is a pure function of the
 environment, so fingerprints are bit-identical with or without the memo.
 Search also keeps returning to the same molecules, so a fingerprint memo
-maps the canonical strings of the last 2,048 validated, named molecules
-fingerprinted to their set bit positions, packed into bytes.
+maps the canonical strings of the last 2,048 named molecules fingerprinted
+to their set bit positions, packed into bytes.
 
 Every fingerprint has one shape: `WIDTH` (2,048) bits from atom
 environments of radius up to `RADIUS` (2), so any two compare. Only
@@ -143,7 +143,7 @@ def _env_hash(env: tuple) -> int:
 
 
 # the fingerprint memo: canonical string -> the set bit positions of its
-# fingerprint, two bytes each, for the last _FP_MEMO_MAX validated molecules
+# fingerprint, two bytes each, for the last _FP_MEMO_MAX molecules
 # fingerprinted once named. 4,096 entries raised its hits on the search
 # workloads from about 22 % to 32 % of lookups, but its share of the peak
 # resident memory from about 0.7 to 1.8 MB.
@@ -155,18 +155,17 @@ def morgan_fp(m: Molecule) -> Fingerprint:
     """Hash every atom environment at iterations 0..RADIUS into WIDTH bits.
 
     Depends only on the molecular graph, never on input atom order. Each
-    environment's hash is looked up in a bounded memo first. A validated
-    molecule already named is first looked up by its string in the
-    fingerprint memo: such a string names its graph, so every molecule with
-    it has the same bits. An unvalidated one's may not (a single and an
-    aromatic bond outside a ring both write nothing), so it is never looked
-    up. The name is never read just for the memo, so a molecule not yet
-    named (a greedy policy's candidate) stays unnamed.
+    environment's hash is looked up in a bounded memo first. A molecule
+    already named is first looked up by its string in the fingerprint memo:
+    every molecule is valid, and a valid molecule's string names its graph,
+    so every molecule with it has the same bits. The name is never read
+    just for the memo, so a molecule not yet named (a greedy policy's
+    candidate) stays unnamed.
     """
     cached = m._fp_cache.get("fp")
     if cached is not None:
         return cached
-    name = m._canonical if m._checked else None
+    name = m._canonical
     packed = None if name is None else _FP_MEMO.recall(name)
     if packed is None:
         positions = _bit_positions(m)

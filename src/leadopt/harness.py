@@ -71,9 +71,10 @@ class SearchConfig:
     harvest_delta: float = 0.05
 
     def __post_init__(self):
-        # a NaN passes every comparison below, and an infinite step makes
-        # generation 0's temperature NaN (0 * inf)
-        for name in ("temp0", "temp_step", "temp_max"):
+        # a NaN passes every comparison below, an infinite step makes
+        # generation 0's temperature NaN (0 * inf), and a NaN harvest delta
+        # would harvest nothing
+        for name in ("temp0", "temp_step", "temp_max", "harvest_delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.temp0 > self.temp_max:

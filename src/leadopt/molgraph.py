@@ -28,20 +28,18 @@ higher ones as a parse's do, and every other bond is a closure.
 
 A canonical string names its graph, so parsing one the program has just
 written need not search again. The canonical strings of the last 64
-validated molecules to be named are remembered with the molecule, the
-trace of the search's best write and the search's atom pair -> bond index
-map. On a miss in its cache, :func:`parse` turns such a string into the
-writer's *write-order twin*: the source's atoms in the order the string
-writes them, its bonds in the order and orientation the parser adds them,
-its ring flags permuted and its fingerprints kept, which is the molecule
+molecules to be named are remembered with the molecule, the trace of the
+search's best write and the search's atom pair -> bond index map. On a
+miss in its cache, :func:`parse` turns such a string into the writer's
+*write-order twin*: the source's atoms in the order the string writes
+them, its bonds in the order and orientation the parser adds them, its
+ring flags permuted and its fingerprints kept, which is the molecule
 parsing would build, minus tokenizing and the checks, and already named.
-Unvalidated molecules (skill fragments) are never remembered.
 
 An edit hands the parent's ring-bond flags to the edited molecule (no edit
 changes which bonds lie on a ring). None of the four operators can
-disconnect the graph, duplicate a bond or make an aromatic bond, so the
-child of a validated parent checks only the atoms its edit touched; an
-unvalidated parent's child is validated in full.
+disconnect the graph, duplicate a bond or make an aromatic bond, and every
+parent is valid, so a child checks only the atoms its edit touched.
 
 Search keeps returning to the same molecules, so an edit memo keeps the
 last _EDIT_MEMO_MAX pieces of edit work on molecules not made by an edit
@@ -59,13 +57,15 @@ parsing that string is a full parse, not a write-order twin.
 Harvesting skills names the same scaffold cores and fragments again and
 again, so :func:`subgraph_name` keeps the canonical strings of the last
 _SUBGRAPH_MEMO_MAX induced subgraphs, least recently used first out, keyed
-by plain tuples of the subgraph's atom and bond fields and whether the
-molecule is validated; the :class:`Atom` and :class:`Bond` objects and the
-molecule are made only on a miss, and only the string is kept. Equal keys
-are equal graphs in the same atom order, so a kept string is the one a
-fresh build would write. A build that raises or trips is never kept, and
-functools' cache is thread-safe. A hit skips the build as well as the
-name, so this memo still pays beside the name memo.
+by plain tuples of the subgraph's atom and bond fields. On a miss it makes
+the :class:`Atom` and :class:`Bond` objects and the one molecule the
+package builds unchecked: a fragment torn from a ring need not pass the
+checks (a core always does). That molecule is named, not remembered for
+:func:`parse`, and dropped; only the string is kept. Equal keys are equal
+graphs in the same atom order, so a kept string is the one a fresh build
+would write. A search that trips is never kept, and functools' cache is
+thread-safe. A hit skips the build as well as the name, so this memo still
+pays beside the name memo.
 
 The same graph keeps arriving as a new object (a rollout back at a
 molecule it built before, an edit repeated on a write-order twin), so a
@@ -73,8 +73,8 @@ name memo keeps the canonical strings of the last _NAME_MEMO_MAX graphs
 named, least recently used first out. Its key is the graph exactly, in its
 atom order (see :class:`_Canonicalizer`); its value is the string and the
 trace of the string's write, packed into bytes. A hit runs only the
-search's setup, and a validated molecule it names is remembered for
-write-order twins as a searched one is. A search that trips keeps nothing.
+search's setup, and a molecule it names is remembered for write-order
+twins as a searched one is. A search that trips keeps nothing.
 The memo holds bytes only, no molecule. A memory query's query and lead
 are never named, so they never reach it.
 
@@ -270,10 +270,10 @@ class Bond(NamedTuple):
 class Molecule:
     """Immutable molecular graph named by its canonical SMILES string.
 
-    Every construction path validates the graph when it builds the molecule
-    (the constructor only with `validate`); the canonical search runs on the
-    first read of ``.canonical``, which raises
-    :class:`CanonicalizationBudgetError` when the search trips.
+    Every construction path validates the graph when it builds the
+    molecule; the canonical search runs on the first read of
+    ``.canonical``, which raises :class:`CanonicalizationBudgetError` when
+    the search trips.
     """
 
     __slots__ = (
@@ -282,27 +282,17 @@ class Molecule:
         "_adj",
         "_ring_bonds",
         "_ring_atoms",
-        "_checked",
         "_canonical",
         "_fp_cache",
         "_keeps_edits",
     )
 
-    def __init__(
-        self,
-        atoms: Sequence[Atom],
-        bonds: Sequence[Bond],
-        *,
-        validate: bool = True,
-    ):
+    def __init__(self, atoms: Sequence[Atom], bonds: Sequence[Bond]):
         atoms, bonds = tuple(atoms), tuple(bonds)
-        if validate:
-            # before the build, which indexes the atoms by the bond ends
-            _check_bond_ends(len(atoms), bonds)
+        # before the build, which indexes the atoms by the bond ends
+        _check_bond_ends(len(atoms), bonds)
         self._build(atoms, bonds, _ring_bond_flags(len(atoms), bonds))
-        if validate:
-            self._validate()
-        self._checked = validate
+        self._validate()
 
     @classmethod
     def _assemble(
@@ -310,16 +300,13 @@ class Molecule:
         atoms: tuple[Atom, ...],
         bonds: tuple[Bond, ...],
         ring_bonds: list[bool],
-        *,
-        canonical: Optional[str] = None,
     ) -> "Molecule":
-        """A molecule whose bonds' ring flags are already known and whose
-        caller makes every check that can fail (a parse, an edit) or needs
-        none (a write-order twin, whose `canonical` string is its name)."""
+        """A molecule whose bonds' ring flags are already known, built
+        unchecked: its caller makes every check that can fail (a parse, an
+        edit), needs none (a write-order twin) or only names the graph and
+        lets it go (:func:`_subgraph_name`)."""
         mol = cls.__new__(cls)
         mol._build(atoms, bonds, ring_bonds)
-        mol._checked = True
-        mol._canonical = canonical
         return mol
 
     def _build(
@@ -341,10 +328,6 @@ class Molecule:
         # scaffold), never depending on atom order, so a write-order twin
         # shares them
         self._fp_cache: dict = {}
-        # validated: only such molecules are remembered for write-order
-        # twins, and only their edit children may check just the edited
-        # atoms
-        self._checked = False
         self._canonical: Optional[str] = None
         # whether the edit memo keeps this molecule's edits (see _edit):
         # not on a deferred edit child
@@ -358,7 +341,7 @@ class Molecule:
         # threads racing on a first read store the same string, and a
         # search that trips stores nothing and trips again on the next read
         if self._canonical is None:
-            self._canonical = _canonical_string(self, self._checked)
+            self._canonical = _canonical_string(self, True)
         return self._canonical
 
     def neighbors(self, idx: int) -> list[tuple[int, str]]:
@@ -652,9 +635,9 @@ def parse(smiles: str) -> Molecule:
     the first read of ``.canonical``.
 
     The last few texts parsed map to the same (immutable) Molecule object; a
-    text that fails is parsed again. A canonical string written for one of
-    the last few validated molecules is not parsed at all: its write-order
-    twin is built from the molecule that wrote it, already named.
+    text that fails is parsed again. The canonical string of one of the
+    last few molecules named is not parsed at all: its write-order twin is
+    built from the molecule that wrote it, already named.
 
     Raises :class:`SmilesSyntaxError`, :class:`UnmatchedRingError`,
     :class:`ValenceError`, :class:`MultiFragmentError` or
@@ -960,9 +943,10 @@ _NAMES = _Memo(_NAME_MEMO_MAX)
 
 
 def _canonical_string(mol: Molecule, remember: bool = False) -> str:
-    """Canonical SMILES; with `remember`, the search that wrote it is kept
-    so :func:`parse` can build the string's write-order twin. A graph the
-    name memo holds is not searched again: only the setup runs."""
+    """Canonical SMILES; with `remember` (a molecule's own name), the search
+    that wrote it is kept so :func:`parse` can build the string's
+    write-order twin. A graph the name memo holds is not searched again:
+    only the setup runs."""
     if not mol.atoms:
         return ""
     canon = _Canonicalizer(mol)
@@ -1273,7 +1257,7 @@ def _digit_token(digit: int) -> str:
 # ---------------------------------------------------------------------------
 
 # canonical string -> (molecule, packed best trace, bond map) of the search
-# that wrote it, for the last _PARSE_CACHE_SIZE validated molecules named
+# that wrote it, for the last _PARSE_CACHE_SIZE molecules named
 _WRITTEN = _Memo(_PARSE_CACHE_SIZE)
 
 
@@ -1299,7 +1283,8 @@ def _write_order_twin(text: str, written: tuple) -> Molecule:
             b_idx = bond_at[other * n + idx if other < idx else idx * n + other]
             bonds.append(Bond(new[other], new[idx], src.bonds[b_idx].order))
             ring_bonds.append(src._ring_bonds[b_idx])
-    twin = Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds, canonical=text)
+    twin = Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds)
+    twin._canonical = text
     twin._fp_cache.update(src._fp_cache)
     return twin
 
@@ -1345,30 +1330,35 @@ def _induced_fields(
     return tuple(atoms), bonds
 
 
-def subgraph_name(m: Molecule, keep: set[int], validate: bool = True) -> str:
-    """The canonical string of the molecule on the atoms in `keep` and the
+def subgraph_name(m: Molecule, keep: set[int]) -> str:
+    """The canonical string of the graph on the atoms in `keep` and the
     bonds among them, hydrogens refilling the valence of every bond cut;
     searched once while the subgraph memo holds it (see the module
     docstring)."""
-    return _subgraph_name(*_induced_fields(m, keep), validate)
+    return _subgraph_name(*_induced_fields(m, keep))
 
 
 @functools.lru_cache(maxsize=_SUBGRAPH_MEMO_MAX)
-def _subgraph_name(
-    atoms: tuple[tuple, ...], bonds: tuple[tuple[int, int, str], ...], validate: bool
-) -> str:
-    return Molecule(
-        [Atom(*f) for f in atoms], [Bond(*f) for f in bonds], validate=validate
-    ).canonical
+def _subgraph_name(atoms: tuple[tuple, ...], bonds: tuple[tuple[int, int, str], ...]) -> str:
+    # the one graph built unchecked: a fragment torn from a ring need not
+    # pass the checks, and the molecule never leaves here, so its name is
+    # not remembered for parse
+    mol = Molecule._assemble(
+        tuple(Atom(*f) for f in atoms),
+        tuple(Bond(*f) for f in bonds),
+        _ring_bond_flags(len(atoms), bonds),
+    )
+    return _canonical_string(mol)
 
 
 def scaffold_of(m: Molecule) -> str:
-    """The canonical string of the validated molecule on
-    :func:`scaffold_atoms`, "" for an acyclic molecule; its ring count is
+    """The canonical string of the graph on :func:`scaffold_atoms`, "" for
+    an acyclic molecule. The core is a valid molecule: pruning removes only
+    non-ring atoms and hydrogens refill every cut bond. Its ring count is
     ``m.ring_count()``, since pruning a terminal atom drops one atom and one
     bond. Computed once per molecule and kept in its `_fp_cache`, which a
     write-order twin shares. The string comes from :func:`subgraph_name`,
-    so a core whose build raises or whose search trips is never kept."""
+    so a core whose search trips is never kept."""
     scaffold = m._fp_cache.get("scaffold")
     if scaffold is None:
         scaffold = m._fp_cache["scaffold"] = subgraph_name(m, scaffold_atoms(m))
@@ -1442,22 +1432,17 @@ def _edit_work(m: Molecule, key: tuple, make: Callable[[], object]) -> object:
 
 
 def _edit_child(
-    m: Molecule,
     atoms: list[Atom],
     bonds: tuple[Bond, ...],
     ring_bonds: list[bool],
     edited: Sequence[int],
 ) -> Molecule:
-    """An edit's child, its canonical string deferred. Under a validated
-    parent only the `edited` atoms can break a rule (see the module
-    docstring); an unvalidated parent's child is validated in full."""
+    """An edit's child, its canonical string deferred. Every parent is
+    valid, so only the `edited` atoms can break a rule (see the module
+    docstring)."""
     child = Molecule._assemble(tuple(atoms), bonds, ring_bonds)
-    if m._checked:
-        # index order: the first error is the one a full validation raises
-        child._check_atoms(sorted(edited))
-    else:
-        _check_bond_ends(len(atoms), bonds)
-        child._validate()
+    # index order: the first error is the one a full validation raises
+    child._check_atoms(sorted(edited))
     child._keeps_edits = False
     return child
 
@@ -1480,7 +1465,7 @@ def _delete_terminal(m: Molecule, key: tuple) -> Molecule:
             bond = Bond(bond.a - (bond.a > target), bond.b - (bond.b > target), bond.order)
         bonds.append(bond)
         ring_bonds.append(m._ring_bonds[b_idx])
-    return _edit_child(m, atoms, tuple(bonds), ring_bonds, (nbr - (nbr > target),))
+    return _edit_child(atoms, tuple(bonds), ring_bonds, (nbr - (nbr > target),))
 
 
 def _hydrogen_sites(m: Molecule) -> list[int]:
@@ -1495,7 +1480,7 @@ def _append_terminal(m: Molecule, key: tuple) -> Molecule:
     atoms[site] = old.with_hcount(old.hcount - 1)
     atoms.append(Atom(element, hcount=_DEFAULT_VALENCES[element][0] - 1))
     return _edit_child(
-        m, atoms, m.bonds + (Bond(site, new, SINGLE),), m._ring_bonds + [False], (site, new)
+        atoms, m.bonds + (Bond(site, new, SINGLE),), m._ring_bonds + [False], (site, new)
     )
 
 
@@ -1527,7 +1512,7 @@ def _substitute(m: Molecule, key: tuple) -> Molecule:
     hcount = _implicit_hydrogens(element, old.aromatic, _bond_electrons(m._adj[idx]))
     atoms = list(m.atoms)
     atoms[idx] = Atom(element, old.aromatic, 0, hcount, None)
-    return _edit_child(m, atoms, m.bonds, m._ring_bonds, (idx,))
+    return _edit_child(atoms, m.bonds, m._ring_bonds, (idx,))
 
 
 def _bond_order_changes(m: Molecule) -> list[tuple[int, str]]:
@@ -1557,7 +1542,7 @@ def _change_bond_order(m: Molecule, key: tuple) -> Molecule:
         atoms[end] = atoms[end].with_hcount(atoms[end].hcount - delta)
     bonds = list(m.bonds)
     bonds[b_idx] = Bond(bond.a, bond.b, order)
-    return _edit_child(m, atoms, tuple(bonds), m._ring_bonds, (bond.a, bond.b))
+    return _edit_child(atoms, tuple(bonds), m._ring_bonds, (bond.a, bond.b))
 
 
 # per operator: its sites in draw order, the child of a resolved edit, and

@@ -258,6 +258,9 @@ class SuccessCriterion:
     threshold: float
 
     def __post_init__(self):
+        # a NaN threshold never holds, so every lead would fail unwarned
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"criterion threshold must be finite, not {self.threshold}")
         if self.mode not in ("absolute", "delta"):
             raise ValueError(f"bad criterion mode {self.mode!r}")
         if self.comparator not in ("ge", "le"):
@@ -274,6 +277,9 @@ class ObjectiveTerm:
     criterion: SuccessCriterion
 
     def __post_init__(self):
+        # a NaN weight makes every score NaN, which JSON cannot carry
+        if not math.isfinite(self.weight):
+            raise ValueError(f"term weight must be finite, not {self.weight}")
         if self.weight <= 0:
             raise ValueError("term weights must be positive")
         agrees = (self.oracle.direction == 1) == (self.criterion.comparator == "ge")
@@ -418,8 +424,18 @@ def check_success(
 _COMPARATORS = {">=": "ge", "<=": "le", "ge": "ge", "le": "le"}
 
 
+def _mapping(value, what: str, source) -> dict:
+    """`value`, if it is a mapping; else the objective file is malformed."""
+    if not isinstance(value, dict):
+        raise ValueError(
+            f"objective {source}: {what} must be a mapping, not {type(value).__name__}"
+        )
+    return value
+
+
 def load_objective(source: str | Path) -> Objective:
-    """Load an objective from YAML; bare names resolve to shipped presets."""
+    """Load an objective from YAML; bare names resolve to shipped presets.
+    A file of the wrong shape raises a ValueError that names it."""
     path = Path(source)
     if not path.suffix and not path.exists():
         raw = yaml.safe_load(data_text(f"objectives/{source}.yaml"))
@@ -428,9 +444,14 @@ def load_objective(source: str | Path) -> Objective:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
         base_dir = path.parent
+    raw = _mapping(raw, "the file", source)
+    term_specs = raw.get("terms")
+    if not isinstance(term_specs, list):
+        raise ValueError(f"objective {source}: needs a list of terms")
 
     extra_oracles: dict[str, Oracle] = {}
     for spec in raw.get("oracles", []) or []:
+        spec = _mapping(spec, "each oracle", source)
         kind = spec.get("kind", "table")
         direction = int(spec.get("direction", 1))
         if kind == "table":
@@ -456,7 +477,8 @@ def load_objective(source: str | Path) -> Objective:
         extra_oracles[oracle.name] = oracle
 
     terms = []
-    for term_spec in raw["terms"]:
+    for term_spec in term_specs:
+        term_spec = _mapping(term_spec, "each term", source)
         oracle_name = term_spec["oracle"]
         if oracle_name in extra_oracles:
             oracle = extra_oracles[oracle_name]
@@ -466,7 +488,7 @@ def load_objective(source: str | Path) -> Objective:
             oracle = Oracle(
                 oracle.name, oracle.fn, int(term_spec["direction"]), oracle.kind
             )
-        crit = term_spec["success"]
+        crit = _mapping(term_spec.get("success"), "each term's success", source)
         criterion = SuccessCriterion(
             mode=crit.get("mode", "absolute"),
             comparator=_COMPARATORS[str(crit.get("comparator", ">="))],

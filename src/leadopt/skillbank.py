@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from bisect import bisect_left, insort
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -287,9 +288,9 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
 def _fragment_string(mol: Molecule, outside: set[int]) -> str:
     """Canonical string of the atoms outside the mapping, components joined.
 
-    Each component is named by an unvalidated :func:`subgraph_name`: the
-    string is descriptive (fragments torn from rings need not re-parse as
-    molecules).
+    Each component is named by :func:`subgraph_name`, which builds it
+    unchecked: the string is descriptive (fragments torn from rings need
+    not re-parse as molecules).
     """
     unvisited = set(outside)
     fragments = []
@@ -304,7 +305,7 @@ def _fragment_string(mol: Molecule, outside: set[int]) -> str:
                     comp.add(nbr)
                     queue.append(nbr)
         unvisited -= comp
-        fragments.append(subgraph_name(mol, comp, validate=False))
+        fragments.append(subgraph_name(mol, comp))
     return ".".join(sorted(fragments))
 
 
@@ -468,6 +469,8 @@ def harvest(
     objective, by position too, and never read: a card depends only on the
     trajectory's molecules and scores.
     """
+    if not math.isfinite(delta):  # a NaN delta would harvest nothing, unwarned
+        raise ValueError(f"delta must be finite, not {delta}")
     if delta <= 0:
         raise ValueError("delta must be positive")
     cards: dict[str, EditCard] = {}

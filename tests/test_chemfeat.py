@@ -247,20 +247,25 @@ class TestFingerprintMemo:
         assert child._canonical is None and len(chemfeat._FP_MEMO) == 0
         assert fp.bits == reference_bits(reference_hashes(child, RADIUS))
 
-    def test_unvalidated_molecules_bypass_the_memo(self):
-        # skill fragments out of their ring: a single and an aromatic bond
-        # both write "cc", but the fingerprints differ
-        frags = [
-            Molecule([Atom("C", aromatic=True, hcount=2)] * 2, [Bond(0, 1, order)],
-                     validate=False)
-            for order in ("single", "aromatic")
-        ]
-        assert frags[0].canonical == frags[1].canonical == "cc"
+    def test_a_constructed_molecule_is_looked_up_by_name(self, monkeypatch):
+        # the graphs whose strings collide, a single and an aromatic bond
+        # between aromatic carbons outside a ring (both write "cc"), cannot
+        # be built, so every molecule's name keys the memo, a constructed
+        # one's as a parsed one's
+        for order in ("single", "aromatic"):
+            with pytest.raises(SmilesError, match="aromatic"):
+                Molecule([Atom("C", aromatic=True, hcount=2)] * 2, [Bond(0, 1, order)])
+        source = parse("CC(=O)Nc1ccc(O)cc1")
+        first = Molecule(source.atoms, source.bonds)
         chemfeat._FP_MEMO.clear()
-        fps = [morgan_fp(frag) for frag in frags]
-        assert [fp.bits for fp in fps] == [
-            reference_bits(reference_hashes(frag, RADIUS)) for frag in frags]
-        assert fps[0] != fps[1] and len(chemfeat._FP_MEMO) == 0
+        first.canonical
+        fp = morgan_fp(first)
+        assert chemfeat._FP_MEMO.recall(first.canonical)
+        computed = []
+        monkeypatch.setattr(chemfeat, "_bit_positions", computed.append)
+        second = Molecule(source.atoms, source.bonds)
+        second.canonical
+        assert morgan_fp(second) == fp and computed == []
 
     def test_both_memos_stay_bounded_and_small(self):
         # edit chains on the corpus name and fingerprint more distinct

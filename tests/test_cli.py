@@ -208,6 +208,32 @@ class TestRunEvalSkills:
         assert json.loads(err) == {"error": "ValueError", "message": message}
         assert searched == [] and not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "objective {}: the file must be a mapping, not NoneType"),
+        ("terms:\n  - act\n", "objective {}: each term must be a mapping, not str"),
+        ("terms:\n  - {oracle: qed_lite, weight: .nan, success: {threshold: 0.9}}\n",
+         "term weight must be finite, not nan"),
+    ])
+    def test_malformed_objective_fails_before_any_lead(
+        self, workspace, capsys, monkeypatch, text, message
+    ):
+        # it crashed with an AttributeError, or wrote NaN scores, which are
+        # not JSON, into the trajectories
+        from leadopt import cli
+
+        searched = []
+        monkeypatch.setattr(cli, "optimize_lead",
+                            lambda *args, **kwargs: searched.append(args))
+        bad = workspace / "bad.yaml"
+        bad.write_text(text)
+        code, out, err = run_cli(
+            capsys, "run", "--leads", workspace / "leads.smi", "--objective", bad,
+            "--out", workspace / "out", "--policy", "random",
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message.format(bad)}
+        assert searched == [] and not (workspace / "out").exists()
+
     def test_eval_empty_report_fails(self, workspace, capsys):
         bad = workspace / "empty.json"
         bad.write_text(json.dumps({"leads": [], "aggregates": {}}))
@@ -260,6 +286,23 @@ class TestRunEvalSkills:
             "evicted": [], "bank_size": 0,
         }
         assert bank_path.read_text() == ""
+
+    def test_skills_harvest_rejects_a_nan_delta(self, workspace, capsys):
+        # no improvement exceeds a NaN, so it harvested nothing, unwarned
+        lead = parse("CCCCCCO").canonical
+        row = {"trajectory": 0, "lead": lead, "lead_score": 0.5, "turn": 1,
+               "action": "CCCCCCF", "reward": 1.0, "score": 0.7, "valid": True,
+               "injected_source": None, "terminal_reason": "max_turns"}
+        trajs = workspace / "trajs.jsonl"
+        trajs.write_text(json.dumps(row) + "\n")
+        bank_path = workspace / "skills.jsonl"
+        code, out, err = run_cli(
+            capsys, "skills", "harvest", "--trajectories", trajs,
+            "--objective", workspace / "act.yaml", "--bank", bank_path, "--delta", "nan",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "delta must be finite, not nan"}
+        assert not bank_path.exists()
 
     def test_skills_evict_report(self, workspace, capsys):
         lead = parse("CCCCCCO").canonical

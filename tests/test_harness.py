@@ -95,10 +95,10 @@ class TestTemperature:
             temperature(-1, SearchConfig())
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["temp0", "temp_step", "temp_max"])
+    @pytest.mark.parametrize("field", ["temp0", "temp_step", "temp_max", "harvest_delta"])
     def test_non_finite_temperatures_are_rejected(self, field, value):
-        # a NaN passes `temp0 > temp_max`, and an infinite step makes
-        # generation 0's temperature NaN
+        # a NaN passes `temp0 > temp_max`, an infinite step makes generation
+        # 0's temperature NaN, and a NaN harvest delta harvested nothing
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SearchConfig(**{field: value})
 

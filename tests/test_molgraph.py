@@ -1,5 +1,6 @@
 import gc
 import heapq
+import inspect
 import random
 import sys
 import threading
@@ -541,13 +542,13 @@ class TestSubgraphMemo:
         assert molgraph._subgraph_name.cache_info().currsize == 1
 
     def test_stays_within_its_bound(self):
-        # more subgraphs than the memo keeps: whole corpus graphs, unvalidated,
-        # and their cores; the one used last is still kept
+        # more subgraphs than the memo keeps: whole corpus graphs and their
+        # cores; the one used last is still kept
         info = molgraph._subgraph_name.cache_info()
         assert info.maxsize == molgraph._SUBGRAPH_MEMO_MAX == 512
         for source in CORPUS:
             mol = parse(source)
-            whole = molgraph.subgraph_name(mol, set(range(len(mol.atoms))), False)
+            whole = molgraph.subgraph_name(mol, set(range(len(mol.atoms))))
             assert whole == mol.canonical
             scaffold_of(mol)
             assert molgraph._subgraph_name.cache_info().currsize <= 512
@@ -564,13 +565,29 @@ class TestSubgraphMemo:
             mol = molgraph._parse_text(source)
             scaffold_of(mol)
             skillbank._fragment_string(mol, set(range(0, len(mol.atoms), 3)))
-            molgraph.subgraph_name(mol, set(range(len(mol.atoms))), validate=False)
+            molgraph.subgraph_name(mol, set(range(len(mol.atoms))))
         held = gc.get_referents(molgraph._subgraph_name)
-        values = [held[i + 1] for i, item in enumerate(held)
-                  if type(item) is tuple and len(item) == 3 and type(item[2]) is bool]
+        values = [held[i + 1] for i, item in enumerate(held) if is_subgraph_key(item)]
         assert len(values) == molgraph._subgraph_name.cache_info().currsize > 100
         assert {type(value) for value in values} == {str}
         assert not any(isinstance(item, Molecule) for item in held)
+
+    def test_keys_hold_the_graph_only(self):
+        # a key is the subgraph's atom and bond fields, nothing else: every
+        # molecule is validated, so no key says whether its build was
+        assert list(inspect.signature(molgraph.subgraph_name).parameters) == ["m", "keep"]
+        assert list(inspect.signature(molgraph._subgraph_name).parameters) == ["atoms", "bonds"]
+        molgraph._subgraph_name.cache_clear()
+        graphs = set()
+        for source in CORPUS[:50]:
+            mol = molgraph._parse_text(source)
+            for keep in (molgraph.scaffold_atoms(mol), set(range(0, len(mol.atoms), 2))):
+                graphs.add(molgraph._induced_fields(mol, keep))
+                molgraph.subgraph_name(mol, keep)
+        keys = [item for item in gc.get_referents(molgraph._subgraph_name)
+                if is_subgraph_key(item)]
+        assert len(keys) == molgraph._subgraph_name.cache_info().currsize
+        assert set(keys) == graphs
 
     @given(st.sampled_from(CORPUS), st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -596,6 +613,12 @@ class TestSubgraphMemo:
             assert scaffold_of(again) is scaffold_of(other)
 
 
+def is_subgraph_key(item: object) -> bool:
+    """Whether `item`, a referent of the subgraph memo, is one of its keys:
+    a pair of tuples, the atom fields and the bond fields."""
+    return type(item) is tuple and len(item) == 2 and all(type(part) is tuple for part in item)
+
+
 @st.composite
 def edited_molecules(draw) -> Molecule:
     """A corpus row or drug-sized lead, then up to six random edits."""
@@ -618,6 +641,26 @@ class TestScaffoldRingCount:
     @settings(max_examples=200, deadline=None)
     def test_edited_molecules(self, mol):
         assert_has_its_cores_ring_count(mol)
+
+
+class TestScaffoldCoresAreValid:
+    # a core is named by the unchecked build, yet the validating
+    # constructor accepts it and writes the same string: pruning removes
+    # only non-ring atoms, and hydrogens refill every cut bond
+    def test_every_corpus_row_and_drug_lead(self):
+        for source in CORPUS + DRUG_LEADS:
+            assert_its_core_is_valid(molgraph._parse_text(source))
+
+    @given(edited_molecules())
+    @settings(max_examples=200, deadline=None)
+    def test_edited_molecules(self, mol):
+        assert_its_core_is_valid(mol)
+
+
+def assert_its_core_is_valid(mol: Molecule) -> None:
+    atoms, bonds = molgraph._induced_fields(mol, molgraph.scaffold_atoms(mol))
+    core = Molecule([Atom(*f) for f in atoms], [Bond(*f) for f in bonds])
+    assert core.canonical == scaffold_of(mol), mol.canonical
 
 
 def assert_has_its_cores_ring_count(mol: Molecule) -> None:
@@ -719,17 +762,21 @@ class TestWriteOrderTwin:
         assert twin is not mol and twin == mol
         assert morgan_fp(twin) is fp  # fingerprints carried over
 
-    def test_unvalidated_molecule_is_not_remembered(self):
-        # a skill fragment: aromatic atoms cut out of their ring
-        frag = Molecule(
-            [Atom("C", aromatic=True, hcount=2), Atom("C", aromatic=True, hcount=2)],
-            [Bond(0, 1)],
-            validate=False,
-        )
-        assert frag.canonical == "cc"
-        assert "cc" not in molgraph._WRITTEN
+    def test_subgraph_names_are_not_remembered(self):
+        # a skill fragment (aromatic atoms cut out of their ring) and a
+        # scaffold core are named from the unchecked build, which parse
+        # never sees
+        mol = molgraph._parse_text("Cc1ccccc1CC(=O)O")
+        molgraph._subgraph_name.cache_clear()
+        molgraph._WRITTEN.clear()
+        assert skillbank._fragment_string(mol, {1, 2}) == "cc"
+        assert scaffold_of(mol) == "c1ccccc1"
+        assert len(molgraph._WRITTEN) == 0
         with pytest.raises(SmilesSyntaxError):
             parse("cc")
+        # every molecule's own name is remembered
+        assert parse(mol.canonical) is not mol
+        assert molgraph._WRITTEN[mol.canonical][0] is mol
 
     def test_budget_trip_survives_an_earlier_write(self, request):
         # methyls tie, so the search needs leaves
@@ -864,7 +911,7 @@ def read_outcome(read, text: str) -> tuple:
     except SmilesError as exc:
         return type(exc), str(exc)
     return (mol.atoms, mol.bonds, [type(b) for b in mol.bonds], mol._ring_bonds,
-            mol._ring_atoms, mol._adj, mol._checked)
+            mol._ring_atoms, mol._adj)
 
 
 def golden_texts() -> list[str]:
@@ -1088,16 +1135,19 @@ class TestEditChildren:
             assert parse(child.canonical) == child
             mol = child
 
-    def test_child_of_an_unvalidated_parent_is_validated_in_full(self):
-        # an aromatic atom outside a ring, with no hydrogen to append to
-        frag = Molecule(
-            [Atom("C", hcount=3), Atom("C", aromatic=True), Atom("C", hcount=3)],
-            [Bond(0, 1), Bond(1, 2)],
-            validate=False,
-        )
-        for seed in range(10):
-            with pytest.raises(SmilesSyntaxError, match="not in a ring"):
-                molgraph._edit(frag, "append_terminal_atom", seed)
+    def test_a_parent_that_breaks_a_rule_cannot_be_built(self):
+        # an aromatic atom outside a ring: its children would be checked
+        # only at the edited atoms, so the constructor must refuse it, and
+        # it has no way to skip the checks
+        atoms = [Atom("C", hcount=3), Atom("C", aromatic=True), Atom("C", hcount=3)]
+        bonds = [Bond(0, 1), Bond(1, 2)]
+        with pytest.raises(SmilesSyntaxError, match="not in a ring"):
+            Molecule(atoms, bonds)
+        with pytest.raises(TypeError):
+            Molecule(atoms, bonds, validate=False)
+        frag = Molecule._assemble(tuple(atoms), tuple(bonds), [False, False])
+        with pytest.raises(SmilesSyntaxError, match="not in a ring"):
+            frag._validate()
 
 
 MORGAN_GOLDEN = Path(__file__).parent / "golden" / "morgan_bits.tsv"
@@ -1145,7 +1195,7 @@ class TestEditMemo:
             rebuilt = Molecule(first.atoms, first.bonds)
             if not (
                 structure(first) == structure(fresh) == structure(rebuilt)
-                and first._checked and first._canonical is None
+                and first._canonical is None
                 and first.canonical == want
                 and f"{morgan_fp(first).bits:x}" == bits[source, op, seed]
             ):
@@ -1727,16 +1777,16 @@ def reference_write_order_twin(text: str, canon: ReferenceCanonicalizer) -> Mole
             b_idx = bond_at[(other, idx) if other < idx else (idx, other)]
             bonds.append(Bond(new[other], new[idx], src.bonds[b_idx].order))
             ring_bonds.append(src._ring_bonds[b_idx])
-    twin = Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds, canonical=text)
+    twin = Molecule._assemble(tuple(atoms), tuple(bonds), ring_bonds)
+    twin._canonical = text
     twin._fp_cache.update(src._fp_cache)
     return twin
 
 
 def unnamed(atoms, bonds) -> Molecule:
     """A graph built without validation or a canonical search."""
-    mol = Molecule.__new__(Molecule)
-    mol._build(tuple(atoms), tuple(bonds), molgraph._ring_bond_flags(len(atoms), bonds))
-    return mol
+    return Molecule._assemble(
+        tuple(atoms), tuple(bonds), molgraph._ring_bond_flags(len(atoms), bonds))
 
 
 def search_matches_reference(mol: Molecule) -> ReferenceCanonicalizer:

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 from contextlib import closing
 
@@ -477,6 +478,40 @@ class TestObjectiveConfig:
             "    success: {comparator: '>=', threshold: 0.8}\n"
         )
         with pytest.raises(ValueError, match="n/a"):
+            load_objective(cfg)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "the file must be a mapping, not NoneType"),
+        ("- qed_lite\n", "the file must be a mapping, not list"),
+        ("name: x\n", "needs a list of terms"),
+        ("terms: qed_lite\n", "needs a list of terms"),
+        ("terms:\n  - qed_lite\n", "each term must be a mapping, not str"),
+        ("terms:\n  - {oracle: qed_lite, success: 0.9}\n",
+         "each term's success must be a mapping, not float"),
+        ("oracles: [drd2]\nterms: []\n", "each oracle must be a mapping, not str"),
+    ])
+    def test_a_malformed_file_fails_naming_itself(self, tmp_path, text, message):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'objective {cfg}: {message}')}$"):
+            load_objective(cfg)
+
+    @pytest.mark.parametrize("weight, threshold, message", [
+        (".nan", "0.9", "term weight must be finite, not nan"),
+        (".inf", "0.9", "term weight must be finite, not inf"),
+        ("1.0", ".nan", "criterion threshold must be finite, not nan"),
+        ("1.0", "-.inf", "criterion threshold must be finite, not -inf"),
+    ])
+    def test_non_finite_numbers_are_rejected(self, tmp_path, weight, threshold, message):
+        # a NaN weight made every score NaN, and a NaN threshold never held
+        cfg = tmp_path / "obj.yaml"
+        cfg.write_text(
+            "terms:\n"
+            "  - oracle: qed_lite\n"
+            f"    weight: {weight}\n"
+            f"    success: {{comparator: '>=', threshold: {threshold}}}\n"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_objective(cfg)
 
     def test_property_description(self):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import logging
+import math
 import random
 import sys
 import tempfile
@@ -311,6 +312,13 @@ class TestHarvest:
         cards = harvest(traj, delta=0.05)
         assert len(cards) == 1
         assert cards[0].before == parse("CCCCO").canonical
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_is_rejected(self, delta):
+        # no improvement exceeds a NaN, so it harvested nothing, unwarned
+        traj = FakeTrajectory("CCCCO", 0.5, [FakeStep("CCCCOF", 0.8, True)])
+        with pytest.raises(ValueError, match=f"^delta must be finite, not {delta}$"):
+            harvest(traj, delta=delta)
 
     def test_threshold_filters_noise(self):
         traj = FakeTrajectory("CCCCO", 0.5, [FakeStep("CCCCCO", 0.52, True)])
@@ -1067,7 +1075,7 @@ LABELS = [
 @st.composite
 def labelled_graphs(draw, max_atoms=9):
     """A connected graph of labelled atoms: a random spanning tree plus up to
-    three ring bonds, every bond of any order. Not validated: only the
+    three ring bonds, every bond of any order. Built unchecked: only the
     labels and bond orders matter to the MCS search."""
     n = draw(st.integers(1, max_atoms))
     orders = st.sampled_from([SINGLE, DOUBLE, TRIPLE, AROMATIC])
@@ -1086,10 +1094,8 @@ def labelled_graphs(draw, max_atoms=9):
             st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)
         )
     ]
-    return Molecule(
-        atoms, [Bond(a, b, order) for (a, b), order in bonds.items()],
-        validate=False,
-    )
+    bonds = tuple(Bond(a, b, order) for (a, b), order in bonds.items())
+    return Molecule._assemble(tuple(atoms), bonds, molgraph._ring_bond_flags(n, bonds))
 
 
 # harvested pairs of 29-45 atoms from runs on tests/fixtures/drug_leads.smi
