@@ -28,6 +28,15 @@ which for sparse fingerprints (about 32 of 2,048 bits set) reads a few
 percent of what a dense scan reads. The exemplar bank uses it for recall
 and lead similarity. A `FunctionalGroupSet` carries its tags as a bitmask,
 one bit per catalog tag, so a set-overlap (Jaccard) scan is a popcount too.
+
+Functional-group detection asks only whether each tag has a surviving
+match. At import the catalog becomes a plan: each pattern's (element,
+aromatic) labels as one bitmask, and for each tag the tags that suppress
+it. A molecule lacking a pattern's label skips the pattern on one AND;
+the suppressing tags' matches are listed once, for the atoms they cover,
+and every tag is then a search that stops at its first match. The matcher
+is a module-level function that takes its state as arguments, so a
+detection leaves no reference cycles for the garbage collector.
 """
 
 from __future__ import annotations
@@ -294,30 +303,39 @@ class FingerprintPlanes:
 # ---------------------------------------------------------------------------
 
 
+# a bit for each (element, aromatic) label some catalog pattern holds, in
+# the order the catalog first names them
+_LABEL_BITS: dict[tuple[str, bool], int] = {}
+
+# one search step: the pattern atom placed, the placed neighbour whose target
+# neighbours are its candidates (None for the root), and its bonds, as
+# (pattern atom, order), to the atoms placed before it
+_Step = tuple[int, Optional[int], tuple[tuple[int, str], ...]]
+
+
 @dataclass(frozen=True)
 class _Pattern:
     atoms: tuple[Atom, ...]  # hcount is a lower bound
-    adj: tuple[tuple[tuple[int, str], ...], ...]  # (neighbor, order) per atom
     # (element, aromatic) label of each distinct kind of atom, with the first
     # pattern atom that carries it: the candidate roots of a search
     labels: tuple[tuple[tuple[str, bool], int], ...]
-    # search order per root atom: the root, then always an atom next to a
-    # placed one, as (pattern atom, placed neighbour or None)
-    orders: tuple[tuple[tuple[int, Optional[int]], ...], ...]
+    # the search steps from each root atom: the root, then always an atom
+    # next to a placed one
+    orders: tuple[tuple[_Step, ...], ...]
+    # the labels' bits: a target lacking one cannot match
+    mask: int
 
 
-def _search_order(
-    adj: Sequence[Sequence[tuple[int, str]]], root: int
-) -> tuple[tuple[int, Optional[int]], ...]:
-    order: list[tuple[int, Optional[int]]] = [(root, None)]
+def _search_order(adj: Sequence[Sequence[tuple[int, str]]], root: int) -> tuple[_Step, ...]:
+    order: list[_Step] = [(root, None, ())]
     placed = {root}
     while len(order) < len(adj):
         for p_idx in range(len(adj)):
             if p_idx in placed:
                 continue
-            anchor = next((j for j, _ in adj[p_idx] if j in placed), None)
-            if anchor is not None:
-                order.append((p_idx, anchor))
+            bonds = tuple((j, bond) for j, bond in adj[p_idx] if j in placed)
+            if bonds:
+                order.append((p_idx, bonds[0][0], bonds))
                 placed.add(p_idx)
                 break
         else:
@@ -339,36 +357,52 @@ def _parse_pattern(smiles: str) -> _Pattern:
         adj[a].append((b, order))
         adj[b].append((a, order))
     labels: dict[tuple[str, bool], int] = {}
+    mask = 0
     for idx, atom in enumerate(atoms):
-        labels.setdefault((atom.element, atom.aromatic), idx)
+        label = (atom.element, atom.aromatic)
+        labels.setdefault(label, idx)
+        mask |= _LABEL_BITS.setdefault(label, 1 << len(_LABEL_BITS))
     return _Pattern(
         tuple(atoms),
-        tuple(tuple(nbrs) for nbrs in adj),
         tuple(labels.items()),
         tuple(_search_order(adj, root) for root in range(len(atoms))),
+        mask,
     )
 
 
 @dataclass(frozen=True)
-class _CatalogEntry:
+class _TagPlan:
+    """One catalog tag: the patterns of its lines, and the tags whose lines
+    suppress it."""
+
     tag: str
-    pattern: _Pattern
-    suppresses: tuple[str, ...]
+    patterns: tuple[_Pattern, ...]
+    suppressed_by: tuple[str, ...]
 
 
-def _load_catalog() -> list[_CatalogEntry]:
-    entries = []
+def _load_plan() -> tuple[_TagPlan, ...]:
+    """A plan per catalog tag, in the order the catalog first names them."""
+    patterns: dict[str, list[_Pattern]] = {}
+    suppressed_by: dict[str, list[str]] = {}
     for parts in table_rows(data_text("fg_catalog.tsv")):
         tag, pattern = parts[0], parts[1]
-        suppresses: tuple[str, ...] = ()
+        patterns.setdefault(tag, []).append(_parse_pattern(pattern))
         if len(parts) > 2 and parts[2].startswith("suppresses:"):
-            suppresses = tuple(parts[2][len("suppresses:"):].split(","))
-        entries.append(_CatalogEntry(tag, _parse_pattern(pattern), suppresses))
-    return entries
+            for target in parts[2][len("suppresses:"):].split(","):
+                if tag not in suppressed_by.setdefault(target, []):
+                    suppressed_by[target].append(tag)
+    return tuple(
+        _TagPlan(tag, tuple(found), tuple(suppressed_by.get(tag, ())))
+        for tag, found in patterns.items()
+    )
 
 
-_CATALOG = _load_catalog()
-_CATALOG_TAGS = frozenset(entry.tag for entry in _CATALOG)
+_PLAN = _load_plan()
+_CATALOG_TAGS = frozenset(plan.tag for plan in _PLAN)
+# the plans of the tags that suppress some tag: their raw matches are listed
+_SUPPRESSING = tuple(
+    plan for plan in _PLAN if any(plan.tag in other.suppressed_by for other in _PLAN)
+)
 # one bit per catalog tag, for FunctionalGroupSet.mask
 _TAG_BITS = {tag: 1 << bit for bit, tag in enumerate(sorted(_CATALOG_TAGS))}
 
@@ -408,113 +442,131 @@ class FunctionalGroupSet:
         return len(self.tags)
 
 
-def _atom_compatible(p: Atom, mol: Molecule, idx: int) -> bool:
-    atom = mol.atoms[idx]
-    if atom.element != p.element or atom.aromatic != p.aromatic:
-        return False
-    if atom.formal_charge != p.formal_charge:
-        return False
-    return atom.hcount >= p.hcount
-
-
-def _pattern_matches(
+def _extend(
+    order: Sequence[_Step],
+    depth: int,
     pattern: _Pattern,
-    mol: Molecule,
-    mol_adj: Sequence[dict[int, str]],
-    roots: dict[tuple[str, bool], list[int]],
-) -> set[frozenset[int]]:
-    """All target atom sets hit by the pattern (connected subgraph matches).
+    starts: Sequence[int],
+    atoms: Sequence[Atom],
+    adj: Sequence[dict[int, str]],
+    mapping: list[int],
+    used: set[int],
+    found: Optional[set[frozenset[int]]],
+) -> bool:
+    """Place the pattern atoms of `order[depth:]` on target atoms outside
+    `used`, every way the target allows.
 
-    `mol_adj` maps each target atom to {neighbour: bond order}; `roots` lists
-    the target atoms of each (element, aromatic) pair. The search starts at
-    the pattern atom whose label has the fewest target atoms; a label with
-    none rules the pattern out. The set of matches does not depend on where
-    the search starts.
+    `mapping` holds the target atom of each pattern atom placed so far,
+    and `used` holds them too; `used` is as it was on return. With `found`
+    None, the search stops at its first complete match and returns True;
+    otherwise it adds every match's atom set to `found` and returns False.
+    A pattern atom matches a target atom of its element, aromaticity and
+    charge with at least its hydrogens, and every pattern bond to a placed
+    atom needs a target bond of the same order.
     """
-    p_n = len(pattern.atoms)
-    if p_n == 0 or p_n > len(mol.atoms):
-        return set()
-    starts: Sequence[int] = ()
-    root = 0
-    for label, p_idx in pattern.labels:
-        candidates = roots.get(label)
-        if not candidates:
-            return set()
-        if not starts or len(candidates) < len(starts):
-            starts, root = candidates, p_idx
-
-    order = pattern.orders[root]
-    results: set[frozenset[int]] = set()
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(depth: int) -> None:
-        if depth == p_n:
-            results.add(frozenset(mapping.values()))
-            return
-        p_idx, anchor = order[depth]
-        candidates = starts if anchor is None else mol_adj[mapping[anchor]]
-        for t_idx in candidates:
-            if t_idx in used or not _atom_compatible(pattern.atoms[p_idx], mol, t_idx):
-                continue
-            # every pattern bond to an already-mapped atom must exist with
-            # the same order in the target
-            ok = True
-            for p_nbr, p_order in pattern.adj[p_idx]:
-                if p_nbr not in mapping:
-                    continue
-                if mol_adj[t_idx].get(mapping[p_nbr]) != p_order:
-                    ok = False
-                    break
-            if not ok:
-                continue
+    p_idx, anchor, bonds = order[depth]
+    p = pattern.atoms[p_idx]
+    last = depth + 1 == len(order)
+    for t_idx in starts if anchor is None else adj[mapping[anchor]]:
+        if t_idx in used:
+            continue
+        atom = atoms[t_idx]
+        if (
+            atom.element != p.element
+            or atom.aromatic != p.aromatic
+            or atom.formal_charge != p.formal_charge
+            or atom.hcount < p.hcount
+        ):
+            continue
+        t_adj = adj[t_idx]
+        for p_nbr, bond in bonds:
+            if t_adj.get(mapping[p_nbr]) != bond:
+                break
+        else:
             mapping[p_idx] = t_idx
+            if last:
+                if found is None:
+                    return True
+                found.add(frozenset(mapping))
+                continue
             used.add(t_idx)
-            backtrack(depth + 1)
-            del mapping[p_idx]
+            hit = _extend(order, depth + 1, pattern, starts, atoms, adj, mapping, used, found)
             used.discard(t_idx)
+            if hit:
+                return True
+    return False
 
-    backtrack(0)
-    return results
+
+def _match(
+    pattern: _Pattern,
+    roots: dict[tuple[str, bool], list[int]],
+    atoms: Sequence[Atom],
+    adj: Sequence[dict[int, str]],
+    used: set[int],
+    found: Optional[set[frozenset[int]]] = None,
+    root: Optional[int] = None,
+) -> bool:
+    """Search the pattern in a target holding every one of its labels, as
+    :func:`_extend` does from depth 0. `roots` lists the target atoms of
+    each (element, aromatic) label. The search starts at pattern atom
+    `root`, by default at the one whose label has the fewest target atoms;
+    what it finds does not depend on where it starts."""
+    if root is None:
+        fewest = -1
+        for label, p_idx in pattern.labels:
+            if fewest < 0 or len(roots[label]) < fewest:
+                root, fewest = p_idx, len(roots[label])
+    p = pattern.atoms[root]
+    mapping = [0] * len(pattern.atoms)
+    return _extend(pattern.orders[root], 0, pattern, roots[(p.element, p.aromatic)],
+                   atoms, adj, mapping, used, found)
 
 
 def detect_functional_groups(m: Molecule) -> FunctionalGroupSet:
     """Tags for every catalog pattern with a match, after suppression rules.
 
-    Suppression uses the raw (pre-suppression) matches of the suppressor:
-    a suppressed match is dropped when it shares at least one atom with any
-    match of the suppressing tag. The target's adjacency maps and root
-    candidates are built once and shared by every pattern.
+    A match of a tag is dropped when it shares an atom with a raw
+    (pre-suppression) match of a tag that suppresses it, so it survives
+    iff it avoids the union of those matches' atoms. Those unions are
+    listed once; then each tag is one search with them marked used, which
+    stops at the tag's first surviving match. A pattern with a label the
+    target lacks is skipped on one AND of label masks. The target's
+    adjacency maps and root candidates are built once and shared by every
+    pattern, and the search holds no reference to itself, so a detection
+    leaves nothing for the cyclic garbage collector.
     """
     cached = m._fp_cache.get("fg")
     if cached is not None:
         return cached
 
-    mol_adj = neighbor_maps(m)
+    atoms = m.atoms
     roots: dict[tuple[str, bool], list[int]] = defaultdict(list)
-    for idx, atom in enumerate(m.atoms):
+    for idx, atom in enumerate(atoms):
         roots[(atom.element, atom.aromatic)].append(idx)
+    present = 0
+    for label in roots:
+        present |= _LABEL_BITS.get(label, 0)
+    adj = neighbor_maps(m)
 
-    raw: dict[str, set[frozenset[int]]] = {}
-    suppresses: dict[str, set[str]] = {}
-    for entry in _CATALOG:
-        found = _pattern_matches(entry.pattern, m, mol_adj, roots)
-        if found:
-            raw.setdefault(entry.tag, set()).update(found)
-        if entry.suppresses:
-            suppresses.setdefault(entry.tag, set()).update(entry.suppresses)
+    blocked: dict[str, set[int]] = {}
+    for plan in _SUPPRESSING:
+        matches: set[frozenset[int]] = set()
+        for pattern in plan.patterns:
+            if not pattern.mask & ~present:
+                _match(pattern, roots, atoms, adj, set(), matches)
+        blocked[plan.tag] = set().union(*matches)
 
-    surviving = {tag: set(matches) for tag, matches in raw.items()}
-    for sup_tag, targets in suppresses.items():
-        for sup_match in raw.get(sup_tag, ()):
-            for target in targets:
-                if target not in surviving:
-                    continue
-                surviving[target] = {
-                    match for match in surviving[target] if not (match & sup_match)
-                }
-    tags = frozenset(tag for tag, matches in surviving.items() if matches)
-    result = FunctionalGroupSet(tags)
+    tags = []
+    free: set[int] = set()  # every search leaves it empty again
+    for plan in _PLAN:
+        used = free
+        if plan.suppressed_by:
+            used = set().union(*[blocked[tag] for tag in plan.suppressed_by])
+        for pattern in plan.patterns:
+            if not pattern.mask & ~present and _match(pattern, roots, atoms, adj, used):
+                tags.append(plan.tag)
+                break
+    result = FunctionalGroupSet(frozenset(tags))
     m._fp_cache["fg"] = result
     return result
 

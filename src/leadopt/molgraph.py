@@ -451,11 +451,29 @@ def _bond_electrons(nbrs: list[tuple[int, str]]) -> int:
     return sum(_ORDER_ELECTRONS[order] for _, order in nbrs)
 
 
+def _pair_tables(size: int) -> dict[str, list[tuple[int, str]]]:
+    return {order: [(j, order) for j in range(size)] for order in _ORDER_SORT}
+
+
+# the (neighbour, order) pairs of every molecule's adjacency lists:
+# _PAIRS[order][j] is (j, order). A molecule keeps its adjacency for life, so
+# handing out shared pairs rather than two new tuples per bond halves the
+# objects each new molecule gives the cyclic garbage collector to track and
+# scan. The tables grow to the largest molecule built, and are replaced
+# rather than extended, so a thread never reads a pair at the wrong index.
+_PAIRS = _pair_tables(64)
+
+
 def _adjacency(n: int, bonds: Sequence[Bond]) -> list[list[tuple[int, str]]]:
+    global _PAIRS
+    pairs = _PAIRS
+    if len(pairs[SINGLE]) < n:
+        pairs = _PAIRS = _pair_tables(max(n, 2 * len(pairs[SINGLE])))
     adj: list[list[tuple[int, str]]] = [[] for _ in range(n)]
     for a, b, order in bonds:
-        adj[a].append((b, order))
-        adj[b].append((a, order))
+        row = pairs[order]
+        adj[a].append(row[b])
+        adj[b].append(row[a])
     return adj
 
 
@@ -463,7 +481,7 @@ def neighbor_maps(m: Molecule) -> list[dict[int, str]]:
     """{neighbour: bond order} for each atom, built anew on every call: a
     write-order twin shares its writer's `_fp_cache` but not its atom order,
     so per-index views are never cached there."""
-    return [{j: order for j, order in nbrs} for nbrs in m._adj]
+    return [dict(nbrs) for nbrs in m._adj]
 
 
 def _component_size(start: int, adj: list[list[tuple[int, str]]]) -> int:

@@ -433,9 +433,29 @@ def _mapping(value, what: str, source) -> dict:
     return value
 
 
+def _field(spec: dict, key: str, what: str, source):
+    """`spec[key]`, if the mapping has it; else the objective file is
+    malformed."""
+    if key not in spec:
+        raise ValueError(f"objective {source}: {what} needs the field {key!r}")
+    return spec[key]
+
+
+def _direction(value, what: str, source) -> int:
+    """An oracle direction read from the objective file: 1 or -1."""
+    try:
+        direction = int(value)
+    except (TypeError, ValueError):
+        direction = None
+    if direction not in (1, -1):
+        raise ValueError(f"objective {source}: {what} direction must be 1 or -1, not {value!r}")
+    return direction
+
+
 def load_objective(source: str | Path) -> Objective:
     """Load an objective from YAML; bare names resolve to shipped presets.
-    A file of the wrong shape raises a ValueError that names it."""
+    A malformed file (a wrong shape, a missing field, an unknown oracle or
+    comparator, a bad direction) raises a ValueError that names it."""
     path = Path(source)
     if not path.suffix and not path.exists():
         raw = yaml.safe_load(data_text(f"objectives/{source}.yaml"))
@@ -453,22 +473,22 @@ def load_objective(source: str | Path) -> Objective:
     for spec in raw.get("oracles", []) or []:
         spec = _mapping(spec, "each oracle", source)
         kind = spec.get("kind", "table")
-        direction = int(spec.get("direction", 1))
+        direction = _direction(spec.get("direction", 1), "an oracle's", source)
         if kind == "table":
-            table_path = Path(spec["path"])
+            table_path = Path(_field(spec, "path", "each table oracle", source))
             if not table_path.is_absolute():
                 table_path = base_dir / table_path
             default = spec.get("default")
             oracle = table_oracle(
                 table_path,
-                name=spec["name"],
+                name=_field(spec, "name", "each oracle", source),
                 direction=direction,
                 default=None if default is None else float(default),
             )
         elif kind == "external":
             oracle = external_oracle(
-                spec["endpoint"],
-                name=spec["name"],
+                _field(spec, "endpoint", "each external oracle", source),
+                name=_field(spec, "name", "each oracle", source),
                 direction=direction,
                 timeout=float(spec.get("timeout", 10.0)),
             )
@@ -479,20 +499,39 @@ def load_objective(source: str | Path) -> Objective:
     terms = []
     for term_spec in term_specs:
         term_spec = _mapping(term_spec, "each term", source)
-        oracle_name = term_spec["oracle"]
+        oracle_name = _field(term_spec, "oracle", "each term", source)
+        if not isinstance(oracle_name, str):
+            raise ValueError(
+                f"objective {source}: a term's oracle must be a name, "
+                f"not {type(oracle_name).__name__}"
+            )
         if oracle_name in extra_oracles:
             oracle = extra_oracles[oracle_name]
-        else:
+        elif oracle_name in _BUILTIN_FNS:
             oracle = builtin_oracle(oracle_name)
+        else:
+            raise ValueError(
+                f"objective {source}: a term's oracle {oracle_name!r} is neither "
+                f"built in nor listed under oracles"
+            )
         if "direction" in term_spec:
             oracle = Oracle(
-                oracle.name, oracle.fn, int(term_spec["direction"]), oracle.kind
+                oracle.name,
+                oracle.fn,
+                _direction(term_spec["direction"], "a term's", source),
+                oracle.kind,
             )
         crit = _mapping(term_spec.get("success"), "each term's success", source)
+        comparator = str(crit.get("comparator", ">="))
+        if comparator not in _COMPARATORS:
+            raise ValueError(
+                f"objective {source}: a term's success comparator must be one of "
+                f"{', '.join(_COMPARATORS)}, not {comparator!r}"
+            )
         criterion = SuccessCriterion(
             mode=crit.get("mode", "absolute"),
-            comparator=_COMPARATORS[str(crit.get("comparator", ">="))],
-            threshold=float(crit["threshold"]),
+            comparator=_COMPARATORS[comparator],
+            threshold=float(_field(crit, "threshold", "each term's success", source)),
         )
         terms.append(
             ObjectiveTerm(oracle, float(term_spec.get("weight", 1.0)), criterion)

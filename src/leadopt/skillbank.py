@@ -282,6 +282,9 @@ def _exact_mcs(g: Molecule, h: Molecule) -> tuple[list[tuple[int, int]], bool, i
         search(initial)
     except _SearchStop:
         pass
+    # `search` reaches itself through its closure cell, a cycle that would
+    # hold the search's class lists until the cyclic collector ran; drop it
+    del search
     return best, nodes <= _MCS_NODE_BUDGET, nodes
 
 

@@ -1,10 +1,15 @@
 import importlib.util
+import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_file.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_file.py"
+PROBE = ROOT / "tools" / "gc_probe.py"
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +120,61 @@ class TestAgreement:
         assert got["digests_equal"] == {"memory-serve": {"41": True, "42": False}}
         assert got["fixture_sha256_equal"] is False
         assert got["src_lines_delta"] == 12
+
+
+def probe(out: Path, *target: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(PROBE), "--out", str(out), *target],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+class TestGcProbe:
+    def test_counts_collections_and_keeps_the_exit_code(self, tmp_path):
+        script = tmp_path / "cycles.py"
+        script.write_text(
+            "import gc, sys\n"
+            "for _ in range(100):\n"
+            "    ring = []\n"
+            "    ring.append(ring)\n"
+            "gc.collect()\n"
+            "sys.exit(3)\n")
+        done = probe(tmp_path / "gc.json", str(script), cwd=tmp_path)
+        assert done.returncode == 3, done.stderr
+        counts = json.loads((tmp_path / "gc.json").read_text())
+        assert sorted(counts) == ["collected", "collections", "pause_s"]
+        assert all(len(values) == 3 for values in counts.values())
+        # the explicit collection is a generation-2 one, and every ring is
+        # freed by some collection
+        assert counts["collections"][2] >= 1
+        assert sum(counts["collected"]) >= 100
+        assert all(pause >= 0 for pause in counts["pause_s"])
+
+    def test_a_run_through_the_probe_writes_the_same_bytes(self, tmp_path):
+        rows = [line for line in (ROOT / "tests" / "fixtures" / "corpus_500.smi")
+                .read_text().splitlines() if line and not line.startswith("#")]
+        (tmp_path / "leads.smi").write_text("\n".join(rows[:2]) + "\n")
+        run = ["run", "--leads", "leads.smi", "--objective", "qed", "--policy", "greedy",
+               "--harvest-skills", "--budget", "20", "--generations", "2",
+               "--rollouts", "3", "--seed", "7"]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        plain = subprocess.run([sys.executable, "-m", "leadopt.cli", *run, "--out", "plain"],
+                               cwd=tmp_path, env=env, capture_output=True, text=True)
+        watched = probe(tmp_path / "gc.json", "leadopt.cli", *run, "--out", "watched",
+                        cwd=tmp_path)
+        assert plain.returncode == watched.returncode == 0, watched.stderr
+        assert watched.stdout == plain.stdout
+        for name in ("report.json", "trajectories.jsonl"):
+            assert (tmp_path / "watched" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+        assert json.loads((tmp_path / "gc.json").read_text())["collections"][0] > 0
+
+    def test_the_fixture_record_holds_the_collector_counts(self, bench_file, monkeypatch):
+        # the fixture as bench_file runs it, cut to two leads and a short run
+        monkeypatch.setattr(bench_file, "FIXTURE_LEADS", 2)
+        monkeypatch.setattr(bench_file, "FIXTURE_RUN", [
+            "--objective", "qed", "--policy", "greedy", "--harvest-skills",
+            "--budget", "20", "--generations", "2", "--rollouts", "3", "--seed", "7"])
+        record = bench_file._fixture(ROOT)
+        assert sorted(record["gc"]) == ["collected", "collections", "pause_s"]
+        assert all(len(values) == 3 for values in record["gc"].values())
+        assert sorted(record["sha256"]) == sorted(FIXTURE_SHA)

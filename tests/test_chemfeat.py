@@ -25,7 +25,8 @@ from leadopt.chemfeat import (
     tanimoto,
     tanimoto_rows,
 )
-from leadopt.chemfeat import RADIUS, WIDTH, _CATALOG, _mix_stream, _pattern_matches
+from leadopt.chemfeat import RADIUS, WIDTH, _PLAN, _match, _mix_stream
+from leadopt.files import data_text, table_rows
 from leadopt.molgraph import (
     _ELEMENT_INDEX,
     _ORDER_SORT,
@@ -44,6 +45,7 @@ MASS_H, MASS_C, MASS_O = 1.008, 12.011, 15.999
 FG_GOLDEN = Path(__file__).parent / "golden" / "fg_tags.tsv"
 MORGAN_GOLDEN = Path(__file__).parent / "golden" / "morgan_bits.tsv"
 CORPUS = Path(__file__).parent / "fixtures" / "corpus_500.smi"
+DRUG_LEADS = Path(__file__).parent / "fixtures" / "drug_leads.smi"
 
 
 def relabel(mol, perm):
@@ -448,31 +450,169 @@ class TestFingerprintPlanes:
         assert planes.pops.tolist() == [2, 1, 1]
 
 
+@functools.lru_cache(maxsize=1)
+def reference_catalog():
+    """(tag, pattern atoms, pattern bonds as {neighbour: order} per atom,
+    suppressed tags) per catalog line, read by the pattern rules of
+    chemfeat._parse_pattern."""
+    out = []
+    for parts in table_rows(data_text("fg_catalog.tsv")):
+        tokens, bonds, _ = molgraph._smiles_graph(parts[1])
+        atoms = [molgraph._BARE_ATOMS[t][-1] if isinstance(t, str) else t for t in tokens]
+        adj = [{} for _ in atoms]
+        for a, b, order in bonds:
+            if order is None:
+                order = "aromatic" if atoms[a].aromatic and atoms[b].aromatic else "single"
+            adj[a][b] = adj[b][a] = order
+        suppresses = ()
+        if len(parts) > 2 and parts[2].startswith("suppresses:"):
+            suppresses = tuple(parts[2][len("suppresses:"):].split(","))
+        out.append((parts[0], tuple(atoms), adj, suppresses))
+    return out
+
+
+def reference_pattern_matches(p_atoms, p_adj, mol):
+    """All target atom sets hit by the pattern, by the enumerating search
+    detection used before its plan: pattern atoms placed in SMILES order
+    (each after the first bonds to an earlier one), on a target atom of the
+    same element, aromaticity and charge with at least its hydrogens, every
+    pattern bond to a placed atom matched by a target bond of its order."""
+    mol_adj = chemfeat.neighbor_maps(mol)
+    results, mapping, used = set(), {}, set()
+
+    def backtrack(depth):
+        if depth == len(p_atoms):
+            results.add(frozenset(mapping.values()))
+            return
+        p = p_atoms[depth]
+        placed = [(j, order) for j, order in p_adj[depth].items() if j < depth]
+        candidates = mol_adj[mapping[placed[0][0]]] if placed else range(len(mol.atoms))
+        for t_idx in candidates:
+            atom = mol.atoms[t_idx]
+            if t_idx in used or (atom.element, atom.aromatic, atom.formal_charge) != (
+                p.element, p.aromatic, p.formal_charge
+            ) or atom.hcount < p.hcount:
+                continue
+            if any(mol_adj[t_idx].get(mapping[j]) != order for j, order in placed):
+                continue
+            mapping[depth] = t_idx
+            used.add(t_idx)
+            backtrack(depth + 1)
+            del mapping[depth]
+            used.discard(t_idx)
+
+    backtrack(0)
+    return results
+
+
+def reference_detect_functional_groups(mol):
+    """The tags detection gave before its plan: every match of every
+    pattern listed, then each match of a suppressed tag sharing an atom with
+    a raw match of its suppressor dropped."""
+    raw, suppresses = {}, {}
+    for tag, p_atoms, p_adj, targets in reference_catalog():
+        found = reference_pattern_matches(p_atoms, p_adj, mol)
+        if found:
+            raw.setdefault(tag, set()).update(found)
+        if targets:
+            suppresses.setdefault(tag, set()).update(targets)
+    surviving = {tag: set(matches) for tag, matches in raw.items()}
+    for sup_tag, targets in suppresses.items():
+        for sup_match in raw.get(sup_tag, ()):
+            for target in targets:
+                if target in surviving:
+                    surviving[target] = {
+                        match for match in surviving[target] if not match & sup_match
+                    }
+    return frozenset(tag for tag, matches in surviving.items() if matches)
+
+
+def target_views(mol):
+    """The root candidates and adjacency maps `_match` takes."""
+    roots = {}
+    for idx, atom in enumerate(mol.atoms):
+        roots.setdefault((atom.element, atom.aromatic), []).append(idx)
+    return roots, chemfeat.neighbor_maps(mol)
+
+
+def rows_of(path):
+    return [line.split()[0] for line in path.read_text().splitlines()
+            if line and not line.startswith("#")]
+
+
+def golden_fg_sources():
+    return sorted({line.split("\t")[0] for line in FG_GOLDEN.read_text().splitlines()
+                   if not line.startswith("#")})
+
+
+def fresh_fg(mol):
+    mol._fp_cache.pop("fg", None)
+    return detect_functional_groups(mol).tags
+
+
 class TestPatternRoots:
     def test_every_root_finds_the_same_matches(self):
-        # the search may start at any pattern atom; each catalog pattern
-        # forced to start at each of its atoms finds the matches of the
-        # rarest-label start on every golden molecule
-        sources = sorted({line.split("\t")[0] for line in FG_GOLDEN.read_text().splitlines()
-                          if not line.startswith("#")})[:150]
+        # each catalog pattern, its search forced to start at each of its
+        # atoms, lists the matches of the reference search on every golden
+        # molecule; with atoms marked used, it finds a match iff one of the
+        # reference's avoids them, and leaves the used set as it was
+        sources = golden_fg_sources()[:150]
         sources += ["CC(=O)Oc1ccccc1C(=O)O", "CS(=O)(=O)Nc1ccccc1", "COCCOC"]
+        lines = {}
+        for tag, p_atoms, p_adj, _ in reference_catalog():
+            lines.setdefault(tag, []).append((p_atoms, p_adj))
+        rng = random.Random(5)
         checked = 0
         for source in sources:
             mol = parse(source)
-            mol_adj = chemfeat.neighbor_maps(mol)
-            roots: dict = {}
-            for idx, atom in enumerate(mol.atoms):
-                roots.setdefault((atom.element, atom.aromatic), []).append(idx)
-            for entry in _CATALOG:
-                pattern = entry.pattern
-                want = _pattern_matches(pattern, mol, mol_adj, roots)
-                for root, atom in enumerate(pattern.atoms):
-                    forced = dataclasses.replace(
-                        pattern, labels=(((atom.element, atom.aromatic), root),)
-                    )
-                    assert _pattern_matches(forced, mol, mol_adj, roots) == want
-                checked += bool(want)
+            roots, adj = target_views(mol)
+            for plan in _PLAN:
+                assert len(plan.patterns) == len(lines[plan.tag])
+                for pattern, (p_atoms, p_adj) in zip(plan.patterns, lines[plan.tag]):
+                    want = reference_pattern_matches(p_atoms, p_adj, mol)
+                    labels = {(a.element, a.aromatic) for a in pattern.atoms}
+                    if not labels <= roots.keys():
+                        assert want == set()
+                        continue
+                    for root in range(len(pattern.atoms)):
+                        found = set()
+                        assert not _match(pattern, roots, mol.atoms, adj, set(), found, root)
+                        assert found == want
+                    used = {idx for idx in range(len(mol.atoms)) if rng.random() < 0.2}
+                    before = set(used)
+                    hit = _match(pattern, roots, mol.atoms, adj, used)
+                    assert hit == any(not match & used for match in want)
+                    assert used == before
+                    checked += bool(want)
         assert checked > 100
+
+
+class TestAgainstReference:
+    def test_corpus_and_drug_leads(self):
+        mismatches = [source for source in rows_of(CORPUS) + rows_of(DRUG_LEADS)
+                      if fresh_fg(parse(source)) != reference_detect_functional_groups(parse(source))]
+        assert mismatches == []
+
+    def test_golden_inputs(self):
+        # the edited molecules of fg_tags.tsv, not only its sources
+        mismatches = []
+        for mol, _ in morgan_golden():
+            if fresh_fg(mol) != reference_detect_functional_groups(mol):
+                mismatches.append(mol.canonical)
+        assert mismatches == []
+
+    @given(st.sampled_from(rows_of(CORPUS) + rows_of(DRUG_LEADS)),
+           st.lists(st.tuples(st.sampled_from(EDIT_OPERATORS), st.integers(0, 10**6)),
+                    max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_edited_molecules(self, source, edits):
+        mol = parse(source)
+        for op, seed in edits:
+            try:
+                mol = mutate(mol, op, seed)
+            except SmilesError:
+                pass
+        assert fresh_fg(mol) == reference_detect_functional_groups(mol)
 
 
 class TestFunctionalGroups:

@@ -1922,3 +1922,65 @@ class TestCanonicalSearchMatchesReference:
                         reach |= {b.a, b.b}
                         grew = True
             assert mol._ring_bonds[b_idx] == (bond.b in reach)
+
+
+def naive_adjacency(mol: Molecule) -> list[list[tuple[int, str]]]:
+    """(neighbour, order) per atom, in bond order, as two new tuples per bond."""
+    adj = [[] for _ in mol.atoms]
+    for a, b, order in mol.bonds:
+        adj[a].append((b, order))
+        adj[b].append((a, order))
+    return adj
+
+
+class TestSharedAdjacencyPairs:
+    def test_every_molecule_holds_the_tables_pairs(self):
+        # the same (neighbour, order) pair is one object in every molecule
+        mols = [parse(source) for source in CORPUS + DRUG_LEADS]
+        for mol in mols:
+            assert mol._adj == naive_adjacency(mol)
+            for nbrs in mol._adj:
+                assert all(pair is molgraph._PAIRS[pair[1]][pair[0]] for pair in nbrs)
+        first, second = parse("CCO"), parse("OCCN")
+        assert first.neighbors(1)[0] is second.neighbors(1)[0] == (0, "single")
+
+    def test_a_chain_longer_than_the_table(self, monkeypatch):
+        monkeypatch.setattr(molgraph, "_PAIRS", molgraph._pair_tables(64))
+        before = parse("C1CCCCC1O")
+        chain = molgraph._parse_text("C" * 299 + "O")
+        assert len(molgraph._PAIRS["single"]) >= 300
+        assert chain._adj == naive_adjacency(chain)
+        assert chain.neighbors(0) == [(1, "single")]
+        assert chain.neighbors(150) == [(149, "single"), (151, "single")]
+        assert chain.neighbors(299) == [(298, "single")]
+        # a molecule built before the tables grew keeps its pairs
+        assert before._adj == naive_adjacency(before)
+        assert before.neighbors(0)[0] is not molgraph._PAIRS["single"][1]
+        assert parse("C1CCCCC1N").neighbors(0)[0] is molgraph._PAIRS["single"][1]
+
+    def test_threads_growing_the_tables_build_the_right_neighbours(self, monkeypatch):
+        # threads build chains of rising length from a one-pair table, so
+        # that growths race with each other and with reads; every chain must
+        # hold its own neighbours
+        failures = []
+
+        def build(offset):
+            for n in range(1 + offset, 100, 3):
+                chain = molgraph._parse_text("C" * n + "O")
+                if chain._adj != naive_adjacency(chain):
+                    failures.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                monkeypatch.setattr(molgraph, "_PAIRS", molgraph._pair_tables(1))
+                threads = [threading.Thread(target=build, args=(k,)) for k in range(3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []

@@ -496,6 +496,43 @@ class TestObjectiveConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(f'objective {cfg}: {message}')}$"):
             load_objective(cfg)
 
+    @pytest.mark.parametrize("text, message", [
+        ("terms:\n  - {oracle: qed_lite, success: {comparator: '>='}}\n",
+         "each term's success needs the field 'threshold'"),
+        ("terms:\n  - {oracle: no_such, success: {threshold: 0.9}}\n",
+         "a term's oracle 'no_such' is neither built in nor listed under oracles"),
+        ("terms:\n  - {success: {threshold: 0.9}}\n", "each term needs the field 'oracle'"),
+        ("oracles:\n  - {kind: table, path: drd2.tsv}\nterms: []\n",
+         "each oracle needs the field 'name'"),
+        ("oracles:\n  - {name: drd2, kind: table}\nterms: []\n",
+         "each table oracle needs the field 'path'"),
+        ("oracles:\n  - {name: drd2, kind: external}\nterms: []\n",
+         "each external oracle needs the field 'endpoint'"),
+        ("terms:\n  - {oracle: qed_lite, success: {comparator: '>>', threshold: 0.9}}\n",
+         "a term's success comparator must be one of >=, <=, ge, le, not '>>'"),
+        ("terms:\n  - {oracle: {name: qed_lite}, success: {threshold: 0.9}}\n",
+         "a term's oracle must be a name, not dict"),
+        ("terms:\n  - {oracle: qed_lite, direction: up, success: {threshold: 0.9}}\n",
+         "a term's direction must be 1 or -1, not 'up'"),
+        ("oracles:\n  - {name: drd2, path: drd2.tsv, direction: down}\nterms: []\n",
+         "an oracle's direction must be 1 or -1, not 'down'"),
+        ("terms:\n  - {oracle: qed_lite, direction: 2, success: {threshold: 0.9}}\n",
+         "a term's direction must be 1 or -1, not 2"),
+    ])
+    def test_a_missing_or_unknown_field_fails_naming_the_file(self, tmp_path, text, message):
+        # each of these raised a KeyError, a TypeError or a ValueError that
+        # named neither the file nor the field
+        (tmp_path / "drd2.tsv").write_text("CCO\t0.9\n")
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'objective {cfg}: {message}')}$"):
+            load_objective(cfg)
+
+    def test_a_quoted_direction_still_loads(self, tmp_path):
+        cfg = tmp_path / "obj.yaml"
+        cfg.write_text("terms:\n  - {oracle: qed_lite, direction: '-1', success: {comparator: '<=', threshold: 0.9}}\n")
+        assert load_objective(cfg).terms[0].oracle.direction == -1
+
     @pytest.mark.parametrize("weight, threshold, message", [
         (".nan", "0.9", "term weight must be finite, not nan"),
         (".inf", "0.9", "term weight must be finite, not inf"),

@@ -13,17 +13,20 @@ once: ``leadopt build-bank`` on tests/fixtures/corpus_500.smi, then
 skill harvest, budget 500, 20 generations of 32 rollouts, seed 7), timed as
 one subprocess, its peak resident set size read from the kernel's resource
 usage of that subprocess, and its outputs and the bank files hashed. The
-file is written to the current directory.
+run goes through ``tools/gc_probe.py`` (this script's own copy, for either
+tree), which records the cyclic garbage collector's collections, pause
+seconds and freed objects per generation. The file is written to the
+current directory.
 
 The file holds, per tree, the git rev and whether the tree had uncommitted
 changes (``git status --porcelain`` lists anything; both null outside a git
 checkout, and the rev null for a modified tree, whose HEAD names its parent
 rather than the code measured), the source digest, the src/ line count and the Python and numpy versions (as
 perfbench reports them), every run's end-to-end metrics and output
-digests, the per-workload medians and the fixture's wall time, peak RSS
-and sha256 values. With a baseline it also holds, per workload and
-metric, the baseline's quartiles and how many seeds the tree measured beat
-the baseline on, and under ``agreement`` whether the two trees' outputs are
+digests, the per-workload medians and the fixture's wall time, peak RSS,
+sha256 values and collector counts (``gc``). With a baseline it also
+holds, per workload and metric, the baseline's quartiles and how many
+seeds the tree measured beat the baseline on, and under ``agreement`` whether the two trees' outputs are
 equal: per workload and seed, whether the output digests match (a bank and
 a stream where the workload has them; of the search invocations, those
 both runs made, since a faster tree makes more in the same time), whether
@@ -50,6 +53,7 @@ FIXTURE_RUN = [
     "--objective", "qed", "--policy", "greedy", "--harvest-skills",
     "--budget", "500", "--generations", "20", "--rollouts", "32", "--seed", "7",
 ]
+GC_PROBE = Path(__file__).resolve().parent / "gc_probe.py"
 
 
 def _seeds(text: str) -> list[int]:
@@ -112,19 +116,20 @@ def _fixture(tree: Path) -> dict:
         rows = [line for line in corpus.read_text(encoding="utf-8").splitlines()
                 if line and not line.startswith("#")]
         (work / "leads.smi").write_text("\n".join(rows[:FIXTURE_LEADS]) + "\n")
-        cli = [sys.executable, "-m", "leadopt.cli"]
-        subprocess.run(cli + ["build-bank", "--corpus", str(corpus), "--out",
-                              str(work / "bank"), "--objective", "qed"],
+        subprocess.run([sys.executable, "-m", "leadopt.cli", "build-bank", "--corpus",
+                        str(corpus), "--out", str(work / "bank"), "--objective", "qed"],
                        cwd=work, env=env, capture_output=True, check=True)
         began = time.perf_counter()
         rss = _run_measured(
-            cli + ["run", "--leads", "leads.smi", "--exemplar-bank", "bank",
-                   "--skill-bank", "skills.jsonl", "--out", "out", *FIXTURE_RUN],
+            [sys.executable, str(GC_PROBE), "--out", "gc.json", "leadopt.cli",
+             "run", "--leads", "leads.smi", "--exemplar-bank", "bank",
+             "--skill-bank", "skills.jsonl", "--out", "out", *FIXTURE_RUN],
             work, env)
         wall = time.perf_counter() - began
         return {
             "wall_s": round(wall, 3),
             "peak_rss_mb": round(rss, 2),
+            "gc": json.loads((work / "gc.json").read_text(encoding="utf-8")),
             "sha256": {
                 "bank.bank.jsonl": sha(work / "bank.bank.jsonl"),
                 "bank.fp.bin": sha(work / "bank.fp.bin"),
