@@ -4,7 +4,8 @@ Everything here is a pure function of the molecular graph; fingerprints and
 functional-group sets are cached on the molecule instance.
 
 `morgan_fp` hashes each atom environment through a module-level memo of at
-most 4,096 environment hashes, cleared when full, shared by all molecules.
+most 4,096 environment hashes, shared by all molecules, which drops the one
+kept first when full.
 Molecules a search visits are one or two edits apart, so almost every
 environment was hashed before; the hash is a pure function of the
 environment, so fingerprints are bit-identical with or without the memo.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,9 +135,11 @@ def _mix_stream(values) -> int:
 
 # environment -> its _mix_stream hash, for every molecule (see the module
 # docstring): an atom's initial invariant, or (iteration, own hash, sorted
-# (order, neighbour hash) pairs...), whose pairs are streamed flat
-_ENV_HASHES: dict[tuple, int] = {}
-_ENV_HASHES_MAX = 4096
+# (order, neighbour hash) pairs...), whose pairs are streamed flat. The hot
+# reads in _bit_positions are a plain `get`, which takes no lock and leaves
+# recency alone, so the entry kept first goes first: a `recall` costs about
+# six times as much, on each of some 473k reads a fixture run.
+_ENV_HASHES = _Memo(4096)
 
 
 def _env_hash(env: tuple) -> int:
@@ -145,19 +148,16 @@ def _env_hash(env: tuple) -> int:
         h = _mix_stream((env[0], env[1], *[v for pair in env[2:] for v in pair]))
     else:
         h = _mix_stream(env)
-    if len(_ENV_HASHES) >= _ENV_HASHES_MAX:
-        _ENV_HASHES.clear()
-    _ENV_HASHES[env] = h
+    _ENV_HASHES.keep(env, h)
     return h
 
 
 # the fingerprint memo: canonical string -> the set bit positions of its
-# fingerprint, two bytes each, for the last _FP_MEMO_MAX molecules
-# fingerprinted once named. 4,096 entries raised its hits on the search
-# workloads from about 22 % to 32 % of lookups, but its share of the peak
-# resident memory from about 0.7 to 1.8 MB.
-_FP_MEMO_MAX = 2048
-_FP_MEMO = _Memo(_FP_MEMO_MAX)
+# fingerprint, two bytes each, for the last 2,048 molecules fingerprinted
+# once named. 4,096 entries raised its hits on the search workloads from
+# about 22 % to 32 % of lookups, but its share of the peak resident memory
+# from about 0.7 to 1.8 MB.
+_FP_MEMO = _Memo(2048)
 
 
 def morgan_fp(m: Molecule) -> Fingerprint:
@@ -192,7 +192,7 @@ def morgan_fp(m: Molecule) -> Fingerprint:
 
 def _bit_positions(m: Molecule) -> set[int]:
     """The positions `morgan_fp` sets: every environment's hash mod WIDTH."""
-    memo = _ENV_HASHES
+    get = _ENV_HASHES.get  # a plain read: see _ENV_HASHES
     current = []
     for idx, atom in enumerate(m.atoms):
         env = (
@@ -203,7 +203,7 @@ def _bit_positions(m: Molecule) -> set[int]:
             m.degree(idx),
             int(m.atom_in_ring(idx)),
         )
-        h = memo.get(env)
+        h = get(env)
         current.append(_env_hash(env) if h is None else h)
     positions = {h % WIDTH for h in current}
     nbrs = [
@@ -214,7 +214,7 @@ def _bit_positions(m: Molecule) -> set[int]:
         refreshed = []
         for idx, pairs in enumerate(nbrs):
             env = (iteration, current[idx], *sorted([(o, current[j]) for o, j in pairs]))
-            h = memo.get(env)
+            h = get(env)
             refreshed.append(_env_hash(env) if h is None else h)
         current = refreshed
         positions.update([h % WIDTH for h in current])
@@ -423,14 +423,9 @@ class FunctionalGroupSet:
     mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mask = 0
-        for tag in self.tags:
-            bit = _TAG_BITS.get(tag)
-            if bit is None:
-                unknown = sorted(self.tags - _CATALOG_TAGS)
-                raise ValueError(f"tags not in catalog: {unknown}")
-            mask |= bit
-        object.__setattr__(self, "mask", mask)
+        if not self.tags <= _CATALOG_TAGS:
+            raise ValueError(f"tags not in catalog: {sorted(self.tags - _CATALOG_TAGS)}")
+        object.__setattr__(self, "mask", sum(_TAG_BITS[tag] for tag in self.tags))
 
     def __iter__(self):
         return iter(sorted(self.tags))
@@ -594,15 +589,10 @@ class DescriptorVector:
     rotatable_bonds: int
 
     def delta(self, earlier: "DescriptorVector") -> "DescriptorDelta":
-        """Signed change from `earlier` to this vector."""
-        return DescriptorDelta(
-            mw=self.mw - earlier.mw,
-            ring_count=self.ring_count - earlier.ring_count,
-            hbd=self.hbd - earlier.hbd,
-            hba=self.hba - earlier.hba,
-            psa_lite=self.psa_lite - earlier.psa_lite,
-            rotatable_bonds=self.rotatable_bonds - earlier.rotatable_bonds,
-        )
+        """Signed change from `earlier` to this vector, field by field."""
+        return DescriptorDelta(**{
+            f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)
+        })
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -78,13 +79,14 @@ def _objective_with_gamma(obj: Objective, gamma: Optional[float]) -> Objective:
     return dataclasses.replace(obj, gamma=gamma)
 
 
+def _finite(value) -> bool:
+    """Whether `value` is a finite JSON number (an int or a float, not a bool)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _read_leads(path: str) -> list[str]:
-    leads = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                leads.append(line)
+        leads = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
     if not leads:
         raise ValueError(f"no leads in {path}")
     return leads
@@ -271,9 +273,23 @@ def cmd_eval(args) -> int:
         report_path = report_path / "report.json"
     with open(report_path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    leads = payload.get("leads", [])
+
+    def check(ok: bool, what: str) -> None:  # each field as report_to_json writes it
+        if not ok:
+            raise ValueError(f"report {report_path}: {what}")
+
+    check(isinstance(payload, dict), "the file must be a mapping")
+    leads, stored = payload.get("leads", []), payload.get("aggregates", {})
+    check(isinstance(leads, list), "'leads' must be a list")
+    check(isinstance(stored, dict), "'aggregates' must be a mapping")
+    for lead in leads:
+        check(isinstance(lead, dict), "each lead must be a mapping")
+        check(isinstance(lead.get("success"), bool), "each lead's 'success' must be true or false")
+        for key in ("sim", "ri"):
+            check(_finite(lead.get(key)), f"each lead's {key!r} must be a finite number")
+    for key in ("SR", "Sim", "RI"):
+        check(_finite(stored.get(key, 0.0)), f"the stored {key!r} must be a finite number")
     aggregates = aggregate_records(leads)
-    stored = payload.get("aggregates", {})
     drift = {key: abs(value - stored.get(key, value)) for key, value in aggregates.items()}
     _print_json({"task": payload.get("task", ""), "aggregates": aggregates,
                  "recomputation_drift": drift, "leads": len(leads)})
@@ -326,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("skills", help="skill-bank operations")
+    p.set_defaults(fn=cmd_skills)
     skills_sub = p.add_subparsers(dest="skills_command", required=True)
     sp = skills_sub.add_parser("harvest", help="extract skills from trajectories")
     sp.add_argument("--trajectories", required=True, help="trajectory JSONL")
@@ -338,24 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--summarizer", default="template",
                     help="'template' or 'external:<endpoint>' "
                          "(default: template)")
-    sp.set_defaults(fn=cmd_skills)
     sp = skills_sub.add_parser("list", help="print stored skills")
     sp.add_argument("--bank", required=True)
     sp.add_argument("--task", default=None, help="filter by task name")
     sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY)
-    sp.set_defaults(fn=cmd_skills)
     sp = skills_sub.add_parser("insert", help="merge a card file into a bank")
     sp.add_argument("--bank", required=True)
     sp.add_argument("--cards", required=True, help="skill JSONL to merge in")
     sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
                     help="skill bank capacity (default: 1000)")
-    sp.set_defaults(fn=cmd_skills)
     sp = skills_sub.add_parser("evict-report",
                                help="preview capacity-bound evictions")
     sp.add_argument("--bank", required=True)
     sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
                     help="capacity to apply (default: 1000)")
-    sp.set_defaults(fn=cmd_skills)
 
     p = sub.add_parser("run", help="optimize a file of leads and write a report")
     p.add_argument("--leads", required=True, help="one SMILES per line")
@@ -421,9 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main(), not at import nor per call: a parser is
+# hundreds of objects in reference cycles
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:

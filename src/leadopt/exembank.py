@@ -78,14 +78,10 @@ class ExemplarBank:
     """Deduplicated exemplar records plus the arrays retrieval reads."""
 
     def __init__(self, records: Sequence[ExemplarRecord]):
-        seen: set[str] = set()
-        unique: list[ExemplarRecord] = []
+        unique: dict[str, ExemplarRecord] = {}  # the first record of each name
         for record in records:
-            if record.canonical in seen:
-                continue
-            seen.add(record.canonical)
-            unique.append(record)
-        self.records: tuple[ExemplarRecord, ...] = tuple(unique)
+            unique.setdefault(record.canonical, record)
+        self.records: tuple[ExemplarRecord, ...] = tuple(unique.values())
         self._planes: Optional[FingerprintPlanes] = None
         self._canon_rank: Optional[np.ndarray] = None
         self._scores: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}

@@ -42,10 +42,10 @@ disconnect the graph, duplicate a bond or make an aromatic bond, and every
 parent is valid, so a child checks only the atoms its edit touched.
 
 Search keeps returning to the same molecules, so an edit memo keeps the
-last _EDIT_MEMO_MAX pieces of edit work on molecules not made by an edit
-(parsed, constructed or a twin), least recently used first out: an
-operator's sorted site list, and the child of a resolved edit (the
-operator plus the site, element or bond order the seed drew). A repeated
+last 128 pieces of edit work on molecules not made by an edit (parsed,
+constructed or a twin), least recently used first out: an operator's
+sorted site list, and the child of a resolved edit (the operator plus the
+site, element or bond order the seed drew). A repeated
 edit makes the same draws and hands back the child built before, already
 checked and perhaps named and fingerprinted. A deferred edit child's own
 edits and a failed edit are never kept. The memo is keyed by the molecule
@@ -56,27 +56,27 @@ parsing that string is a full parse, not a write-order twin.
 
 Harvesting skills names the same scaffold cores and fragments again and
 again, so :func:`subgraph_name` keeps the canonical strings of the last
-_SUBGRAPH_MEMO_MAX induced subgraphs, least recently used first out, keyed
+512 induced subgraphs, least recently used first out, keyed
 by plain tuples of the subgraph's atom and bond fields. On a miss it makes
 the :class:`Atom` and :class:`Bond` objects and the one molecule the
 package builds unchecked: a fragment torn from a ring need not pass the
 checks (a core always does). That molecule is named, not remembered for
 :func:`parse`, and dropped; only the string is kept. Equal keys are equal
 graphs in the same atom order, so a kept string is the one a fresh build
-would write. A search that trips is never kept, and functools' cache is
-thread-safe. A hit skips the build as well as the name, so this memo still
-pays beside the name memo.
+would write. A search that trips is never kept. A hit skips the build as
+well as the name, so this memo still pays beside the name memo.
 
 The same graph keeps arriving as a new object (a rollout back at a
 molecule it built before, an edit repeated on a write-order twin), so a
-name memo keeps the canonical strings of the last _NAME_MEMO_MAX graphs
-named, least recently used first out. Its key is the graph exactly, in its
+name memo keeps the canonical strings of the last 4,096 graphs named,
+least recently used first out. Its key is the graph exactly, in its
 atom order (see :class:`_Canonicalizer`); its value is the string and the
 trace of the string's write, packed into bytes. A hit runs only the
 search's setup, and a molecule it names is remembered for write-order
 twins as a searched one is. A search that trips keeps nothing.
 The memo holds bytes only, no molecule. A memory query's query and lead
-are never named, so they never reach it.
+are never named, so they never reach it. These memos, and chemfeat's, are
+each a :class:`_Memo`, and :func:`forget_memos` empties them all.
 
 The canonical search sets up in one pass over the bonds and one over the
 atoms, refines by keying again only the cells next to a cell that split, and
@@ -96,6 +96,7 @@ import heapq
 import itertools
 import random
 import threading
+import weakref
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -188,40 +189,31 @@ _BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
 # aromatic ring atoms aside
 _ORDER_CHAR = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
 
-EDIT_OPERATORS = (
-    "substitute_atom",
-    "append_terminal_atom",
-    "delete_terminal_atom",
-    "change_bond_order",
-)
-
 # Guard against combinatorial blow-up on pathologically symmetric graphs.
 _MAX_CANON_LEAVES = 20_000
 
-# parse() keeps this many recent results.
-_PARSE_CACHE_SIZE = 64
-
-# subgraph_name() keeps the strings of this many recent subgraphs.
-_SUBGRAPH_MEMO_MAX = 512
-
-# _canonical_string() keeps the strings of this many recent graphs.
-_NAME_MEMO_MAX = 4096
-
 _VALENCE_MAX = {element: int(value) for element, value in table_rows(data_text("valence.tsv"))}
+
+# every _Memo made, held weakly: a memo dropped (a test's own) goes
+_MEMOS: "weakref.WeakSet[_Memo]" = weakref.WeakSet()
 
 
 class _Memo(OrderedDict):
     """At most `size` entries, the least recently kept or recalled first
     out; rollouts on threads share one, so both run under a lock. An
     OrderedDict evicts its oldest entry in constant time, where a dict
-    would first scan the slots its earlier deletions left at the front."""
+    would first scan the slots its earlier deletions left at the front.
+    A memo registers itself for :func:`forget_memos`, and is hashed and
+    compared as itself, not by its entries, so the registry can hold it."""
 
     __slots__ = ("size", "_lock")
+    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
 
     def __init__(self, size: int):
         super().__init__()
         self.size = size
         self._lock = threading.Lock()
+        _MEMOS.add(self)
 
     def recall(self, key):
         """The value kept for `key`, now the most recently used, or None."""
@@ -237,6 +229,13 @@ class _Memo(OrderedDict):
             self.move_to_end(key)
             if len(self) > self.size:
                 self.popitem(last=False)
+
+
+def forget_memos() -> None:
+    """Empty every :class:`_Memo`, each under its own lock."""
+    for memo in list(_MEMOS):
+        with memo._lock:
+            memo.clear()
 
 
 @dataclass(frozen=True)
@@ -304,7 +303,7 @@ class Molecule:
         """A molecule whose bonds' ring flags are already known, built
         unchecked: its caller makes every check that can fail (a parse, an
         edit), needs none (a write-order twin) or only names the graph and
-        lets it go (:func:`_subgraph_name`)."""
+        lets it go (:func:`subgraph_name`)."""
         mol = cls.__new__(cls)
         mol._build(atoms, bonds, ring_bonds)
         return mol
@@ -648,6 +647,11 @@ def _bare_atoms() -> dict[str, tuple[Atom, ...]]:
 _BARE_ATOMS = _bare_atoms()
 
 
+# the parse memo: text -> the molecule parse() gave for it, for the last 64
+# texts parsed
+_PARSED = _Memo(64)
+
+
 def parse(smiles: str) -> Molecule:
     """Parse a SMILES string into a validated :class:`Molecule`, named on
     the first read of ``.canonical``.
@@ -664,15 +668,13 @@ def parse(smiles: str) -> Molecule:
     """
     if not isinstance(smiles, str) or not smiles.strip():
         raise SmilesSyntaxError("empty SMILES string")
-    return _parse_interned(smiles.strip())
-
-
-@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
-def _parse_interned(smiles: str) -> Molecule:
-    canon = _WRITTEN.get(smiles)
-    if canon is not None:
-        return _write_order_twin(smiles, canon)
-    return _parse_text(smiles)
+    smiles = smiles.strip()
+    mol = _PARSED.recall(smiles)
+    if mol is None:  # a text that fails raises here, and is not kept
+        written = _WRITTEN.get(smiles)
+        mol = _parse_text(smiles) if written is None else _write_order_twin(smiles, written)
+        _PARSED.keep(smiles, mol)
+    return mol
 
 
 def _smiles_graph(
@@ -956,8 +958,8 @@ def _individualize(ranks: list[int], atom: int) -> list[int]:
 
 # the name memo: the key of a graph (see _Canonicalizer) -> its canonical
 # string, a space, and the packed trace of the string's write, for the last
-# _NAME_MEMO_MAX graphs named
-_NAMES = _Memo(_NAME_MEMO_MAX)
+# 4,096 graphs named
+_NAMES = _Memo(4096)
 
 
 def _canonical_string(mol: Molecule, remember: bool = False) -> str:
@@ -1275,8 +1277,8 @@ def _digit_token(digit: int) -> str:
 # ---------------------------------------------------------------------------
 
 # canonical string -> (molecule, packed best trace, bond map) of the search
-# that wrote it, for the last _PARSE_CACHE_SIZE molecules named
-_WRITTEN = _Memo(_PARSE_CACHE_SIZE)
+# that wrote it, for the last 64 molecules named
+_WRITTEN = _Memo(64)
 
 
 def _write_order_twin(text: str, written: tuple) -> Molecule:
@@ -1348,25 +1350,31 @@ def _induced_fields(
     return tuple(atoms), bonds
 
 
+# the subgraph memo: the (atom fields, bond fields) of an induced subgraph
+# -> its canonical string, for the last 512 subgraphs named
+_SUBGRAPHS = _Memo(512)
+
+
 def subgraph_name(m: Molecule, keep: set[int]) -> str:
     """The canonical string of the graph on the atoms in `keep` and the
     bonds among them, hydrogens refilling the valence of every bond cut;
     searched once while the subgraph memo holds it (see the module
     docstring)."""
-    return _subgraph_name(*_induced_fields(m, keep))
-
-
-@functools.lru_cache(maxsize=_SUBGRAPH_MEMO_MAX)
-def _subgraph_name(atoms: tuple[tuple, ...], bonds: tuple[tuple[int, int, str], ...]) -> str:
-    # the one graph built unchecked: a fragment torn from a ring need not
-    # pass the checks, and the molecule never leaves here, so its name is
-    # not remembered for parse
-    mol = Molecule._assemble(
-        tuple(Atom(*f) for f in atoms),
-        tuple(Bond(*f) for f in bonds),
-        _ring_bond_flags(len(atoms), bonds),
-    )
-    return _canonical_string(mol)
+    key = _induced_fields(m, keep)
+    name = _SUBGRAPHS.recall(key)
+    if name is None:
+        # the one graph built unchecked: a fragment torn from a ring need
+        # not pass the checks, and the molecule never leaves here, so its
+        # name is not remembered for parse; a search that trips is not kept
+        atoms, bonds = key
+        mol = Molecule._assemble(
+            tuple(Atom(*f) for f in atoms),
+            tuple(Bond(*f) for f in bonds),
+            _ring_bond_flags(len(atoms), bonds),
+        )
+        name = _canonical_string(mol)
+        _SUBGRAPHS.keep(key, name)
+    return name
 
 
 def scaffold_of(m: Molecule) -> str:
@@ -1392,13 +1400,12 @@ _APPEND_POOL = ("C", "N", "O", "F", "Cl", "S")
 _SUBSTITUTE_POOL = ("C", "N", "O", "S", "P", "F", "Cl", "B")
 _SUBSTITUTE_AROMATIC_POOL = ("C", "N", "O", "S")
 
-# the last _EDIT_MEMO_MAX pieces of edit work on molecules not made by an
-# edit, least recently used first: (id of the molecule, op) -> (the
-# molecule, its sites in draw order), and (id of the molecule, op, site[,
-# element]) -> (the molecule, the child). An entry holds its molecule, so no
-# other molecule can take that id while the entry lives.
-_EDIT_MEMO_MAX = 128
-_EDIT_MEMO = _Memo(_EDIT_MEMO_MAX)
+# the last 128 pieces of edit work on molecules not made by an edit, least
+# recently used first: (id of the molecule, op) -> (the molecule, its sites
+# in draw order), and (id of the molecule, op, site[, element]) -> (the
+# molecule, the child). An entry holds its molecule, so no other molecule
+# can take that id while the entry lives.
+_EDIT_MEMO = _Memo(128)
 
 
 def mutate(m: Molecule, op: str, seed: int) -> Molecule:
@@ -1419,7 +1426,7 @@ def _edit(m: Molecule, op: str, seed: int) -> Molecule:
     its string on the first read of ``.canonical``. Site lists and children
     the edit memo still holds are the ones made before (see the module
     docstring)."""
-    if op not in EDIT_OPERATORS:
+    if op not in _OPERATORS:
         raise ValueError(f"unknown edit operator {op!r}")
     find_sites, build, no_site = _OPERATORS[op]
     sites = _edit_work(m, (op,), lambda: find_sites(m))
@@ -1577,3 +1584,5 @@ _OPERATORS = {
         _bond_order_changes, _change_bond_order, "no bond eligible for an order change"
     ),
 }
+# the operators' names, in the order the policies draw them
+EDIT_OPERATORS = tuple(_OPERATORS)

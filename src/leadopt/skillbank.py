@@ -497,25 +497,8 @@ def harvest(
 # Strategy sentences
 # ---------------------------------------------------------------------------
 
-_FG_PRIORITY = (
-    "sulfonamide",
-    "nitro",
-    "carboxylic_acid",
-    "ester",
-    "amide",
-    "sulfone",
-    "nitrile",
-    "methoxy",
-    "aldehyde",
-    "ketone",
-    "thiol",
-    "hydroxyl",
-    "amine",
-    "ether",
-    "halogen",
-    "aromatic_ring",
-)
-
+# each tag's display name, in priority order: a card's group is the first
+# of its tags in this order
 _FG_DISPLAY = {
     "sulfonamide": "sulfonamide",
     "nitro": "nitro (-NO2)",
@@ -555,7 +538,7 @@ _FRAGMENT_NAMES = {
 
 
 def _describe(fg_set: FunctionalGroupSet, fragment: str) -> str:
-    for tag in _FG_PRIORITY:
+    for tag in _FG_DISPLAY:
         if tag in fg_set:
             if tag == "halogen" and fragment in _HALOGEN_NAMES:
                 return _HALOGEN_NAMES[fragment]

@@ -1,9 +1,21 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
-from leadopt import chemfeat, molgraph
-from leadopt.chemfeat import WIDTH
+from leadopt import molgraph
+from leadopt.chemfeat import WIDTH, Fingerprint
+from leadopt.molgraph import Bond, Molecule
 
+
+def rows_of(path: Path) -> list[str]:
+    """The SMILES of each row of a fixture file, comment lines skipped."""
+    return [line.split()[0] for line in path.read_text().splitlines()
+            if line and not line.startswith("#")]
+
+
+CORPUS = rows_of(Path(__file__).parent / "fixtures" / "corpus_500.smi")
+DRUG_LEADS = rows_of(Path(__file__).parent / "fixtures" / "drug_leads.smi")
 
 SMILES_ALPHABET = list("CNOSPFIBcnops()[]=#-+:/\\%@H.*0123456789lr") + [
     "²", "١", "٣", "૪", "Ⅻ", "ß", "é",
@@ -22,21 +34,27 @@ def no_canon_leaves(monkeypatch):
     whose refined ranks tie raises CanonicalizationBudgetError. Molecules
     needed intact must be built before the fixture runs."""
     monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
-    # a text parsed earlier would come back from the cache, a text written
-    # earlier as a write-order twin, a subgraph named earlier from the
-    # subgraph memo, and a graph named earlier from the name memo, without
-    # a search
-    forget_texts()
+    # a text parsed earlier would come back from the parse memo, a text
+    # written earlier as a write-order twin, a subgraph named earlier from
+    # the subgraph memo, and a graph named earlier from the name memo,
+    # without a search
+    molgraph.forget_memos()
     yield
-    forget_texts()
+    molgraph.forget_memos()
 
 
-def forget_texts():
-    molgraph._parse_interned.cache_clear()
-    molgraph._WRITTEN.clear()
-    molgraph._subgraph_name.cache_clear()
-    molgraph._NAMES.clear()
-    chemfeat._FP_MEMO.clear()
+def relabel(mol: Molecule, perm: list[int]) -> Molecule:
+    """Rebuild the same graph with atoms listed in a different order."""
+    inv = {old: new for new, old in enumerate(perm)}
+    atoms = [mol.atoms[old] for old in perm]
+    bonds = [Bond(inv[b.a], inv[b.b], b.order) for b in mol.bonds]
+    return Molecule(atoms, bonds)
+
+
+def brute_tanimoto(a: Fingerprint, b: Fingerprint) -> float:
+    inter = bin(a.bits & b.bits).count("1")
+    union = bin(a.bits | b.bits).count("1")
+    return 1.0 if union == 0 else inter / union
 
 
 def near_positions(near: int, span: int) -> list[int]:

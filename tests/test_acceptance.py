@@ -40,7 +40,7 @@ from leadopt.harness import (
     temperature,
 )
 from leadopt.harness import LeadResult
-from leadopt.molgraph import Bond, Molecule, parse
+from leadopt.molgraph import parse
 from leadopt.oracles import (
     BudgetLedger,
     Objective,
@@ -58,21 +58,9 @@ from leadopt.skillbank import (
 from leadopt.skillbank import EditCard, SkillCard
 from leadopt.chemfeat import DescriptorDelta
 
-from conftest import near_positions, scatter
+from conftest import CORPUS, brute_tanimoto, near_positions, relabel, scatter
 
-FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def load_corpus(limit=None):
-    molecules = []
-    with open(FIXTURES / "corpus_500.smi", "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            molecules.append(line)
-    return molecules[:limit] if limit else molecules
 
 
 def table_objective(scores, threshold=0.9, gamma=0.4, direction=1, name="act",
@@ -89,19 +77,6 @@ def table_objective(scores, threshold=0.9, gamma=0.4, direction=1, name="act",
         ),
         gamma=gamma,
     )
-
-
-def brute_tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    inter = bin(a.bits & b.bits).count("1")
-    union = bin(a.bits | b.bits).count("1")
-    return 1.0 if union == 0 else inter / union
-
-
-def relabel(mol: Molecule, perm):
-    inv = {old: new for new, old in enumerate(perm)}
-    atoms = [mol.atoms[old] for old in perm]
-    bonds = [Bond(inv[b.a], inv[b.b], b.order) for b in mol.bonds]
-    return Molecule(atoms, bonds)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +151,7 @@ def test_criterion_01_reward_table_exactness():
 
 def test_criterion_02_budget_soundness():
     started = time.perf_counter()
-    corpus = [s for s in load_corpus() if 6 <= len(parse(s).atoms) <= 14][:25]
+    corpus = [s for s in CORPUS if 6 <= len(parse(s).atoms) <= 14][:25]
     assert len(corpus) == 25
     policy = get_policy("random")
     rng = random.Random(99)
@@ -266,7 +241,7 @@ def test_criterion_03_retrieval_oracle_equivalence():
     # fingerprints and other bits, so similarities spread from 0 upward
     span = 128
     obj = table_objective({"C": 0.0}, threshold=0.9, name="act")
-    queries = [parse(s) for s in load_corpus(40) if len(parse(s).atoms) >= 5][:10]
+    queries = [parse(s) for s in CORPUS[:40] if len(parse(s).atoms) >= 5][:10]
 
     for bank_idx in range(50):
         size = rng.randint(50, 2000)
@@ -526,7 +501,7 @@ def test_criterion_07_gae_ppo_numerics():
 
 def test_criterion_08_canonicalization_soundness():
     started = time.perf_counter()
-    corpus = load_corpus()
+    corpus = CORPUS
     assert len(corpus) == 500
     rng = random.Random(88)
     for smiles in corpus:

@@ -39,20 +39,11 @@ from leadopt.molgraph import (
     parse,
 )
 
-from conftest import fold, forget_texts
+from conftest import CORPUS, DRUG_LEADS, brute_tanimoto, fold, relabel
 
 MASS_H, MASS_C, MASS_O = 1.008, 12.011, 15.999
 FG_GOLDEN = Path(__file__).parent / "golden" / "fg_tags.tsv"
 MORGAN_GOLDEN = Path(__file__).parent / "golden" / "morgan_bits.tsv"
-CORPUS = Path(__file__).parent / "fixtures" / "corpus_500.smi"
-DRUG_LEADS = Path(__file__).parent / "fixtures" / "drug_leads.smi"
-
-
-def relabel(mol, perm):
-    inv = {old: new for new, old in enumerate(perm)}
-    atoms = [mol.atoms[old] for old in perm]
-    bonds = [Bond(inv[b.a], inv[b.b], b.order) for b in mol.bonds]
-    return Molecule(atoms, bonds)
 
 
 def fp_from_bits(on_bits):
@@ -171,7 +162,7 @@ class TestMorganMemo:
         assert len(morgan_golden()) == 2374
         assert mismatches == []
 
-    @pytest.mark.parametrize("state", ["empty", "warm", "just_cleared"])
+    @pytest.mark.parametrize("state", ["empty", "warm", "full"])
     def test_matches_unmemoized_loop(self, state):
         memo = chemfeat._ENV_HASHES
         mols = [mol for mol, _ in morgan_golden()[::8]]
@@ -182,29 +173,34 @@ class TestMorganMemo:
         for mol in mols:
             if state == "empty":
                 memo.clear()
-            elif state == "just_cleared":
-                # full with keys no molecule has: the first miss clears it
+            elif state == "full":
+                # full with keys no molecule has: the first miss drops the
+                # oldest
                 memo.clear()
-                memo.update(((-1, k), 0) for k in range(chemfeat._ENV_HASHES_MAX))
+                memo.update(((-1, k), 0) for k in range(memo.size))
             if fresh_fp(mol).bits != reference_bits(reference_hashes(mol, RADIUS)):
                 mismatches.append(mol.canonical)
-            if state == "just_cleared":
-                assert (-1, 0) not in memo
+            if state == "full":
+                assert (-1, 0) not in memo and len(memo) == memo.size
         assert mismatches == []
 
-    def test_memo_never_exceeds_its_bound(self):
+    def test_memo_keeps_the_last_environments_hashed(self, monkeypatch):
+        # the golden set has more environments than the bound: the memo
+        # holds the last ones hashed, oldest first, since a hit does not
+        # refresh an entry
+        hashed = []
+        real = chemfeat._env_hash
+        monkeypatch.setattr(chemfeat, "_env_hash", lambda env: hashed.append(env) or real(env))
         memo = chemfeat._ENV_HASHES
         memo.clear()
-        sizes = []
         for mol, _ in morgan_golden():
             fresh_fp(mol)
-            sizes.append(len(memo))
-        assert max(sizes) <= chemfeat._ENV_HASHES_MAX
-        # the golden set has more environments than the bound: it was cleared
-        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+            assert len(memo) <= memo.size
+        assert len(hashed) > memo.size == 4096
+        assert list(memo) == hashed[-memo.size:]
 
     def test_small_bound_holds_inside_one_molecule(self, monkeypatch):
-        monkeypatch.setattr(chemfeat, "_ENV_HASHES_MAX", 16)
+        monkeypatch.setattr(chemfeat._ENV_HASHES, "size", 16)
         chemfeat._ENV_HASHES.clear()
         m = parse("CC(C)Cc1ccc(cc1)C(C)C(=O)OCCN(CC)CCOc1ncccc1Cl")
         assert fresh_fp(m).bits == reference_bits(reference_hashes(m, RADIUS))
@@ -273,12 +269,11 @@ class TestFingerprintMemo:
         # edit chains on the corpus name and fingerprint more distinct
         # molecules than either memo keeps; at capacity the two hold only
         # bytes and strings, at most 2.5 MB together
-        rows = [line for line in CORPUS.read_text().splitlines()
-                if line and not line.startswith("#")]
+        rows = CORPUS
         memos = (molgraph._NAMES, chemfeat._FP_MEMO)
-        sizes = [molgraph._NAME_MEMO_MAX, chemfeat._FP_MEMO_MAX]
-        assert sizes == [memo.size for memo in memos] == [4096, 2048]
-        forget_texts()
+        sizes = [memo.size for memo in memos]
+        assert sizes == [4096, 2048]
+        molgraph.forget_memos()
         full = 0
         for source in rows:
             mol = molgraph._parse_text(source)
@@ -343,12 +338,6 @@ class TestTanimoto:
         assert 0.0 <= s <= 1.0
         if xs or ys:
             assert (s == 1.0) == (a.bits == b.bits)
-
-
-def brute_tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    inter = bin(a.bits & b.bits).count("1")
-    union = bin(a.bits | b.bits).count("1")
-    return 1.0 if union == 0 else inter / union
 
 
 class TestFingerprintIndex:
@@ -535,11 +524,6 @@ def target_views(mol):
     return roots, chemfeat.neighbor_maps(mol)
 
 
-def rows_of(path):
-    return [line.split()[0] for line in path.read_text().splitlines()
-            if line and not line.startswith("#")]
-
-
 def golden_fg_sources():
     return sorted({line.split("\t")[0] for line in FG_GOLDEN.read_text().splitlines()
                    if not line.startswith("#")})
@@ -589,7 +573,7 @@ class TestPatternRoots:
 
 class TestAgainstReference:
     def test_corpus_and_drug_leads(self):
-        mismatches = [source for source in rows_of(CORPUS) + rows_of(DRUG_LEADS)
+        mismatches = [source for source in CORPUS + DRUG_LEADS
                       if fresh_fg(parse(source)) != reference_detect_functional_groups(parse(source))]
         assert mismatches == []
 
@@ -601,7 +585,7 @@ class TestAgainstReference:
                 mismatches.append(mol.canonical)
         assert mismatches == []
 
-    @given(st.sampled_from(rows_of(CORPUS) + rows_of(DRUG_LEADS)),
+    @given(st.sampled_from(CORPUS + DRUG_LEADS),
            st.lists(st.tuples(st.sampled_from(EDIT_OPERATORS), st.integers(0, 10**6)),
                     max_size=6))
     @settings(max_examples=150, deadline=None)

@@ -241,6 +241,29 @@ class TestRunEvalSkills:
         assert code == 1
         assert "no leads" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("payload, message", [
+        (None, "the file must be a mapping"),
+        ([], "the file must be a mapping"),
+        ({"leads": 5}, "'leads' must be a list"),
+        ({"leads": [5]}, "each lead must be a mapping"),
+        ({"leads": [{"sim": 1.0, "ri": 0.0}]}, "each lead's 'success' must be true or false"),
+        ({"leads": [{"success": "yes", "sim": 1.0, "ri": 0.0}]},
+         "each lead's 'success' must be true or false"),
+        ({"leads": [{"success": True, "sim": "a", "ri": 0.0}]},
+         "each lead's 'sim' must be a finite number"),
+        ({"leads": [{"success": True, "sim": 1.0, "ri": float("nan")}]},
+         "each lead's 'ri' must be a finite number"),
+        ({"leads": [], "aggregates": [1]}, "'aggregates' must be a mapping"),
+        ({"leads": [], "aggregates": {"SR": "x"}}, "the stored 'SR' must be a finite number"),
+    ])
+    def test_eval_malformed_report_names_the_field(self, workspace, capsys, payload, message):
+        # each failed with an AttributeError, a KeyError or a TypeError
+        bad = workspace / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "eval", "--report", bad)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"report {bad}: {message}"}
+
     def test_skills_harvest_and_list(self, workspace, capsys):
         # hand-built trajectory with one clear improvement
         lead = parse("CCCCCCO").canonical

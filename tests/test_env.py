@@ -473,7 +473,7 @@ class TestTrajectoryLog:
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import ANY_TEXT, forget_texts
+from conftest import ANY_TEXT
 
 # proposals that reach each branch, then any text
 PROPOSALS = st.one_of(st.sampled_from([
@@ -533,7 +533,7 @@ class TestRewardProperties:
         ledger.evaluate(lead, obj)
         injected = frozenset({parse("CCCCCCF").canonical})
         with mock.patch.object(molgraph, "_MAX_CANON_LEAVES", 0):
-            forget_texts()  # no text comes back named from a cache
+            molgraph.forget_memos()  # no text comes back named from a cache
             try:
                 try:
                     branch = reward_outcome(lead, proposal, lead, obj, 0.4,
@@ -546,7 +546,7 @@ class TestRewardProperties:
                 except SmilesError:
                     cand = None
             finally:
-                forget_texts()
+                molgraph.forget_memos()
         if cand is None:
             expected = "invalid"
         elif cand.canonical == lead.canonical:

@@ -42,7 +42,7 @@ from leadopt.skillbank import (
     retrieve_skills,
 )
 
-from conftest import fold, forget_texts, near_positions, scatter
+from conftest import brute_tanimoto, fold, near_positions, scatter
 
 
 def fake_record(name: str, bits: int, score: float) -> ExemplarRecord:
@@ -65,12 +65,6 @@ def act_objective(gamma=0.4):
         terms=(ObjectiveTerm(oracle, 1.0, SuccessCriterion("absolute", "ge", 0.9)),),
         gamma=gamma,
     )
-
-
-def brute_tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    inter = bin(a.bits & b.bits).count("1")
-    union = a.popcount + b.popcount - inter
-    return 1.0 if union == 0 else inter / union
 
 
 def brute_retrieve(records, query_fp, lead_fp, gamma_ex, k, pool_size):
@@ -606,7 +600,7 @@ class TestTextQuery:
             skills.insert([make_skill_card(card, "act")])
         obj = act_objective(gamma=0.0)
         (query_text, query_name), (lead_text, lead_name) = GOLDEN_PARSES[:2]
-        forget_texts()
+        molgraph.forget_memos()
         searches = []
         real = molgraph._canonical_string
 

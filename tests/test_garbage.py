@@ -8,22 +8,18 @@ collector run more often and pause longer while the search runs.
 """
 
 import gc
-from pathlib import Path
 
 import pytest
 
 from leadopt.chemfeat import descriptors, detect_functional_groups, morgan_fp
+from leadopt.cli import main
 from leadopt.exembank import build_bank
 from leadopt.harness import SearchConfig, get_policy, optimize_lead
-from leadopt.molgraph import EDIT_OPERATORS, SmilesError, _edit, parse
+from leadopt.molgraph import EDIT_OPERATORS, SmilesError, _edit, forget_memos, parse
 from leadopt.oracles import load_objective
 from leadopt.skillbank import SkillBank, harvest, mcs_decompose
 
-from conftest import forget_texts
-
-CORPUS = Path(__file__).parent / "fixtures" / "corpus_500.smi"
-ROWS = [line.split()[0] for line in CORPUS.read_text().splitlines()
-        if line and not line.startswith("#")]
+from conftest import CORPUS as ROWS
 
 
 def garbage_left_by(action) -> int:
@@ -52,11 +48,11 @@ def edit_all(mols):
 class TestNoCyclicGarbage:
     @pytest.fixture
     def mols(self):
-        forget_texts()
+        forget_memos()
         return [parse(row) for row in ROWS[100:200]]
 
     def test_parse(self):
-        forget_texts()
+        forget_memos()
         assert garbage_left_by(lambda: [parse(row) for row in ROWS[:100]]) == 0
 
     def test_naming_and_edits(self, mols):
@@ -93,3 +89,9 @@ class TestNoCyclicGarbage:
         assert garbage_left_by(search) == 0
         assert sum(len(skills.cards(task)) for task in skills.tasks()) > 0
         assert garbage_left_by(lambda: [harvest(t, delta=0.005) for t in trajectories]) == 0
+
+    def test_a_second_cli_call(self, capsys):
+        # a parser built on every call left 580 objects in cycles
+        argv = ["credit", "gae", "--rewards", "1,0", "--values", "0,0,0"]
+        assert main(argv) == 0
+        assert garbage_left_by(lambda: main(argv)) == 0

@@ -2,7 +2,6 @@ import json
 import math
 import random
 from contextlib import closing
-from pathlib import Path
 
 import pytest
 
@@ -38,6 +37,8 @@ from leadopt.molgraph import (
     parse,
 )
 from leadopt.oracles import Objective, ObjectiveTerm, Oracle, SuccessCriterion
+
+from conftest import CORPUS
 
 LEAD = "CCCCCCO"
 
@@ -310,14 +311,6 @@ class TestPolicies:
     def test_wire_policy_rejects_a_malformed_endpoint_when_made(self, endpoint):
         with pytest.raises(ValueError):
             get_policy(f"wire:{endpoint}")
-
-
-CORPUS = [
-    line
-    for line in (Path(__file__).parent / "fixtures" / "corpus_500.smi")
-    .read_text().splitlines()
-    if line and not line.startswith("#")
-]
 
 
 def eager_greedy(observation, view, temp, rng, trips):

@@ -11,8 +11,10 @@ from typing import Iterator, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leadopt import molgraph, skillbank
+from leadopt import chemfeat, molgraph, skillbank
 from leadopt.chemfeat import morgan_fp
+from leadopt.exembank import build_bank
+from leadopt.harness import SearchConfig, get_policy, optimize_lead
 from leadopt.molgraph import (
     EDIT_OPERATORS,
     Atom,
@@ -30,18 +32,12 @@ from leadopt.molgraph import (
     parse,
     scaffold_of,
 )
+from leadopt.oracles import load_objective
+from leadopt.skillbank import SkillBank
 
-from conftest import ANY_TEXT, SMILES_ALPHABET
+from conftest import ANY_TEXT, CORPUS, DRUG_LEADS, SMILES_ALPHABET, relabel
 
 GOLDEN = Path(__file__).parent / "golden" / "canonical_strings.tsv"
-
-
-def relabel(mol: Molecule, perm: list[int]) -> Molecule:
-    """Rebuild the same graph with atoms listed in a different order."""
-    inv = {old: new for new, old in enumerate(perm)}
-    atoms = [mol.atoms[old] for old in perm]
-    bonds = [Bond(inv[b.a], inv[b.b], b.order) for b in mol.bonds]
-    return Molecule(atoms, bonds)
 
 
 def graph_signature(mol: Molecule):
@@ -473,9 +469,7 @@ class TestParseCache:
         first = parse("CCCN")
         for length in range(1, 101):
             parse("C" * length + "N")
-        info = molgraph._parse_interned.cache_info()
-        assert info.maxsize == molgraph._PARSE_CACHE_SIZE == 64
-        assert info.currsize <= molgraph._PARSE_CACHE_SIZE
+        assert len(molgraph._PARSED) == molgraph._PARSED.size == 64
         again = parse("CCCN")
         assert again is not first
         assert again == first
@@ -517,77 +511,59 @@ def twin_of(mol: Molecule) -> Molecule:
     return molgraph._write_order_twin(mol.canonical, written)
 
 
-CORPUS = [
-    line
-    for line in (Path(__file__).parent / "fixtures" / "corpus_500.smi")
-    .read_text().splitlines()
-    if line and not line.startswith("#")
-]
-DRUG_LEADS = (Path(__file__).parent / "fixtures" / "drug_leads.smi").read_text().split()
-
-
 class TestSubgraphMemo:
     def test_a_core_whose_search_trips_is_never_kept(self, monkeypatch):
         mol = molgraph._parse_text("CCC1CCCCC1")  # no scaffold kept yet
-        molgraph._subgraph_name.cache_clear()
+        molgraph._SUBGRAPHS.clear()
         molgraph._NAMES.clear()  # the core's graph may have been named before
         monkeypatch.setattr(molgraph, "_MAX_CANON_LEAVES", 0)
         for _ in range(3):
             with pytest.raises(CanonicalizationBudgetError):
                 scaffold_of(mol)
-            assert molgraph._subgraph_name.cache_info().currsize == 0
+            assert len(molgraph._SUBGRAPHS) == 0
         assert "scaffold" not in mol._fp_cache
         monkeypatch.undo()
         assert scaffold_of(mol) == "C1CCCCC1"
-        assert molgraph._subgraph_name.cache_info().currsize == 1
+        assert list(molgraph._SUBGRAPHS.values()) == ["C1CCCCC1"]
 
     def test_stays_within_its_bound(self):
         # more subgraphs than the memo keeps: whole corpus graphs and their
         # cores; the one used last is still kept
-        info = molgraph._subgraph_name.cache_info()
-        assert info.maxsize == molgraph._SUBGRAPH_MEMO_MAX == 512
+        memo = molgraph._SUBGRAPHS
+        assert memo.size == 512
         for source in CORPUS:
             mol = parse(source)
             whole = molgraph.subgraph_name(mol, set(range(len(mol.atoms))))
             assert whole == mol.canonical
             scaffold_of(mol)
-            assert molgraph._subgraph_name.cache_info().currsize <= 512
-        assert molgraph._subgraph_name.cache_info().currsize == 512
+            assert len(memo) <= 512
+        assert len(memo) == 512
         last = parse(CORPUS[-1])
         core = scaffold_of(last)
         assert molgraph.subgraph_name(last, molgraph.scaffold_atoms(last)) is core
 
     def test_holds_strings_only(self):
-        # functools' cache reports each entry's key and then its value to
-        # the garbage collector: every value is a string, no molecule
-        molgraph._subgraph_name.cache_clear()
+        molgraph._SUBGRAPHS.clear()
         for source in CORPUS[:100] + DRUG_LEADS:
             mol = molgraph._parse_text(source)
             scaffold_of(mol)
             skillbank._fragment_string(mol, set(range(0, len(mol.atoms), 3)))
             molgraph.subgraph_name(mol, set(range(len(mol.atoms))))
-        held = gc.get_referents(molgraph._subgraph_name)
-        values = [held[i + 1] for i, item in enumerate(held) if is_subgraph_key(item)]
-        assert len(values) == molgraph._subgraph_name.cache_info().currsize > 100
-        assert {type(value) for value in values} == {str}
-        assert not any(isinstance(item, Molecule) for item in held)
+        assert len(molgraph._SUBGRAPHS) > 100
+        assert {type(value) for value in molgraph._SUBGRAPHS.values()} == {str}
 
     def test_keys_hold_the_graph_only(self):
         # a key is the subgraph's atom and bond fields, nothing else: every
         # molecule is validated, so no key says whether its build was
         assert list(inspect.signature(molgraph.subgraph_name).parameters) == ["m", "keep"]
-        assert list(inspect.signature(molgraph._subgraph_name).parameters) == ["atoms", "bonds"]
-        molgraph._subgraph_name.cache_clear()
+        molgraph._SUBGRAPHS.clear()
         graphs = set()
         for source in CORPUS[:50]:
             mol = molgraph._parse_text(source)
             for keep in (molgraph.scaffold_atoms(mol), set(range(0, len(mol.atoms), 2))):
                 graphs.add(molgraph._induced_fields(mol, keep))
                 molgraph.subgraph_name(mol, keep)
-        keys = [item for item in gc.get_referents(molgraph._subgraph_name)
-                if is_subgraph_key(item)]
-        assert len(keys) == molgraph._subgraph_name.cache_info().currsize
-        assert set(keys) == graphs
+        assert set(molgraph._SUBGRAPHS.keys()) == graphs
 
     @given(st.sampled_from(CORPUS), st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -603,7 +579,7 @@ class TestSubgraphMemo:
         want = (scaffold_of(mol), skillbank._fragment_string(mol, outside))
         for _ in range(2):  # warm, the second copy finds the first's subgraphs
             if cold:
-                molgraph._subgraph_name.cache_clear()
+                molgraph._SUBGRAPHS.clear()
             other = relabel(mol, perm)
             got = (scaffold_of(other),
                    skillbank._fragment_string(other, {inv[i] for i in outside}))
@@ -611,12 +587,6 @@ class TestSubgraphMemo:
         if not cold:
             again = relabel(mol, perm)
             assert scaffold_of(again) is scaffold_of(other)
-
-
-def is_subgraph_key(item: object) -> bool:
-    """Whether `item`, a referent of the subgraph memo, is one of its keys:
-    a pair of tuples, the atom fields and the bond fields."""
-    return type(item) is tuple and len(item) == 2 and all(type(part) is tuple for part in item)
 
 
 @st.composite
@@ -757,7 +727,7 @@ class TestWriteOrderTwin:
             raise AssertionError("parsed a string the program had just written")
 
         monkeypatch.setattr(molgraph, "_parse_text", no_parse)
-        molgraph._parse_interned.cache_clear()
+        molgraph._PARSED.clear()
         twin = parse(mol.canonical)
         assert twin is not mol and twin == mol
         assert morgan_fp(twin) is fp  # fingerprints carried over
@@ -767,7 +737,7 @@ class TestWriteOrderTwin:
         # scaffold core are named from the unchecked build, which parse
         # never sees
         mol = molgraph._parse_text("Cc1ccccc1CC(=O)O")
-        molgraph._subgraph_name.cache_clear()
+        molgraph._SUBGRAPHS.clear()
         molgraph._WRITTEN.clear()
         assert skillbank._fragment_string(mol, {1, 2}) == "cc"
         assert scaffold_of(mol) == "c1ccccc1"
@@ -791,13 +761,13 @@ class TestWriteOrderTwin:
             parse(written.canonical).canonical
 
     def test_remembers_the_last_few_strings(self):
-        last = molgraph._PARSE_CACHE_SIZE + 8
+        last = molgraph._WRITTEN.size + 8
         for length in range(1, last + 1):
             Molecule(
                 [Atom("C", hcount=3 if k in (0, length) else 2) for k in range(length + 1)],
                 [Bond(k, k + 1) for k in range(length)],
             ).canonical
-        assert len(molgraph._WRITTEN) == molgraph._PARSE_CACHE_SIZE
+        assert len(molgraph._WRITTEN) == molgraph._WRITTEN.size == 64
         assert "C" * (last + 1) in molgraph._WRITTEN
         assert "CC" not in molgraph._WRITTEN
 
@@ -1212,7 +1182,7 @@ class TestEditMemo:
             checked += 1
         assert mismatches == []
         assert checked > 1500
-        assert len(molgraph._EDIT_MEMO) == molgraph._EDIT_MEMO_MAX
+        assert len(molgraph._EDIT_MEMO) == molgraph._EDIT_MEMO.size == 128
         for key, (mol, _) in molgraph._EDIT_MEMO.items():
             assert key[0] == id(mol) and mol._keeps_edits
 
@@ -1224,11 +1194,11 @@ class TestEditMemo:
         cold_parent, warm_parent = (molgraph._parse_text(source) for _ in range(2))
         cold = molgraph._edit(cold_parent, "substitute_atom", 0)
         warm = molgraph._edit(warm_parent, "substitute_atom", 0)
-        for _ in range(molgraph._EDIT_MEMO_MAX):
+        for _ in range(molgraph._EDIT_MEMO.size):
             # another parent object, so another entry
             molgraph._edit(molgraph._parse_text(source), "substitute_atom", 0)
             assert molgraph._edit(warm_parent, "substitute_atom", 0) is warm
-        assert len(molgraph._EDIT_MEMO) == molgraph._EDIT_MEMO_MAX
+        assert len(molgraph._EDIT_MEMO) == molgraph._EDIT_MEMO.size
         again = molgraph._edit(cold_parent, "substitute_atom", 0)
         assert again is not cold and structure(again) == structure(cold)
         assert molgraph._edit(cold_parent, "substitute_atom", 0) is again
@@ -1255,7 +1225,7 @@ class TestEditMemo:
         child = molgraph._edit(parent, "substitute_atom", 11)
         text = child.canonical
         assert molgraph._WRITTEN[text][0] is child
-        for n in range(1, molgraph._PARSE_CACHE_SIZE + 2):
+        for n in range(1, molgraph._WRITTEN.size + 2):
             molgraph._parse_text("C" * n).canonical
         assert text not in molgraph._WRITTEN
         assert molgraph._edit(parent, "substitute_atom", 11) is child
@@ -1322,7 +1292,7 @@ class TestNameMemo:
             before = len(searches)
             assert again.canonical == want and len(searches) == before
             assert molgraph._WRITTEN[want][0] is again
-            molgraph._parse_interned.cache_clear()
+            molgraph._PARSED.clear()
             twin = parse(want)
             assert twin is not again and len(searches) == before
             assert parsed_equal(twin, want), want
@@ -1415,6 +1385,43 @@ class TestNameMemo:
             with pytest.raises(CanonicalizationBudgetError):
                 mol.canonical
             assert len(molgraph._NAMES) == 0 and len(molgraph._WRITTEN) == 0
+
+
+class TestMemoRegistry:
+    def test_forget_memos_empties_every_memo_a_search_fills(self):
+        memos = {
+            "parse": molgraph._PARSED, "write-order twin": molgraph._WRITTEN,
+            "name": molgraph._NAMES, "subgraph": molgraph._SUBGRAPHS,
+            "edit": molgraph._EDIT_MEMO, "fingerprint": chemfeat._FP_MEMO,
+            "env hash": chemfeat._ENV_HASHES,
+        }
+        gc.collect()
+        assert set(molgraph._MEMOS) == set(memos.values())
+        molgraph.forget_memos()
+        # a small greedy search with both memories and harvest
+        objective = load_objective("qed")
+        bank = build_bank(CORPUS[:40], [term.oracle for term in objective.terms])
+        cfg = SearchConfig(generations=2, rollouts_per_gen=4, budget=40, max_turns=4,
+                           seed=3, harvest_skills=True, harvest_delta=0.005)
+        for source in CORPUS[:3]:
+            optimize_lead(parse(source), cfg, get_policy("greedy"), objective,
+                          exemplar_bank=bank, skill_bank=SkillBank())
+        assert [name for name, memo in memos.items() if not memo] == []
+        molgraph.forget_memos()
+        assert {name: len(memo) for name, memo in memos.items()} == dict.fromkeys(memos, 0)
+
+    def test_a_dropped_memo_leaves_the_registry(self):
+        gc.collect()
+        before = len(molgraph._MEMOS)
+        memo = molgraph._Memo(4)
+        memo.keep("key", "value")
+        assert memo in molgraph._MEMOS and len(molgraph._MEMOS) == before + 1
+        molgraph.forget_memos()
+        assert len(memo) == 0
+        del memo
+        gc.collect()
+        assert len(molgraph._MEMOS) == before
+
 
 # ---------------------------------------------------------------------------
 # The canonical search as it was before its one-pass setup, touched-cell

@@ -7,7 +7,6 @@ step, and only when it ended in "success"."""
 
 import math
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,14 +36,9 @@ from leadopt.oracles import (
 )
 from leadopt.skillbank import SkillBank, harvest, make_skill_card
 
-LEAD = "CCCCCCO"  # 7 heavy atoms, 1 heteroatom
+from conftest import CORPUS
 
-CORPUS = [
-    line
-    for line in (Path(__file__).parent / "fixtures" / "corpus_500.smi")
-    .read_text().splitlines()
-    if line and not line.startswith("#")
-]
+LEAD = "CCCCCCO"  # 7 heavy atoms, 1 heteroatom
 
 
 def reference_optimize_lead(

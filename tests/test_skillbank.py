@@ -365,7 +365,7 @@ class TestHarvest:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            molgraph._subgraph_name.cache_clear()
+            molgraph._SUBGRAPHS.clear()
             threads = [threading.Thread(target=work, args=(out,)) for out in results]
             for thread in threads:
                 thread.start()
@@ -374,7 +374,7 @@ class TestHarvest:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        molgraph._subgraph_name.cache_clear()
+        molgraph._SUBGRAPHS.clear()
         want = [harvest(t) for t in trajectories]
         assert all(len(cards) == 1 for cards in want)
         assert results == [want, want]
