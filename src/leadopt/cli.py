@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import yaml
 
@@ -30,32 +30,46 @@ from .harness import (
     report_to_tsv,
 )
 from .molgraph import parse
-from .oracles import Objective, builtin_oracle, load_objective
+from .oracles import BudgetLedger, Objective, builtin_oracle, load_objective
 
 __all__ = ["main"]
 
 
-def _resolve(cli_value, config: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
+class _Setting(NamedTuple):
+    key: str  # the run-config key; the flag is --key with dashes for underscores
+    field: Optional[str]  # the SearchConfig field it sets, if any
+    type: type  # int, float or str
+    help: str  # "{}" marks where the field's SearchConfig default goes
+    choices: tuple[str, ...] = ()
 
 
-# `leadopt run` option (and YAML config key) -> SearchConfig field
-_SEARCH_FIELDS = {
-    "generations": "generations",
-    "rollouts": "rollouts_per_gen",
-    "temp0": "temp0",
-    "temp_step": "temp_step",
-    "temp_max": "temp_max",
-    "budget": "budget",
-    "budget_unit": "budget_unit",
-    "seed": "seed",
-    "turns": "max_turns",
-    "plateau": "plateau_patience",
-}
+_DEFAULT_POLICY = "random"
+_EVERY_CARD = 10**9  # a capacity above any skill file's card count
+
+# Every setting `leadopt run` takes. A flag wins over the run config, and
+# either over the objective's budget and gamma; what none sets keeps its
+# SearchConfig default.
+_RUN_SETTINGS = (
+    _Setting("policy", None, str,
+             f"random | greedy | wire:<endpoint> (default: {_DEFAULT_POLICY})"),
+    _Setting("budget", "budget", int, "oracle-call budget per lead (default: the run "
+             "config's, else the objective's, which is {} unless it sets one)"),
+    _Setting("budget_unit", "budget_unit", str, "budget accounting unit (default: {})",
+             BudgetLedger.UNITS),
+    _Setting("gamma_sim", None, float, "similarity threshold (default: the run config's, "
+             f"else the objective's gamma, which is {Objective.gamma} unless it sets one)"),
+    _Setting("turns", "max_turns", int, "max turns per rollout (default: {})"),
+    _Setting("generations", "generations", int, "search generations (default: {})"),
+    _Setting("rollouts", "rollouts_per_gen", int, "rollouts per generation (default: {})"),
+    _Setting("temp0", "temp0", float, "base temperature (default: {})"),
+    _Setting("temp_step", "temp_step", float,
+             "temperature increment per generation (default: {})"),
+    _Setting("temp_max", "temp_max", float, "temperature ceiling (default: {})"),
+    _Setting("plateau", "plateau_patience", int,
+             "stalled turns before memory injection (default: {})"),
+    _Setting("seed", "seed", int, "seed (default: {})"),
+)
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string"}
 
 
 def _print_json(payload, file=None) -> None:
@@ -64,19 +78,30 @@ def _print_json(payload, file=None) -> None:
 
 
 def _load_config(path: Optional[str]) -> dict:
+    """The run settings the run config at `path` gives, by key. Each key
+    must name a setting, and each value have its type: an int passes as a
+    number, a bool never as an int."""
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
-        raise ValueError("run config must be a mapping")
-    return data
-
-
-def _objective_with_gamma(obj: Objective, gamma: Optional[float]) -> Objective:
-    if gamma is None or gamma == obj.gamma:
-        return obj
-    return dataclasses.replace(obj, gamma=gamma)
+        raise ValueError(f"run config {path}: the file must be a mapping, "
+                         f"not {type(data).__name__}")
+    settings = {setting.key: setting for setting in _RUN_SETTINGS}
+    config = {}
+    for key, value in data.items():
+        setting = settings.get(key)
+        if setting is None:
+            raise ValueError(f"run config {path}: unknown key {key!r}; "
+                             f"the keys are {', '.join(settings)}")
+        if setting.type is float and type(value) is int:
+            value = float(value)  # as the flag would parse it
+        if type(value) is not setting.type or setting.choices and value not in setting.choices:
+            kind = " or ".join(setting.choices) or _TYPE_NAMES[setting.type]
+            raise ValueError(f"run config {path}: {key} must be {kind}, not {value!r}")
+        config[key] = value
+    return config
 
 
 def _finite(value) -> bool:
@@ -133,7 +158,7 @@ def cmd_build_bank(args) -> int:
 
 def cmd_retrieve(args) -> int:
     bank = exembank.load_bank(args.bank)
-    obj = _objective_with_gamma(load_objective(args.objective), args.gamma_sim)
+    obj = load_objective(args.objective)
     query = parse(args.query)
     lead = parse(args.lead)
     exemplars = exembank.retrieve_exemplars(
@@ -149,13 +174,12 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_skills(args) -> int:
-    capacity = args.capacity
     if args.skills_command == "harvest":
         summarizer = (lineproto.connect(args.summarizer[len("external:"):])
                       if args.summarizer.startswith("external:")
                       else contextlib.nullcontext())
         obj = load_objective(args.objective)
-        bank = _skill_bank(args.bank, capacity)
+        bank = _skill_bank(args.bank, args.capacity)
         trajectories = read_trajectories(args.trajectories)
         cards = []
         for trajectory in trajectories:
@@ -175,7 +199,7 @@ def cmd_skills(args) -> int:
         })
         return 0
     if args.skills_command == "list":
-        bank = skillbank.load_skills(args.bank, capacity)
+        bank = skillbank.load_skills(args.bank, _EVERY_CARD)
         for task in bank.tasks():
             if args.task and task != args.task:
                 continue
@@ -185,8 +209,8 @@ def cmd_skills(args) -> int:
                              "text": skill.text})
         return 0
     if args.skills_command == "insert":
-        bank = _skill_bank(args.bank, capacity)
-        incoming = skillbank.load_skills(args.cards, capacity)
+        bank = _skill_bank(args.bank, args.capacity)
+        incoming = skillbank.load_skills(args.cards, args.capacity)
         reports = {}
         for task in incoming.tasks():
             report = bank.insert(incoming.cards(task))
@@ -200,14 +224,14 @@ def cmd_skills(args) -> int:
         _print_json(reports)
         return 0
     # evict-report: show what a capacity bound would remove, don't write
-    loose = skillbank.load_skills(args.bank, capacity=10**9)
-    bounded = skillbank.SkillBank(capacity)
+    loose = skillbank.load_skills(args.bank, _EVERY_CARD)
+    bounded = skillbank.SkillBank(args.capacity)
     summary = {}
     for task in loose.tasks():
         report = bounded.insert(loose.cards(task))
         summary[task] = {
             "cards": loose.size(task),
-            "capacity": capacity,
+            "capacity": args.capacity,
             "evicted": list(report.evicted_keys),
             "retained": report.retained,
         }
@@ -218,26 +242,21 @@ def cmd_skills(args) -> int:
 def cmd_run(args) -> int:
     if args.skill_capacity < 1:  # checked without --skill-bank too
         raise ValueError("--skill-capacity must be at least 1")
-    config = _load_config(args.config)
-    obj = _objective_with_gamma(
-        load_objective(args.objective),
-        _resolve(args.gamma_sim, config, "gamma_sim", None),
-    )
-    # an option given on the command line wins over the config file, and
-    # the budget of either over the objective's; what none sets keeps its
-    # SearchConfig default
-    settings = {field: config[key] for key, field in _SEARCH_FIELDS.items() if key in config}
-    for key, field in _SEARCH_FIELDS.items():
-        if getattr(args, key) is not None:
-            settings[field] = getattr(args, key)
-    settings.setdefault("budget", obj.budget)
+    given = _load_config(args.config)
+    given.update({setting.key: getattr(args, setting.key) for setting in _RUN_SETTINGS
+                  if getattr(args, setting.key) is not None})
+    obj = load_objective(args.objective)
+    if given.get("gamma_sim", obj.gamma) != obj.gamma:
+        obj = dataclasses.replace(obj, gamma=given["gamma_sim"])
+    search = {setting.field: given[setting.key] for setting in _RUN_SETTINGS
+              if setting.field and setting.key in given}
+    search.setdefault("budget", obj.budget)
     cfg = SearchConfig(
-        **settings,
+        **search,
         warm_start_incumbent=bool(args.warm_start_incumbent),
         harvest_skills=bool(args.harvest_skills),
     )
-    policy_spec = _resolve(args.policy, config, "policy", "random")
-    policy = get_policy(policy_spec, timeout=args.wire_timeout)
+    policy = get_policy(given.get("policy", _DEFAULT_POLICY), timeout=args.wire_timeout)
 
     exemplar_bank = exembank.load_bank(args.exemplar_bank) if args.exemplar_bank else None
     skill_bank = _skill_bank(args.skill_bank, args.skill_capacity) if args.skill_bank else None
@@ -330,15 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True, help="current molecule SMILES")
     p.add_argument("--lead", required=True, help="lead molecule SMILES")
     p.add_argument("--objective", required=True, help="objective file or preset")
-    p.add_argument("-K", "--k", type=int, default=3,
-                   help="exemplars to return (default: 3)")
+    p.add_argument("-K", "--k", type=int, default=exembank.DEFAULT_K,
+                   help="exemplars to return (default: %(default)s)")
     p.add_argument("--gamma-ex", type=float, default=None,
-                   help="lead-similarity filter (default: objective gamma)")
-    p.add_argument("--gamma-sim", type=float, default=None,
-                   help="override the objective similarity threshold "
-                        "(default: 0.4)")
-    p.add_argument("--pool", type=int, default=200,
-                   help="broad-recall pool size (default: 200)")
+                   help="lead-similarity filter (default: the objective's gamma)")
+    p.add_argument("--pool", type=int, default=exembank.DEFAULT_POOL,
+                   help="broad-recall pool size (default: %(default)s)")
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("skills", help="skill-bank operations")
@@ -348,70 +364,48 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trajectories", required=True, help="trajectory JSONL")
     sp.add_argument("--objective", required=True)
     sp.add_argument("--bank", required=True, help="skill bank JSONL to update")
-    sp.add_argument("--delta", type=float, default=0.05,
-                    help="minimum improvement to harvest (default: 0.05)")
-    sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
-                    help="skill bank capacity (default: 1000)")
+    sp.add_argument("--delta", type=float, default=skillbank.DEFAULT_HARVEST_DELTA,
+                    help="minimum improvement to harvest (default: %(default)s)")
+    capacity = dict(type=int, default=skillbank.DEFAULT_CAPACITY,
+                    help="skill bank capacity (default: %(default)s)")
+    sp.add_argument("--capacity", **capacity)
     sp.add_argument("--summarizer", default="template",
-                    help="'template' or 'external:<endpoint>' "
-                         "(default: template)")
-    sp = skills_sub.add_parser("list", help="print stored skills")
+                    help="'template' or 'external:<endpoint>' (default: %(default)s)")
+    sp = skills_sub.add_parser("list", help="print every stored skill")
     sp.add_argument("--bank", required=True)
     sp.add_argument("--task", default=None, help="filter by task name")
-    sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY)
     sp = skills_sub.add_parser("insert", help="merge a card file into a bank")
     sp.add_argument("--bank", required=True)
     sp.add_argument("--cards", required=True, help="skill JSONL to merge in")
-    sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
-                    help="skill bank capacity (default: 1000)")
-    sp = skills_sub.add_parser("evict-report",
-                               help="preview capacity-bound evictions")
+    sp.add_argument("--capacity", **capacity)
+    sp = skills_sub.add_parser("evict-report", help="preview capacity-bound evictions")
     sp.add_argument("--bank", required=True)
-    sp.add_argument("--capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
-                    help="capacity to apply (default: 1000)")
+    sp.add_argument("--capacity", **capacity)
 
     p = sub.add_parser("run", help="optimize a file of leads and write a report")
     p.add_argument("--leads", required=True, help="one SMILES per line")
     p.add_argument("--objective", required=True, help="objective file or preset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--policy", default=None,
-                   help="random | greedy | wire:<endpoint> (default: random)")
     p.add_argument("--config", default=None,
-                   help="YAML run config merged under CLI overrides")
-    p.add_argument("--budget", type=int, default=None,
-                   help="oracle-call budget per lead (default: the run config's, "
-                        "else the objective's, which is 500 unless it sets one)")
-    p.add_argument("--budget-unit", default=None,
-                   choices=["per_candidate", "per_term"],
-                   help="budget accounting unit (default: per_candidate)")
-    p.add_argument("--gamma-sim", type=float, default=None,
-                   help="similarity threshold (default: 0.4)")
-    p.add_argument("--turns", type=int, default=None,
-                   help="max turns per rollout (default: 5)")
-    p.add_argument("--generations", type=int, default=None,
-                   help="search generations (default: 20)")
-    p.add_argument("--rollouts", type=int, default=None,
-                   help="rollouts per generation (default: 32)")
-    p.add_argument("--temp0", type=float, default=None,
-                   help="base temperature (default: 0.9)")
-    p.add_argument("--temp-step", type=float, default=None,
-                   help="temperature increment per generation (default: 0.1)")
-    p.add_argument("--temp-max", type=float, default=None,
-                   help="temperature ceiling (default: 2.0)")
-    p.add_argument("--plateau", type=int, default=None,
-                   help="stalled turns before memory injection (default: 2)")
-    p.add_argument("--seed", type=int, default=None, help="seed (default: 0)")
+                   help="YAML run config: the settings below, each keyed by its "
+                        "option's name (temp_step for --temp-step); a flag wins")
+    defaults = SearchConfig()
+    for setting in _RUN_SETTINGS:
+        p.add_argument("--" + setting.key.replace("_", "-"), type=setting.type,
+                       choices=setting.choices or None,
+                       help=setting.help.format(getattr(defaults, setting.field))
+                       if setting.field else setting.help)
     p.add_argument("--exemplar-bank", default=None, help="bank base path")
     p.add_argument("--skill-bank", default=None, help="skill JSONL path")
     p.add_argument("--skill-capacity", type=int, default=skillbank.DEFAULT_CAPACITY,
                    help="capacity of the skill bank given by --skill-bank "
-                        "(default: 1000)")
+                        "(default: %(default)s)")
     p.add_argument("--warm-start-incumbent", action="store_true",
                    help="start rollouts from the incumbent instead of the lead")
     p.add_argument("--harvest-skills", action="store_true",
                    help="harvest skills between generations")
-    p.add_argument("--wire-timeout", type=float, default=10.0,
-                   help="wire policy timeout in seconds (default: 10)")
+    p.add_argument("--wire-timeout", type=float, default=lineproto.DEFAULT_TIMEOUT,
+                   help="wire policy timeout in seconds (default: %(default)s)")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("eval", help="recompute SR/Sim/RI from a report")
@@ -425,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--rewards", required=True, help="comma-separated rewards")
     cp.add_argument("--values", required=True,
                     help="comma-separated values (one more than rewards)")
-    cp.add_argument("--gamma", type=float, default=0.99,
-                    help="discount factor (default: 0.99)")
-    cp.add_argument("--lambda", dest="lam", type=float, default=0.95,
-                    help="GAE lambda (default: 0.95)")
+    cp.add_argument("--gamma", type=float, default=AdvantageInput.gamma,
+                    help="discount factor (default: %(default)s)")
+    cp.add_argument("--lambda", dest="lam", type=float, default=AdvantageInput.lam,
+                    help="GAE lambda (default: %(default)s)")
     cp.set_defaults(fn=cmd_credit)
 
     return parser

@@ -4,7 +4,7 @@ plateau-triggered memory injection, and trajectory logging.
 Reward branches, in precedence order (earlier masks later):
   1. unparseable proposal        -> -0.5
   2. no-op (same as current)     -> -0.3
-  3. copy of injected exemplar   -> copy_penalty (default -0.3)
+  3. copy of injected exemplar   -> EnvConfig.copy_penalty
   4. lead similarity below gamma -> -2 * (gamma - sim)
   5. oracle evaluation           -> 5 * delta if improved else -|delta|
 Only branch 5 touches the oracle budget.
@@ -31,7 +31,13 @@ from .exembank import ExemplarBank, render_exemplar_block, retrieve_exemplars
 from .files import data_text, write_jsonl
 from .molgraph import Molecule, SmilesError, parse
 from .oracles import BudgetExhaustedError, BudgetLedger, Objective, check_success
-from .skillbank import SkillBank, render_skill_block, retrieve_skills
+from .skillbank import (
+    DEFAULT_GAMMA_FG,
+    DEFAULT_GAMMA_FP,
+    SkillBank,
+    render_skill_block,
+    retrieve_skills,
+)
 
 __all__ = [
     "EnvConfig",
@@ -52,12 +58,8 @@ REWARD_NO_OP = -0.3
 IMPROVEMENT_SCALE = 5.0
 SIMILARITY_SCALE = 2.0
 
-# memory retrieval on a plateau: exemplars kept from a broad recall pool,
-# skills per retrieval channel, and the chance that exemplars win when both
-# memories have a block
-EXEMPLAR_K = 3
-EXEMPLAR_POOL = 200
-SKILL_K = 3
+# the chance that exemplars win a plateau's injection when both memories
+# have a block; how many of each a block holds is the memory's own default
 MEMORY_SELECT_P = 0.5
 
 
@@ -69,8 +71,8 @@ class EnvConfig:
     copy_penalty: float = -0.3
     seed: int = 0
     gamma_exemplar: Optional[float] = None  # None: reuse objective.gamma
-    gamma_fp: float = 0.4
-    gamma_fg: float = 0.5
+    gamma_fp: float = DEFAULT_GAMMA_FP
+    gamma_fg: float = DEFAULT_GAMMA_FG
 
     def __post_init__(self):
         if self.max_turns < 1:
@@ -156,7 +158,7 @@ def reward_outcome(
     gamma: float,
     injected_exemplars: frozenset[str],
     ledger: BudgetLedger,
-    copy_penalty: float = REWARD_NO_OP,
+    copy_penalty: float = EnvConfig.copy_penalty,
     current_score: Optional[float] = None,
 ) -> RewardOutcome:
     """Branch-by-branch step reward; raises BudgetExhaustedError only from
@@ -380,20 +382,8 @@ class MolEnv:
             state.injected = exemplar_block or skill_block
 
     def _exemplar_block(self, state: EnvState) -> Optional[InjectedMemory]:
-        gamma_ex = (
-            self.objective.gamma
-            if self.config.gamma_exemplar is None
-            else self.config.gamma_exemplar
-        )
-        exemplars = retrieve_exemplars(
-            self.exemplar_bank,
-            state.current,
-            state.lead,
-            self.objective,
-            k=EXEMPLAR_K,
-            gamma_ex=gamma_ex,
-            pool_size=EXEMPLAR_POOL,
-        )
+        exemplars = retrieve_exemplars(self.exemplar_bank, state.current, state.lead,
+                                       self.objective, gamma_ex=self.config.gamma_exemplar)
         if not exemplars:
             return None
         return InjectedMemory(
@@ -403,15 +393,8 @@ class MolEnv:
         )
 
     def _skill_block(self, state: EnvState) -> Optional[InjectedMemory]:
-        skills = retrieve_skills(
-            self.skill_bank,
-            state.current,
-            self.objective.name,
-            k_fp=SKILL_K,
-            k_fg=SKILL_K,
-            gamma_fp=self.config.gamma_fp,
-            gamma_fg=self.config.gamma_fg,
-        )
+        skills = retrieve_skills(self.skill_bank, state.current, self.objective.name,
+                                 gamma_fp=self.config.gamma_fp, gamma_fg=self.config.gamma_fg)
         if not skills:
             return None
         return InjectedMemory("skill", render_skill_block(skills, self.objective.name), ())

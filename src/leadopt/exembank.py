@@ -51,6 +51,8 @@ log = logging.getLogger(__name__)
 
 EXEMPLAR_HEADER = "=== SIMILAR HIGH-SCORING MOLECULES FOR REFERENCE ==="
 EXEMPLAR_FOOTER = "Learn from structural patterns, but do not copy directly."
+DEFAULT_K = 3  # exemplars a retrieval returns
+DEFAULT_POOL = 200  # rows of the broad recall they are ranked from
 
 _FP_MAGIC = b"LOFP"
 _FP_VERSION = 1
@@ -245,9 +247,9 @@ def retrieve_exemplars(
     current: Molecule,
     lead: Molecule,
     obj: Objective,
-    k: int = 3,
+    k: int = DEFAULT_K,
     gamma_ex: Optional[float] = None,
-    pool_size: int = 200,
+    pool_size: int = DEFAULT_POOL,
 ) -> list[ExemplarRecord]:
     """Two-stage retrieval: broad recall around the current molecule, then
     lead-similarity filtering and objective-score ranking.

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .chemfeat import _mix_stream, morgan_fp, tanimoto
 from .env import EnvConfig, MolEnv, Trajectory
 from .exembank import ExemplarBank
-from .lineproto import ProtocolError, connect
+from .lineproto import DEFAULT_TIMEOUT, ProtocolError, connect
 from .molgraph import (
     EDIT_OPERATORS,
     CanonicalizationBudgetError,
@@ -31,7 +31,7 @@ from .molgraph import (
     parse,
 )
 from .oracles import BudgetLedger, Objective, check_success
-from .skillbank import SkillBank, harvest, make_skill_card
+from .skillbank import DEFAULT_HARVEST_DELTA, SkillBank, harvest, make_skill_card
 
 __all__ = [
     "SearchConfig",
@@ -61,14 +61,14 @@ class SearchConfig:
     temp0: float = 0.9
     temp_step: float = 0.1
     temp_max: float = 2.0
-    budget: int = 500
-    budget_unit: str = "per_candidate"  # or "per_term"
-    seed: int = 0
-    max_turns: int = 5
-    plateau_patience: int = 2
+    budget: int = Objective.budget
+    budget_unit: str = BudgetLedger.UNITS[0]
+    seed: int = EnvConfig.seed
+    max_turns: int = EnvConfig.max_turns
+    plateau_patience: int = EnvConfig.plateau_patience
     warm_start_incumbent: bool = False
     harvest_skills: bool = False
-    harvest_delta: float = 0.05
+    harvest_delta: float = DEFAULT_HARVEST_DELTA
 
     def __post_init__(self):
         # a NaN passes every comparison below, an infinite step makes
@@ -81,6 +81,8 @@ class SearchConfig:
             raise ValueError("temp0 must not exceed temp_max")
         if self.generations < 1 or self.rollouts_per_gen < 1:
             raise ValueError("generations and rollouts_per_gen must be >= 1")
+        if self.harvest_delta <= 0:  # checked before any rollout spends budget
+            raise ValueError(f"harvest_delta must be positive, not {self.harvest_delta}")
 
 
 def temperature(g: int, cfg: SearchConfig) -> float:
@@ -189,7 +191,7 @@ def policy_retrieval_greedy(
     return policy_random_edit(observation, view, temp, rng)
 
 
-def policy_wire(endpoint: str, timeout: float = 10.0) -> Policy:
+def policy_wire(endpoint: str, timeout: float = DEFAULT_TIMEOUT) -> Policy:
     """External policy over `ACT <json>` -> `OK <smiles>`; any transport
     failure or malformed reply becomes an invalid proposal (empty string).
     A malformed endpoint raises ValueError here, before any proposal. The
@@ -214,7 +216,7 @@ def policy_wire(endpoint: str, timeout: float = 10.0) -> Policy:
     return act
 
 
-def get_policy(spec: str, timeout: float = 10.0) -> Policy:
+def get_policy(spec: str, timeout: float = DEFAULT_TIMEOUT) -> Policy:
     """`random`, `greedy`, or `wire:<endpoint>`."""
     if spec == "random":
         return policy_random_edit

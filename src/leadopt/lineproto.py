@@ -24,6 +24,8 @@ import threading
 
 __all__ = ["ProtocolError", "ProtocolTimeout", "MalformedReply", "LineTransport", "connect"]
 
+DEFAULT_TIMEOUT = 10.0  # seconds a request waits for its reply line
+
 
 class ProtocolError(RuntimeError):
     """Malformed response, closed stream, or transport failure."""
@@ -151,7 +153,7 @@ class _TcpTransport(LineTransport):
         self._sock.close()
 
 
-def connect(endpoint: str, timeout: float = 10.0) -> LineTransport:
+def connect(endpoint: str, timeout: float = DEFAULT_TIMEOUT) -> LineTransport:
     """The transport to `endpoint`, opened by its first request. The syntax
     is checked here, before anything is spawned or connected: `proc:` needs
     a command line, `tcp:` a host and a numeric port; else ValueError."""

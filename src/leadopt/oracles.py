@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -222,7 +222,7 @@ def external_oracle(
     endpoint: str,
     name: str,
     direction: int = 1,
-    timeout: float = 10.0,
+    timeout: float = lineproto.DEFAULT_TIMEOUT,
 ) -> Oracle:
     """One `EVAL <name> <smiles>` request per molecule over a line stream
     (see `lineproto` for when the connection opens, drops and reopens); an
@@ -348,16 +348,18 @@ class BudgetLedger:
     cache-miss evaluations can never both succeed.
     """
 
+    UNITS = ("per_candidate", "per_term")  # a call pays per candidate (default) or per term
+
     def __init__(
         self,
         budget: int,
         *,
-        unit: str = "per_candidate",
+        unit: str = UNITS[0],
         cache_enabled: bool = True,
     ):
         if budget <= 0:
             raise ValueError("budget must be positive")
-        if unit not in ("per_candidate", "per_term"):
+        if unit not in self.UNITS:
             raise ValueError(f"unknown budget unit {unit!r}")
         self.budget = budget
         self.unit = unit
@@ -441,6 +443,15 @@ def _field(spec: dict, key: str, what: str, source):
     return spec[key]
 
 
+def _number(value, what: str, source, *, whole: bool = False, positive: bool = False):
+    """A YAML int or float from the objective file (never a bool) as a float,
+    or if `whole` an int kept as one; above 0 if `positive`."""
+    if type(value) not in ((int,) if whole else (int, float)) or (positive and not value > 0):
+        kind = f"{'a positive' if positive else 'a'} {'int' if whole else 'number'}"
+        raise ValueError(f"objective {source}: {what} must be {kind}, not {value!r}")
+    return value if whole else float(value)
+
+
 def _direction(value, what: str, source) -> int:
     """An oracle direction read from the objective file: 1 or -1."""
     try:
@@ -455,7 +466,8 @@ def _direction(value, what: str, source) -> int:
 def load_objective(source: str | Path) -> Objective:
     """Load an objective from YAML; bare names resolve to shipped presets.
     A malformed file (a wrong shape, a missing field, an unknown oracle or
-    comparator, a bad direction) raises a ValueError that names it."""
+    comparator, a bad direction or number) raises a ValueError that names
+    it."""
     path = Path(source)
     if not path.suffix and not path.exists():
         raw = yaml.safe_load(data_text(f"objectives/{source}.yaml"))
@@ -483,14 +495,16 @@ def load_objective(source: str | Path) -> Objective:
                 table_path,
                 name=_field(spec, "name", "each oracle", source),
                 direction=direction,
-                default=None if default is None else float(default),
+                default=None if default is None
+                else _number(default, "a table oracle's default", source),
             )
         elif kind == "external":
             oracle = external_oracle(
                 _field(spec, "endpoint", "each external oracle", source),
                 name=_field(spec, "name", "each oracle", source),
                 direction=direction,
-                timeout=float(spec.get("timeout", 10.0)),
+                timeout=_number(spec.get("timeout", lineproto.DEFAULT_TIMEOUT),
+                                "an external oracle's timeout", source, positive=True),
             )
         else:
             raise ValueError(f"unknown oracle kind {kind!r} in {source}")
@@ -515,12 +529,8 @@ def load_objective(source: str | Path) -> Objective:
                 f"built in nor listed under oracles"
             )
         if "direction" in term_spec:
-            oracle = Oracle(
-                oracle.name,
-                oracle.fn,
-                _direction(term_spec["direction"], "a term's", source),
-                oracle.kind,
-            )
+            oracle = replace(oracle, direction=_direction(term_spec["direction"],
+                                                          "a term's", source))
         crit = _mapping(term_spec.get("success"), "each term's success", source)
         comparator = str(crit.get("comparator", ">="))
         if comparator not in _COMPARATORS:
@@ -531,16 +541,17 @@ def load_objective(source: str | Path) -> Objective:
         criterion = SuccessCriterion(
             mode=crit.get("mode", "absolute"),
             comparator=_COMPARATORS[comparator],
-            threshold=float(_field(crit, "threshold", "each term's success", source)),
+            threshold=_number(_field(crit, "threshold", "each term's success", source),
+                              "a term's success threshold", source),
         )
-        terms.append(
-            ObjectiveTerm(oracle, float(term_spec.get("weight", 1.0)), criterion)
-        )
+        weight = _number(term_spec.get("weight", 1.0), "a term's weight", source)
+        terms.append(ObjectiveTerm(oracle, weight, criterion))
 
     return Objective(
         name=str(raw.get("name", Path(str(source)).stem)),
         terms=tuple(terms),
-        gamma=float(raw.get("gamma", 0.4)),
-        budget=int(raw.get("budget", 500)),
+        gamma=_number(raw.get("gamma", Objective.gamma), "gamma", source),
+        budget=_number(raw.get("budget", Objective.budget), "budget", source,
+                       whole=True, positive=True),
         description=raw.get("description"),
     )

@@ -93,6 +93,9 @@ SCAFFOLD_TYPES = (
 _MCS_NODE_BUDGET = 5_000
 DEFAULT_HARVEST_DELTA = 0.05
 DEFAULT_CAPACITY = 1000
+DEFAULT_K = 3  # cards a retrieval keeps per channel
+DEFAULT_GAMMA_FP = 0.4  # least fingerprint similarity a card needs
+DEFAULT_GAMMA_FG = 0.5  # least functional-group similarity a card needs
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +830,10 @@ def retrieve_skills(
     bank: SkillBank,
     current: Molecule,
     task: str,
-    k_fp: int = 3,
-    k_fg: int = 3,
-    gamma_fp: float = 0.4,
-    gamma_fg: float = 0.5,
+    k_fp: int = DEFAULT_K,
+    k_fg: int = DEFAULT_K,
+    gamma_fp: float = DEFAULT_GAMMA_FP,
+    gamma_fg: float = DEFAULT_GAMMA_FG,
 ) -> list[SkillCard]:
     """Dual retrieval: fingerprint channel then functional-group channel.
 

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from leadopt import cli, skillbank
 from leadopt.cli import main
 from leadopt.files import write_atomic
+from leadopt.harness import SearchConfig
 from leadopt.molgraph import parse
 
 LEADS = ["CCCCCCO", "CCCCCCCO", "CCCCCNC"]
@@ -154,6 +157,66 @@ class TestRunEvalSkills:
         report = json.loads((workspace / "out" / "report.json").read_text())
         calls = [lead["calls_used"] for lead in report["leads"]]
         assert max(calls) == budget, calls
+
+    # every run setting, each as a flag and as a run-config value (an int
+    # for a number: the config gives temp0 as 1)
+    SETTINGS = {
+        "policy": "random", "budget": 40, "budget_unit": "per_term", "gamma_sim": 0.3,
+        "turns": 3, "generations": 2, "rollouts": 4, "temp0": 1, "temp_step": 0.2,
+        "temp_max": 1.5, "plateau": 1, "seed": 7,
+    }
+
+    def test_flags_and_run_config_give_the_same_bytes(self, workspace, capsys):
+        (workspace / "two.smi").write_text("\n".join(LEADS[:2]) + "\n")
+        common = ["run", "--leads", workspace / "two.smi", "--objective", workspace / "act.yaml"]
+        flags = [part for key, value in self.SETTINGS.items()
+                 for part in ("--" + key.replace("_", "-"), value)]
+        code, _, err = run_cli(capsys, *common, "--out", workspace / "flags", *flags)
+        assert code == 0, err
+        (workspace / "run.yaml").write_text(
+            "".join(f"{key}: {value}\n" for key, value in self.SETTINGS.items()))
+        code, _, err = run_cli(capsys, *common, "--out", workspace / "config",
+                               "--config", workspace / "run.yaml")
+        assert code == 0, err
+        assert {setting.key for setting in cli._RUN_SETTINGS} == set(self.SETTINGS)
+        for name in ("report.json", "report.tsv", "trajectories.jsonl"):
+            assert (workspace / "flags" / name).read_bytes() == \
+                (workspace / "config" / name).read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("generation: 1\n", "unknown key 'generation'; the keys are policy, budget, "
+         "budget_unit, gamma_sim, turns, generations, rollouts, temp0, temp_step, "
+         "temp_max, plateau, seed"),
+        ("polcy: greedy\n", "unknown key 'polcy'"),
+        ("generations: '2'\n", "generations must be an int, not '2'"),
+        ("rollouts: 2.5\n", "rollouts must be an int, not 2.5"),
+        ("budget: 5.5\n", "budget must be an int, not 5.5"),
+        ("seed: true\n", "seed must be an int, not True"),
+        ("temp0: true\n", "temp0 must be a number, not True"),
+        ("policy: 1\n", "policy must be a string, not 1"),
+        ("budget_unit: per_lead\n",
+         "budget_unit must be per_candidate or per_term, not 'per_lead'"),
+        ("- seed\n", "the file must be a mapping, not list"),
+    ])
+    def test_a_bad_run_config_fails_naming_the_key(
+        self, workspace, capsys, monkeypatch, text, message
+    ):
+        # nothing is coerced or ignored, and nothing runs before the check
+        searched = []
+        monkeypatch.setattr(cli, "optimize_lead",
+                            lambda *args, **kwargs: searched.append(args))
+        config = workspace / "run.yaml"
+        config.write_text(text)
+        code, out, err = run_cli(
+            capsys, "run", "--leads", workspace / "leads.smi",
+            "--objective", workspace / "act.yaml", "--out", workspace / "out",
+            "--config", config,
+        )
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith(f"run config {config}: {message}")
+        assert searched == [] and not (workspace / "out").exists()
 
     def test_eval_recomputes_aggregates(self, workspace, capsys):
         self.run_once(workspace, capsys)
@@ -352,6 +415,25 @@ class TestRunEvalSkills:
         assert summary["act"]["retained"] == 1
         assert len(summary["act"]["evicted"]) == 1
 
+    def test_skills_list_prints_every_stored_card(self, workspace, capsys):
+        # a bank holding more cards than the default capacity lists them all
+        lead = parse("CCCCCCO").canonical
+        row = {"trajectory": 0, "lead": lead, "lead_score": 0.5, "turn": 1,
+               "action": "CCCCCCF", "reward": 1.0, "score": 0.7, "valid": True,
+               "injected_source": None, "terminal_reason": "max_turns"}
+        trajs = workspace / "trajs.jsonl"
+        trajs.write_text(json.dumps(row) + "\n")
+        bank_path = workspace / "skills.jsonl"
+        run_cli(capsys, "skills", "harvest", "--trajectories", trajs,
+                "--objective", workspace / "act.yaml", "--bank", bank_path)
+        card = json.loads(bank_path.read_text())
+        cards = skillbank.DEFAULT_CAPACITY + 1  # distinct by their isotope-labelled `after`
+        bank_path.write_text("".join(
+            json.dumps({**card, "after": f"[{mass}CH3]CCCCCF"}) + "\n"
+            for mass in range(1, cards + 1)))
+        code, out, err = run_cli(capsys, "skills", "list", "--bank", bank_path)
+        assert code == 0, err
+        assert len(out.splitlines()) == cards
 
     def test_skills_list_skips_malformed_lines(self, workspace, capsys):
         lead = parse("CCCCCCO").canonical
@@ -647,6 +729,32 @@ class TestHelp:
         with pytest.raises(SystemExit) as excinfo:
             main(command + ["--help"])
         assert excinfo.value.code == 0
+
+    def test_run_help_shows_each_search_config_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+        defaults = SearchConfig()
+        for setting in cli._RUN_SETTINGS:
+            if setting.field:
+                flag = "--" + setting.key.replace("_", "-")
+                entry = re.search(rf"{flag} \S+ (.+?)(?= --|$)", options).group(1)
+                value = getattr(defaults, setting.field)
+                assert re.search(rf"\b{re.escape(str(value))}\b", entry), (flag, entry)
+
+    @pytest.mark.parametrize("command, options", [
+        (["skills", "list"], {"--bank", "--task"}),
+        (["skills", "insert"], {"--bank", "--cards", "--capacity"}),
+        (["skills", "evict-report"], {"--bank", "--capacity"}),
+    ])
+    def test_skills_help_lists_the_options(self, command, options, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == options | {"--help"}
+        if "--capacity" in options:
+            assert f"(default: {skillbank.DEFAULT_CAPACITY})" in out
 
     def test_run_help_shows_table_defaults(self, capsys):
         with pytest.raises(SystemExit):

@@ -103,6 +103,12 @@ class TestTemperature:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SearchConfig(**{field: value})
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    def test_a_harvest_delta_that_is_not_positive_is_rejected(self, delta):
+        # rejected at construction, not by `harvest` after generation 0 spent budget
+        with pytest.raises(ValueError, match=f"^harvest_delta must be positive, not {delta}$"):
+            SearchConfig(harvest_delta=delta, harvest_skills=True)
+
 
 class TestMetrics:
     def test_maximize_ri_term(self):

@@ -453,7 +453,7 @@ class TestObjectiveConfig:
         obj = load_objective(cfg)
         assert obj.terms[0].oracle(parse("CCO")) == 0.9
 
-    @pytest.mark.parametrize("default, expected", [("0", 0.0), ("'0.25'", 0.25)])
+    @pytest.mark.parametrize("default, expected", [("0", 0.0), ("0.25", 0.25)])
     def test_table_default_is_a_float(self, tmp_path, default, expected):
         (tmp_path / "drd2.tsv").write_text("CCO\t0.9\n")
         cfg = tmp_path / "obj.yaml"
@@ -522,6 +522,36 @@ class TestObjectiveConfig:
     def test_a_missing_or_unknown_field_fails_naming_the_file(self, tmp_path, text, message):
         # each of these raised a KeyError, a TypeError or a ValueError that
         # named neither the file nor the field
+        (tmp_path / "drd2.tsv").write_text("CCO\t0.9\n")
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'objective {cfg}: {message}')}$"):
+            load_objective(cfg)
+
+    TERM = "terms:\n  - {oracle: qed_lite, success: {threshold: 0.9}}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("budget: 1.7\n" + TERM, "budget must be a positive int, not 1.7"),
+        ("budget: true\n" + TERM, "budget must be a positive int, not True"),
+        ("budget: 0\n" + TERM, "budget must be a positive int, not 0"),
+        ("budget: -5\n" + TERM, "budget must be a positive int, not -5"),
+        ("gamma: abc\n" + TERM, "gamma must be a number, not 'abc'"),
+        ("gamma: [1]\n" + TERM, "gamma must be a number, not [1]"),
+        ("terms:\n  - {oracle: qed_lite, weight: true, success: {threshold: 0.9}}\n",
+         "a term's weight must be a number, not True"),
+        ("terms:\n  - {oracle: qed_lite, weight: abc, success: {threshold: 0.9}}\n",
+         "a term's weight must be a number, not 'abc'"),
+        ("terms:\n  - {oracle: qed_lite, success: {threshold: abc}}\n",
+         "a term's success threshold must be a number, not 'abc'"),
+        ("oracles:\n  - {name: drd2, path: drd2.tsv, default: '0.25'}\nterms: []\n",
+         "a table oracle's default must be a number, not '0.25'"),
+        ("oracles:\n  - {name: drd2, kind: external, endpoint: 'proc:x', timeout: 0}\n"
+         "terms: []\n", "an external oracle's timeout must be a positive number, not 0"),
+        ("oracles:\n  - {name: drd2, kind: external, endpoint: 'proc:x', timeout: abc}\n"
+         "terms: []\n", "an external oracle's timeout must be a positive number, not 'abc'"),
+    ])
+    def test_a_number_of_another_type_fails_naming_the_field(self, tmp_path, text, message):
+        # no field is coerced, and each message names the file and the field
         (tmp_path / "drd2.tsv").write_text("CCO\t0.9\n")
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text)
