@@ -29,6 +29,8 @@ which for sparse fingerprints (about 32 of 2,048 bits set) reads a few
 percent of what a dense scan reads. The exemplar bank uses it for recall
 and lead similarity. A `FunctionalGroupSet` carries its tags as a bitmask,
 one bit per catalog tag, so a set-overlap (Jaccard) scan is a popcount too.
+The kernels import numpy on their first call, not this module at import,
+so a process that never scans never loads numpy.
 
 Functional-group detection asks only whether each tag has a surviving
 match. At import the catalog becomes a plan: each pattern's (element,
@@ -46,8 +48,6 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .files import data_text, table_rows
 from .molgraph import (
@@ -113,6 +113,7 @@ class Fingerprint:
 
     def to_words(self) -> np.ndarray:
         """The packed form as `WIDTH // 64` little-endian uint64 words."""
+        import numpy as np
         return np.frombuffer(self.to_bytes(), dtype="<u8")
 
 
@@ -233,6 +234,7 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 def pack_rows(fps: Sequence[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
     """The fingerprints as rows of `WIDTH // 64` little-endian uint64 words,
     and their popcounts."""
+    import numpy as np
     words = np.frombuffer(b"".join(fp.to_bytes() for fp in fps), dtype="<u8")
     pops = np.fromiter((fp.popcount for fp in fps), np.int64, len(fps))
     return words.reshape(len(fps), WIDTH // 64), pops
@@ -240,12 +242,14 @@ def pack_rows(fps: Sequence[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
 
 def _set_bits(fp: Fingerprint) -> np.ndarray:
     """Positions of the fingerprint's set bits, ascending."""
+    import numpy as np
     return np.flatnonzero(np.unpackbits(fp.to_words().view(np.uint8), bitorder="little"))
 
 
 def tanimoto_rows(words: np.ndarray, pops: np.ndarray, query: Fingerprint) -> np.ndarray:
     """Tanimoto of the query against every row of `pack_rows` output, in
     one popcount scan."""
+    import numpy as np
     if query.popcount == 0:
         # the union is empty only where the row is all-zero as well
         return (pops == 0).astype(np.float64)
@@ -271,6 +275,7 @@ class FingerprintPlanes:
     """
 
     def __init__(self, fps: Sequence[Fingerprint]):
+        import numpy as np
         self.count = len(fps)
         self.planes = np.zeros((WIDTH, -(-self.count // 8)), dtype=np.uint8)
         for start in range(0, self.count, _PLANE_CHUNK):
@@ -285,6 +290,7 @@ class FingerprintPlanes:
     ) -> np.ndarray:
         """Tanimoto of the query against every row, or against `rows` (an
         integer array)."""
+        import numpy as np
         pops = self.pops if rows is None else self.pops[rows]
         if query.popcount == 0:
             return (pops == 0).astype(np.float64)

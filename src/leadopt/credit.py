@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["AdvantageInput", "LengthMismatchError", "gae", "ppo_clip_term"]
 
 
@@ -41,6 +39,7 @@ class AdvantageInput:
 def gae(inputs: AdvantageInput) -> np.ndarray:
     """Backward recursion A_t = delta_t + gamma * lam * A_{t+1}, A_T = 0,
     with delta_t = r_t + gamma * V_{t+1} - V_t."""
+    import numpy as np
     rewards = np.asarray(inputs.rewards, dtype=np.float64)
     values = np.asarray(inputs.values, dtype=np.float64)
     horizon = len(rewards)

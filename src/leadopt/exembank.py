@@ -27,8 +27,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .chemfeat import RADIUS, WIDTH, Fingerprint, FingerprintPlanes, morgan_fp, tanimoto
 from .files import write_atomic, write_jsonl
 from .molgraph import Molecule, SmilesError, parse
@@ -102,10 +100,14 @@ class ExemplarBank:
     def canon_rank(self) -> np.ndarray:
         """Each record's rank in canonical-string order (the tie-break)."""
         if self._canon_rank is None:
+            import numpy as np
             records = self.records
             order = sorted(range(len(records)), key=lambda i: records[i].canonical)
-            self._canon_rank = np.empty(len(records), dtype=np.int64)
-            self._canon_rank[order] = np.arange(len(records))
+            # filled before it is published: a reader on another thread sees
+            # None or the whole ranking
+            rank = np.empty(len(records), dtype=np.int64)
+            rank[order] = np.arange(len(records))
+            self._canon_rank = rank
         return self._canon_rank
 
     def scores(self, obj: Objective) -> tuple[np.ndarray, np.ndarray]:
@@ -114,6 +116,7 @@ class ExemplarBank:
         key = tuple((t.oracle.name, t.oracle.direction, t.weight) for t in obj.terms)
         column = self._scores.get(key)
         if column is None:
+            import numpy as np
             values = np.zeros(len(self.records), dtype=np.float64)
             known = np.zeros(len(self.records), dtype=bool)
             for row, record in enumerate(self.records):
@@ -221,6 +224,7 @@ def _recall_rows(bank: ExemplarBank, query: Molecule, pool_size: int) -> np.ndar
         raise ValueError("pool_size must be >= 1")
     if len(bank) == 0:
         raise EmptyBankError("exemplar bank is empty")
+    import numpy as np
     sims = bank.planes.similarities(morgan_fp(query))
     k = min(pool_size, len(sims))
     boundary = np.partition(sims, len(sims) - k)[len(sims) - k]
@@ -258,6 +262,7 @@ def retrieve_exemplars(
     Records missing a term property are dropped with a log line, in pool
     order, on every retrieval.
     """
+    import numpy as np
     if k < 1:
         raise ValueError("k must be >= 1")
     threshold = obj.gamma if gamma_ex is None else gamma_ex

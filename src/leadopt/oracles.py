@@ -250,10 +250,12 @@ def external_oracle(
 # Objectives
 # ---------------------------------------------------------------------------
 
+_MODES = ("absolute", "delta")
+
 
 @dataclass(frozen=True)
 class SuccessCriterion:
-    mode: str  # "absolute" | "delta"
+    mode: str  # one of _MODES
     comparator: str  # "ge" | "le"
     threshold: float
 
@@ -261,7 +263,7 @@ class SuccessCriterion:
         # a NaN threshold never holds, so every lead would fail unwarned
         if not math.isfinite(self.threshold):
             raise ValueError(f"criterion threshold must be finite, not {self.threshold}")
-        if self.mode not in ("absolute", "delta"):
+        if self.mode not in _MODES:
             raise ValueError(f"bad criterion mode {self.mode!r}")
         if self.comparator not in ("ge", "le"):
             raise ValueError(f"bad comparator {self.comparator!r}")
@@ -453,14 +455,11 @@ def _number(value, what: str, source, *, whole: bool = False, positive: bool = F
 
 
 def _direction(value, what: str, source) -> int:
-    """An oracle direction read from the objective file: 1 or -1."""
-    try:
-        direction = int(value)
-    except (TypeError, ValueError):
-        direction = None
-    if direction not in (1, -1):
+    """An oracle direction read from the objective file: the YAML int 1 or
+    -1, or either one quoted; never a float or a bool."""
+    if type(value) not in (int, str) or value not in (1, -1, "1", "-1"):
         raise ValueError(f"objective {source}: {what} direction must be 1 or -1, not {value!r}")
-    return direction
+    return int(value)
 
 
 def load_objective(source: str | Path) -> Objective:
@@ -538,8 +537,14 @@ def load_objective(source: str | Path) -> Objective:
                 f"objective {source}: a term's success comparator must be one of "
                 f"{', '.join(_COMPARATORS)}, not {comparator!r}"
             )
+        mode = crit.get("mode", "absolute")
+        if mode not in _MODES:
+            raise ValueError(
+                f"objective {source}: a term's success mode must be one of "
+                f"{', '.join(_MODES)}, not {mode!r}"
+            )
         criterion = SuccessCriterion(
-            mode=crit.get("mode", "absolute"),
+            mode=mode,
             comparator=_COMPARATORS[comparator],
             threshold=_number(_field(crit, "threshold", "each term's success", source),
                               "a term's success threshold", source),

@@ -20,7 +20,9 @@ record, and every insert builds the store's arrays in one pass over the
 joined records of its rows. A card's retrieval keys are computed in one
 place, whether it was just harvested or read from a skill-bank file.
 Retrieval scores both channels over all rows with a few numpy operations and
-sorts in Python only the threshold passers that can reach the top k.
+sorts in Python only the threshold passers that can reach the top k. A
+record is packed with `struct`; numpy is imported by the store's build and
+scans on first use, so a process without a skill bank never loads it.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+import struct
 from bisect import bisect_left, insort
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import lineproto
 from .chemfeat import (
@@ -697,18 +698,18 @@ class EvictionReport:
 
 # A stored card is its rank item (-delta_r, -seq, key, skill, record); items
 # sort in capacity order, and `seq` is unique, so no two items compare beyond
-# it. `record` is the card's _RECORD row, packed once.
+# it. `record` is the card's row of _RECORD fields, packed once.
 _Item = tuple[float, int, str, SkillCard, bytes]
 
-_RECORD = np.dtype([("words", "<u8", (WIDTH // 64,)), ("pops", "<i8"), ("fg", "<u8"),
-                    ("delta", "<f8")])
+_RECORD = [("words", "<u8", (WIDTH // 64,)), ("pops", "<i8"), ("fg", "<u8"), ("delta", "<f8")]
+# the fields after the words, packed as _RECORD lays them out
+_RECORD_TAIL = struct.Struct("<qQd")
 
 
 def _record(skill: SkillCard) -> bytes:
     """The skill's fingerprint words, popcount, FG bitmask and delta_r."""
     fp = skill.fp_key
-    row = (fp.to_words(), fp.popcount, skill.fg_tags.mask, skill.delta_r)
-    return np.array(row, dtype=_RECORD).tobytes()
+    return fp.to_bytes() + _RECORD_TAIL.pack(fp.popcount, skill.fg_tags.mask, skill.delta_r)
 
 
 class _TaskStore:
@@ -719,13 +720,15 @@ class _TaskStore:
     store is never changed once built."""
 
     def __init__(self, items: dict[str, _Item], rows: list[_Item]):
+        import numpy as np
         self.items = items
         self.rows = rows
         table = np.frombuffer(b"".join(item[4] for item in rows), dtype=_RECORD)
-        self.words, self.pops, self.fg, self.delta = (table[name] for name in _RECORD.names)
+        self.words, self.pops, self.fg, self.delta = (table[name] for name in table.dtype.names)
 
     def fg_similarities(self, query: FunctionalGroupSet) -> np.ndarray:
         """`chemfeat.jaccard` of the query against every row."""
+        import numpy as np
         mask = np.uint64(query.mask)
         if not query.mask:
             # the union is empty only where the row's set is empty as well
@@ -735,6 +738,7 @@ class _TaskStore:
     def top(self, sims: np.ndarray, threshold: float, k: int) -> list[SkillCard]:
         """The first k rows with sims >= threshold, ranked by (-delta_r,
         -sim, key)."""
+        import numpy as np
         passed = np.flatnonzero(sims >= threshold)
         if k == 0 or not len(passed):
             return []
@@ -752,9 +756,6 @@ class _TaskStore:
         return [rows[row][3] for *_, row in ranked[:k]]
 
 
-_EMPTY = _TaskStore({}, [])
-
-
 class SkillBank:
     """Per-task skill store capped at `capacity` by improvement magnitude."""
 
@@ -769,16 +770,19 @@ class SkillBank:
         return sorted(self._tasks)
 
     def cards(self, task: str) -> list[SkillCard]:
-        return [item[3] for item in self._tasks.get(task, _EMPTY).items.values()]
+        store = self._tasks.get(task)
+        return [] if store is None else [item[3] for item in store.items.values()]
 
     def size(self, task: str) -> int:
-        return len(self._tasks.get(task, _EMPTY).items)
+        store = self._tasks.get(task)
+        return 0 if store is None else len(store.items)
 
     def store(self, task: str) -> object:
-        """The task's store, for holding only: a store never changes, and
-        every insert into the task replaces it, so while this is the same
-        object every retrieval for the task gives the same answer."""
-        return self._tasks.get(task, _EMPTY)
+        """The task's store, for holding only, or None while the task has no
+        card: a store never changes, and every insert into the task replaces
+        it, so while this is the same object every retrieval for the task
+        gives the same answer."""
+        return self._tasks.get(task)
 
     def insert(self, skills: Sequence[SkillCard]) -> EvictionReport:
         """Dedup-merge a batch for one task, then enforce capacity.
@@ -797,8 +801,8 @@ class SkillBank:
         if len(task_names) > 1:
             raise ValueError("one insert batch must target a single task")
         task = task_names.pop()
-        old = self._tasks.get(task, _EMPTY)
-        items, rows = dict(old.items), list(old.rows)
+        old = self._tasks.get(task)
+        items, rows = ({}, []) if old is None else (dict(old.items), list(old.rows))
 
         inserted = merged = 0
         for skill in skills:

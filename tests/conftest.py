@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,14 @@ def fold(bits: int, width: int) -> int:
         out |= bits & mask
         bits >>= width
     return out
+
+
+def fresh_python(script: str, *args: str, cwd: Path) -> str:
+    """The last stdout line of `script` run by a new interpreter that imports
+    leadopt from this checkout. A test process has imported numpy long
+    since, so whether leadopt imports it shows only in a fresh one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]

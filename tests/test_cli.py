@@ -13,6 +13,8 @@ from leadopt.files import write_atomic
 from leadopt.harness import SearchConfig
 from leadopt.molgraph import parse
 
+from conftest import fresh_python
+
 LEADS = ["CCCCCCO", "CCCCCCCO", "CCCCCNC"]
 
 
@@ -675,6 +677,47 @@ class TestEvictingRunPin:
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in self.SHA256
         } == self.SHA256
+
+
+class TestNumpyOnFirstUse:
+    """Only the retrieval kernels import numpy, on their first call: the
+    import, a bankless run, a bank build and an eval load none of it."""
+
+    # runs each argv given as JSON through cli.main in one interpreter, then
+    # prints whether numpy was loaded after the import and after each command
+    PROBE = """
+import json, sys
+from leadopt import cli
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    loaded.append([cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+    RUN = ["run", "--leads", "leads.smi", "--objective", "act.yaml", "--policy", "random",
+           "--generations", "2", "--rollouts", "4", "--turns", "4", "--seed", "3"]
+
+    def probe(self, workspace, *commands):
+        return json.loads(fresh_python(self.PROBE, json.dumps(commands), cwd=workspace))
+
+    def test_import_loads_no_numpy(self, workspace):
+        assert self.probe(workspace) == [False]
+
+    def test_bankless_commands_load_no_numpy(self, workspace):
+        assert self.probe(
+            workspace,
+            ["build-bank", "--corpus", "corpus.smi", "--out", "bank"],
+            self.RUN + ["--out", "out"],
+            ["eval", "--report", "out"],
+        ) == [False, [0, False], [0, False], [0, False]]
+
+    def test_a_memory_run_loads_it_on_retrieval(self, workspace):
+        # a plateau of one stalled turn injects memory on every stall
+        assert self.probe(
+            workspace,
+            ["build-bank", "--corpus", "corpus.smi", "--out", "bank"],
+            self.RUN + ["--exemplar-bank", "bank", "--plateau", "1", "--out", "out"],
+        ) == [False, [0, False], [0, True]]
+        assert (workspace / "out" / "report.json").exists()
 
 
 class TestWriteAtomic:

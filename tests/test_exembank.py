@@ -42,7 +42,7 @@ from leadopt.skillbank import (
     retrieve_skills,
 )
 
-from conftest import brute_tanimoto, fold, near_positions, scatter
+from conftest import brute_tanimoto, fold, fresh_python, near_positions, scatter
 
 
 def fake_record(name: str, bits: int, score: float) -> ExemplarRecord:
@@ -572,6 +572,47 @@ class TestLargeBuild:
         # index buildable and queryable
         top = candidate_recall(bank, parse("CCCCCCCC"), 10)
         assert len(top) == 10
+
+
+class TestFirstUseAcrossThreads:
+    # in a fresh interpreter, four threads that switch every microsecond
+    # make a bank's first retrievals at once, which import numpy and build
+    # the planes, the canonical ranks and the score column; then a fresh
+    # bank of the same records retrieves on one thread
+    SCRIPT = """
+import json, sys, threading
+from leadopt.exembank import ExemplarBank, build_bank, retrieve_exemplars
+from leadopt.molgraph import parse
+from leadopt.oracles import load_objective
+rows = [line for line in open(sys.argv[1]) if not line.startswith("#")][:120]
+obj = load_objective("qed")
+bank = build_bank(rows, oracles=[term.oracle for term in obj.terms])
+assert "numpy" not in sys.modules
+current, lead = parse(rows[0]), parse(rows[1])
+
+def names(bank):
+    return [r.canonical for r in retrieve_exemplars(bank, current, lead, obj, k=8, gamma_ex=0.0)]
+
+start, found = threading.Barrier(4), [None] * 4
+
+def first_use(i):
+    start.wait()
+    found[i] = names(bank)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_use, args=(i,)) for i in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(json.dumps([found, names(ExemplarBank(bank.records))]))
+"""
+
+    def test_threads_retrieve_what_one_thread_does(self, tmp_path):
+        corpus = Path(__file__).parent / "fixtures" / "corpus_500.smi"
+        found, single = json.loads(fresh_python(self.SCRIPT, str(corpus), cwd=tmp_path))
+        assert len(single) == 8
+        assert found == [single] * 4
 
 
 GOLDEN_PARSES = [

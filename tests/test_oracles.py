@@ -518,6 +518,12 @@ class TestObjectiveConfig:
          "an oracle's direction must be 1 or -1, not 'down'"),
         ("terms:\n  - {oracle: qed_lite, direction: 2, success: {threshold: 0.9}}\n",
          "a term's direction must be 1 or -1, not 2"),
+        ("terms:\n  - {oracle: qed_lite, direction: 1.5, success: {threshold: 0.9}}\n",
+         "a term's direction must be 1 or -1, not 1.5"),
+        ("oracles:\n  - {name: drd2, path: drd2.tsv, direction: true}\nterms: []\n",
+         "an oracle's direction must be 1 or -1, not True"),
+        ("terms:\n  - {oracle: qed_lite, success: {mode: bogus, threshold: 0.9}}\n",
+         "a term's success mode must be one of absolute, delta, not 'bogus'"),
     ])
     def test_a_missing_or_unknown_field_fails_naming_the_file(self, tmp_path, text, message):
         # each of these raised a KeyError, a TypeError or a ValueError that
