@@ -600,11 +600,11 @@ def first_use(i):
     found[i] = names(bank)
 
 sys.setswitchinterval(1e-6)
-threads = [threading.Thread(target=first_use, args=(i,)) for i in range(4)]
+threads = [threading.Thread(target=first_use, args=(i,), daemon=True) for i in range(4)]
 for thread in threads:
     thread.start()
 for thread in threads:
-    thread.join()
+    thread.join(60)  # a thread still running leaves its result None
 print(json.dumps([found, names(ExemplarBank(bank.records))]))
 """
 
